@@ -24,6 +24,7 @@ from .polytopes import (
     RationalTriangle2D,
     RationalTriangleParams,
     TrianglePair,
+    iter_lowest_term_params,
     mcallister_woods_image,
 )
 
@@ -186,7 +187,6 @@ def _cmd_fit(args, parser) -> int:
 
 def _cmd_period(args, parser) -> int:
     obj = _triangle_object(args, parser)
-    qp, period = quasipoly.minimal_period(obj, degree=args.degree)
     if isinstance(obj, AdmissiblePair):
         record = {"alpha": obj.alpha, "beta": obj.beta, "guaranteed_period": obj.alpha}
         reference = obj.alpha
@@ -195,6 +195,7 @@ def _cmd_period(args, parser) -> int:
         reference = obj.denominator
     else:
         parser.error("period needs --params or --alpha/--beta")
+    qp, period = quasipoly.minimal_period(obj, degree=args.degree)
     record.update({
         "minimal_period": period,
         "collapse": period < reference,
@@ -241,8 +242,7 @@ def _cmd_check(args, parser) -> int:
 # -- search -------------------------------------------------------------------
 
 
-def _search_record(tup: tuple[int, int, int, int]) -> dict:
-    params = RationalTriangleParams(*tup)
+def _search_record(params: RationalTriangleParams) -> dict:
     report = criteria.check_collapse_criterion(params)
     _, period = quasipoly.minimal_period(params)
     denom = params.denominator
@@ -258,8 +258,6 @@ def _search_record(tup: tuple[int, int, int, int]) -> dict:
 
 
 def _cmd_search(args, parser) -> int:
-    from math import gcd
-
     bounds = (
         args.max_p or args.bound,
         args.max_q or args.bound,
@@ -268,23 +266,15 @@ def _cmd_search(args, parser) -> int:
     )
     if any(b is None for b in bounds):
         parser.error("give --bound or all of --max-p/--max-q/--max-r/--max-s")
-    tuples = [
-        (p, q, r, s)
-        for p in range(1, bounds[0] + 1)
-        for q in range(1, bounds[1] + 1)
-        if gcd(p, q) == 1
-        for r in range(1, bounds[2] + 1)
-        for s in range(1, bounds[3] + 1)
-        if gcd(r, s) == 1
-    ]
+    tuples = iter_lowest_term_params(*bounds)
     emit = _Emitter(args.output, args.format).emit
     if args.jobs > 1:
         with multiprocessing.Pool(args.jobs) as pool:
             for record in pool.imap(_search_record, tuples, chunksize=32):
                 emit(record)
     else:
-        for tup in tuples:
-            emit(_search_record(tup))
+        for params in tuples:
+            emit(_search_record(params))
     return 0
 
 
@@ -467,7 +457,7 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     args = parser.parse_args(argv if argv is None else list(argv))
     try:
         return args.fn(args, parser)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, quasipoly.FitFailureError) as exc:
         parser.exit(2, f"error: {exc}\n")
 
 

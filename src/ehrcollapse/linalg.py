@@ -1,27 +1,9 @@
-"""Exact linear algebra over Fraction: small solves, nullspaces, mod-p rank."""
+"""Exact linear algebra: nullspaces over Fraction and ranks mod a prime."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Optional, Sequence
-
-
-def solve_square(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
-    """Solve A x = b exactly by Gaussian elimination; None if A is singular."""
-    n = len(matrix)
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
 
 
 def nullspace_vector(rows: Sequence[Sequence], ncols: int) -> Optional[list[Fraction]]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from typing import Optional
 
 from .arith import QuadLike, QuadNumber, RadicandMismatchError
 
@@ -241,14 +242,21 @@ def iter_admissible_pairs(product_max: int):
                 continue
 
 
-def iter_lowest_term_params(bound: int):
-    """All lowest-term (p, q, r, s) with entries in 1..bound, lexicographic."""
-    for p in range(1, bound + 1):
-        for q in range(1, bound + 1):
+def iter_lowest_term_params(
+    max_p: int,
+    max_q: Optional[int] = None,
+    max_r: Optional[int] = None,
+    max_s: Optional[int] = None,
+):
+    """All lowest-term (p, q, r, s) with p <= max_p, q <= max_q, r <= max_r and
+    s <= max_s, lexicographic; a bound left out is max_p."""
+    max_q, max_r, max_s = (max_p if b is None else b for b in (max_q, max_r, max_s))
+    for p in range(1, max_p + 1):
+        for q in range(1, max_q + 1):
             if gcd(p, q) != 1:
                 continue
-            for r in range(1, bound + 1):
-                for s in range(1, bound + 1):
+            for r in range(1, max_r + 1):
+                for s in range(1, max_s + 1):
                     if gcd(r, s) == 1:
                         yield RationalTriangleParams(p, q, r, s)
 

@@ -1,25 +1,44 @@
 """Quasipolynomial fitting, minimal periods, and related reports.
 
 A quasipolynomial of period pi and degree k is a family of pi polynomials
-("constituents"), one per residue class of t mod pi.  Fitting is exact:
-interpolate each constituent through its first degree+1 samples, then demand
-that every remaining sample matches exactly; any mismatch returns None rather
-than a best-effort answer.
+("constituents"), one per residue class of t mod pi.  Everything here is
+exact, and periods are found with integer finite differences alone.
+
+The difference certificate: write Delta_d I(t) = I(t+d) - I(t).  A sequence
+is a quasipolynomial of period d and degree <= k on t >= 0 exactly when
+Delta_d^(k+1) I vanishes there, since then every residue class mod d is a
+sequence whose (k+1)-th difference is zero, i.e. a polynomial of degree <= k.
+If I is known to be a quasipolynomial of period P and degree <= k, then so is
+Delta_d^(k+1) I for every d, and it vanishes everywhere as soon as it
+vanishes at k+1 points of every residue class mod P, i.e. on t in [0, (k+1)P).
+
+minimal_period uses that twice.  It first checks Delta_P^(k+1) I = 0 on
+held-out t at the guaranteed period P, which is the same test as fitting each
+constituent through its first k+1 samples and verifying the rest.  It then
+returns the least divisor d of P whose difference vanishes on [0, (k+1)P);
+McAllister and Woods (J. Combin. Theory A 109, 2005) discuss why d can be
+smaller than the denominator.  The coefficients are built once, at d, by
+Newton interpolation with integer numerators over one common denominator.
+
+fit_quasipolynomial interpolates each constituent through its first degree+1
+samples with the same Newton helper, then demands that every remaining sample
+matches exactly; any mismatch returns None rather than a best-effort answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from . import counting
-from .linalg import solve_square
-from .polytopes import AdmissiblePair, RationalTriangleParams, TrianglePair
+from .polytopes import AdmissiblePair, RationalTriangleParams
 
 
 class InsufficientSamplesError(ValueError):
-    """Raised when some residue class has fewer than degree+1 samples."""
+    """Raised when some residue class has fewer than degree+1 samples at
+    distinct t."""
 
 
 class FitFailureError(RuntimeError):
@@ -37,7 +56,10 @@ class Quasipolynomial:
             raise ValueError("period must be >= 1")
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
-        rows = tuple(tuple(Fraction(c) for c in row) for row in self.coeffs)
+        rows = tuple(
+            tuple(c if isinstance(c, Fraction) else Fraction(c) for c in row)
+            for row in self.coeffs
+        )
         if len(rows) != self.period or any(len(row) != self.degree + 1 for row in rows):
             raise ValueError("coefficient table must be period x (degree+1)")
         object.__setattr__(self, "coeffs", rows)
@@ -78,6 +100,53 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+def _differences(values: Sequence[int], step: int, order: int) -> list[int]:
+    """Delta_step^order of values at t = 0 .. len(values) - order*step - 1."""
+    for _ in range(order):
+        values = [b - a for a, b in zip(values, values[step:])]
+    return values
+
+
+def _newton(
+    nodes: Sequence[int], values: Sequence[Union[int, Fraction]]
+) -> tuple[list[int], int]:
+    """The polynomial of degree < len(nodes) through (nodes[i], values[i]).
+
+    Returns the integer numerators of its coefficients of t^0, t^1, ... and
+    their common positive denominator.  Newton divided differences are kept
+    as integers: the entries of level m share one denominator, the one of
+    level m-1 times the lcm of the level's node gaps.  On equispaced nodes
+    with step h they are the forward differences over m! h^m.  Raises
+    InsufficientSamplesError when a node repeats.
+    """
+    scale = lcm(*(y.denominator for y in values))
+    diffs = [y.numerator * (scale // y.denominator) for y in values]
+    leads, dens = [diffs[0]], [scale]
+    for m in range(1, len(nodes)):
+        gaps = [b - a for a, b in zip(nodes, nodes[m:])]
+        step = lcm(*gaps)
+        if step == 0:
+            raise InsufficientSamplesError(f"degenerate sample nodes {list(nodes)}")
+        diffs = [(b - a) * (step // gap) for a, b, gap in zip(diffs, diffs[1:], gaps)]
+        leads.append(diffs[0])
+        dens.append(dens[-1] * step)
+    den = dens[-1]
+    # nested Newton form: acc <- acc * (t - nodes[m]) + leads[m] / dens[m]
+    acc = [leads[-1]]
+    for m in range(len(nodes) - 2, -1, -1):
+        x = nodes[m]
+        acc = [s - x * a for s, a in zip([0] + acc, acc + [0])]
+        acc[0] += leads[m] * (den // dens[m])
+    return acc, den
+
+
+def _horner(numerators: Sequence[int], t: int) -> int:
+    acc = 0
+    for c in reversed(numerators):
+        acc = acc * t + c
+    return acc
+
+
 Sample = tuple[int, Union[int, Fraction]]
 
 
@@ -88,12 +157,13 @@ def fit_quasipolynomial(
 
     Interpolates each residue class through its first degree+1 samples and
     verifies all others; returns None if any sample disagrees.  Raises
-    InsufficientSamplesError when a class has fewer than degree+1 samples.
+    InsufficientSamplesError when a class has fewer than degree+1 samples,
+    or when two of the samples it is interpolated through share a t.
     """
     if period < 1 or degree < 0:
         raise ValueError("need period >= 1 and degree >= 0")
     cleaned = sorted({(int(t), Fraction(y)) for t, y in samples})
-    by_res: dict[int, list[Sample]] = {z: [] for z in range(period)}
+    by_res: dict[int, list[tuple[int, Fraction]]] = {z: [] for z in range(period)}
     for t, y in cleaned:
         by_res[t % period].append((t, y))
     short = [z for z, pts in by_res.items() if len(pts) < degree + 1]
@@ -101,19 +171,15 @@ def fit_quasipolynomial(
         raise InsufficientSamplesError(
             f"residues {short} have fewer than {degree + 1} samples"
         )
-    table = []
-    for z in range(period):
-        pts = by_res[z][: degree + 1]
-        matrix = [[Fraction(t) ** i for i in range(degree + 1)] for t, _ in pts]
-        sol = solve_square(matrix, [y for _, y in pts])
-        if sol is None:
-            raise InsufficientSamplesError(f"degenerate sample nodes in residue {z}")
-        table.append(tuple(sol))
-    qp = Quasipolynomial(period, degree, tuple(table))
-    for t, y in cleaned:
-        if qp.evaluate(t) != y:
-            return None
-    return qp
+    fits = [_newton(*zip(*pts[: degree + 1])) for pts in by_res.values()]
+    for (numerators, den), pts in zip(fits, by_res.values()):
+        for t, y in pts[degree + 1:]:
+            if _horner(numerators, t) * y.denominator != y.numerator * den:
+                return None
+    table = tuple(
+        tuple(Fraction(c, den) for c in numerators) for numerators, den in fits
+    )
+    return Quasipolynomial(period, degree, table)
 
 
 def minimal_period(
@@ -121,12 +187,15 @@ def minimal_period(
     degree: int = 2,
     extra_per_residue: int = 3,
 ) -> tuple[Quasipolynomial, int]:
-    """Fit at the guaranteed period, verify held-out samples, then reduce.
+    """Certify the guaranteed period, then take its least divisor that passes.
 
-    The guaranteed period is the vertex denominator lcm(q, s) for rational
-    parameters and alpha for an admissible pair.  Sampling covers degree+1
-    fitting values plus extra_per_residue held-out values per residue class.
-    Returns (reduced quasipolynomial, its minimal period).
+    The guaranteed period P is the vertex denominator lcm(q, s) for rational
+    parameters and alpha for an admissible pair.  With k = degree, the counts
+    must satisfy Delta_P^(k+1) I = 0 on t in [0, extra_per_residue * P), the
+    test a fit at P through k+1 values per residue class passes on
+    extra_per_residue held-out values per class; FitFailureError otherwise.
+    The minimal period is the least divisor d of P with Delta_d^(k+1) I = 0 on
+    [0, (k+1) P).  Returns (quasipolynomial at period d, d).
     """
     if isinstance(obj, AdmissiblePair):
         guaranteed = obj.alpha
@@ -134,16 +203,29 @@ def minimal_period(
         guaranteed = obj.denominator
     else:
         raise TypeError(f"unsupported type {type(obj).__name__}")
-    t_hi = (degree + 1 + extra_per_residue) * guaranteed - 1
-    ts = range(t_hi + 1)
-    values = counting.count_triangle_many(obj, ts)
-    qp = fit_quasipolynomial(zip(ts, values), guaranteed, degree)
-    if qp is None:
+    if degree < 0 or extra_per_residue < 0:
+        raise ValueError("need degree >= 0 and extra_per_residue >= 0")
+    order, divisors = degree + 1, _divisors(guaranteed)
+    window = order * guaranteed
+    held_out = (order + extra_per_residue) * guaranteed
+    # the certificate at the largest proper divisor d reads t < (k+1)(P + d),
+    # which at a high degree lies past the held-out range
+    needed = window + order * divisors[-2] if len(divisors) > 1 else 0
+    values = counting.count_triangle_many(obj, range(max(held_out, needed)))
+    if any(_differences(values[:held_out], guaranteed, order)):
         raise FitFailureError(
             f"no verified degree-{degree} fit at guaranteed period {guaranteed}"
         )
-    reduced = qp.reduce()
-    return reduced, reduced.period
+    period = next(
+        d for d in divisors
+        if d == guaranteed or not any(_differences(values[:window + order * d], d, order))
+    )
+    table = []
+    for r in range(period):
+        stop = r + order * period
+        numerators, den = _newton(range(r, stop, period), values[r:stop:period])
+        table.append(tuple(Fraction(c, den) for c in numerators))
+    return Quasipolynomial(period, degree, tuple(table)), period
 
 
 @dataclass(frozen=True)

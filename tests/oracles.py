@@ -8,6 +8,7 @@ decisions for quadratic legs.  No floor tricks, no column sums.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 from typing import Sequence
 
@@ -24,6 +25,21 @@ def count_triangle_rational(p: int, q: int, r: int, s: int, t: int) -> int:
             y += 1
         x += 1
     return total
+
+
+def count_triangle_rational_range(p: int, q: int, r: int, s: int, t_max: int) -> list[int]:
+    """Counts for t = 0..t_max from one double loop over the t_max dilate: a
+    point (x, y) is inside from the least t with q r x + p s y <= t p r on."""
+    a, b, scale = q * r, p * s, p * r
+    first = [0] * (t_max + 1)
+    x = 0
+    while a * x <= t_max * scale:
+        y = 0
+        while a * x + b * y <= t_max * scale:
+            first[-(-(a * x + b * y) // scale)] += 1
+            y += 1
+        x += 1
+    return list(accumulate(first))
 
 
 def _le_sqrt(lhs: int, coeff: int, d: int) -> bool:

@@ -98,6 +98,19 @@ def test_period_reports_collapse():
     assert record["guaranteed_period"] == 2
 
 
+def test_period_without_a_verified_fit_is_usage_error():
+    proc = run_cli("period", "--alpha", "3", "--beta", "3", "--degree", "1", check=False)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: no verified degree-1 fit at guaranteed period 3\n"
+
+
+def test_period_on_quadratic_legs_is_usage_error():
+    proc = run_cli("period", "--u", "1", "--v", "1,1,2", check=False)
+    assert proc.returncode == 2
+    assert "period needs --params or --alpha/--beta" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # -- check ------------------------------------------------------------------------
 
 
@@ -146,6 +159,13 @@ def test_search_deterministic_across_jobs():
     assert collapse[(1, 2, 2, 1)] is True
     for record in records:
         assert record["denominator"] % record["minimal_period"] == 0
+
+
+def test_search_per_coordinate_bounds():
+    records = json_lines(run_cli("search", "--max-p", "2", "--max-q", "1",
+                                 "--max-r", "1", "--max-s", "3"))
+    params = [tuple(r["params"].values()) for r in records]
+    assert params == [(p, 1, 1, s) for p in (1, 2) for s in (1, 2, 3)]
 
 
 def test_search_csv_header():

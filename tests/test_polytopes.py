@@ -181,6 +181,11 @@ def test_iterators_are_sorted_and_in_bounds():
     assert tuples == sorted(tuples)
     assert (2, 3, 3, 2) in tuples and (2, 4, 1, 1) not in tuples
 
+    boxed = [(p.p, p.q, p.r, p.s) for p in iter_lowest_term_params(2, 3, 1, 4)]
+    assert boxed == sorted(boxed)
+    assert boxed == [(p, q, 1, s) for p in (1, 2) for q in (1, 2, 3) for s in (1, 2, 3, 4)
+                     if (p, q) != (2, 2)]
+
 
 def test_scales_to_admissible():
     # (3/2, 4) doubles to the admissible (3, 2)

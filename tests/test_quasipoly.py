@@ -1,7 +1,9 @@
 """Quasipolynomial fitting, minimal periods, series numerators, reciprocity."""
 
+import random
 from fractions import Fraction
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from ehrcollapse.polytopes import (
     RationalTriangleParams,
     TrianglePair,
     iter_admissible_pairs,
+    iter_lowest_term_params,
 )
 from ehrcollapse.arith import QuadNumber, quad_sqrt
 from ehrcollapse.quasipoly import (
@@ -63,6 +66,34 @@ def test_fit_verifies_on_leftover_samples():
     samples = _triangle_samples(8)
     samples[8] = (8, samples[8][1] + 1)
     assert fit_quasipolynomial(samples, 1, 2) is None
+
+
+def test_fit_shuffled_non_equispaced_nodes():
+    qp = Quasipolynomial(2, 2, ((Fraction(1), Fraction(-2, 3), Fraction(5, 7)),
+                                (Fraction(-4), Fraction(1, 2), Fraction(3))))
+    ts = [0, 4, 10, 22, 1, 7, 13, 31, 40, 3]
+    random.Random(5).shuffle(ts)
+    fitted = fit_quasipolynomial([(t, qp.evaluate(t)) for t in ts], 2, 2)
+    assert fitted == qp
+
+    broken = [(t, qp.evaluate(t) + (t == 40)) for t in ts]
+    assert fit_quasipolynomial(broken, 2, 2) is None
+
+
+def test_fit_repeated_node_with_two_values_raises():
+    samples = [(0, 1), (0, 2)] + _triangle_samples(6)[1:]
+    with pytest.raises(InsufficientSamplesError):
+        fit_quasipolynomial(samples, 1, 2)
+
+
+def test_fit_at_a_multiple_of_the_true_period():
+    qp = Quasipolynomial(2, 1, ((Fraction(1), Fraction(1, 2)),
+                                (Fraction(-3), Fraction(2))))
+    samples = [(t, qp.evaluate(t)) for t in range(18)]
+    fitted = fit_quasipolynomial(samples, 6, 1)
+    assert fitted is not None and fitted.period == 6
+    assert fitted.coeffs == qp.coeffs * 3
+    assert fitted.reduce() == qp
 
 
 def test_fit_then_verify_at_denominator_period():
@@ -118,6 +149,90 @@ def test_admissible_minimal_period_divides_alpha():
 def test_minimal_period_rejects_degree_too_low():
     with pytest.raises(quasipoly.FitFailureError):
         minimal_period(RationalTriangleParams(2, 3, 3, 2), degree=1)
+    with pytest.raises(quasipoly.FitFailureError):
+        minimal_period(AdmissiblePair(3, 3), degree=1)
+
+
+def test_minimal_period_at_high_degree_counts_the_whole_certificate(monkeypatch):
+    # at degree k the certificate at the divisor d = 3 of P = 6 reads
+    # t < (k+1)(P+d) = 81, past the (k+1+3)P = 72 held-out counts
+    params = RationalTriangleParams(2, 3, 3, 2)
+    lengths = []
+    real = counting.count_triangle_many
+
+    def spy(obj, ts):
+        ts = list(ts)
+        lengths.append(len(ts))
+        return real(obj, ts)
+
+    monkeypatch.setattr(counting, "count_triangle_many", spy)
+    qp, period = minimal_period(params, degree=8)
+    assert period == 3 and lengths == [81]
+    low, _ = minimal_period(params)
+    assert qp.coeffs == tuple(row + (Fraction(0),) * 6 for row in low.coeffs)
+
+
+def test_minimal_period_certificate_spans_k_plus_1_periods(monkeypatch):
+    # a period-6 quadratic quasipolynomial that is zero for t < 17: a
+    # certificate window of one period reads only zeros, so takes it for period 1
+    def counts(obj, ts):
+        return [(t - 5) * (t - 11) if t % 6 == 5 else 0 for t in ts]
+
+    monkeypatch.setattr(counting, "count_triangle_many", counts)
+    qp, period = minimal_period(RationalTriangleParams(1, 6, 1, 1))
+    assert period == 6
+    assert qp.coeffs == ((0, 0, 0),) * 5 + ((55, -16, 1),)
+
+
+def _interpolate(points):
+    """Coefficients of the polynomial through the points, by Lagrange's formula."""
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis, scale = [Fraction(1)], Fraction(yi)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                basis = [a - xj * b for a, b in zip([0] + basis, basis + [0])]
+                scale /= xi - xj
+        coeffs = [c + scale * b for c, b in zip(coeffs, basis)]
+    return tuple(coeffs)
+
+
+def _oracle_minimal_period(counts, guaranteed, degree=2):
+    """Constituents at the guaranteed period interpolated from oracle counts,
+    checked on every further count, and the least divisor where they agree."""
+    rows = []
+    for z in range(guaranteed):
+        pts = [(t, counts[t]) for t in range(z, len(counts), guaranteed)]
+        row = _interpolate(pts[: degree + 1])
+        assert all(sum(c * t ** i for i, c in enumerate(row)) == y
+                   for t, y in pts[degree + 1:])
+        rows.append(row)
+    period = next(d for d in range(1, guaranteed + 1) if guaranteed % d == 0
+                  and all(rows[z] == rows[z % d] for z in range(guaranteed)))
+    return period, tuple(rows[:period])
+
+
+def test_minimal_period_matches_oracle_interpolation_rational():
+    for params in iter_lowest_term_params(5):
+        den = params.denominator
+        tup = (params.p, params.q, params.r, params.s)
+        counts = oracles.count_triangle_rational_range(*tup, 6 * den - 1)
+        assert counts[:6] == [oracles.count_triangle_rational(*tup, t) for t in range(6)]
+        want = _oracle_minimal_period(counts, den)
+        qp, period = minimal_period(params)
+        assert (period, qp.coeffs) == want, params
+
+
+def test_minimal_period_matches_oracle_interpolation_admissible():
+    pairs = [pair for pair in iter_admissible_pairs(100)
+             if pair.alpha <= 10 and pair.beta <= 10]
+    assert len(pairs) > 50
+    for pair in pairs:
+        counts = [oracles.count_triangle_admissible(pair.alpha, pair.beta, t)
+                  for t in range(6 * pair.alpha)]
+        want = _oracle_minimal_period(counts, pair.alpha)
+        qp, period = minimal_period(pair)
+        assert (period, qp.coeffs) == want, (pair.alpha, pair.beta)
 
 
 # -- evaluation and representation --------------------------------------------------
