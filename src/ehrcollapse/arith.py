@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, lcm
 from typing import Union
 
@@ -22,8 +23,13 @@ class RadicandMismatchError(ValueError):
     """Raised when combining two irrational numbers with different radicands."""
 
 
+@lru_cache(maxsize=256)
 def _squarefree_split(d: int) -> tuple[int, int]:
-    """Return (s, m) with d = s*s*m and m squarefree."""
+    """Return (s, m) with d = s*s*m and m squarefree.
+
+    Cached because every QuadNumber operation canonicalizes its radicand
+    and trial division costs O(sqrt(d)).
+    """
     s, m, p = 1, 1, 2
     while p * p <= d:
         if d % p == 0:
@@ -36,6 +42,22 @@ def _squarefree_split(d: int) -> tuple[int, int]:
                 m *= p
         p += 1 if p == 2 else 2
     return s, m * d
+
+
+def floor_surd(a: int, b: int, c: int, d: int) -> int:
+    """floor((a + b*sqrt(d)) / c) for integers with c > 0 and either b == 0
+    or d > 1 squarefree, by integer square roots only.
+
+    floor((a + y)/c) = (a + floor(y)) // c for any real y, and
+    floor(b*sqrt(d)) = isqrt(b*b*d) when b > 0 (b*sqrt(d) is irrational),
+    = -isqrt(b*b*d) - 1 when b < 0.
+    """
+    if b == 0:
+        return a // c
+    root = isqrt(b * b * d)
+    if b > 0:
+        return (a + root) // c
+    return (a - root - 1) // c
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
@@ -216,19 +238,11 @@ class QuadNumber:
     # -- exact floor ----------------------------------------------------------
 
     def __floor__(self) -> int:
-        # write self as (A + B*sqrt(d)) / C with integers A, B and C > 0;
-        # floor((A + y)/C) = (A + floor(y)) // C for any real y, and
-        # floor(B*sqrt(d)) = isqrt(B*B*d) when B > 0 (B*sqrt(d) irrational here),
-        # = -isqrt(B*B*d) - 1 when B < 0.
+        # write self as (A + B*sqrt(d)) / C with integers A, B and C > 0
         c = lcm(self.a.denominator, self.b.denominator)
         big_a = self.a.numerator * (c // self.a.denominator)
         big_b = self.b.numerator * (c // self.b.denominator)
-        if big_b == 0:
-            return big_a // c
-        root = isqrt(big_b * big_b * self.d)
-        if big_b > 0:
-            return (big_a + root) // c
-        return (big_a - root - 1) // c
+        return floor_surd(big_a, big_b, c, self.d)
 
     def __ceil__(self) -> int:
         return -((-self).__floor__())

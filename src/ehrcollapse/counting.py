@@ -1,24 +1,23 @@
 """Exact lattice-point counts for dilates of the supported polytopes.
 
-Every public function returns exact integers (or Fractions).  Batch triangle
-counting reduces the inner floor to integer linear forms and dispatches to the
-int64 kernels when an overflow guard passes; otherwise the same formula runs
-on Python big integers.  Floors of irrational quantities use integer square
-roots, never floating point.
+Every public function returns exact integers (or Fractions).  A triangle count
+is one floor sum over the columns of the triangle, and a floor sum is reduced
+by Euclid's algorithm on the slope (peel off integer parts, then reflect the
+remaining points across the diagonal), so one count at t takes O(log t)
+integer steps for rational legs and for quadratic legs alike.  Floors of
+irrational quantities use integer square roots, never floating point.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import ceil, floor, isqrt, lcm
-from typing import Iterable, Sequence, Union
+from math import ceil, floor, gcd, lcm
+from typing import Iterable, Union
 
-import numpy as np
 from mpmath import mp
 
-from . import kernels
-from .arith import QuadNumber
+from .arith import QuadNumber, floor_surd
 from .polytopes import (
     AdmissiblePair,
     AxisSimplex,
@@ -30,8 +29,9 @@ from .polytopes import (
 
 TriangleLike = Union[TrianglePair, AdmissiblePair, RationalTriangleParams]
 
-# kernels multiply three guarded quantities; stay well inside int64
-_INT64_GUARD = 1 << 61
+# (A, B, C) stands for (A + B*sqrt(d)) / C with integers and C > 0; d is 0
+# (and then B = 0) or a squarefree d > 1.
+Triple = tuple[int, int, int]
 
 
 def _as_pair(obj: TriangleLike) -> TrianglePair:
@@ -42,137 +42,96 @@ def _as_pair(obj: TriangleLike) -> TrianglePair:
     raise TypeError(f"expected a triangle-like object, got {type(obj).__name__}")
 
 
+def _reduced(a: int, b: int, c: int) -> Triple:
+    if c < 0:
+        a, b, c = -a, -b, -c
+    g = gcd(a, b, c)
+    return a // g, b // g, c // g
+
+
+def _floor_sum(n: int, a: Triple, b: Triple, d: int) -> int:
+    """Sum of floor(a*x + b) over x = 0..n-1, for real a > 0 and any real b.
+
+    Each step takes the integer parts off a and b, which leaves a, b in
+    [0, 1), and with m = floor(a*(n-1) + b) counts the points 1 <= y <= a*x + b
+    by rows instead of columns:
+
+        sum floor(a*x + b) = n*m + sum_{x < m} floor(x/a + (b - m)/a).
+
+    So n falls strictly at each step.  The slopes run through the continued
+    fraction of a, whose partial quotients are bounded for a quadratic
+    irrational, and the depth is O(log n).
+    """
+    total = 0
+    while n > 0:
+        (a0, a1, ac), (b0, b1, bc) = a, b
+        fa, fb = floor_surd(a0, a1, ac, d), floor_surd(b0, b1, bc, d)
+        total += fa * (n * (n - 1) // 2) + fb * n
+        a0 -= fa * ac
+        b0 -= fb * bc
+        if a0 == 0 and a1 == 0:
+            break
+        m = floor_surd((n - 1) * a0 * bc + b0 * ac, (n - 1) * a1 * bc + b1 * ac, ac * bc, d)
+        if m == 0:
+            break
+        total += n * m
+        # 1/a = ac*(a0 - a1*sqrt(d)) / (a0^2 - a1^2*d)
+        i0, i1, ic = ac * a0, -ac * a1, a0 * a0 - a1 * a1 * d
+        b0 -= m * bc
+        a = _reduced(i0, i1, ic)
+        b = _reduced(b0 * i0 + b1 * i1 * d, b0 * i1 + b1 * i0, bc * ic)
+        n = m
+    return total
+
+
+def _slope_triples(pair: TrianglePair) -> tuple[Triple, Triple, Triple, int]:
+    """theta = u/v, 1/u and 1/v over one common denominator, and the radicand."""
+    inv_u, inv_v = 1 / pair.u, 1 / pair.v
+    quads = (pair.u * inv_v, inv_u, inv_v)
+    d = max(q.d for q in quads)
+    c = lcm(*(q.a.denominator for q in quads), *(q.b.denominator for q in quads))
+    theta, inv_u, inv_v = ((int(q.a * c), int(q.b * c), c) for q in quads)
+    return theta, inv_u, inv_v, d
+
+
 def count_triangle(obj: TriangleLike, t: int) -> int:
     """Number of integer (x, y) with x, y >= 0 and u*x + v*y <= t."""
     return count_triangle_many(obj, (t,))[0]
 
 
 def count_triangle_many(obj: TriangleLike, ts: Iterable[int]) -> list[int]:
-    """Batch version of count_triangle; one exact count per t."""
+    """Batch version of count_triangle; one exact count per t.
+
+    With X = floor(t/u), the column x holds floor((t - u*x)/v) + 1 points, and
+    reading the columns from x = X down to 0 gives a floor sum of slope u/v.
+    """
     pair = _as_pair(obj)
     t_list = [int(t) for t in ts]
-    if not t_list:
-        return []
     if any(t < 0 for t in t_list):
         raise ValueError("dilation factors must be >= 0")
-    u, v = pair.u, pair.v
-    if u < v:
-        u, v = v, u  # iterate x along the larger leg coefficient: fewer terms
-    if u.is_rational and v.is_rational:
-        return _rational_counts(u.as_fraction(), v.as_fraction(), t_list)
-    return _quad_counts(u, v, t_list)
-
-
-def _rational_counts(u: Fraction, v: Fraction, ts: list[int]) -> list[int]:
-    q, p = u.numerator, u.denominator
-    s, r = v.numerator, v.denominator
-    tmax = max(ts)
-    # per-term magnitudes: r*(t*p) and accumulated count
-    bound_term = r * tmax * p
-    bound_acc = (tmax * p // q + 1) * (bound_term // (p * s) + 2)
-    if max(bound_term, bound_acc) < _INT64_GUARD:
-        out = kernels.rational_counts(p, q, r, s, np.asarray(ts, dtype=np.int64))
-        return [int(x) for x in out]
-    return _rational_counts_bigint(u, v, ts)
-
-
-def _rational_counts_bigint(u: Fraction, v: Fraction, ts: list[int]) -> list[int]:
-    """Same column sum as the kernels, in unbounded integer arithmetic."""
-    q, p = u.numerator, u.denominator
-    s, r = v.numerator, v.denominator
-    ps = p * s
+    (s0, s1, c), (u0, u1, _), (v0, v1, _), d = _slope_triples(pair)
     result = []
-    for t in ts:
-        tp = t * p
-        xmax = tp // q
-        acc = xmax + 1
-        for x in range(xmax + 1):
-            acc += (r * (tp - q * x)) // ps
-        result.append(acc)
-    return result
-
-
-def _quad_linear_forms(u: QuadNumber, v: QuadNumber) -> tuple[int, int, int, int, int, int]:
-    """Integer data (at, ax, bt, bx, den, d) with
-    (t - u*x)/v = (at*t + ax*x + (bt*t + bx*x)*sqrt(d)) / den."""
-    inv_v = QuadNumber.from_value(1) / v
-    d = u.d or inv_v.d
-    a_u, b_u = u.a, u.b
-    a_i, b_i = inv_v.a, inv_v.b
-    at = a_i
-    ax = -(a_u * a_i + b_u * b_i * d)
-    bt = b_i
-    bx = -(a_u * b_i + b_u * a_i)
-    den = lcm(at.denominator, ax.denominator, bt.denominator, bx.denominator)
-    return (
-        int(at * den),
-        int(ax * den),
-        int(bt * den),
-        int(bx * den),
-        den,
-        d,
-    )
-
-
-def _quad_counts(u: QuadNumber, v: QuadNumber, ts: list[int]) -> list[int]:
-    at, ax, bt, bx, den, d = _quad_linear_forms(u, v)
-    inv_u = QuadNumber.from_value(1) / u
-    xmaxs = [math.floor(inv_u * t) for t in ts]
-    tmax, xmax_max = max(ts), max(xmaxs)
-    a_bound = abs(at) * tmax + abs(ax) * xmax_max
-    b_bound = abs(bt) * tmax + abs(bx) * xmax_max
-    n_bound = b_bound * b_bound * d
-    acc_bound = (xmax_max + 1) * ((a_bound + isqrt(n_bound)) // den + 2)
-    if max(n_bound, a_bound + isqrt(n_bound) + 1, acc_bound) < _INT64_GUARD:
-        out = kernels.quad_counts(
-            at, ax, bt, bx, den, d,
-            np.asarray(ts, dtype=np.int64),
-            np.asarray(xmaxs, dtype=np.int64),
-        )
-        return [int(x) for x in out]
-    return _quad_counts_bigint(u, v, ts)
-
-
-def _quad_counts_bigint(u: QuadNumber, v: QuadNumber, ts: list[int]) -> list[int]:
-    """Same linear-form floors as the kernels, in unbounded integer arithmetic."""
-    at, ax, bt, bx, den, d = _quad_linear_forms(u, v)
-    inv_u = QuadNumber.from_value(1) / u
-    result = []
-    for t in ts:
-        xmax = math.floor(inv_u * t)
-        acc = xmax + 1
-        for x in range(xmax + 1):
-            a_val = at * t + ax * x
-            b_val = bt * t + bx * x
-            root = isqrt(b_val * b_val * d)
-            if b_val >= 0:
-                acc += (a_val + root) // den
-            else:
-                acc += (a_val - root - 1) // den
-        result.append(acc)
+    for t in t_list:
+        x = floor_surd(t * u0, t * u1, c, d)
+        result.append(_floor_sum(x + 1, (s0, s1, c), (t * v0 - x * s0, t * v1 - x * s1, c), d)
+                      + x + 1)
     return result
 
 
 def count_triangle_interior(obj: TriangleLike, t: int) -> int:
-    """Number of integer (x, y) with x, y >= 1 and u*x + v*y < t."""
+    """Number of integer (x, y) with x, y >= 1 and u*x + v*y < t.
+
+    Column x = 1..x_top, with x_top = ceil(t/u) - 1 the last x with u*x < t,
+    holds ceil((t - u*x)/v) - 1 = -floor(theta*x - t/v) - 1 points.
+    """
     pair = _as_pair(obj)
     if t < 0:
         raise ValueError("dilation factor must be >= 0")
-    u, v = pair.u, pair.v
-    if u < v:
-        u, v = v, u
-    total = 0
-    xtop = math.floor(QuadNumber.from_value(t) / u)
-    if u * xtop == t:
-        xtop -= 1
-    for x in range(1, xtop + 1):
-        w = (QuadNumber.from_value(t) - u * x) / v
-        k = math.floor(w)
-        if w == k:
-            k -= 1  # strict inequality: drop boundary point
-        if k > 0:
-            total += k
-    return total
+    (s0, s1, c), (u0, u1, _), (v0, v1, _), d = _slope_triples(pair)
+    x_top = -floor_surd(-t * u0, -t * u1, c, d) - 1
+    if x_top <= 0:
+        return 0
+    return -_floor_sum(x_top, (s0, s1, c), (s0 - t * v0, s1 - t * v1, c), d) - x_top
 
 
 def count_axis_simplex(simplex: AxisSimplex, t: int) -> int:

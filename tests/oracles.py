@@ -13,14 +13,22 @@ from math import isqrt
 from typing import Sequence
 
 
-def count_triangle_rational(p: int, q: int, r: int, s: int, t: int) -> int:
-    """Points (x, y) >= 0 with (q/p) x + (s/r) y <= t, by double loop."""
+def count_triangle_rational(p: int, q: int, r: int, s: int, t: int,
+                            strict: bool = False) -> int:
+    """Points (x, y) >= 0 with (q/p) x + (s/r) y <= t, by double loop.  With
+    strict, points (x, y) >= 1 with (q/p) x + (s/r) y < t: the interior."""
     u, v = Fraction(q, p), Fraction(s, r)
+    lo = 1 if strict else 0
+
+    def inside(x: int, y: int) -> bool:
+        w = u * x + v * y
+        return w < t if strict else w <= t
+
     total = 0
-    x = 0
-    while u * x <= t:
-        y = 0
-        while u * x + v * y <= t:
+    x = lo
+    while inside(x, lo):
+        y = lo
+        while inside(x, y):
             total += 1
             y += 1
         x += 1
@@ -53,25 +61,58 @@ def _le_sqrt(lhs: int, coeff: int, d: int) -> bool:
     return lhs * lhs >= coeff * coeff * d
 
 
-def count_triangle_admissible(alpha: int, beta: int, t: int) -> int:
+def count_triangle_admissible(alpha: int, beta: int, t: int, strict: bool = False) -> int:
     """Points under u x + v y <= t for the conjugate legs of (alpha, beta).
 
     With u, v = (alpha*beta +- sqrt(D)) / (2 beta), D = alpha*beta*(alpha*beta-4),
     the condition u x + v y <= t becomes
-        (x - y) sqrt(D) <= 2 beta t - (x + y) alpha beta,
-    decided purely over the integers.
+        (x + y) alpha beta - 2 beta t <= (y - x) sqrt(D),
+    decided purely over the integers.  With strict, points (x, y) >= 1 with
+    u x + v y < t; equality needs both sides 0, since sqrt(D) is irrational.
     """
     ab = alpha * beta
     disc = ab * (ab - 4)
     assert disc > 0 and isqrt(disc) ** 2 != disc
+    lo = 1 if strict else 0
+
+    def inside(x: int, y: int) -> bool:
+        lhs, coeff = (x + y) * ab - 2 * beta * t, y - x
+        return _le_sqrt(lhs, coeff, disc) and not (strict and lhs == 0 and coeff == 0)
+
     total = 0
-    x = 0
-    while True:
-        # column is nonempty iff the y = 0 point is inside
-        if not _le_sqrt(x * ab - 2 * beta * t, -x, disc):
-            break
-        y = 0
-        while _le_sqrt((x + y) * ab - 2 * beta * t, y - x, disc):
+    x = lo
+    while inside(x, lo):  # column is nonempty iff its lowest point is inside
+        y = lo
+        while inside(x, y):
+            total += 1
+            y += 1
+        x += 1
+    return total
+
+
+def count_triangle_quad(u: tuple[int, int, int], v: tuple[int, int, int], d: int,
+                        t: int, strict: bool = False) -> int:
+    """Points (x, y) >= 0 with u x + v y <= t for legs u, v > 0 given as
+    (a, b, c) = (a + b sqrt(d)) / c with c > 0 and d not a square (or b = 0).
+
+    Multiplying by c_u c_v > 0, the condition becomes K sqrt(d) <= R with
+    K = x b_u c_v + y b_v c_u and R = t c_u c_v - x a_u c_v - y a_v c_u,
+    decided purely over the integers.  With strict, points (x, y) >= 1 with
+    u x + v y < t; equality needs K = R = 0.
+    """
+    (ua, ub, uc), (va, vb, vc) = u, v
+    lo = 1 if strict else 0
+
+    def inside(x: int, y: int) -> bool:
+        k = x * ub * vc + y * vb * uc
+        r = t * uc * vc - x * ua * vc - y * va * uc
+        return _le_sqrt(-r, -k, d) and not (strict and k == 0 and r == 0)
+
+    total = 0
+    x = lo
+    while inside(x, lo):
+        y = lo
+        while inside(x, y):
             total += 1
             y += 1
         x += 1

@@ -2,7 +2,7 @@
 
 Every test is exact (integer/rational equality) except the asymptotic-deficit
 bound, which carries its stated tolerance.  Budgets are wall-clock seconds on
-modest hardware; kernels are JIT-warmed once so compilation is not billed.
+modest hardware.
 """
 
 import time
@@ -10,9 +10,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
-import pytest
-
-from ehrcollapse import counting, criteria, kernels, precursive, quasipoly, sequences
+from ehrcollapse import counting, criteria, precursive, quasipoly, sequences
 from ehrcollapse.arith import QuadNumber, quad_sqrt
 from ehrcollapse.polytopes import (
     AdmissiblePair,
@@ -24,11 +22,6 @@ from ehrcollapse.polytopes import (
     mcallister_woods_pair,
     scales_to_admissible,
 )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    kernels.warmup()
 
 
 @contextmanager

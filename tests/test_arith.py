@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ehrcollapse.arith import (
     QuadNumber,
     RadicandMismatchError,
+    _squarefree_split,
     parse_quad,
     quad_floor,
     quad_sign,
@@ -42,6 +43,16 @@ def test_normalizes_perfect_square_radicand():
     assert (x.a, x.b, x.d) == (Fraction(1), Fraction(1), 3)
     y = QuadNumber(Fraction(1), Fraction(3), 4)
     assert y == 7 and y.d == 0
+
+
+def test_radicand_is_factored_once():
+    d = 10 ** 9 + 7
+    x = QuadNumber(Fraction(1), Fraction(1, 3), d)
+    misses = _squarefree_split.cache_info().misses
+    y = x * x + x
+    assert _squarefree_split.cache_info().misses == misses
+    assert (y.d, y.b) == (d, Fraction(1))
+    assert QuadNumber(Fraction(0), Fraction(1), 12) == QuadNumber(Fraction(0), Fraction(2), 3)
 
 
 def test_zero_b_clears_radicand():

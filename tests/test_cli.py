@@ -241,3 +241,10 @@ def test_invalid_params_exit_code():
 def test_byte_identical_reruns():
     args = ("count", "--alpha", "5", "--beta", "3", "--t", "0..30", "--closed-form")
     assert run_cli(*args).stdout == run_cli(*args).stdout
+
+
+def test_import_leaves_numpy_out():
+    script = "import sys, ehrcollapse.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
