@@ -52,6 +52,7 @@ from .quasipoly import (
     InsufficientSamplesError,
     Quasipolynomial,
     ReciprocityReport,
+    certified_period,
     fit_quasipolynomial,
     minimal_period,
     reciprocity_report,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import multiprocessing
 import sys
@@ -244,7 +245,7 @@ def _cmd_check(args, parser) -> int:
 
 def _search_record(params: RationalTriangleParams) -> dict:
     report = criteria.check_collapse_criterion(params)
-    _, period = quasipoly.minimal_period(params)
+    period = quasipoly.certified_period(params)
     denom = params.denominator
     if denom % period != 0:
         raise AssertionError(f"minimal period {period} does not divide {denom}")
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     def common(sub, fmt=False):
-        sub.add_argument("--output", type=argparse.FileType("w"), default=sys.stdout)
+        sub.add_argument("--output", type=argparse.FileType("w"))
         if fmt:
             sub.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
 
@@ -452,9 +453,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[Iterable[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv if argv is None else list(argv))
+    if args.output is None:
+        args.output = sys.stdout
     try:
         return args.fn(args, parser)
     except (ValueError, KeyError, quasipoly.FitFailureError) as exc:

@@ -17,7 +17,7 @@ from typing import Iterable, Union
 
 from mpmath import mp
 
-from .arith import QuadNumber, floor_surd
+from .arith import QuadNumber, RadicandMismatchError, floor_surd
 from .polytopes import (
     AdmissiblePair,
     AxisSimplex,
@@ -32,6 +32,7 @@ TriangleLike = Union[TrianglePair, AdmissiblePair, RationalTriangleParams]
 # (A, B, C) stands for (A + B*sqrt(d)) / C with integers and C > 0; d is 0
 # (and then B = 0) or a squarefree d > 1.
 Triple = tuple[int, int, int]
+Slopes = tuple[Triple, Triple, Triple]  # theta = u/v, 1/u, 1/v of a triangle
 
 
 def _as_pair(obj: TriangleLike) -> TrianglePair:
@@ -84,14 +85,28 @@ def _floor_sum(n: int, a: Triple, b: Triple, d: int) -> int:
     return total
 
 
-def _slope_triples(pair: TrianglePair) -> tuple[Triple, Triple, Triple, int]:
+def _slope_triples(pair: TrianglePair) -> tuple[Slopes, int]:
     """theta = u/v, 1/u and 1/v over one common denominator, and the radicand."""
     inv_u, inv_v = 1 / pair.u, 1 / pair.v
     quads = (pair.u * inv_v, inv_u, inv_v)
     d = max(q.d for q in quads)
     c = lcm(*(q.a.denominator for q in quads), *(q.b.denominator for q in quads))
-    theta, inv_u, inv_v = ((int(q.a * c), int(q.b * c), c) for q in quads)
-    return theta, inv_u, inv_v, d
+    return tuple((int(q.a * c), int(q.b * c), c) for q in quads), d
+
+
+def _count_below(slopes: Slopes, t: Triple, d: int) -> int:
+    """Number of integer (x, y) with x, y >= 0 and u*x + v*y <= t, for
+    t = (t0 + t1*sqrt(d))/tc >= 0 and the slopes of _slope_triples.
+
+    With X = floor(t/u), the column x holds floor((t - u*x)/v) + 1 points, and
+    reading the columns from x = X down to 0 gives a floor sum of slope u/v.
+    """
+    (s0, s1, c), (u0, u1, _), (v0, v1, _) = slopes
+    t0, t1, tc = t
+    den = tc * c
+    x = floor_surd(t0 * u0 + t1 * u1 * d, t0 * u1 + t1 * u0, den, d)
+    b = (t0 * v0 + t1 * v1 * d - x * s0 * tc, t0 * v1 + t1 * v0 - x * s1 * tc, den)
+    return _floor_sum(x + 1, (s0, s1, c), b, d) + x + 1
 
 
 def count_triangle(obj: TriangleLike, t: int) -> int:
@@ -100,22 +115,13 @@ def count_triangle(obj: TriangleLike, t: int) -> int:
 
 
 def count_triangle_many(obj: TriangleLike, ts: Iterable[int]) -> list[int]:
-    """Batch version of count_triangle; one exact count per t.
-
-    With X = floor(t/u), the column x holds floor((t - u*x)/v) + 1 points, and
-    reading the columns from x = X down to 0 gives a floor sum of slope u/v.
-    """
+    """Batch version of count_triangle; one exact count per t."""
     pair = _as_pair(obj)
     t_list = [int(t) for t in ts]
     if any(t < 0 for t in t_list):
         raise ValueError("dilation factors must be >= 0")
-    (s0, s1, c), (u0, u1, _), (v0, v1, _), d = _slope_triples(pair)
-    result = []
-    for t in t_list:
-        x = floor_surd(t * u0, t * u1, c, d)
-        result.append(_floor_sum(x + 1, (s0, s1, c), (t * v0 - x * s0, t * v1 - x * s1, c), d)
-                      + x + 1)
-    return result
+    slopes, d = _slope_triples(pair)
+    return [_count_below(slopes, (t, 0, 1), d) for t in t_list]
 
 
 def count_triangle_interior(obj: TriangleLike, t: int) -> int:
@@ -127,7 +133,7 @@ def count_triangle_interior(obj: TriangleLike, t: int) -> int:
     pair = _as_pair(obj)
     if t < 0:
         raise ValueError("dilation factor must be >= 0")
-    (s0, s1, c), (u0, u1, _), (v0, v1, _), d = _slope_triples(pair)
+    ((s0, s1, c), (u0, u1, _), (v0, v1, _)), d = _slope_triples(pair)
     x_top = -floor_surd(-t * u0, -t * u1, c, d) - 1
     if x_top <= 0:
         return 0
@@ -135,24 +141,33 @@ def count_triangle_interior(obj: TriangleLike, t: int) -> int:
 
 
 def count_axis_simplex(simplex: AxisSimplex, t: int) -> int:
-    """Number of integer points x >= 0 with sum(x_i / L_i) <= t."""
+    """Number of integer points x >= 0 with sum(x_i / L_i) <= t.
+
+    The leading legs are walked one point at a time; the last two are one
+    triangle count at the remaining right-hand side, whatever it is.
+    """
     if t < 0:
         raise ValueError("dilation factor must be >= 0")
-    return _simplex_count(simplex.legs, QuadNumber.from_value(t))
+    legs, rem = simplex.legs, QuadNumber.from_value(t)
+    if len(legs) == 1:
+        return math.floor(rem * legs[0]) + 1
+    one = QuadNumber.from_value(1)
+    slopes, d = _slope_triples(TrianglePair(one / legs[-2], one / legs[-1]))
+    return _simplex_count(legs[:-2], slopes, d, rem)
 
 
-def _simplex_count(legs: tuple[QuadNumber, ...], rem: QuadNumber) -> int:
+def _simplex_count(legs: tuple[QuadNumber, ...], slopes: Slopes, d: int, rem: QuadNumber) -> int:
     if rem.sign() < 0:
         return 0
+    if not legs:
+        if rem.d and d and rem.d != d:
+            raise RadicandMismatchError(f"cannot combine sqrt({rem.d}) with sqrt({d})")
+        c = lcm(rem.a.denominator, rem.b.denominator)
+        return _count_below(slopes, (int(rem.a * c), int(rem.b * c), c), max(d, rem.d))
     first = legs[0]
-    if len(legs) == 1:
-        return math.floor(rem * first) + 1
-    if len(legs) == 2 and rem.is_integer():
-        one = QuadNumber.from_value(1)
-        return count_triangle(TrianglePair(one / legs[0], one / legs[1]), int(rem.as_fraction()))
     total = 0
     for x in range(math.floor(rem * first) + 1):
-        total += _simplex_count(legs[1:], rem - QuadNumber.from_value(x) / first)
+        total += _simplex_count(legs[1:], slopes, d, rem - QuadNumber.from_value(x) / first)
     return total
 
 

@@ -1,42 +1,57 @@
-"""Exact linear algebra: nullspaces over Fraction and ranks mod a prime."""
+"""Exact integer linear algebra: nullspaces and ranks mod a prime."""
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 
-def nullspace_vector(rows: Sequence[Sequence], ncols: int) -> Optional[list[Fraction]]:
-    """Canonical nonzero vector of the nullspace of the row system, or None.
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return row if g == 1 else [v // g for v in row]
 
-    Rows are reduced incrementally into RREF form.  The returned vector sets
-    the first free column to 1 and the remaining free columns to 0, which
-    makes the output independent of row order and duplicates.
+
+def nullspace_vector(rows: Sequence[Sequence[int]], ncols: int) -> Optional[list[int]]:
+    """Canonical nonzero vector of the nullspace of an integer row system, or
+    None when the columns have full rank.
+
+    Rows are eliminated fraction-free (r <- p*r - f*prow) and every pivot row
+    is kept primitive and zero in every other pivot column, so each one is a
+    row of the reduced row echelon form times an integer.  The returned vector
+    is the RREF one, first free column 1 and the other free columns 0, scaled
+    to a primitive integer vector whose first nonzero entry is positive.  It
+    does not depend on the order of the rows or on repeated rows.
     """
-    pivots: dict[int, list[Fraction]] = {}
+    pivots: dict[int, list[int]] = {}
     for raw in rows:
-        r = [Fraction(v) for v in raw]
+        r = list(raw)
         for col, prow in pivots.items():
-            if r[col] != 0:
-                f = r[col]
-                r = [a - f * b for a, b in zip(r, prow)]
-        lead = next((j for j in range(ncols) if r[j] != 0), None)
-        if lead is None:
+            f = r[col]
+            if f:
+                p = prow[col]
+                r = [p * a - f * b for a, b in zip(r, prow)]
+        if not any(r):
             continue
-        inv = 1 / r[lead]
-        r = [v * inv for v in r]
-        for prow in pivots.values():
-            if prow[lead] != 0:
-                f = prow[lead]
-                prow[:] = [a - f * b for a, b in zip(prow, r)]
+        r = _primitive(r)
+        lead = next(j for j in range(ncols) if r[j])
+        p = r[lead]
+        for col, prow in pivots.items():
+            f = prow[lead]
+            if f:
+                pivots[col] = _primitive([p * a - f * b for a, b in zip(prow, r)])
         pivots[lead] = r
         if len(pivots) == ncols:
             return None
-    free = [j for j in range(ncols) if j not in pivots]
-    vec = [Fraction(0)] * ncols
-    vec[free[0]] = Fraction(1)
+    free = next(j for j in range(ncols) if j not in pivots)
+    # RREF entry in pivot column col: -prow[free] / prow[col]
+    scale = lcm(*(prow[col] for col, prow in pivots.items()))
+    vec = [0] * ncols
+    vec[free] = scale
     for col, prow in pivots.items():
-        vec[col] = -prow[free[0]]
+        vec[col] = -prow[free] * (scale // prow[col])
+    vec = _primitive(vec)
+    if next(v for v in vec if v) < 0:
+        vec = [-v for v in vec]
     return vec
 
 
@@ -56,7 +71,7 @@ def rank_mod_p(rows: Sequence[Sequence[int]], ncols: int, p: int = (1 << 61) - 1
         lead = next((j for j in range(ncols) if r[j]), None)
         if lead is None:
             continue
-        inv = pow(r[lead], p - 2, p)
+        inv = pow(r[lead], -1, p)
         r = [v * inv % p for v in r]
         pivots[lead] = r
         if len(pivots) == ncols:

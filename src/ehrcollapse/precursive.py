@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from .linalg import nullspace_vector, rank_mod_p
@@ -61,16 +61,33 @@ class Recurrence:
         )
 
 
+def _integers(values: Sequence[Value]) -> list[int]:
+    """The values times the lcm of their denominators."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
 def verify_recurrence(rec: Recurrence, values: Sequence[Value]) -> bool:
-    """Whether sum_j p_j(n+j) * f(n+j) = 0 holds at every window in values."""
+    """Whether sum_j p_j(n+j) * f(n+j) = 0 holds at every window in values.
+
+    Scaling all values, or all coefficients, by one nonzero integer keeps each
+    sum zero or nonzero, so both are made integers and the sums are integer
+    Horner evaluations.
+    """
     k = rec.order
     if len(values) < k + 1:
         return False
-    for n in range(len(values) - k):
-        acc = Fraction(0)
-        for j in range(k + 1):
-            acc += rec.poly_value(j, n + j) * values[n + j]
-        if acc != 0:
+    scale = lcm(*(c.denominator for row in rec.polys for c in row))
+    table = [[c.numerator * (scale // c.denominator) for c in row] for row in rec.polys]
+    ints = _integers(values)
+    for n in range(len(ints) - k):
+        acc = 0
+        for j, row in enumerate(table):
+            m, p = n + j, 0
+            for c in reversed(row):
+                p = p * m + c
+            acc += p * ints[m]
+        if acc:
             return False
     return True
 
@@ -81,9 +98,12 @@ def guess_recurrence(
     """Smallest verified recurrence within the bounds, or None.
 
     Cells (order, degree) are scanned in lexicographic order.  For each cell
-    the linear system uses the first half of the windows; an exact canonical
-    nullspace vector gives the candidate, which must then verify on the whole
-    sequence.  Requires len(values) - 1 >= 2*(max_order+1)*(max_degree+1) +
+    the linear system uses the first half of the windows; a rank mod p equal
+    to the number of unknowns proves the cell empty, otherwise an exact
+    canonical nullspace vector gives the candidate, which must then verify on
+    the whole sequence.  A homogeneous recurrence does not change when every
+    value is multiplied by the lcm of their denominators, so all of this runs
+    on integers.  Requires len(values) - 1 >= 2*(max_order+1)*(max_degree+1) +
     max_order so the fit stays overdetermined at the largest cell.
     """
     if max_order < 0 or max_degree < 0:
@@ -94,45 +114,33 @@ def guess_recurrence(
             f"{len(values)} values are too few for bounds "
             f"({max_order}, {max_degree})"
         )
-    vals = [Fraction(v) for v in values]
-    all_int = all(v.denominator == 1 for v in vals)
+    ints = _integers([v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values])
     for order in range(max_order + 1):
         for degree in range(max_degree + 1):
             ncols = (order + 1) * (degree + 1)
             windows = n_top - order + 1
             n_fit = (windows + 1) // 2
             rows = [
-                [(n + j) ** i * vals[n + j]
+                [(n + j) ** i * ints[n + j]
                  for j in range(order + 1) for i in range(degree + 1)]
                 for n in range(n_fit)
             ]
-            if all_int:
-                int_rows = [[v.numerator for v in row] for row in rows]
-                if rank_mod_p(int_rows, ncols) == ncols:
-                    continue  # provably trivial nullspace, skip the exact pass
+            if rank_mod_p(rows, ncols) == ncols:
+                continue  # provably trivial nullspace, skip the exact pass
             vec = nullspace_vector(rows, ncols)
             if vec is None:
                 continue
             rec = _vector_to_recurrence(vec, order, degree)
-            if verify_recurrence(rec, vals):
+            if verify_recurrence(rec, ints):
                 return rec
     return None
 
 
-def _vector_to_recurrence(vec: Sequence[Fraction], order: int, degree: int) -> Recurrence:
-    scale = lcm(*[c.denominator for c in vec])
-    ints = [int(c * scale) for c in vec]
-    g = gcd(*ints)
-    if g:
-        ints = [c // g for c in ints]
-    lead = next(c for c in ints if c)
-    if lead < 0:
-        ints = [-c for c in ints]
-    polys = tuple(
-        tuple(Fraction(ints[j * (degree + 1) + i]) for i in range(degree + 1))
-        for j in range(order + 1)
-    )
-    return Recurrence(order, degree, polys)
+def _vector_to_recurrence(vec: Sequence[int], order: int, degree: int) -> Recurrence:
+    width = degree + 1
+    return Recurrence(order, degree, tuple(
+        tuple(Fraction(c) for c in vec[j * width:(j + 1) * width]) for j in range(order + 1)
+    ))
 
 
 def recurrence_from_quasipolynomial_bounds(period: int, degree: int) -> tuple[int, int]:

@@ -12,13 +12,14 @@ If I is known to be a quasipolynomial of period P and degree <= k, then so is
 Delta_d^(k+1) I for every d, and it vanishes everywhere as soon as it
 vanishes at k+1 points of every residue class mod P, i.e. on t in [0, (k+1)P).
 
-minimal_period uses that twice.  It first checks Delta_P^(k+1) I = 0 on
+certified_period uses that twice.  It first checks Delta_P^(k+1) I = 0 on
 held-out t at the guaranteed period P, which is the same test as fitting each
 constituent through its first k+1 samples and verifying the rest.  It then
 returns the least divisor d of P whose difference vanishes on [0, (k+1)P);
 McAllister and Woods (J. Combin. Theory A 109, 2005) discuss why d can be
-smaller than the denominator.  The coefficients are built once, at d, by
-Newton interpolation with integer numerators over one common denominator.
+smaller than the denominator.  minimal_period also builds the coefficients,
+once, at d, by Newton interpolation with integer numerators over one common
+denominator.
 
 fit_quasipolynomial interpolates each constituent through its first degree+1
 samples with the same Newton helper, then demands that every remaining sample
@@ -182,21 +183,10 @@ def fit_quasipolynomial(
     return Quasipolynomial(period, degree, table)
 
 
-def minimal_period(
-    obj: Union[RationalTriangleParams, AdmissiblePair],
-    degree: int = 2,
-    extra_per_residue: int = 3,
-) -> tuple[Quasipolynomial, int]:
-    """Certify the guaranteed period, then take its least divisor that passes.
-
-    The guaranteed period P is the vertex denominator lcm(q, s) for rational
-    parameters and alpha for an admissible pair.  With k = degree, the counts
-    must satisfy Delta_P^(k+1) I = 0 on t in [0, extra_per_residue * P), the
-    test a fit at P through k+1 values per residue class passes on
-    extra_per_residue held-out values per class; FitFailureError otherwise.
-    The minimal period is the least divisor d of P with Delta_d^(k+1) I = 0 on
-    [0, (k+1) P).  Returns (quasipolynomial at period d, d).
-    """
+def _certify(
+    obj: Union[RationalTriangleParams, AdmissiblePair], degree: int, extra_per_residue: int
+) -> tuple[list[int], int]:
+    """The counts read by the certificates, and the certified minimal period."""
     if isinstance(obj, AdmissiblePair):
         guaranteed = obj.alpha
     elif isinstance(obj, RationalTriangleParams):
@@ -220,6 +210,36 @@ def minimal_period(
         d for d in divisors
         if d == guaranteed or not any(_differences(values[:window + order * d], d, order))
     )
+    return values, period
+
+
+def certified_period(
+    obj: Union[RationalTriangleParams, AdmissiblePair],
+    degree: int = 2,
+    extra_per_residue: int = 3,
+) -> int:
+    """Certify the guaranteed period, then return its least divisor that passes.
+
+    The guaranteed period P is the vertex denominator lcm(q, s) for rational
+    parameters and alpha for an admissible pair.  With k = degree, the counts
+    must satisfy Delta_P^(k+1) I = 0 on t in [0, extra_per_residue * P), the
+    test a fit at P through k+1 values per residue class passes on
+    extra_per_residue held-out values per class; FitFailureError otherwise.
+    The minimal period is the least divisor d of P with Delta_d^(k+1) I = 0 on
+    [0, (k+1) P).
+    """
+    return _certify(obj, degree, extra_per_residue)[1]
+
+
+def minimal_period(
+    obj: Union[RationalTriangleParams, AdmissiblePair],
+    degree: int = 2,
+    extra_per_residue: int = 3,
+) -> tuple[Quasipolynomial, int]:
+    """The certified period d of certified_period and the quasipolynomial at d,
+    built from the same counts.  Returns (quasipolynomial at period d, d)."""
+    values, period = _certify(obj, degree, extra_per_residue)
+    order = degree + 1
     table = []
     for r in range(period):
         stop = r + order * period

@@ -220,7 +220,7 @@ def _check_square_polynomial() -> tuple[bool, Optional[dict]]:
     for t, n in enumerate(counts):
         if n != (t + 1) ** 2:
             return False, {"t": t, "count": n}
-    _, period = quasipoly.minimal_period(pair)
+    period = quasipoly.certified_period(pair)
     if period != 1:
         return False, {"period": period}
     return True, None
@@ -228,7 +228,7 @@ def _check_square_polynomial() -> tuple[bool, Optional[dict]]:
 
 def _check_period_divides_denominator() -> tuple[bool, Optional[dict]]:
     for params in iter_lowest_term_params(5):
-        _, period = quasipoly.minimal_period(params)
+        period = quasipoly.certified_period(params)
         if params.denominator % period != 0:
             return False, {"params": params.to_json_dict(), "period": period}
     return True, None
@@ -306,7 +306,7 @@ def _check_collapse_soundness() -> tuple[bool, Optional[dict]]:
         report = criteria.check_collapse_criterion(params)
         if not report.holds:
             continue
-        _, period = quasipoly.minimal_period(params)
+        period = quasipoly.certified_period(params)
         if params.q % period != 0:
             return False, {"params": params.to_json_dict(), "period": period}
     return True, None
@@ -317,7 +317,7 @@ def _check_pseudo_integral_soundness() -> tuple[bool, Optional[dict]]:
         report = criteria.check_pseudo_integral_criterion(params)
         if not report.holds:
             continue
-        _, period = quasipoly.minimal_period(params)
+        period = quasipoly.certified_period(params)
         if period != 1:
             return False, {"params": params.to_json_dict(), "period": period}
     return True, None
@@ -331,7 +331,7 @@ def _check_reciprocal_iff() -> tuple[bool, Optional[dict]]:
             if gcd(p, q) != 1:
                 continue
             report = criteria.check_reciprocal_criterion(p, q)
-            _, period = quasipoly.minimal_period(criteria.reciprocal_params(p, q))
+            period = quasipoly.certified_period(criteria.reciprocal_params(p, q))
             if report.holds != (q % period == 0):
                 return False, {"p": p, "q": q, "criterion": report.holds,
                                "period": period}
@@ -348,7 +348,7 @@ def _check_beta_equation() -> tuple[bool, Optional[dict]]:
 def _check_classification() -> tuple[bool, Optional[dict]]:
     for pair in iter_admissible_pairs(60):
         label = criteria.classify_admissible(pair.alpha, pair.beta)
-        _, period = quasipoly.minimal_period(pair)
+        period = quasipoly.certified_period(pair)
         if (label == criteria.PSEUDO_INTEGRAL) != (period == 1):
             return False, {"alpha": pair.alpha, "beta": pair.beta,
                            "label": label, "period": period}
@@ -362,7 +362,7 @@ def _check_mcallister_woods() -> tuple[bool, Optional[dict]]:
             return False, {"p": p, "verdict": report.verdict}
     for p in range(2, 16):
         params = mcallister_woods_pair(p)
-        _, period = quasipoly.minimal_period(params)
+        period = quasipoly.certified_period(params)
         if period != 1:
             return False, {"p": p, "period": period}
         for t in range(1, 51):

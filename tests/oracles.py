@@ -137,6 +137,42 @@ def count_simplex_rational(legs: Sequence[Fraction], t: int) -> int:
     return rec(0, Fraction(t))
 
 
+def count_simplex_quad_range(legs: Sequence[tuple[int, int, int]], d: int,
+                             t_max: int) -> list[int]:
+    """Counts for t = 0..t_max of integer x >= 0 with sum x_i / L_i <= t, for
+    legs with reciprocals 1/L_i = (a + b sqrt(d)) / c, c > 0, all given as
+    (a, b, c).  One nested point loop over the t_max dilate: with
+    sum x_i / L_i = (A + B sqrt(d)) / C, the point is inside from the least
+    integer t with B sqrt(d) <= t C - A on, decided over the integers.
+    """
+    den = 1
+    for _, _, c in legs:
+        den *= c
+    weights = [(a * (den // c), b * (den // c)) for a, b, c in legs]
+    first = [0] * (t_max + 1)
+
+    def within(k: int, a: int, b: int) -> bool:
+        return _le_sqrt(-(k * den - a), -b, d)  # b sqrt(d) <= k den - a
+
+    def least_t(a: int, b: int) -> int:
+        k = max(0, (a - isqrt(b * b * d) - 1) // den)  # at or below the answer
+        while not within(k, a, b):
+            k += 1
+        return k
+
+    def walk(idx: int, a: int, b: int) -> None:
+        if idx == len(weights):
+            first[least_t(a, b)] += 1
+            return
+        wa, wb = weights[idx]
+        while within(t_max, a, b):
+            walk(idx + 1, a, b)
+            a, b = a + wa, b + wb
+
+    walk(0, 0, 0)
+    return list(accumulate(first))
+
+
 def count_interval_quad(
     lo: tuple[int, int, int], hi: tuple[int, int, int], d: int, t: int
 ) -> int:
@@ -185,3 +221,33 @@ def count_triangle2d(vertices: Sequence[tuple[Fraction, Fraction]], t: int = 1) 
             if inside(Fraction(ix), Fraction(iy)):
                 total += 1
     return total
+
+
+def nullspace_vector_rref(rows: Sequence[Sequence], ncols: int) -> "list[Fraction] | None":
+    """Canonical nullspace vector by incremental Fraction RREF, or None at
+    full column rank: the first free column is 1, the other free columns 0."""
+    pivots: dict[int, list[Fraction]] = {}
+    for raw in rows:
+        r = [Fraction(v) for v in raw]
+        for col, prow in pivots.items():
+            if r[col] != 0:
+                f = r[col]
+                r = [a - f * b for a, b in zip(r, prow)]
+        lead = next((j for j in range(ncols) if r[j] != 0), None)
+        if lead is None:
+            continue
+        inv = 1 / r[lead]
+        r = [v * inv for v in r]
+        for prow in pivots.values():
+            if prow[lead] != 0:
+                f = prow[lead]
+                prow[:] = [a - f * b for a, b in zip(prow, r)]
+        pivots[lead] = r
+        if len(pivots) == ncols:
+            return None
+    free = [j for j in range(ncols) if j not in pivots]
+    vec = [Fraction(0)] * ncols
+    vec[free[0]] = Fraction(1)
+    for col, prow in pivots.items():
+        vec[col] = -prow[free[0]]
+    return vec

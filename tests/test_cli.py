@@ -1,8 +1,12 @@
 """End-to-end CLI behavior: schemas, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+
+from ehrcollapse import cli
 
 BASE = [sys.executable, "-m", "ehrcollapse"]
 
@@ -248,3 +252,30 @@ def test_import_leaves_numpy_out():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# -- one parser per process ---------------------------------------------------------
+
+
+def test_in_process_calls_write_to_their_own_stdout():
+    first, second = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(first):
+        assert cli.main(["fib", "--k", "1", "--n", "3"]) == 0
+    with contextlib.redirect_stdout(second):
+        assert cli.main(["count", "--params", "2,3,3,2", "--t", "2"]) == 0
+    assert first.getvalue() == '{"k": 1, "n": 3, "value": 2}\n'
+    assert second.getvalue() == '{"t": 2, "count": 5}\n'
+
+
+def test_output_file_in_process(tmp_path):
+    target = tmp_path / "out.jsonl"
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        assert cli.main(["fib", "--k", "1", "--n", "3", "--output", str(target)]) == 0
+        assert cli.main(["fib", "--k", "1", "--n", "4"]) == 0
+    assert target.read_text() == '{"k": 1, "n": 3, "value": 2}\n'
+    assert sink.getvalue() == '{"k": 1, "n": 4, "value": 3}\n'
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()

@@ -1,12 +1,13 @@
 """Lattice-point counters vs independent oracles and frozen known values."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 import oracles
 from ehrcollapse import counting
-from ehrcollapse.arith import QuadNumber, quad_sqrt
+from ehrcollapse.arith import QuadNumber, RadicandMismatchError, quad_sqrt
 from ehrcollapse.polytopes import (
     AdmissiblePair,
     AxisSimplex,
@@ -125,6 +126,47 @@ def test_simplex_counts_match_bruteforce():
     for t in range(12):
         assert (counting.count_axis_simplex(pair_2d, t)
                 == oracles.count_simplex_rational([Fraction(2, 3), Fraction(5, 7)], t))
+
+
+def _reciprocal(leg: tuple[int, int, int], d: int) -> tuple[int, int, int]:
+    # c / (a + b sqrt(d)) = c (a - b sqrt(d)) / (a^2 - b^2 d)
+    a, b, c = leg
+    norm = a * a - b * b * d
+    return (c * a, -c * b, norm) if norm > 0 else (-c * a, c * b, -norm)
+
+
+SIMPLEX_LEG_SETS = [  # (legs as (a, b, c) = (a + b sqrt(d)) / c, d)
+    ([(1, 0, 2), (10, 0, 3), (3, 0, 5)], 0),
+    ([(0, 1, 1), (1, 0, 1), (1, 0, 2)], 2),
+    ([(1, 1, 1), (2, 0, 3), (0, 1, 2)], 2),
+    ([(0, 1, 1), (1, 0, 2), (0, 1, 1)], 3),
+    ([(1, 1, 2), (3, 0, 2), (0, 1, 3)], 3),
+]
+
+
+def test_simplex_counts_do_not_depend_on_leg_order():
+    for legs, d in SIMPLEX_LEG_SETS:
+        want = oracles.count_simplex_quad_range([_reciprocal(leg, d) for leg in legs], d, 30)
+        quads = [QuadNumber(Fraction(a, c), Fraction(b, c), d) for a, b, c in legs]
+        for perm in permutations(quads):
+            simplex = AxisSimplex(perm)
+            assert [counting.count_axis_simplex(simplex, t) for t in range(31)] == want
+
+
+def test_simplex_legs_from_two_fields_are_rejected():
+    simplex = AxisSimplex((quad_sqrt(2), quad_sqrt(3), QuadNumber(Fraction(1))))
+    assert counting.count_axis_simplex(simplex, 0) == 1
+    with pytest.raises(RadicandMismatchError):
+        counting.count_axis_simplex(simplex, 1)
+    with pytest.raises(RadicandMismatchError):
+        counting.count_axis_simplex(AxisSimplex((quad_sqrt(2), quad_sqrt(3))), 0)
+
+
+def test_simplex_quad_oracle_matches_rational_oracle():
+    legs = [Fraction(1, 2), Fraction(10, 3), Fraction(3, 5)]
+    recips = [(leg.denominator, 0, leg.numerator) for leg in legs]
+    assert (oracles.count_simplex_quad_range(recips, 0, 8)
+            == [oracles.count_simplex_rational(legs, t) for t in range(9)])
 
 
 def test_irrational_interval_matches_oracle():

@@ -1,0 +1,87 @@
+"""Integer nullspaces and ranks mod p against the Fraction RREF oracle."""
+
+from fractions import Fraction
+from math import gcd, lcm
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from ehrcollapse.linalg import nullspace_vector, rank_mod_p
+
+
+def _primitive_positive(vec):
+    """The oracle's Fraction vector as a primitive integer vector whose first
+    nonzero entry is positive."""
+    scale = lcm(*(v.denominator for v in vec))
+    ints = [int(v * scale) for v in vec]
+    g = gcd(*ints)
+    ints = [v // g for v in ints]
+    return ints if next(v for v in ints if v) > 0 else [-v for v in ints]
+
+
+@st.composite
+def integer_systems(draw):
+    """Rows of width ncols; some are integer combinations of earlier rows,
+    some repeat earlier rows, so the rank is often short of ncols."""
+    ncols = draw(st.integers(1, 7))
+    entries = st.integers(-10 ** draw(st.integers(1, 12)), 10 ** draw(st.integers(1, 12)))
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(("fresh", "combination", "repeat", "zero")))
+        if kind == "fresh" or not rows:
+            rows.append([draw(entries) for _ in range(ncols)])
+        elif kind == "combination":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            x, y = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+            rows.append([x * u + y * v for u, v in zip(a, b)])
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            rows.append([0] * ncols)
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_systems())
+def test_nullspace_matches_rref_oracle(system):
+    rows, ncols = system
+    want = oracles.nullspace_vector_rref(rows, ncols)
+    got = nullspace_vector(rows, ncols)
+    if want is None:
+        assert got is None
+        return
+    assert got == _primitive_positive(want)
+    # the oracle's vector up to a nonzero scale, and in the nullspace
+    ratio = Fraction(next(g for g in got if g)) / next(w for w in want if w)
+    assert all(g == ratio * w for g, w in zip(got, want))
+    assert all(sum(a * v for a, v in zip(row, got)) == 0 for row in rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_systems(), st.randoms(use_true_random=False))
+def test_nullspace_ignores_row_order(system, rnd):
+    rows, ncols = system
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    assert nullspace_vector(shuffled, ncols) == nullspace_vector(rows, ncols)
+
+
+def test_nullspace_known_vectors():
+    # x + y + z = 0 and x - z = 0: the nullspace is spanned by (1, -2, 1)
+    assert nullspace_vector([[1, 1, 1], [1, 0, -1]], 3) == [1, -2, 1]
+    # the first nonzero entry, in a pivot column, is made positive
+    assert nullspace_vector([[2, 3]], 2) == [3, -2]
+    assert nullspace_vector([[0, 0]], 2) == [1, 0]
+    assert nullspace_vector([], 2) == [1, 0]
+    assert nullspace_vector([[1, 2], [3, 4]], 2) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_systems())
+def test_rank_mod_p_never_exceeds_rational_rank(system):
+    rows, ncols = system
+    full = rank_mod_p(rows, ncols) == ncols
+    # full rank mod p proves the rational nullspace trivial
+    if full:
+        assert oracles.nullspace_vector_rref(rows, ncols) is None

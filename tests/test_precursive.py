@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from ehrcollapse import counting, precursive
 from ehrcollapse.arith import QuadNumber
 from ehrcollapse.polytopes import AdmissiblePair, RationalTriangleParams, TrianglePair
@@ -49,6 +52,31 @@ def test_verify_third_difference_annihilates_quadratic():
 def test_verify_second_difference_does_not():
     rec = Recurrence(2, 0, ((Fraction(1),), (Fraction(-2),), (Fraction(1),)))
     assert not verify_recurrence(rec, TRIANGLE_NUMBERS)
+
+
+def test_verify_accepts_rational_coefficients_and_values():
+    # half of (n+3) f(n) - (n+1) f(n+1) = 0, read back from JSON, on the
+    # triangle numbers and on the triangle numbers over 7
+    rec = Recurrence.from_json_dict(
+        {"order": 1, "degree": 1, "polys": [["3/2", "1/2"], ["0/1", "-1/2"]]})
+    assert rec.polys[0] == (Fraction(3, 2), Fraction(1, 2))
+    sevenths = [Fraction(v, 7) for v in TRIANGLE_NUMBERS]
+    assert verify_recurrence(rec, TRIANGLE_NUMBERS)
+    assert verify_recurrence(rec, sevenths)
+    off = Recurrence.from_json_dict(
+        {"order": 1, "degree": 1, "polys": [["3/2", "1/3"], ["0/1", "-1/2"]]})
+    assert not verify_recurrence(off, TRIANGLE_NUMBERS)
+    assert not verify_recurrence(off, sevenths)
+    # f(n) - f(n+1)/2 = 0: the two polynomials have different denominators
+    halving = Recurrence.from_json_dict({"order": 1, "degree": 0, "polys": [["1/1"], ["-1/2"]]})
+    powers = [Fraction(2 ** n, 3) for n in range(20)]
+    assert verify_recurrence(halving, powers)
+    assert not verify_recurrence(halving, powers[:-1] + [powers[-1] + 1])
+
+
+def test_verify_reads_the_last_window():
+    bumped = TRIANGLE_NUMBERS[:-1] + [TRIANGLE_NUMBERS[-1] + 1]
+    assert not verify_recurrence(_shift_minus_one_cubed(), bumped)
 
 
 def test_verify_shifted_coefficient_convention():
@@ -113,3 +141,70 @@ def test_non_quasipolynomial_counts_have_no_recurrence_in_bounds():
     for max_order, max_degree in frontier:
         assert (max_order + 1) * (max_degree + 1) <= 25
         assert guess_recurrence(counts, max_order, max_degree) is None
+
+
+# -- planted recurrences with rational values ---------------------------------------
+
+
+@st.composite
+def planted(draw):
+    """Values of sum_j p_j(n+j) f(n+j) = 0 with integer p_j of degree <= d,
+    p_k(m) > 0 for m >= 0, and rational start values; returns the values, k
+    and d."""
+    k, d = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    coeff = st.integers(-4, 4)
+    polys = [[draw(coeff) for _ in range(d + 1)] for _ in range(k)]
+    polys.append([draw(st.integers(1, 4))] + [draw(st.integers(0, 3)) for _ in range(d)])
+    fracs = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+    values = [draw(fracs) for _ in range(k)]
+    n_values = 2 * (k + 1) * (d + 1) + k + 1 + draw(st.integers(0, 6))
+
+    def p(j, m):
+        return sum(c * m ** i for i, c in enumerate(polys[j]))
+
+    while len(values) < n_values:
+        n = len(values) - k
+        acc = sum(p(j, n + j) * values[n + j] for j in range(k))
+        values.append(-acc / p(k, n + k))
+    return values, k, d
+
+
+def _reference_guess(values, max_order, max_degree):
+    """The guesser on Fraction rows with the RREF oracle and no rank filter."""
+    vals = [Fraction(v) for v in values]
+    n_top = len(vals) - 1
+    for order in range(max_order + 1):
+        for degree in range(max_degree + 1):
+            ncols = (order + 1) * (degree + 1)
+            n_fit = (n_top - order + 2) // 2
+            rows = [[(n + j) ** i * vals[n + j]
+                     for j in range(order + 1) for i in range(degree + 1)]
+                    for n in range(n_fit)]
+            vec = oracles.nullspace_vector_rref(rows, ncols)
+            if vec is None:
+                continue
+            rec = Recurrence(order, degree, tuple(
+                tuple(vec[j * (degree + 1):(j + 1) * (degree + 1)]) for j in range(order + 1)))
+            if all(sum(rec.poly_value(j, n + j) * vals[n + j] for j in range(order + 1)) == 0
+                   for n in range(len(vals) - order)):
+                return rec
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(planted())
+def test_guess_finds_planted_rational_recurrences(case):
+    values, k, d = case
+    rec = guess_recurrence(values, k, d)
+    assert rec is not None
+    assert (rec.order, rec.degree) <= (k, d)
+    assert verify_recurrence(rec, values)
+    # the same cell and, up to a nonzero scale, the same coefficients as the
+    # Fraction guesser
+    ref = _reference_guess(values, k, d)
+    assert (rec.order, rec.degree) == (ref.order, ref.degree)
+    flat = [c for row in rec.polys for c in row]
+    ref_flat = [c for row in ref.polys for c in row]
+    ratio = next(c for c in flat if c) / next(c for c in ref_flat if c)
+    assert flat == [ratio * c for c in ref_flat]
+    assert all(c.denominator == 1 for c in flat)

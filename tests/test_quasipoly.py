@@ -20,6 +20,7 @@ from ehrcollapse.arith import QuadNumber, quad_sqrt
 from ehrcollapse.quasipoly import (
     InsufficientSamplesError,
     Quasipolynomial,
+    certified_period,
     fit_quasipolynomial,
     minimal_period,
     reciprocity_report,
@@ -150,7 +151,17 @@ def test_minimal_period_rejects_degree_too_low():
     with pytest.raises(quasipoly.FitFailureError):
         minimal_period(RationalTriangleParams(2, 3, 3, 2), degree=1)
     with pytest.raises(quasipoly.FitFailureError):
+        certified_period(RationalTriangleParams(2, 3, 3, 2), degree=1)
+    with pytest.raises(quasipoly.FitFailureError):
         minimal_period(AdmissiblePair(3, 3), degree=1)
+
+
+def test_certified_period_is_the_minimal_period():
+    objs = list(iter_lowest_term_params(4)) + list(iter_admissible_pairs(12))
+    for obj in objs:
+        for degree in (2, 3):
+            qp, period = minimal_period(obj, degree=degree)
+            assert certified_period(obj, degree=degree) == period == qp.period
 
 
 def test_minimal_period_at_high_degree_counts_the_whole_certificate(monkeypatch):
