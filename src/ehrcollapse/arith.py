@@ -1,52 +1,79 @@
 """Exact arithmetic in real quadratic fields.
 
-A :class:`QuadNumber` is a number a + b*sqrt(d) with rational a, b and a
-squarefree integer radicand d >= 0.  All operations (field arithmetic, sign,
-comparison, floor) are exact; no floating point is consulted anywhere.
+A :class:`QuadNumber` is a number (A + B*sqrt(d)) / C, stored as the integers
+A, B, C and d; the counting layer reads the same integer triples.  All
+operations (field arithmetic, sign, comparison, floor) are exact and consult
+no floating point; ``float()`` rounds the exact value correctly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import isqrt, lcm
-from typing import Union
-
-Rational = Fraction
+from functools import reduce
+from itertools import accumulate, chain, cycle
+from math import gcd, isqrt, lcm
+from typing import Sequence, Union
 
 RationalLike = Union[int, Fraction]
 QuadLike = Union[int, Fraction, "QuadNumber"]
+Triple = tuple[int, int, int]  # (A, B, C) stands for (A + B*sqrt(d)) / C
+
+# Radicands are trial-divided by primes below this bound only: the squarefree
+# part of d is as hard to find as a factorization of d.
+_TRIAL_BOUND = 10 ** 6
 
 
 class RadicandMismatchError(ValueError):
-    """Raised when combining two irrational numbers with different radicands."""
+    """Raised when combining two irrational numbers from different fields."""
 
 
-@lru_cache(maxsize=256)
 def _squarefree_split(d: int) -> tuple[int, int]:
-    """Return (s, m) with d = s*s*m and m squarefree.
+    """Return (s, m) with d = s*s*m, for d >= 1.
 
-    Cached because every QuadNumber operation canonicalizes its radicand
-    and trial division costs O(sqrt(d)).
+    m keeps no square p*p of a prime p below _TRIAL_BOUND, and m is a perfect
+    square only if m == 1.  For d < 10**12 the cofactor left after trial
+    division is 1 or a prime, so m is squarefree; beyond that m may keep the
+    square of a large prime, which no operation needs to know: floor_surd is
+    exact for any radicand that is not a perfect square.
     """
-    s, m, p = 1, 1, 2
-    while p * p <= d:
+    s = m = 1
+    limit = min(_TRIAL_BOUND, isqrt(d) + 1)
+    for p in chain((2, 3), accumulate(cycle((2, 4)), initial=5)):  # 2, 3, 6k -+ 1
+        if p >= limit:
+            break
         if d % p == 0:
             e = 0
             while d % p == 0:
                 d //= p
                 e += 1
             s *= p ** (e // 2)
-            if e % 2:
-                m *= p
-        p += 1 if p == 2 else 2
+            m *= p ** (e % 2)
+            limit = min(limit, isqrt(d) + 1)
+    r = isqrt(d)
+    if r * r == d:
+        return s * r, m
     return s, m * d
+
+
+def _common_d(d1: int, d2: int) -> int:
+    """The radicand on which numbers over sqrt(d1) and sqrt(d2) combine.
+
+    Two irrational radicands share a field iff d1*d2 is a perfect square;
+    then the larger one is rewritten in terms of the smaller one.
+    """
+    if d1 == d2 or d2 == 0:
+        return d1
+    if d1 == 0:
+        return d2
+    prod = d1 * d2
+    if isqrt(prod) ** 2 != prod:
+        raise RadicandMismatchError(f"cannot combine sqrt({d1}) with sqrt({d2})")
+    return min(d1, d2)
 
 
 def floor_surd(a: int, b: int, c: int, d: int) -> int:
     """floor((a + b*sqrt(d)) / c) for integers with c > 0 and either b == 0
-    or d > 1 squarefree, by integer square roots only.
+    or d > 1 not a perfect square, by integer square roots only.
 
     floor((a + y)/c) = (a + floor(y)) // c for any real y, and
     floor(b*sqrt(d)) = isqrt(b*b*d) when b > 0 (b*sqrt(d) is irrational),
@@ -68,35 +95,82 @@ def _as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class QuadNumber:
-    """a + b*sqrt(d), kept in canonical form.
+_alloc = object.__new__
+_set = object.__setattr__
 
-    Canonical means: d is squarefree, d == 0 whenever the number is rational,
-    and b == 0 whenever d == 0.  The constructor normalizes any input, so two
-    equal values always have identical field tuples.
+
+def _store(x: "QuadNumber", a: int, b: int, c: int, d: int) -> "QuadNumber":
+    if b == 0 or d == 0:
+        b = d = 0
+    if c < 0:
+        a, b, c = -a, -b, -c
+    g = gcd(a, b, c)
+    _set(x, "triple", (a // g, b // g, c // g))
+    _set(x, "d", d)
+    return x
+
+
+def _new(a: int, b: int, c: int, d: int) -> "QuadNumber":
+    """(a + b*sqrt(d)) / c for c != 0 and d either 0 or the radicand of an
+    existing QuadNumber: reduces the triple and never splits d again."""
+    return _store(_alloc(QuadNumber), a, b, c, d)
+
+
+def _align(x: "QuadNumber", y: "QuadNumber") -> tuple[Triple, Triple, int]:
+    """The triples of x and y over one radicand, and that radicand."""
+    if x.d == y.d:
+        return x.triple, y.triple, x.d
+    d = _common_d(x.d, y.d)
+    return x._over(d), y._over(d), d
+
+
+class QuadNumber:
+    """(A + B*sqrt(d)) / C with integers A, B, C and d, kept in canonical form.
+
+    Canonical means: C > 0 and gcd(A, B, C) == 1; B == 0 and d == 0 whenever
+    the number is rational; otherwise d > 1 is not a perfect square and has no
+    square factor p*p of a prime p below 10**6, so d is squarefree for
+    d < 10**12 but need not be past that bound.  The constructor takes
+    rational a, b with value a + b*sqrt(d) and normalizes them; results of
+    operations keep the radicand of their operands and are never split again.
+    Equality and hashing go by value, whichever radicand a value carries.
     """
 
-    a: Fraction
-    b: Fraction = Fraction(0)
-    d: int = 0
+    __slots__ = ("triple", "d")
 
-    def __post_init__(self) -> None:
-        a = _as_fraction(self.a)
-        b = _as_fraction(self.b)
-        d = self.d
+    triple: Triple
+    d: int
+
+    def __init__(self, a: RationalLike, b: RationalLike = 0, d: int = 0) -> None:
+        a, b = _as_fraction(a), _as_fraction(b)
         if not isinstance(d, int) or d < 0:
             raise ValueError(f"radicand must be a nonnegative int, got {d!r}")
-        if b == 0 or d == 0:
-            b, d = Fraction(0), 0
-        else:
-            s, m = _squarefree_split(d)
-            b, d = b * s, m
+        c = lcm(a.denominator, b.denominator)
+        big_a = a.numerator * (c // a.denominator)
+        big_b = b.numerator * (c // b.denominator)
+        if big_b and d:
+            s, d = _squarefree_split(d)
+            big_b *= s
             if d == 1:
-                a, b, d = a + b, Fraction(0), 0
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+                big_a, big_b = big_a + big_b, 0
+        _store(self, big_a, big_b, c, d)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("QuadNumber is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("QuadNumber is immutable")
+
+    def __reduce__(self):
+        return _new, (*self.triple, self.d)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.triple[0], self.triple[2])
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.triple[1], self.triple[2])
 
     # -- classification ----------------------------------------------------
 
@@ -105,7 +179,7 @@ class QuadNumber:
         return self.d == 0
 
     def is_integer(self) -> bool:
-        return self.d == 0 and self.a.denominator == 1
+        return self.d == 0 and self.triple[2] == 1
 
     def as_fraction(self) -> Fraction:
         if self.d != 0:
@@ -113,7 +187,8 @@ class QuadNumber:
         return self.a
 
     def conjugate(self) -> "QuadNumber":
-        return QuadNumber(self.a, -self.b, self.d)
+        a, b, c = self.triple
+        return _new(a, -b, c, self.d)
 
     # -- coercion and shared radicand ---------------------------------------
 
@@ -121,53 +196,57 @@ class QuadNumber:
     def from_value(cls, x: QuadLike) -> "QuadNumber":
         if isinstance(x, QuadNumber):
             return x
-        return cls(_as_fraction(x))
+        if isinstance(x, (int, Fraction)):
+            return _new(x.numerator, 0, x.denominator, 0)
+        raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
-    def _common_d(self, other: "QuadNumber") -> int:
-        if self.d == 0:
-            return other.d
-        if other.d == 0 or other.d == self.d:
-            return self.d
-        raise RadicandMismatchError(
-            f"cannot combine sqrt({self.d}) with sqrt({other.d})"
-        )
+    def _over(self, d: int) -> Triple:
+        """This number's triple over the radicand d of its field."""
+        if self.d == d or self.d == 0:
+            return self.triple
+        a, b, c = self.triple
+        # sqrt(self.d) = r*sqrt(d)/d with r*r = self.d*d
+        return a * d, b * isqrt(self.d * d), c * d
 
     # -- field operations ---------------------------------------------------
 
     def __add__(self, other: QuadLike) -> "QuadNumber":
-        o = QuadNumber.from_value(other)
-        return QuadNumber(self.a + o.a, self.b + o.b, self._common_d(o))
+        (a1, b1, c1), (a2, b2, c2), d = _align(self, QuadNumber.from_value(other))
+        return _new(a1 * c2 + a2 * c1, b1 * c2 + b2 * c1, c1 * c2, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadNumber":
-        return QuadNumber(-self.a, -self.b, self.d)
+        a, b, c = self.triple
+        return _new(-a, -b, c, self.d)
 
     def __sub__(self, other: QuadLike) -> "QuadNumber":
-        return self + (-QuadNumber.from_value(other))
+        (a1, b1, c1), (a2, b2, c2), d = _align(self, QuadNumber.from_value(other))
+        return _new(a1 * c2 - a2 * c1, b1 * c2 - b2 * c1, c1 * c2, d)
 
     def __rsub__(self, other: QuadLike) -> "QuadNumber":
-        return (-self) + other
+        return QuadNumber.from_value(other) - self
 
     def __mul__(self, other: QuadLike) -> "QuadNumber":
-        o = QuadNumber.from_value(other)
-        d = self._common_d(o)
-        a = self.a * o.a + self.b * o.b * d
-        b = self.a * o.b + self.b * o.a
-        return QuadNumber(a, b, d)
+        (a1, b1, c1), (a2, b2, c2), d = _align(self, QuadNumber.from_value(other))
+        return _new(a1 * a2 + b1 * b2 * d, a1 * b2 + a2 * b1, c1 * c2, d)
 
     __rmul__ = __mul__
 
     def _invert(self) -> "QuadNumber":
-        norm = self.a * self.a - self.b * self.b * self.d
+        a, b, c = self.triple
+        # 1/x = c*(a - b*sqrt(d)) / (a^2 - b^2*d); the norm is 0 only for x = 0
+        norm = a * a - b * b * self.d
         if norm == 0:
             raise ZeroDivisionError("division by zero")
-        return QuadNumber(self.a / norm, -self.b / norm, self.d)
+        return _new(c * a, -c * b, norm, self.d)
 
     def __truediv__(self, other: QuadLike) -> "QuadNumber":
-        o = QuadNumber.from_value(other)
-        self._common_d(o)
-        return self * o._invert()
+        (a1, b1, c1), (a2, b2, c2), d = _align(self, QuadNumber.from_value(other))
+        norm = a2 * a2 - b2 * b2 * d
+        if norm == 0:
+            raise ZeroDivisionError("division by zero")
+        return _new(c2 * (a1 * a2 - b1 * b2 * d), c2 * (a2 * b1 - a1 * b2), c1 * norm, d)
 
     def __rtruediv__(self, other: QuadLike) -> "QuadNumber":
         return QuadNumber.from_value(other) / self
@@ -177,7 +256,7 @@ class QuadNumber:
             raise TypeError("exponent must be an int")
         if n < 0:
             return (self ** (-n))._invert()
-        out = QuadNumber(Fraction(1))
+        out = _new(1, 0, 1, 0)
         base = self
         while n:
             if n & 1:
@@ -190,35 +269,43 @@ class QuadNumber:
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}."""
-        sa = (self.a > 0) - (self.a < 0)
-        if self.d == 0:
+        a, b, _ = self.triple
+        sa = (a > 0) - (a < 0)
+        if b == 0:
             return sa
-        sb = (self.b > 0) - (self.b < 0)
-        if sa == sb or sb == 0:
-            return sa
-        if sa == 0:
+        sb = (b > 0) - (b < 0)
+        if sa == sb or sa == 0:
             return sb
-        # a and b*sqrt(d) have opposite strict signs: compare a^2 with b^2*d
-        lhs = self.a * self.a
-        rhs = self.b * self.b * self.d
-        if lhs == rhs:
-            return 0
-        return sa if lhs > rhs else sb
+        # a and b*sqrt(d) have opposite strict signs; a^2 != b^2*d since d is
+        # not a perfect square
+        return sa if a * a > b * b * self.d else sb
 
     def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
+        return self.triple[0] != 0 or self.triple[1] != 0
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, QuadNumber)):
-            o = QuadNumber.from_value(other)
-            return self.a == o.a and self.b == o.b and self.d == o.d
+        if isinstance(other, QuadNumber):
+            if self.d == other.d:
+                return self.triple == other.triple
+            if not (self.d and other.d):
+                return False
+            try:
+                (a1, b1, c1), (a2, b2, c2), _ = _align(self, other)
+            except RadicandMismatchError:
+                return False
+            return a1 * c2 == a2 * c1 and b1 * c2 == b2 * c1
+        if isinstance(other, (int, Fraction)):
+            a, _, c = self.triple
+            return self.d == 0 and a * other.denominator == other.numerator * c
         return NotImplemented
 
     def __hash__(self) -> int:
+        a, b, c = self.triple
         # rational values hash like their Fraction, so q == 1 implies equal hashes
-        if self.d == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        if b == 0:
+            return hash(Fraction(a, c))
+        # a and sign(b)*b^2*d are the same whichever radicand carries the value
+        return hash((Fraction(a, c), Fraction(b * abs(b) * self.d, c * c)))
 
     def __lt__(self, other: QuadLike) -> bool:
         return (self - other).sign() < 0
@@ -238,18 +325,27 @@ class QuadNumber:
     # -- exact floor ----------------------------------------------------------
 
     def __floor__(self) -> int:
-        # write self as (A + B*sqrt(d)) / C with integers A, B and C > 0
-        c = lcm(self.a.denominator, self.b.denominator)
-        big_a = self.a.numerator * (c // self.a.denominator)
-        big_b = self.b.numerator * (c // self.b.denominator)
-        return floor_surd(big_a, big_b, c, self.d)
+        return floor_surd(*self.triple, self.d)
 
     def __ceil__(self) -> int:
-        return -((-self).__floor__())
+        a, b, c = self.triple
+        return -floor_surd(-a, -b, c, self.d)
 
     def __float__(self) -> float:
-        # approximate; used for display and sanity checks only
-        return float(self.a) + float(self.b) * self.d ** 0.5
+        """The float nearest to the exact value (ties to even)."""
+        a, b, c = self.triple
+        if b == 0:
+            return a / c  # int division rounds correctly
+        d = self.d
+        # |a + b*sqrt(d)| = |a^2 - b^2*d| / |a - b*sqrt(d)| >= 1 / (2*m) with
+        # m = max(|a|, |b|*sqrt(d)) < 2**bits, so n = floor(self * 2**k) has
+        # |n| >= 2**55.  The value is irrational and lies strictly between n and
+        # n + 1, where no float and no midpoint between floats falls, so it
+        # rounds as n + 1/2 does.
+        bits = max(a.bit_length(), b.bit_length() + (d.bit_length() + 1) // 2)
+        k = 56 + bits + c.bit_length()
+        n = floor_surd(a << k, b << k, c, d)
+        return (2 * n + 1) / (1 << (k + 1))
 
     # -- presentation and serialization --------------------------------------
 
@@ -262,11 +358,12 @@ class QuadNumber:
         return f"QuadNumber({self.a!r}, {self.b!r}, {self.d})"
 
     def to_json_dict(self) -> dict[str, str]:
+        a, b = self.a, self.b
         return {
-            "a_num": str(self.a.numerator),
-            "a_den": str(self.a.denominator),
-            "b_num": str(self.b.numerator),
-            "b_den": str(self.b.denominator),
+            "a_num": str(a.numerator),
+            "a_den": str(a.denominator),
+            "b_num": str(b.numerator),
+            "b_den": str(b.denominator),
             "d": str(self.d),
         }
 
@@ -277,6 +374,15 @@ class QuadNumber:
             Fraction(int(obj["b_num"]), int(obj["b_den"])),
             int(obj["d"]),
         )
+
+
+def shared_triples(xs: Sequence[QuadNumber]) -> tuple[list[Triple], int]:
+    """The triples (A, B, C) of xs over one radicand d, and d.
+
+    Raises RadicandMismatchError unless all of xs lie in one field.
+    """
+    d = reduce(_common_d, (x.d for x in xs), 0)
+    return [x._over(d) for x in xs], d
 
 
 def quad_sign(x: QuadLike) -> int:

@@ -11,7 +11,6 @@ import argparse
 import csv
 import functools
 import json
-import multiprocessing
 import sys
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -270,6 +269,8 @@ def _cmd_search(args, parser) -> int:
     tuples = iter_lowest_term_params(*bounds)
     emit = _Emitter(args.output, args.format).emit
     if args.jobs > 1:
+        import multiprocessing  # here, so that no other command pays for it at start-up
+
         with multiprocessing.Pool(args.jobs) as pool:
             for record in pool.imap(_search_record, tuples, chunksize=32):
                 emit(record)
@@ -320,7 +321,10 @@ def _cmd_tetra(args, parser) -> int:
 
 def _cmd_guess_rec(args, parser) -> int:
     if args.values is not None:
-        values: list = [Fraction(x) for x in args.values.split(",")]
+        try:
+            values: list = [Fraction(x) for x in args.values.split(",")]
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in --values {args.values!r}") from None
     else:
         obj = _triangle_object(args, parser)
         if args.t_max is None:
@@ -461,12 +465,16 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Iterable[str]] = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv if argv is None else list(argv))
-    if args.output is None:
+    opened = args.output
+    if opened is None:
         args.output = sys.stdout
     try:
         return args.fn(args, parser)
     except (ValueError, KeyError, quasipoly.FitFailureError) as exc:
         parser.exit(2, f"error: {exc}\n")
+    finally:
+        if opened is not None and opened is not sys.stdout:  # FileType maps '-' to stdout
+            opened.close()
 
 
 if __name__ == "__main__":

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
-from typing import Iterable, Union
+from math import ceil, floor, gcd
+from typing import Iterable, Sequence, Union
 
-from mpmath import mp
-
-from .arith import QuadNumber, RadicandMismatchError, floor_surd
+from .arith import QuadNumber, Triple, floor_surd, shared_triples
 from .polytopes import (
     AdmissiblePair,
     AxisSimplex,
@@ -29,10 +27,7 @@ from .polytopes import (
 
 TriangleLike = Union[TrianglePair, AdmissiblePair, RationalTriangleParams]
 
-# (A, B, C) stands for (A + B*sqrt(d)) / C with integers and C > 0; d is 0
-# (and then B = 0) or a squarefree d > 1.
-Triple = tuple[int, int, int]
-Slopes = tuple[Triple, Triple, Triple]  # theta = u/v, 1/u, 1/v of a triangle
+Slopes = Sequence[Triple]  # theta = u/v, 1/u, 1/v of a triangle, over one radicand
 
 
 def _as_pair(obj: TriangleLike) -> TrianglePair:
@@ -85,28 +80,20 @@ def _floor_sum(n: int, a: Triple, b: Triple, d: int) -> int:
     return total
 
 
-def _slope_triples(pair: TrianglePair) -> tuple[Slopes, int]:
-    """theta = u/v, 1/u and 1/v over one common denominator, and the radicand."""
-    inv_u, inv_v = 1 / pair.u, 1 / pair.v
-    quads = (pair.u * inv_v, inv_u, inv_v)
-    d = max(q.d for q in quads)
-    c = lcm(*(q.a.denominator for q in quads), *(q.b.denominator for q in quads))
-    return tuple((int(q.a * c), int(q.b * c), c) for q in quads), d
-
-
 def _count_below(slopes: Slopes, t: Triple, d: int) -> int:
     """Number of integer (x, y) with x, y >= 0 and u*x + v*y <= t, for
-    t = (t0 + t1*sqrt(d))/tc >= 0 and the slopes of _slope_triples.
+    t = (t0 + t1*sqrt(d))/tc >= 0 and the slopes of the triangle.
 
     With X = floor(t/u), the column x holds floor((t - u*x)/v) + 1 points, and
     reading the columns from x = X down to 0 gives a floor sum of slope u/v.
     """
-    (s0, s1, c), (u0, u1, _), (v0, v1, _) = slopes
+    (s0, s1, sc), (u0, u1, uc), (v0, v1, vc) = slopes
     t0, t1, tc = t
-    den = tc * c
-    x = floor_surd(t0 * u0 + t1 * u1 * d, t0 * u1 + t1 * u0, den, d)
-    b = (t0 * v0 + t1 * v1 * d - x * s0 * tc, t0 * v1 + t1 * v0 - x * s1 * tc, den)
-    return _floor_sum(x + 1, (s0, s1, c), b, d) + x + 1
+    x = floor_surd(t0 * u0 + t1 * u1 * d, t0 * u1 + t1 * u0, tc * uc, d)
+    # b = t/v - theta*x over the denominator tc*vc*sc
+    w = tc * vc * x
+    b = (sc * (t0 * v0 + t1 * v1 * d) - w * s0, sc * (t0 * v1 + t1 * v0) - w * s1, tc * vc * sc)
+    return _floor_sum(x + 1, (s0, s1, sc), b, d) + x + 1
 
 
 def count_triangle(obj: TriangleLike, t: int) -> int:
@@ -120,7 +107,7 @@ def count_triangle_many(obj: TriangleLike, ts: Iterable[int]) -> list[int]:
     t_list = [int(t) for t in ts]
     if any(t < 0 for t in t_list):
         raise ValueError("dilation factors must be >= 0")
-    slopes, d = _slope_triples(pair)
+    slopes, d = pair.slopes
     return [_count_below(slopes, (t, 0, 1), d) for t in t_list]
 
 
@@ -133,11 +120,12 @@ def count_triangle_interior(obj: TriangleLike, t: int) -> int:
     pair = _as_pair(obj)
     if t < 0:
         raise ValueError("dilation factor must be >= 0")
-    ((s0, s1, c), (u0, u1, _), (v0, v1, _)), d = _slope_triples(pair)
-    x_top = -floor_surd(-t * u0, -t * u1, c, d) - 1
+    ((s0, s1, sc), (u0, u1, uc), (v0, v1, vc)), d = pair.slopes
+    x_top = -floor_surd(-t * u0, -t * u1, uc, d) - 1
     if x_top <= 0:
         return 0
-    return -_floor_sum(x_top, (s0, s1, c), (s0 - t * v0, s1 - t * v1, c), d) - x_top
+    b = (s0 * vc - t * v0 * sc, s1 * vc - t * v1 * sc, sc * vc)  # theta - t/v
+    return -_floor_sum(x_top, (s0, s1, sc), b, d) - x_top
 
 
 def count_axis_simplex(simplex: AxisSimplex, t: int) -> int:
@@ -151,23 +139,22 @@ def count_axis_simplex(simplex: AxisSimplex, t: int) -> int:
     legs, rem = simplex.legs, QuadNumber.from_value(t)
     if len(legs) == 1:
         return math.floor(rem * legs[0]) + 1
-    one = QuadNumber.from_value(1)
-    slopes, d = _slope_triples(TrianglePair(one / legs[-2], one / legs[-1]))
-    return _simplex_count(legs[:-2], slopes, d, rem)
+    # the triangle of the last two legs has u = 1/L, v = 1/M: theta = M/L, 1/u = L, 1/v = M
+    last, final = legs[-2], legs[-1]
+    return _simplex_count(legs[:-2], (final / last, last, final), rem)
 
 
-def _simplex_count(legs: tuple[QuadNumber, ...], slopes: Slopes, d: int, rem: QuadNumber) -> int:
+def _simplex_count(legs: tuple[QuadNumber, ...], slopes: tuple[QuadNumber, ...],
+                   rem: QuadNumber) -> int:
     if rem.sign() < 0:
         return 0
     if not legs:
-        if rem.d and d and rem.d != d:
-            raise RadicandMismatchError(f"cannot combine sqrt({rem.d}) with sqrt({d})")
-        c = lcm(rem.a.denominator, rem.b.denominator)
-        return _count_below(slopes, (int(rem.a * c), int(rem.b * c), c), max(d, rem.d))
+        (t, *triples), d = shared_triples((rem, *slopes))
+        return _count_below(triples, t, d)
     first = legs[0]
     total = 0
     for x in range(math.floor(rem * first) + 1):
-        total += _simplex_count(legs[1:], slopes, d, rem - QuadNumber.from_value(x) / first)
+        total += _simplex_count(legs[1:], slopes, rem - x / first)
     return total
 
 
@@ -231,7 +218,7 @@ def asymptotic_deficit(obj: TriangleLike, t: int) -> float:
     """|count(t) - t^2/(2uv) - (1/u + 1/v)*t/2| / t, evaluated to float.
 
     The difference is formed exactly as a quadratic-field number; only the
-    final conversion uses (high-precision) floating point.
+    final, correctly rounded conversion is floating point.
     """
     if t < 1:
         raise ValueError("need t >= 1")
@@ -241,15 +228,7 @@ def asymptotic_deficit(obj: TriangleLike, t: int) -> float:
     uv = u * v
     main = QuadNumber.from_value(Fraction(t * t, 2)) / uv + (u + v) / uv * Fraction(t, 2)
     diff = abs(QuadNumber.from_value(count) - main)
-    return _quad_to_float(diff) / t
-
-
-def _quad_to_float(x: QuadNumber) -> float:
-    with mp.workdps(60):
-        val = mp.mpf(x.a.numerator) / x.a.denominator
-        if x.d:
-            val += mp.mpf(x.b.numerator) / x.b.denominator * mp.sqrt(x.d)
-        return float(val)
+    return float(diff) / t
 
 
 def counts_table(obj: TriangleLike, t_max: int) -> list[int]:

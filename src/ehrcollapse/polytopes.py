@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt, lcm
 from typing import Optional
 
-from .arith import QuadLike, QuadNumber, RadicandMismatchError
+from .arith import QuadLike, QuadNumber, RadicandMismatchError, Triple, shared_triples
 
 
 class NotIrrationalError(ValueError):
@@ -45,6 +46,14 @@ class TrianglePair:
 
     def swapped(self) -> "TrianglePair":
         return TrianglePair(self.v, self.u)
+
+    @cached_property
+    def slopes(self) -> tuple[list[Triple], int]:
+        """theta = u/v, 1/u and 1/v (the slope of the hypotenuse and the
+        vertices on the axes) as integer triples over one radicand, and that
+        radicand; built once per triangle."""
+        inv_u, inv_v = 1 / self.u, 1 / self.v
+        return shared_triples((self.u * inv_v, inv_u, inv_v))
 
     def to_json_dict(self) -> dict:
         return {
@@ -98,6 +107,10 @@ class AdmissiblePair:
         object.__setattr__(self, "v", u.conjugate())
 
     def triangle(self) -> TrianglePair:
+        return self._triangle
+
+    @cached_property
+    def _triangle(self) -> TrianglePair:
         return TrianglePair(self.u, self.v)
 
 
@@ -139,6 +152,10 @@ class RationalTriangleParams:
         return lcm(self.q, self.s)
 
     def triangle(self) -> TrianglePair:
+        return self._triangle
+
+    @cached_property
+    def _triangle(self) -> TrianglePair:
         return TrianglePair(QuadNumber(self.u), QuadNumber(self.v))
 
     def transpose(self) -> "RationalTriangleParams":
@@ -223,6 +240,8 @@ def mcallister_woods_image(p: int, t: int) -> RationalTriangle2D:
     axis triangle (0,0), (p,0), (0,(p-1)/p) to (0,0), (p,0), (1,(p-1)/p), so
     both have equal lattice counts in every dilate.
     """
+    if p < 2:
+        raise ValueError("need p >= 2")
     if t < 1:
         raise ValueError("need t >= 1")
     return RationalTriangle2D((

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Optional
-
-from mpmath import mp
 
 from . import counting, criteria, precursive, quasipoly, sequences
 from .arith import QuadNumber
@@ -77,13 +76,14 @@ def _check_field_axioms() -> tuple[bool, Optional[dict]]:
 
 def _check_sign_highprec() -> tuple[bool, Optional[dict]]:
     rng = random.Random(SEED + 2)
-    with mp.workprec(113):
+    with localcontext() as ctx:
+        ctx.prec = 40
         for _ in range(2000):
             x = _random_quad(rng)
-            approx = mp.mpf(x.a.numerator) / x.a.denominator
-            if x.d:
-                approx += mp.mpf(x.b.numerator) / x.b.denominator * mp.sqrt(x.d)
-            if abs(approx) > mp.mpf("1e-20"):
+            a, b = x.a, x.b
+            approx = (Decimal(a.numerator) / a.denominator
+                      + Decimal(b.numerator) / b.denominator * Decimal(x.d).sqrt())
+            if abs(approx) > Decimal("1e-20"):
                 float_sign = 1 if approx > 0 else -1
                 if x.sign() != float_sign:
                     return False, {"value": str(x), "highprec": float(approx)}

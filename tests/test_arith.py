@@ -1,12 +1,15 @@
 """Exact quadratic arithmetic: canonical forms, order, floor, serialization."""
 
+import pickle
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import floor, isqrt
+from math import floor, inf, isqrt, nextafter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ehrcollapse import arith
 from ehrcollapse.arith import (
     QuadNumber,
     RadicandMismatchError,
@@ -43,14 +46,24 @@ def test_normalizes_perfect_square_radicand():
     assert (x.a, x.b, x.d) == (Fraction(1), Fraction(1), 3)
     y = QuadNumber(Fraction(1), Fraction(3), 4)
     assert y == 7 and y.d == 0
+    # the cofactor left after trial division is tested for a square as well
+    z = QuadNumber(Fraction(1), Fraction(1), 1000003 ** 2)
+    assert z == 1000004 and z.d == 0
 
 
-def test_radicand_is_factored_once():
+def test_radicand_is_factored_once(monkeypatch):
     d = 10 ** 9 + 7
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return _squarefree_split(n)
+
+    monkeypatch.setattr(arith, "_squarefree_split", counted)
     x = QuadNumber(Fraction(1), Fraction(1, 3), d)
-    misses = _squarefree_split.cache_info().misses
+    assert calls == [d]
     y = x * x + x
-    assert _squarefree_split.cache_info().misses == misses
+    assert calls == [d]
     assert (y.d, y.b) == (d, Fraction(1))
     assert QuadNumber(Fraction(0), Fraction(1), 12) == QuadNumber(Fraction(0), Fraction(2), 3)
 
@@ -75,6 +88,29 @@ def test_equal_values_hash_equal(x):
     assert hash(QuadNumber(x.a, x.b, x.d)) == hash(x)
     if x.is_rational:
         assert hash(x) == hash(x.a)
+    else:
+        # the same value over the radicand p*p*d, p past the trial-division bound
+        p = 1000003
+        a, b, c = x.triple
+        wide = arith._new(a * p, b, c * p, p * p * x.d)
+        assert wide.d == p * p * x.d
+        assert wide == x and hash(wide) == hash(x)
+
+
+def test_square_factor_past_the_trial_bound_is_kept():
+    p, q = 1000003, 1000033  # primes past the bound: p*p*q is not split
+    wide = QuadNumber(Fraction(1), Fraction(1), p * p * q)
+    narrow = QuadNumber(Fraction(1), Fraction(p), q)
+    assert (wide.d, narrow.d) == (p * p * q, q)
+    assert wide == narrow and hash(wide) == hash(narrow)
+    assert wide - narrow == 0 and floor(wide) == floor(narrow)
+    assert (wide * narrow).d == q
+    assert wide != quad_sqrt(q + 1)
+    assert wide != QuadNumber(Fraction(1), Fraction(p + 1), q)
+    with pytest.raises(RadicandMismatchError):
+        wide + quad_sqrt(2)
+    # below the bound every square factor is removed
+    assert QuadNumber(Fraction(0), Fraction(1), 999983 ** 2 * 7).d == 7
 
 
 # -- field laws ----------------------------------------------------------------
@@ -197,6 +233,48 @@ def test_json_round_trip(x):
     encoded = x.to_json_dict()
     assert all(isinstance(v, str) for v in encoded.values())
     assert QuadNumber.from_json_dict(encoded) == x
+    assert pickle.loads(pickle.dumps(x)) == x
+
+
+def _decimal_float(x: QuadNumber) -> float:
+    """float(x) through stdlib decimal at 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b = x.a, x.b
+        value = Decimal(a.numerator) / a.denominator
+        if x.d:
+            value += Decimal(b.numerator) / b.denominator * Decimal(x.d).sqrt()
+        return float(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(max_denominator=10 ** 12), st.fractions(max_denominator=10 ** 12),
+       st.integers(0, 10 ** 30), st.integers(1, 10 ** 15), st.integers(1, 3))
+def test_float_is_correctly_rounded(a, b, d, r, e):
+    x = QuadNumber(a, b, d)
+    assert float(x) == _decimal_float(x)
+    # sqrt(r*r + e) - r ~ e/(2r) cancels as far as a + b*sqrt(d) can, so the
+    # scaled floor keeps the fewest bits beyond a float's
+    y = QuadNumber(Fraction(-r), Fraction(1), r * r + e)
+    assert float(y) == _decimal_float(y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=1e-300, max_value=1e300), st.integers(2, 10 ** 30),
+       st.integers(60, 120), st.sampled_from((1, -1)), st.sampled_from((1, -1)))
+def test_float_rounds_values_near_a_tie(f, d, shift, side, sign):
+    """x = the midpoint of f and the next float, moved by side*(sqrt(d) - isqrt(d))
+    at about 2**-shift of its size: it rounds away from the midpoint's side."""
+    r = isqrt(d)
+    if r * r == d:
+        d += 1
+        r = isqrt(d)
+    up = nextafter(f, inf)
+    mid = (Fraction(f) + Fraction(up)) / 2
+    scale = Fraction(1, 2 ** shift) * mid
+    x = sign * QuadNumber(mid - side * r * scale, side * scale, d)
+    want = sign * (up if side > 0 else f)
+    assert float(x) == _decimal_float(x) == want
 
 
 def test_isqrt_agreement_on_large_values():

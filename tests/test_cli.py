@@ -6,6 +6,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from ehrcollapse import cli
 
 BASE = [sys.executable, "-m", "ehrcollapse"]
@@ -247,11 +249,24 @@ def test_byte_identical_reruns():
     assert run_cli(*args).stdout == run_cli(*args).stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--mw-image", "0", "--t", "1"),
+    ("count", "--mw-image", "-3", "--t", "1"),
+    ("guess-rec", "--values", "1/0", "--max-order", "1", "--max-degree", "0"),
+])
+def test_bad_numbers_exit_2_with_one_line(argv):
+    proc = run_cli(*argv, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
 def test_import_leaves_numpy_out():
-    script = "import sys, ehrcollapse.cli; print('numpy' in sys.modules)"
+    modules = ("numpy", "mpmath", "multiprocessing")
+    script = f"import sys, ehrcollapse.cli; print([m for m in {modules!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 # -- one parser per process ---------------------------------------------------------
@@ -275,6 +290,16 @@ def test_output_file_in_process(tmp_path):
         assert cli.main(["fib", "--k", "1", "--n", "4"]) == 0
     assert target.read_text() == '{"k": 1, "n": 3, "value": 2}\n'
     assert sink.getvalue() == '{"k": 1, "n": 4, "value": 3}\n'
+
+
+def test_output_file_is_closed(tmp_path):
+    target = tmp_path / "out.jsonl"
+    script = ("from ehrcollapse import cli; "
+              f"cli.main(['fib', '--k', '1', '--n', '3', '--output', {str(target)!r}])")
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and "ResourceWarning" not in proc.stderr, proc.stderr
+    assert target.read_text() == '{"k": 1, "n": 3, "value": 2}\n'
 
 
 def test_build_parser_returns_a_fresh_parser():

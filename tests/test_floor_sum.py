@@ -30,7 +30,7 @@ def lowest_term_params(draw, bound=12):
     return RationalTriangleParams(p // gcd(p, q), q // gcd(p, q), r // gcd(r, s), s // gcd(r, s))
 
 
-radicands = st.one_of(st.integers(2, 200), st.integers(2, 10 ** 12))
+radicands = st.one_of(st.integers(2, 200), st.integers(2, 10 ** 12), st.integers(2, 10 ** 30))
 
 
 @st.composite
@@ -77,6 +77,23 @@ def test_quadratic_counts_match_point_oracle(data, d):
         oracles.count_triangle_quad(_triple(u), _triple(v), dd, t) for t in ts]
     assert [counting.count_triangle_interior(pair, t) for t in ts] == [
         oracles.count_triangle_quad(_triple(u), _triple(v), dd, t, strict=True) for t in ts]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), st.integers(1, 200), st.sampled_from(((1000003, 1000033), (1000033, 10 ** 9 + 7))))
+def test_square_factor_past_the_trial_bound_counts_as_squarefree(data, k, primes):
+    """Legs over p*p*n, with n = k*q and primes p, q past the trial-division
+    bound, keep the square factor p*p; they count as the same legs over n."""
+    p, q = primes
+    u, v = data.draw(quad_leg(k * q)), data.draw(quad_leg(k * q))
+    wide_u, wide_v = (QuadNumber(x.a, x.b / p, p * p * x.d) if x.d else x for x in (u, v))
+    assert (wide_u.d, wide_v.d) == (p * p * u.d, p * p * v.d)
+    ts = range(13)
+    want = counting.count_triangle_many(TrianglePair(u, v), ts)
+    want_interior = [counting.count_triangle_interior(TrianglePair(u, v), t) for t in ts]
+    for pair in (TrianglePair(wide_u, wide_v), TrianglePair(wide_u, v), TrianglePair(u, wide_v)):
+        assert counting.count_triangle_many(pair, ts) == want
+        assert [counting.count_triangle_interior(pair, t) for t in ts] == want_interior
 
 
 def test_admissible_interior_matches_strict_oracle():
