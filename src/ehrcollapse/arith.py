@@ -404,11 +404,19 @@ def quad_sqrt(n: RationalLike) -> QuadNumber:
     return QuadNumber(Fraction(0), Fraction(1, f.denominator), f.numerator * f.denominator)
 
 
+def parse_fraction(text: str) -> Fraction:
+    """Fraction(text), with a zero denominator reported as a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_quad(text: str) -> QuadNumber:
     """Parse 'n', 'n/m', or a triple 'a,b,d' (a, b rational, d integer)."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) == 1:
-        return QuadNumber(Fraction(parts[0]))
+        return QuadNumber(parse_fraction(parts[0]))
     if len(parts) == 3:
-        return QuadNumber(Fraction(parts[0]), Fraction(parts[1]), int(parts[2]))
+        return QuadNumber(parse_fraction(parts[0]), parse_fraction(parts[1]), int(parts[2]))
     raise ValueError(f"expected 'a' or 'a,b,d', got {text!r}")

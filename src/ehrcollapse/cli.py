@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import counting, criteria, precursive, quasipoly, sequences, verify
-from .arith import QuadNumber, parse_quad
+from .arith import QuadNumber, parse_fraction, parse_quad
 from .polytopes import (
     AdmissiblePair,
     AxisSimplex,
@@ -40,6 +40,13 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"expected an integer >= 1 but got {text!r}")
+    return value
+
+
 def _parse_params(text: str) -> RationalTriangleParams:
     parts = [int(x) for x in text.split(",")]
     if len(parts) != 4:
@@ -51,7 +58,7 @@ def _parse_vertex(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected x,y but got {text!r}")
-    return (Fraction(parts[0]), Fraction(parts[1]))
+    return (parse_fraction(parts[0]), parse_fraction(parts[1]))
 
 
 def _frac_str(value: Fraction) -> str:
@@ -321,10 +328,7 @@ def _cmd_tetra(args, parser) -> int:
 
 def _cmd_guess_rec(args, parser) -> int:
     if args.values is not None:
-        try:
-            values: list = [Fraction(x) for x in args.values.split(",")]
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in --values {args.values!r}") from None
+        values: list = [parse_fraction(x) for x in args.values.split(",")]
     else:
         obj = _triangle_object(args, parser)
         if args.t_max is None:
@@ -417,12 +421,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(fn=_cmd_check)
 
     p_search = subs.add_parser("search", help="sweep rational tuples for collapse")
-    p_search.add_argument("--bound", type=int, help="common bound for p,q,r,s")
-    p_search.add_argument("--max-p", type=int)
-    p_search.add_argument("--max-q", type=int)
-    p_search.add_argument("--max-r", type=int)
-    p_search.add_argument("--max-s", type=int)
-    p_search.add_argument("--jobs", type=int, default=1)
+    p_search.add_argument("--bound", type=_positive_int, help="common bound for p,q,r,s")
+    p_search.add_argument("--max-p", type=_positive_int)
+    p_search.add_argument("--max-q", type=_positive_int)
+    p_search.add_argument("--max-r", type=_positive_int)
+    p_search.add_argument("--max-s", type=_positive_int)
+    p_search.add_argument("--jobs", type=_positive_int, default=1)
     common(p_search, fmt=True)
     p_search.set_defaults(fn=_cmd_search)
 

@@ -1,16 +1,16 @@
 """Exact lattice-point counts for dilates of the supported polytopes.
 
 Every public function returns exact integers (or Fractions).  A triangle count
-is one floor sum over the columns of the triangle, and a floor sum is reduced
-by Euclid's algorithm on the slope (peel off integer parts, then reflect the
-remaining points across the diagonal), so one count at t takes O(log t)
-integer steps for rational legs and for quadratic legs alike.  Floors of
-irrational quantities use integer square roots, never floating point.
+is a floor sum over the columns of the triangle (two per strip for a triangle
+with arbitrary rational vertices), and a floor sum is reduced by Euclid's
+algorithm on the slope (peel off integer parts, then reflect the remaining
+points across the diagonal), so one count at t takes O(log t) integer steps
+for rational legs and for quadratic legs alike.  Floors of irrational
+quantities use integer square roots, never floating point.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from math import ceil, floor, gcd
 from typing import Iterable, Sequence, Union
@@ -23,6 +23,7 @@ from .polytopes import (
     RationalTriangle2D,
     RationalTriangleParams,
     TrianglePair,
+    Vertex,
 )
 
 TriangleLike = Union[TrianglePair, AdmissiblePair, RationalTriangleParams]
@@ -46,11 +47,11 @@ def _reduced(a: int, b: int, c: int) -> Triple:
 
 
 def _floor_sum(n: int, a: Triple, b: Triple, d: int) -> int:
-    """Sum of floor(a*x + b) over x = 0..n-1, for real a > 0 and any real b.
+    """Sum of floor(a*x + b) over x = 0..n-1, for any real a and b.
 
     Each step takes the integer parts off a and b, which leaves a, b in
-    [0, 1), and with m = floor(a*(n-1) + b) counts the points 1 <= y <= a*x + b
-    by rows instead of columns:
+    [0, 1) whatever their signs, and with m = floor(a*(n-1) + b) counts the
+    points 1 <= y <= a*x + b by rows instead of columns:
 
         sum floor(a*x + b) = n*m + sum_{x < m} floor(x/a + (b - m)/a).
 
@@ -138,7 +139,7 @@ def count_axis_simplex(simplex: AxisSimplex, t: int) -> int:
         raise ValueError("dilation factor must be >= 0")
     legs, rem = simplex.legs, QuadNumber.from_value(t)
     if len(legs) == 1:
-        return math.floor(rem * legs[0]) + 1
+        return floor(rem * legs[0]) + 1
     # the triangle of the last two legs has u = 1/L, v = 1/M: theta = M/L, 1/u = L, 1/v = M
     last, final = legs[-2], legs[-1]
     return _simplex_count(legs[:-2], (final / last, last, final), rem)
@@ -153,7 +154,7 @@ def _simplex_count(legs: tuple[QuadNumber, ...], slopes: tuple[QuadNumber, ...],
         return _count_below(triples, t, d)
     first = legs[0]
     total = 0
-    for x in range(math.floor(rem * first) + 1):
+    for x in range(floor(rem * first) + 1):
         total += _simplex_count(legs[1:], slopes, rem - x / first)
     return total
 
@@ -164,42 +165,41 @@ def count_interval(interval: Interval, t: int) -> int:
         raise ValueError("dilation factor must be >= 0")
     lo_t = interval.lo * t
     hi_t = interval.hi * t
-    n = math.floor(hi_t) - math.floor(lo_t)
+    n = floor(hi_t) - floor(lo_t)
     if lo_t.is_integer():
         n += 1
     return n
 
 
+def _column_floors(lo: int, hi: int, p: Vertex, q: Vertex, sign: int) -> int:
+    """Sum of floor(sign*y) over x = lo..hi on the non-vertical line through p, q."""
+    (px, py), (qx, qy) = p, q
+    slope = sign * (qy - py) / (qx - px)
+    start = sign * py + slope * (lo - px)
+    return _floor_sum(hi - lo + 1, (slope.numerator, 0, slope.denominator),
+                      (start.numerator, 0, start.denominator), 0)
+
+
 def count_rational_triangle2d(tri: RationalTriangle2D) -> int:
-    """Lattice points inside or on a rational triangle, by exact row scan."""
-    verts = tri.vertices
-    edges = [(verts[0], verts[1]), (verts[1], verts[2]), (verts[2], verts[0])]
-    ys = [v[1] for v in verts]
+    """Lattice points inside or on a rational triangle.
+
+    With the vertices a, b, c sorted by x, the vertical line through b cuts
+    the triangle into two strips, each between the long edge a-c and one short
+    edge.  Column x of a strip holds floor(top(x)) - ceil(bottom(x)) + 1
+    points, and ceil(y) = -floor(-y), so a strip is two floor sums.
+    """
+    a, b, c = sorted(tri.vertices)
+    # b lies above the edge a-c iff a, b, c turn clockwise
+    b_above = (b[0] - a[0]) * (c[1] - a[1]) < (c[0] - a[0]) * (b[1] - a[1])
+    # the first strip ends at column b.x; if a-b is vertical, that column is the second's
+    mid = floor(b[0]) if a[0] < b[0] else ceil(b[0]) - 1
     total = 0
-    for y in range(ceil(min(ys)), floor(max(ys)) + 1):
-        xs: list[Fraction] = []
-        for (x1, y1), (x2, y2) in edges:
-            if y1 == y2:
-                if y1 == y:
-                    xs.extend((x1, x2))
-            elif min(y1, y2) <= y <= max(y1, y2):
-                xs.append(x1 + (x2 - x1) * Fraction(y - y1, 1) / (y2 - y1))
-        if not xs:
-            continue
-        row = floor(max(xs)) - ceil(min(xs)) + 1
-        if row > 0:
-            total += row
+    for lo, hi, edge in ((ceil(a[0]), mid, (a, b)), (mid + 1, floor(c[0]), (b, c))):
+        if lo <= hi:
+            top, bottom = (edge, (a, c)) if b_above else ((a, c), edge)
+            total += (_column_floors(lo, hi, *top, 1) + _column_floors(lo, hi, *bottom, -1)
+                      + hi - lo + 1)
     return total
-
-
-class ClosedFormContext:
-    """Residue data entering the admissible-pair closed form."""
-
-    __slots__ = ("z", "sigma")
-
-    def __init__(self, t: int, alpha: int):
-        self.z = t % alpha  # in [0, alpha), also for negative t
-        self.sigma = 1 if self.z == 0 else 0
 
 
 def closed_form_admissible(pair: AdmissiblePair, t: int) -> Fraction:
@@ -209,8 +209,8 @@ def closed_form_admissible(pair: AdmissiblePair, t: int) -> Fraction:
     with z = t mod alpha and sigma = [alpha divides t].
     """
     a, b = pair.alpha, pair.beta
-    ctx = ClosedFormContext(t, a)
-    num = t * t * b + t * a * b + ctx.z * b * (a - ctx.z) + 2 * a * ctx.sigma
+    z = t % a  # in [0, alpha), also for negative t
+    num = t * t * b + t * a * b + z * b * (a - z) + (2 * a if z == 0 else 0)
     return Fraction(num, 2 * a)
 
 
@@ -229,8 +229,3 @@ def asymptotic_deficit(obj: TriangleLike, t: int) -> float:
     main = QuadNumber.from_value(Fraction(t * t, 2)) / uv + (u + v) / uv * Fraction(t, 2)
     diff = abs(QuadNumber.from_value(count) - main)
     return float(diff) / t
-
-
-def counts_table(obj: TriangleLike, t_max: int) -> list[int]:
-    """Counts for t = 0..t_max inclusive."""
-    return count_triangle_many(obj, range(t_max + 1))

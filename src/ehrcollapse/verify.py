@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Optional
 
 from . import counting, criteria, precursive, quasipoly, sequences
@@ -188,14 +189,21 @@ def _enumerate_simplex(simplex: AxisSimplex, t: int) -> int:
     return rec(simplex.legs, QuadNumber.from_value(t))
 
 
+def _image_mismatch(p: int, t_max: int) -> Optional[dict]:
+    """Counterexample payload for the first t <= t_max where image and axis differ."""
+    params = mcallister_woods_pair(p)
+    for t in range(1, t_max + 1):
+        axis = counting.count_triangle(params, t)
+        image = counting.count_rational_triangle2d(mcallister_woods_image(p, t))
+        if axis != image:
+            return {"p": p, "t": t, "axis": axis, "image": image}
+    return None
+
+
 def _check_image_counts() -> tuple[bool, Optional[dict]]:
     for p in range(2, 9):
-        params = mcallister_woods_pair(p)
-        for t in range(1, 21):
-            axis = counting.count_triangle(params, t)
-            image = counting.count_rational_triangle2d(mcallister_woods_image(p, t))
-            if axis != image:
-                return False, {"p": p, "t": t, "axis": axis, "image": image}
+        if (bad := _image_mismatch(p, 20)) is not None:
+            return False, bad
     return True, None
 
 
@@ -324,8 +332,6 @@ def _check_pseudo_integral_soundness() -> tuple[bool, Optional[dict]]:
 
 
 def _check_reciprocal_iff() -> tuple[bool, Optional[dict]]:
-    from math import gcd
-
     for p in range(1, 13):
         for q in range(1, 13):
             if gcd(p, q) != 1:
@@ -361,15 +367,11 @@ def _check_mcallister_woods() -> tuple[bool, Optional[dict]]:
         if not (report.holds and report.predicted_period_divisor == 1):
             return False, {"p": p, "verdict": report.verdict}
     for p in range(2, 16):
-        params = mcallister_woods_pair(p)
-        period = quasipoly.certified_period(params)
+        period = quasipoly.certified_period(mcallister_woods_pair(p))
         if period != 1:
             return False, {"p": p, "period": period}
-        for t in range(1, 51):
-            axis = counting.count_triangle(params, t)
-            image = counting.count_rational_triangle2d(mcallister_woods_image(p, t))
-            if axis != image:
-                return False, {"p": p, "t": t, "axis": axis, "image": image}
+        if (bad := _image_mismatch(p, 50)) is not None:
+            return False, bad
     return True, None
 
 

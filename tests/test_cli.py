@@ -261,6 +261,24 @@ def test_bad_numbers_exit_2_with_one_line(argv):
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--vertices", "1/0,0", "1,0", "0,1"),
+    ("count", "--u", "1/0", "--v", "1", "--t", "1"),
+    ("count", "--legs", "1", "0,1/0,2", "--t", "1"),
+    ("count", "--interval", "0", "1/0", "--t", "1"),
+    ("search", "--jobs", "0", "--bound", "2"),
+    ("search", "--jobs", "-1", "--bound", "2"),
+    ("search", "--bound", "-2"),
+    ("search", "--bound", "0"),
+    ("search", "--max-p", "0", "--max-q", "1", "--max-r", "1", "--max-s", "1"),
+])
+def test_bad_arguments_are_usage_errors(argv):
+    proc = run_cli(*argv, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
 def test_import_leaves_numpy_out():
     modules = ("numpy", "mpmath", "multiprocessing")
     script = f"import sys, ehrcollapse.cli; print([m for m in {modules!r} if m in sys.modules])"

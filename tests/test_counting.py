@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ehrcollapse import counting
@@ -19,6 +21,7 @@ from ehrcollapse.polytopes import (
     mcallister_woods_image,
     mcallister_woods_pair,
 )
+from ehrcollapse.quasipoly import minimal_period
 
 GOLDEN = AdmissiblePair(3, 3)
 SQUARE = AdmissiblePair(2, 4)
@@ -190,16 +193,54 @@ def test_simplex_slices_sum_to_triangle():
         assert direct == sliced
 
 
+coords = st.fractions(-12, 12, max_denominator=6)
+
+
+@st.composite
+def rational_triangles(draw):
+    """Three vertices in [-12, 12] with denominators <= 6.  Some triangles
+    have a vertical or a horizontal edge, or both, and some lie between two
+    integer columns."""
+    (x0, y0), (x1, y1), (x2, y2) = ((draw(coords), draw(coords)) for _ in range(3))
+    shape = draw(st.sampled_from(("any", "vertical", "horizontal", "right", "no-column")))
+    if shape in ("vertical", "right"):
+        x1 = x0
+    if shape in ("horizontal", "right"):
+        y2 = y0
+    if shape == "no-column":
+        base = draw(st.integers(-12, 11))
+        x0, x1, x2 = (base + Fraction(draw(st.integers(1, 5)), 6) for _ in range(3))
+    vertices = ((x0, y0), (x1, y1), (x2, y2))
+    assume((x1 - x0) * (y2 - y0) != (x2 - x0) * (y1 - y0))
+    return vertices
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_triangles())
+def test_rational_triangle_counts_match_membership_oracle(vertices):
+    want = oracles.count_triangle2d(vertices)
+    for perm in permutations(vertices):
+        assert counting.count_rational_triangle2d(RationalTriangle2D(perm)) == want
+
+
+@settings(max_examples=50)
+@given(coords, coords, coords, coords, st.fractions(-3, 3, max_denominator=4))
+def test_degenerate_triangles_are_rejected(ax, ay, bx, by, lam):
+    c = (ax + lam * (bx - ax), ay + lam * (by - ay))
+    with pytest.raises(ValueError, match="degenerate"):
+        RationalTriangle2D(((ax, ay), (bx, by), c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 15), st.integers(1, 10 ** 15))
+def test_mw_image_matches_axis_triangle_at_huge_t(p, t):
+    params = mcallister_woods_pair(p)
+    qp, _ = minimal_period(params)  # period 1: one polynomial, exact at every t
+    image = counting.count_rational_triangle2d(mcallister_woods_image(p, t))
+    assert image == counting.count_triangle(params, t) == qp.evaluate(t)
+
+
 # -- closed form ------------------------------------------------------------------
-
-
-def test_closed_form_context():
-    ctx = counting.ClosedFormContext(7, 3)
-    assert (ctx.z, ctx.sigma) == (1, 0)
-    ctx = counting.ClosedFormContext(9, 3)
-    assert (ctx.z, ctx.sigma) == (0, 1)
-    ctx = counting.ClosedFormContext(-1, 3)
-    assert (ctx.z, ctx.sigma) == (2, 0)
 
 
 def test_closed_form_matches_counts():
@@ -231,10 +272,6 @@ def test_negative_dilation_rejected():
         counting.count_triangle(GOLDEN, -1)
     with pytest.raises(ValueError):
         counting.count_axis_simplex(AxisSimplex((QuadNumber(Fraction(1)),)), -2)
-
-
-def test_counts_table():
-    assert counting.counts_table(GOLDEN, 5) == [1, 3, 6, 10, 15, 21]
 
 
 def test_asymptotic_deficit_shrinks():
