@@ -87,6 +87,45 @@ def floor_surd(a: int, b: int, c: int, d: int) -> int:
     return (a - root - 1) // c
 
 
+def reduced_triple(a: int, b: int, c: int) -> Triple:
+    """The triple (a, b, c) divided by gcd(a, b, c), with c > 0 (c != 0)."""
+    if c < 0:
+        a, b, c = -a, -b, -c
+    g = gcd(a, b, c)
+    return a // g, b // g, c // g
+
+
+class Expansion:
+    """The continued fraction of a = (A + B*sqrt(d))/C, grown as far as it is read.
+
+    With a_0 = a and a_{k+1} = 1/frac(a_k), steps[k] is the tuple
+    (floor(a_k), F0, F1, FC, R0, R1, RC), where (F0 + F1*sqrt(d))/FC is
+    frac(a_k) and (R0 + R1*sqrt(d))/RC is a_{k+1}, reduced.  A rational a
+    ends at the first k with frac(a_k) = 0, whose step holds zeros after
+    floor(a_k); a quadratic irrational never ends, so a reader calls grow()
+    for each step it needs past the last one built, and no step is built twice.
+    """
+
+    __slots__ = ("steps", "d", "_next")
+
+    def __init__(self, a: Triple, d: int) -> None:
+        self.steps: list[tuple[int, ...]] = []
+        self.d, self._next = d, reduced_triple(*a)  # _next is the slope the next step expands
+
+    def grow(self) -> None:
+        """Append the next step; a rational expansion must not have ended."""
+        a0, a1, ac = self._next
+        d = self.d
+        q = floor_surd(a0, a1, ac, d)
+        a0 -= q * ac
+        if a0 == 0 and a1 == 0:
+            self.steps.append((q, 0, 0, 0, 0, 0, 0))
+        else:
+            # 1/frac = ac*(a0 - a1*sqrt(d)) / (a0^2 - a1^2*d)
+            r0, r1, rc = self._next = reduced_triple(ac * a0, -ac * a1, a0 * a0 - a1 * a1 * d)
+            self.steps.append((q, a0, a1, ac, r0, r1, rc))
+
+
 def _as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -102,10 +141,7 @@ _set = object.__setattr__
 def _store(x: "QuadNumber", a: int, b: int, c: int, d: int) -> "QuadNumber":
     if b == 0 or d == 0:
         b = d = 0
-    if c < 0:
-        a, b, c = -a, -b, -c
-    g = gcd(a, b, c)
-    _set(x, "triple", (a // g, b // g, c // g))
+    _set(x, "triple", reduced_triple(a, b, c))
     _set(x, "d", d)
     return x
 
@@ -374,6 +410,18 @@ class QuadNumber:
             Fraction(int(obj["b_num"]), int(obj["b_den"])),
             int(obj["d"]),
         )
+
+
+def triple_in_field(x: QuadNumber, d: int) -> tuple[Triple, int]:
+    """x's triple over the radicand d, and d; a rational field (d = 0) takes
+    x's own radicand.
+
+    Raises RadicandMismatchError unless x lies in Q(sqrt(d)).
+    """
+    if d == 0:
+        return x.triple, x.d
+    _common_d(x.d, d)  # raises unless the two radicands name one field
+    return x._over(d), d
 
 
 def shared_triples(xs: Sequence[QuadNumber]) -> tuple[list[Triple], int]:

@@ -11,11 +11,12 @@ import argparse
 import csv
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from . import counting, criteria, precursive, quasipoly, sequences, verify
+from . import counting, criteria, precursive, quasipoly, sequences
 from .arith import QuadNumber, parse_fraction, parse_quad
 from .polytopes import (
     AdmissiblePair,
@@ -27,6 +28,21 @@ from .polytopes import (
     iter_lowest_term_params,
     mcallister_woods_image,
 )
+
+
+# verify.SUITES, named here so that building the parser does not import verify
+SUITES = ["arith", "closed-form", "criteria", "fibonacci", "tetrahedra", "reciprocity",
+          "recurrence", "all"]
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a token of '-' and then a digit or '.',
+    such as '-3/2,1' or '-1,2,3', as a value and never as an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a token that starts with '-' as a value only if this matches it
+        self._negative_number_matcher = re.compile(r"-[\d.]")
 
 
 def _parse_range(text: str) -> list[int]:
@@ -349,6 +365,8 @@ def _cmd_guess_rec(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
+    from . import verify
+
     results = verify.run_suite(args.suite)
     failed = 0
     for res in results:
@@ -366,7 +384,7 @@ def _cmd_verify(args, parser) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ehrcollapse",
         description="Exact counting and period analysis for right simplices",
     )
@@ -454,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_guess.set_defaults(fn=_cmd_guess_rec)
 
     p_verify = subs.add_parser("verify", help="run named self-check suites")
-    p_verify.add_argument("--suite", required=True, choices=verify.SUITES)
+    p_verify.add_argument("--suite", required=True, choices=SUITES)
     common(p_verify)
     p_verify.set_defaults(fn=_cmd_verify)
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil, floor, gcd
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
-from .arith import QuadNumber, Triple, floor_surd, shared_triples
+from .arith import Expansion, QuadNumber, Triple, floor_surd, triple_in_field
 from .polytopes import (
     AdmissiblePair,
     AxisSimplex,
@@ -28,8 +28,6 @@ from .polytopes import (
 
 TriangleLike = Union[TrianglePair, AdmissiblePair, RationalTriangleParams]
 
-Slopes = Sequence[Triple]  # theta = u/v, 1/u, 1/v of a triangle, over one radicand
-
 
 def _as_pair(obj: TriangleLike) -> TrianglePair:
     if isinstance(obj, TrianglePair):
@@ -39,15 +37,10 @@ def _as_pair(obj: TriangleLike) -> TrianglePair:
     raise TypeError(f"expected a triangle-like object, got {type(obj).__name__}")
 
 
-def _reduced(a: int, b: int, c: int) -> Triple:
-    if c < 0:
-        a, b, c = -a, -b, -c
-    g = gcd(a, b, c)
-    return a // g, b // g, c // g
-
-
-def _floor_sum(n: int, a: Triple, b: Triple, d: int) -> int:
-    """Sum of floor(a*x + b) over x = 0..n-1, for any real a and b.
+def _floor_sum(n: int, cf: Expansion, b: Triple, d: int) -> int:
+    """Sum of floor(a*x + b) over x = 0..n-1, for any real a and b, where cf
+    is the continued fraction of a and b lies in Q(sqrt(d)); cf's radicand
+    is d, or 0 when a is rational.
 
     Each step takes the integer parts off a and b, which leaves a, b in
     [0, 1) whatever their signs, and with m = floor(a*(n-1) + b) counts the
@@ -55,46 +48,57 @@ def _floor_sum(n: int, a: Triple, b: Triple, d: int) -> int:
 
         sum floor(a*x + b) = n*m + sum_{x < m} floor(x/a + (b - m)/a).
 
-    So n falls strictly at each step.  The slopes run through the continued
-    fraction of a, whose partial quotients are bounded for a quadratic
-    irrational, and the depth is O(log n).
+    So n falls strictly at each step, and step k walks the slope a_k of the
+    expansion: only b is new to each call.  The partial quotients of a
+    quadratic irrational are bounded, and the depth is O(log n).
     """
-    total = 0
+    assert cf.d in (0, d), "the slope and the offset lie in different fields"
+    steps = cf.steps
+    b0, b1, bc = b
+    total = k = 0
     while n > 0:
-        (a0, a1, ac), (b0, b1, bc) = a, b
-        fa, fb = floor_surd(a0, a1, ac, d), floor_surd(b0, b1, bc, d)
-        total += fa * (n * (n - 1) // 2) + fb * n
-        a0 -= fa * ac
-        b0 -= fb * bc
-        if a0 == 0 and a1 == 0:
+        if k == len(steps):
+            cf.grow()
+        q, f0, f1, fc, r0, r1, rc = steps[k]
+        # rational b and a_k (b1 = f1 = 0) floor without floor_surd
+        fb = b0 // bc if b1 == 0 else floor_surd(b0, b1, bc, d)
+        total += q * (n * (n - 1) // 2) + fb * n
+        if fc == 0:
             break
-        m = floor_surd((n - 1) * a0 * bc + b0 * ac, (n - 1) * a1 * bc + b1 * ac, ac * bc, d)
+        b0 -= fb * bc
+        if b1 == 0 and f1 == 0:
+            m = ((n - 1) * f0 * bc + b0 * fc) // (fc * bc)
+        else:
+            m = floor_surd((n - 1) * f0 * bc + b0 * fc, (n - 1) * f1 * bc + b1 * fc, fc * bc, d)
         if m == 0:
             break
         total += n * m
-        # 1/a = ac*(a0 - a1*sqrt(d)) / (a0^2 - a1^2*d)
-        i0, i1, ic = ac * a0, -ac * a1, a0 * a0 - a1 * a1 * d
         b0 -= m * bc
-        a = _reduced(i0, i1, ic)
-        b = _reduced(b0 * i0 + b1 * i1 * d, b0 * i1 + b1 * i0, bc * ic)
-        n = m
+        # b = (b - m)*a_{k+1}; bc and rc are > 0, so the gcd keeps bc > 0
+        b0, b1, bc = b0 * r0 + b1 * r1 * d, b0 * r1 + b1 * r0, bc * rc
+        g = gcd(b0, b1, bc)
+        b0, b1, bc = b0 // g, b1 // g, bc // g
+        n, k = m, k + 1
     return total
 
 
-def _count_below(slopes: Slopes, t: Triple, d: int) -> int:
-    """Number of integer (x, y) with x, y >= 0 and u*x + v*y <= t, for
-    t = (t0 + t1*sqrt(d))/tc >= 0 and the slopes of the triangle.
+def _count_below(pair: TrianglePair, ts: Iterable[Triple], d: int) -> list[int]:
+    """Number of integer (x, y) with x, y >= 0 and u*x + v*y <= t, for each
+    t = (t0 + t1*sqrt(d))/tc >= 0 in ts, where d is the radicand of the pair's
+    slopes, or any radicand when they are rational.
 
     With X = floor(t/u), the column x holds floor((t - u*x)/v) + 1 points, and
     reading the columns from x = X down to 0 gives a floor sum of slope u/v.
     """
-    (s0, s1, sc), (u0, u1, uc), (v0, v1, vc) = slopes
-    t0, t1, tc = t
-    x = floor_surd(t0 * u0 + t1 * u1 * d, t0 * u1 + t1 * u0, tc * uc, d)
-    # b = t/v - theta*x over the denominator tc*vc*sc
-    w = tc * vc * x
-    b = (sc * (t0 * v0 + t1 * v1 * d) - w * s0, sc * (t0 * v1 + t1 * v0) - w * s1, tc * vc * sc)
-    return _floor_sum(x + 1, (s0, s1, sc), b, d) + x + 1
+    ((s0, s1, c), (u0, u1, uc), (v0, v1, _)), _ = pair.slopes
+    cf, u1d, v1d = pair.expansion, u1 * d, v1 * d
+    counts = []
+    for t0, t1, tc in ts:
+        x = floor_surd(t0 * u0 + t1 * u1d, t0 * u1 + t1 * u0, tc * uc, d)
+        w = tc * x  # b = t/v - theta*x over the denominator tc*c
+        b = (t0 * v0 + t1 * v1d - w * s0, t0 * v1 + t1 * v0 - w * s1, tc * c)
+        counts.append(_floor_sum(x + 1, cf, b, d) + x + 1)
+    return counts
 
 
 def count_triangle(obj: TriangleLike, t: int) -> int:
@@ -108,8 +112,7 @@ def count_triangle_many(obj: TriangleLike, ts: Iterable[int]) -> list[int]:
     t_list = [int(t) for t in ts]
     if any(t < 0 for t in t_list):
         raise ValueError("dilation factors must be >= 0")
-    slopes, d = pair.slopes
-    return [_count_below(slopes, (t, 0, 1), d) for t in t_list]
+    return _count_below(pair, [(t, 0, 1) for t in t_list], pair.slopes[1])
 
 
 def count_triangle_interior(obj: TriangleLike, t: int) -> int:
@@ -121,12 +124,12 @@ def count_triangle_interior(obj: TriangleLike, t: int) -> int:
     pair = _as_pair(obj)
     if t < 0:
         raise ValueError("dilation factor must be >= 0")
-    ((s0, s1, sc), (u0, u1, uc), (v0, v1, vc)), d = pair.slopes
+    ((s0, s1, c), (u0, u1, uc), (v0, v1, _)), d = pair.slopes
     x_top = -floor_surd(-t * u0, -t * u1, uc, d) - 1
     if x_top <= 0:
         return 0
-    b = (s0 * vc - t * v0 * sc, s1 * vc - t * v1 * sc, sc * vc)  # theta - t/v
-    return -_floor_sum(x_top, (s0, s1, sc), b, d) - x_top
+    b = (s0 - t * v0, s1 - t * v1, c)  # theta - t/v
+    return -_floor_sum(x_top, pair.expansion, b, d) - x_top
 
 
 def count_axis_simplex(simplex: AxisSimplex, t: int) -> int:
@@ -140,22 +143,19 @@ def count_axis_simplex(simplex: AxisSimplex, t: int) -> int:
     legs, rem = simplex.legs, QuadNumber.from_value(t)
     if len(legs) == 1:
         return floor(rem * legs[0]) + 1
-    # the triangle of the last two legs has u = 1/L, v = 1/M: theta = M/L, 1/u = L, 1/v = M
-    last, final = legs[-2], legs[-1]
-    return _simplex_count(legs[:-2], (final / last, last, final), rem)
+    return _simplex_count(legs[:-2], simplex.final_triangle, rem)
 
 
-def _simplex_count(legs: tuple[QuadNumber, ...], slopes: tuple[QuadNumber, ...],
-                   rem: QuadNumber) -> int:
+def _simplex_count(legs: tuple[QuadNumber, ...], pair: TrianglePair, rem: QuadNumber) -> int:
     if rem.sign() < 0:
         return 0
     if not legs:
-        (t, *triples), d = shared_triples((rem, *slopes))
-        return _count_below(triples, t, d)
+        t, d = triple_in_field(rem, pair.slopes[1])
+        return _count_below(pair, (t,), d)[0]
     first = legs[0]
     total = 0
     for x in range(floor(rem * first) + 1):
-        total += _simplex_count(legs[1:], slopes, rem - x / first)
+        total += _simplex_count(legs[1:], pair, rem - x / first)
     return total
 
 
@@ -171,13 +171,18 @@ def count_interval(interval: Interval, t: int) -> int:
     return n
 
 
-def _column_floors(lo: int, hi: int, p: Vertex, q: Vertex, sign: int) -> int:
-    """Sum of floor(sign*y) over x = lo..hi on the non-vertical line through p, q."""
-    (px, py), (qx, qy) = p, q
-    slope = sign * (qy - py) / (qx - px)
-    start = sign * py + slope * (lo - px)
-    return _floor_sum(hi - lo + 1, (slope.numerator, 0, slope.denominator),
-                      (start.numerator, 0, start.denominator), 0)
+def _edge(p: Vertex, q: Vertex, sign: int) -> tuple[Fraction, Fraction, Expansion]:
+    """The line y = sign*l(x), for the non-vertical line l through p and q, as
+    its value at x = 0, its slope and the expansion of its slope."""
+    slope = sign * (q[1] - p[1]) / (q[0] - p[0])
+    return sign * p[1] - slope * p[0], slope, Expansion((slope.numerator, 0, slope.denominator), 0)
+
+
+def _column_floors(lo: int, hi: int, edge: tuple[Fraction, Fraction, Expansion]) -> int:
+    """Sum of floor(y) over x = lo..hi on a line from _edge."""
+    y0, slope, cf = edge
+    start = y0 + slope * lo
+    return _floor_sum(hi - lo + 1, cf, (start.numerator, 0, start.denominator), 0)
 
 
 def count_rational_triangle2d(tri: RationalTriangle2D) -> int:
@@ -186,18 +191,19 @@ def count_rational_triangle2d(tri: RationalTriangle2D) -> int:
     With the vertices a, b, c sorted by x, the vertical line through b cuts
     the triangle into two strips, each between the long edge a-c and one short
     edge.  Column x of a strip holds floor(top(x)) - ceil(bottom(x)) + 1
-    points, and ceil(y) = -floor(-y), so a strip is two floor sums.
+    points, and ceil(y) = -floor(-y), so a strip is two floor sums; the two
+    strips share the long edge and its expansion.
     """
     a, b, c = sorted(tri.vertices)
-    # b lies above the edge a-c iff a, b, c turn clockwise
-    b_above = (b[0] - a[0]) * (c[1] - a[1]) < (c[0] - a[0]) * (b[1] - a[1])
+    # b lies above the edge a-c iff a, b, c turn clockwise; then a-c is the bottom
+    sign = -1 if (b[0] - a[0]) * (c[1] - a[1]) < (c[0] - a[0]) * (b[1] - a[1]) else 1
+    long_edge = _edge(a, c, sign)
     # the first strip ends at column b.x; if a-b is vertical, that column is the second's
     mid = floor(b[0]) if a[0] < b[0] else ceil(b[0]) - 1
     total = 0
-    for lo, hi, edge in ((ceil(a[0]), mid, (a, b)), (mid + 1, floor(c[0]), (b, c))):
+    for lo, hi, (p, q) in ((ceil(a[0]), mid, (a, b)), (mid + 1, floor(c[0]), (b, c))):
         if lo <= hi:
-            top, bottom = (edge, (a, c)) if b_above else ((a, c), edge)
-            total += (_column_floors(lo, hi, *top, 1) + _column_floors(lo, hi, *bottom, -1)
+            total += (_column_floors(lo, hi, long_edge) + _column_floors(lo, hi, _edge(p, q, -sign))
                       + hi - lo + 1)
     return total
 

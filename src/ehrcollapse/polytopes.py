@@ -20,7 +20,8 @@ from functools import cached_property
 from math import gcd, isqrt, lcm
 from typing import Optional
 
-from .arith import QuadLike, QuadNumber, RadicandMismatchError, Triple, shared_triples
+from .arith import (Expansion, QuadLike, QuadNumber, RadicandMismatchError, Triple, reduced_triple,
+                    shared_triples)
 
 
 class NotIrrationalError(ValueError):
@@ -48,12 +49,26 @@ class TrianglePair:
         return TrianglePair(self.v, self.u)
 
     @cached_property
-    def slopes(self) -> tuple[list[Triple], int]:
+    def slopes(self) -> tuple[tuple[Triple, Triple, Triple], int]:
         """theta = u/v, 1/u and 1/v (the slope of the hypotenuse and the
-        vertices on the axes) as integer triples over one radicand, and that
-        radicand; built once per triangle."""
-        inv_u, inv_v = 1 / self.u, 1 / self.v
-        return shared_triples((self.u * inv_v, inv_u, inv_v))
+        vertices on the axes) as integer triples over one radicand, with theta
+        and 1/v over one denominator, and that radicand; built once per
+        triangle."""
+        ((a, b, c), (e, f, g)), d = shared_triples((self.u, self.v))
+        # 1/x = c*(a - b*sqrt(d)) / (a^2 - b^2*d) for x = (a + b*sqrt(d))/c, and
+        # theta = u * (1/v), so theta and 1/v share the denominator c*(e^2 - f^2*d)
+        inv_u = reduced_triple(c * a, -c * b, a * a - b * b * d)
+        s0, s1, w0, w1, den = (g * (a * e - b * f * d), g * (b * e - a * f), c * g * e, -c * g * f,
+                               c * (e * e - f * f * d))
+        k = gcd(s0, s1, w0, w1, den) * (-1 if den < 0 else 1)
+        return ((s0 // k, s1 // k, den // k), inv_u, (w0 // k, w1 // k, den // k)), d
+
+    @cached_property
+    def expansion(self) -> Expansion:
+        """The continued fraction of theta, which every floor sum of this
+        triangle walks; it grows as deep as the largest count needs."""
+        (theta, _, _), d = self.slopes
+        return Expansion(theta, d)
 
     def to_json_dict(self) -> dict:
         return {
@@ -156,7 +171,7 @@ class RationalTriangleParams:
 
     @cached_property
     def _triangle(self) -> TrianglePair:
-        return TrianglePair(QuadNumber(self.u), QuadNumber(self.v))
+        return TrianglePair(QuadNumber.from_value(self.u), QuadNumber.from_value(self.v))
 
     def transpose(self) -> "RationalTriangleParams":
         return RationalTriangleParams(self.r, self.s, self.p, self.q)
@@ -183,6 +198,12 @@ class AxisSimplex:
     @property
     def dim(self) -> int:
         return len(self.legs)
+
+    @cached_property
+    def final_triangle(self) -> TrianglePair:
+        """The triangle of the last two legs L, M (needs dim >= 2): u = 1/L and
+        v = 1/M, so theta = M/L, 1/u = L and 1/v = M."""
+        return TrianglePair(1 / self.legs[-2], 1 / self.legs[-1])
 
     def to_json_dict(self) -> dict:
         return {"legs": [leg.to_json_dict() for leg in self.legs]}

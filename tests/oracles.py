@@ -61,6 +61,27 @@ def _le_sqrt(lhs: int, coeff: int, d: int) -> bool:
     return lhs * lhs >= coeff * coeff * d
 
 
+def floor_sum_points(n: int, a: tuple[int, int, int], b: tuple[int, int, int], d: int) -> int:
+    """Sum of floor(a*x + b) over x = 0..n-1 for a, b given as
+    (p, q, r) = (p + q sqrt(d)) / r with r > 0, one point at a time: the floor
+    of each (P + Q sqrt(d)) / R is the largest k with kR - P <= Q sqrt(d),
+    found by bisection and decided over the integers."""
+    (a0, a1, ac), (b0, b1, bc) = a, b
+    total = 0
+    for x in range(n):
+        p, q, r = x * a0 * bc + b0 * ac, x * a1 * bc + b1 * ac, ac * bc
+        root = isqrt(q * q * d)  # |q| sqrt(d) < root + 1
+        lo, hi = (p - root - 1) // r, (p + root + 1) // r + 1  # lo <= value < hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _le_sqrt(mid * r - p, q, d):
+                lo = mid
+            else:
+                hi = mid
+        total += lo
+    return total
+
+
 def count_triangle_admissible(alpha: int, beta: int, t: int, strict: bool = False) -> int:
     """Points under u x + v y <= t for the conjugate legs of (alpha, beta).
 

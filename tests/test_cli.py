@@ -6,8 +6,13 @@ import json
 import subprocess
 import sys
 
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import oracles
 from ehrcollapse import cli
 
 BASE = [sys.executable, "-m", "ehrcollapse"]
@@ -280,11 +285,70 @@ def test_bad_arguments_are_usage_errors(argv):
 
 
 def test_import_leaves_numpy_out():
-    modules = ("numpy", "mpmath", "multiprocessing")
+    modules = ("numpy", "mpmath", "multiprocessing", "ehrcollapse.verify")
     script = f"import sys, ehrcollapse.cli; print([m for m in {modules!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_suite_names_match_verify():
+    from ehrcollapse import verify
+
+    assert cli.SUITES == verify.SUITES
+
+
+# -- values that start with '-' ---------------------------------------------------------
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+coordinates = st.builds(Fraction, st.integers(-72, 72), st.integers(1, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(coordinates, coordinates), min_size=3, max_size=3))
+def test_vertices_with_signed_coordinates_count_like_the_oracle(vertices):
+    (x0, y0), (x1, y1), (x2, y2) = vertices
+    assume((x1 - x0) * (y2 - y0) != (x2 - x0) * (y1 - y0))
+    code, out, err = _run_in_process(["count", "--vertices", *(f"{x},{y}" for x, y in vertices)])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"count": oracles.count_triangle2d(vertices)}
+
+
+def test_negative_values_parse_wherever_an_option_expects_one():
+    code, out, _ = _run_in_process(["guess-rec", "--values", "-1,2,-4,8,-16,32,-64,128,-256,512",
+                                    "--max-order", "1", "--max-degree", "0"])
+    assert code == 0 and json.loads(out)["recurrence"] is not None
+    # -1/2 + sqrt(2) and -.5 + sqrt(2) are one leg; the options around them stay options
+    want = [oracles.count_triangle_quad((-1, 2, 2), (1, 0, 1), 2, t, strict=True) for t in range(6)]
+    for u in ("-1/2,1,2", "-.5,1,2"):
+        code, out, _ = _run_in_process(["count", "--u", u, "--v", "1", "--t", "0..5", "--interior"])
+        assert code == 0 and [r["interior"] for r in map(json.loads, out.splitlines())] == want
+    code, out, _ = _run_in_process(["count", "--legs", "-1/2,1,2", "3", "--t", "1", "--format", "csv"])
+    assert (code, out.splitlines()[0]) == (0, "t,count")
+    code, out, _ = _run_in_process(["count", "--interval", "-3/2", "-1/2", "--t", "2"])
+    assert (code, json.loads(out)) == (0, {"t": 2, "count": 3})
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--params", "1,1,1,1", "--t", "-x"),
+    ("count", "--vertices", "-x,1", "0,0", "1,1"),
+    ("guess-rec", "--values", "-", "--max-order", "1", "--max-degree", "0"),
+    ("count", "--params", "1,1,1,1", "--t", "-5"),
+])
+def test_junk_after_an_option_is_a_usage_error(argv):
+    code, out, err = _run_in_process(list(argv))
+    assert (code, out) == (2, "")
+    assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
 
 
 # -- one parser per process ---------------------------------------------------------

@@ -7,16 +7,19 @@ Ehrhart-Macdonald reciprocity for interior counts of rational triangles).
 """
 
 from fractions import Fraction
+from itertools import permutations
 from math import floor, gcd, isqrt
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from ehrcollapse import counting
-from ehrcollapse.arith import QuadNumber
+from ehrcollapse.arith import Expansion, QuadNumber
 from ehrcollapse.polytopes import (
     AdmissiblePair,
+    AxisSimplex,
     RationalTriangleParams,
     TrianglePair,
     iter_admissible_pairs,
@@ -134,3 +137,142 @@ def test_isqrt_floor_is_exact_at_scale():
     ts = [k + e for k in (10 ** 6, 10 ** 9, (1 << 30) - 5) for e in (-1, 0, 1)]
     pair = TrianglePair(QuadNumber(Fraction(1 << 31)), QuadNumber(Fraction(0), Fraction(1, 2), 2))
     assert counting.count_triangle_many(pair, ts) == [isqrt(2 * t * t) + 1 for t in ts]
+
+
+# -- one expansion per slope -----------------------------------------------------
+
+
+nonsquare_radicands = radicands.filter(lambda d: isqrt(d) ** 2 != d)
+
+
+@st.composite
+def slope_and_offsets(draw):
+    """A slope a, the radicand its expansion is built over, and offsets b over
+    a radicand d for the walk: an integer or rational a (negative too, as the
+    strips of a rational triangle pass them) with rational or quadratic
+    offsets, or a quadratic a with offsets over its own d."""
+    kind = draw(st.sampled_from(("integer", "rational", "quadratic")))
+    if kind == "quadratic":
+        d = draw(nonsquare_radicands)
+        scale = draw(st.sampled_from((1, isqrt(d))))
+        c = draw(st.integers(1, 40)) * scale
+        a0 = draw(st.one_of(st.just(0), st.integers(-3 * c, 3 * c)))  # 0: a = b*sqrt(d)/c
+        a = (a0, draw(st.integers(-5, 5).filter(bool)), c)
+        a_d = d
+    else:
+        c = 1 if kind == "integer" else draw(st.integers(1, 40))
+        a, a_d = (draw(st.integers(-6 * c, 6 * c)), 0, c), 0
+        d = draw(st.one_of(st.just(0), nonsquare_radicands))
+    root = isqrt(d)
+    offset = st.builds(
+        lambda b0, b1, bc: (b0, b1 if d else 0, bc * (root or 1)),
+        st.integers(-10 ** 6, 10 ** 6), st.integers(-5, 5), st.integers(1, 40))
+    return a, a_d, d, offset
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_one_expansion_serves_many_floor_sums(data):
+    """Calls in random order read one expansion, some deeper and some
+    shallower than the calls before them; each equals a walk of a fresh
+    expansion and, for small n, a point loop.  The shared expansion grows
+    as deep as the deepest call and no deeper."""
+    a, a_d, d, offsets = data.draw(slope_and_offsets())
+    shared = Expansion(a, a_d)
+    calls = data.draw(st.lists(
+        st.tuples(st.one_of(st.integers(0, 60), st.integers(10 ** 3, 10 ** 12)), offsets),
+        min_size=2, max_size=8))
+    depth = 0
+    for n, b in calls:
+        fresh = Expansion(a, a_d)
+        got = counting._floor_sum(n, shared, b, d)
+        assert got == counting._floor_sum(n, fresh, b, d)
+        if n <= 60:
+            assert got == oracles.floor_sum_points(n, a, b, d)
+        depth = max(depth, len(fresh.steps))
+    assert len(shared.steps) == depth
+
+
+def _steps(cf, n):
+    """The first n steps of cf, grown as needed."""
+    while len(cf.steps) < n:
+        cf.grow()
+    return cf.steps[:n]
+
+
+def _quotients(cf, n):
+    return [step[0] for step in _steps(cf, n)]
+
+
+def _continued_fraction_value(quotients):
+    value = Fraction(quotients[-1])
+    for q in reversed(quotients[:-1]):
+        value = q + 1 / value
+    return value
+
+
+def test_expansion_of_known_slopes():
+    assert _steps(Expansion((-4, 0, 1), 0), 1) == [(-4, 0, 0, 0, 0, 0, 0)]  # ends at step 0
+    rational = _steps(Expansion((-7, 0, 5), 0), 4)  # -7/5 = [-2; 1, 1, 2]
+    assert [step[0] for step in rational] == [-2, 1, 1, 2]
+    assert [step[3] == 0 for step in rational] == [False, False, False, True]
+    sqrt2, golden = Expansion((0, 1, 1), 2), Expansion((1, 1, 2), 5)
+    assert _quotients(sqrt2, 8) == [1] + [2] * 7
+    assert _quotients(golden, 8) == [1] * 8
+    assert _quotients(Expansion((0, 1, 2), 2), 5) == [0, 1, 2, 2, 2]  # sqrt(2)/2
+    assert sqrt2.steps[1][4:] == (1, 1, 1)  # 1/(sqrt(2) - 1) = 1 + sqrt(2), reduced
+
+
+def test_floor_sum_rejects_an_offset_from_another_field():
+    counting._floor_sum(5, Expansion((1, 0, 3), 0), (0, 1, 1), 3)  # a rational slope fits any field
+    with pytest.raises(AssertionError):
+        counting._floor_sum(5, Expansion((0, 1, 1), 2), (0, 1, 1), 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
+def test_rational_expansion_ends_and_gives_back_its_slope(p, q):
+    cf = Expansion((p * 3, 0, q * 3), 0)  # the builder reduces a, too
+    cf.grow()
+    while cf.steps[-1][3]:
+        cf.grow()
+    quotients = [step[0] for step in cf.steps]
+    assert _continued_fraction_value(quotients) == Fraction(p, q)
+    assert all(q >= 1 for q in quotients[1:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), radicands)
+def test_closed_and_interior_counts_share_the_expansion(data, d):
+    """Closed and interior counts of one triangle, in random order of t,
+    walk the triangle's one expansion and match the point oracles; it grows
+    as deep as the deepest count on a new triangle needs."""
+    u, v = data.draw(quad_leg(d)), data.draw(quad_leg(d))
+    pair = TrianglePair(u, v)
+    cf = pair.expansion
+    dd = u.d or v.d
+    depth = 0
+    for t in data.draw(st.permutations(range(15))):
+        assert counting.count_triangle_interior(pair, t) == oracles.count_triangle_quad(
+            _triple(u), _triple(v), dd, t, strict=True)
+        assert counting.count_triangle_many(pair, [t]) == [
+            oracles.count_triangle_quad(_triple(u), _triple(v), dd, t)]
+        fresh = TrianglePair(u, v)
+        counting.count_triangle_interior(fresh, t)
+        counting.count_triangle_many(fresh, [t])
+        depth = max(depth, len(fresh.expansion.steps))
+    assert pair.expansion is cf and len(cf.steps) == depth
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), radicands, st.integers(2, 3))
+def test_simplex_counts_share_the_expansion_in_every_leg_order(data, d, dim):
+    legs = [data.draw(quad_leg(d)) for _ in range(dim)]
+    dd = max(leg.d for leg in legs)
+    want = oracles.count_simplex_quad_range([_triple(1 / leg) for leg in legs], dd, 6)
+    for perm in permutations(legs):
+        simplex = AxisSimplex(perm)
+        cf = simplex.final_triangle.expansion
+        ts = data.draw(st.permutations(range(7)))
+        assert [counting.count_axis_simplex(simplex, t) for t in ts] == [want[t] for t in ts]
+        assert simplex.final_triangle.expansion is cf and cf.steps
