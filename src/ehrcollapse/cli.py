@@ -45,15 +45,16 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-[\d.]")
 
 
-def _parse_range(text: str) -> list[int]:
-    """'7' -> [7]; '0..9' -> [0, 1, ..., 9]."""
+def _parse_range(text: str) -> range:
+    """'7' -> range(7, 8); '0..9' -> range(0, 10)."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         lo_i, hi_i = int(lo), int(hi)
         if hi_i < lo_i:
             raise ValueError(f"empty range {text!r}")
-        return list(range(lo_i, hi_i + 1))
-    return [int(text)]
+        return range(lo_i, hi_i + 1)
+    value = int(text)
+    return range(value, value + 1)
 
 
 def _positive_int(text: str) -> int:

@@ -12,7 +12,7 @@ quantities use integer square roots, never floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import floor, gcd, lcm
 from typing import Iterable, Union
 
 from .arith import Expansion, QuadNumber, Triple, floor_surd, triple_in_field
@@ -23,10 +23,10 @@ from .polytopes import (
     RationalTriangle2D,
     RationalTriangleParams,
     TrianglePair,
-    Vertex,
 )
 
 TriangleLike = Union[TrianglePair, AdmissiblePair, RationalTriangleParams]
+Point = tuple[int, int]
 
 
 def _as_pair(obj: TriangleLike) -> TrianglePair:
@@ -107,12 +107,35 @@ def count_triangle(obj: TriangleLike, t: int) -> int:
 
 
 def count_triangle_many(obj: TriangleLike, ts: Iterable[int]) -> list[int]:
-    """Batch version of count_triangle; one exact count per t."""
+    """Batch version of count_triangle; one exact count per t.
+
+    For rational legs u = q/p and v = s/r in lowest terms, the points of the
+    t-th dilate with x >= p are a translate of the (t - q)-th dilate, those
+    with y >= r a translate of the (t - s)-th, and the box x < p, y < r is
+    full once t >= q + s, so there
+
+        L(t) = L(t - q) + L(t - s) - L(t - q - s) + p*r.
+
+    When ts is a contiguous ascending run a, a + 1, ... longer than q + s,
+    its first q + s counts are floor sums and the identity gives the rest;
+    every other ts is counted by one floor sum per t.
+    """
     pair = _as_pair(obj)
-    t_list = [int(t) for t in ts]
-    if any(t < 0 for t in t_list):
+    is_run = isinstance(ts, range) and ts.step == 1
+    if not is_run:
+        ts = [int(t) for t in ts]
+        is_run = bool(ts) and ts == list(range(ts[0], ts[0] + len(ts)))
+    if ts and (ts[0] if is_run else min(ts)) < 0:
         raise ValueError("dilation factors must be >= 0")
-    return _count_below(pair, [(t, 0, 1) for t in t_list], pair.slopes[1])
+    (q, _, p), (s, _, r) = pair.u.triple, pair.v.triple  # u = q/p, v = s/r if rational
+    seeds = q + s
+    if pair.kind != "rational" or not is_run or len(ts) <= seeds:
+        return _count_below(pair, [(t, 0, 1) for t in ts], pair.slopes[1])
+    counts = _count_below(pair, [(t, 0, 1) for t in ts[:seeds]], 0)
+    box = p * r
+    for i in range(seeds, len(ts)):
+        counts.append(counts[i - q] + counts[i - s] - counts[i - seeds] + box)
+    return counts
 
 
 def count_triangle_interior(obj: TriangleLike, t: int) -> int:
@@ -171,39 +194,44 @@ def count_interval(interval: Interval, t: int) -> int:
     return n
 
 
-def _edge(p: Vertex, q: Vertex, sign: int) -> tuple[Fraction, Fraction, Expansion]:
-    """The line y = sign*l(x), for the non-vertical line l through p and q, as
-    its value at x = 0, its slope and the expansion of its slope."""
-    slope = sign * (q[1] - p[1]) / (q[0] - p[0])
-    return sign * p[1] - slope * p[0], slope, Expansion((slope.numerator, 0, slope.denominator), 0)
+def _edge(p: Point, q: Point, sign: int, m: int) -> tuple[int, int, int, Expansion]:
+    """The line y = sign*l(x), for the line l through p/m and q/m with p left
+    of q, as integers (A, B, C) with y = (A + B*x)/C and C > 0, and the
+    expansion of its slope B/C."""
+    (px, py), (qx, qy) = p, q
+    a, b, c = sign * (py * qx - qy * px), sign * m * (qy - py), m * (qx - px)
+    return a, b, c, Expansion((b, 0, c), 0)
 
 
-def _column_floors(lo: int, hi: int, edge: tuple[Fraction, Fraction, Expansion]) -> int:
+def _column_floors(lo: int, hi: int, edge: tuple[int, int, int, Expansion]) -> int:
     """Sum of floor(y) over x = lo..hi on a line from _edge."""
-    y0, slope, cf = edge
-    start = y0 + slope * lo
-    return _floor_sum(hi - lo + 1, cf, (start.numerator, 0, start.denominator), 0)
+    a, b, c, cf = edge
+    return _floor_sum(hi - lo + 1, cf, (a + b * lo, 0, c), 0)
 
 
 def count_rational_triangle2d(tri: RationalTriangle2D) -> int:
     """Lattice points inside or on a rational triangle.
 
-    With the vertices a, b, c sorted by x, the vertical line through b cuts
-    the triangle into two strips, each between the long edge a-c and one short
-    edge.  Column x of a strip holds floor(top(x)) - ceil(bottom(x)) + 1
-    points, and ceil(y) = -floor(-y), so a strip is two floor sums; the two
-    strips share the long edge and its expansion.
+    The vertices are scaled by the lcm m of their denominators to integer
+    points, so every edge line has integer coefficients.  With the vertices
+    a, b, c sorted by x, the vertical line through b cuts the triangle into
+    two strips, each between the long edge a-c and one short edge.  Column x
+    of a strip holds floor(top(x)) - ceil(bottom(x)) + 1 points, and
+    ceil(y) = -floor(-y), so a strip is two floor sums; the two strips share
+    the long edge and its expansion.
     """
-    a, b, c = sorted(tri.vertices)
+    m = lcm(*(z.denominator for vertex in tri.vertices for z in vertex))
+    a, b, c = sorted((x.numerator * (m // x.denominator), y.numerator * (m // y.denominator))
+                     for x, y in tri.vertices)
     # b lies above the edge a-c iff a, b, c turn clockwise; then a-c is the bottom
     sign = -1 if (b[0] - a[0]) * (c[1] - a[1]) < (c[0] - a[0]) * (b[1] - a[1]) else 1
-    long_edge = _edge(a, c, sign)
+    long_edge = _edge(a, c, sign, m)
     # the first strip ends at column b.x; if a-b is vertical, that column is the second's
-    mid = floor(b[0]) if a[0] < b[0] else ceil(b[0]) - 1
+    mid = b[0] // m if a[0] < b[0] else -(-b[0] // m) - 1
     total = 0
-    for lo, hi, (p, q) in ((ceil(a[0]), mid, (a, b)), (mid + 1, floor(c[0]), (b, c))):
+    for lo, hi, (p, q) in ((-(-a[0] // m), mid, (a, b)), (mid + 1, c[0] // m, (b, c))):
         if lo <= hi:
-            total += (_column_floors(lo, hi, long_edge) + _column_floors(lo, hi, _edge(p, q, -sign))
+            total += (_column_floors(lo, hi, long_edge) + _column_floors(lo, hi, _edge(p, q, -sign, m))
                       + hi - lo + 1)
     return total
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ehrcollapse import counting
-from ehrcollapse.arith import Expansion, QuadNumber
+from ehrcollapse.arith import Expansion, QuadNumber, parse_quad
 from ehrcollapse.polytopes import (
     AdmissiblePair,
     AxisSimplex,
@@ -60,6 +60,50 @@ def _triple(x: QuadNumber) -> tuple[int, int, int]:
 def test_rational_counts_match_range_oracle(params, t_max):
     want = oracles.count_triangle_rational_range(params.p, params.q, params.r, params.s, t_max)
     assert counting.count_triangle_many(params, range(t_max + 1)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), lowest_term_params(), st.integers(0, 60))
+def test_translate_identity_run_matches_per_t_counts(data, params, a):
+    """A run a..a+n-1 with n on both sides of the q + s cut, where runs longer
+    than q + s are counted by the translate identity."""
+    p, q, r, s = params.p, params.q, params.r, params.s
+    n = data.draw(st.integers(0, 3 * (q + s)))
+    run = range(a, a + n)
+    per_t = [counting.count_triangle(params, t) for t in run]
+    assert per_t == oracles.count_triangle_rational_range(p, q, r, s, a + n - 1)[a:]
+    assert counting.count_triangle_many(params, run) == per_t
+    assert counting.count_triangle_many(params, list(run)) == per_t
+    assert counting.count_triangle_many(params, iter(run)) == per_t
+    pair = TrianglePair(parse_quad(f"{q}/{p}"), parse_quad(f"{s}/{r}"))
+    assert counting.count_triangle_many(pair, run) == per_t
+    assert counting.count_triangle_many(pair.swapped(), run) == per_t
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), lowest_term_params())
+def test_unordered_t_lists_take_per_t_counts(data, params):
+    ts = data.draw(st.lists(st.integers(0, 80), max_size=3 * (params.q + params.s)))
+    want = [counting.count_triangle(params, t) for t in ts]
+    assert counting.count_triangle_many(params, ts) == want
+    shuffled = data.draw(st.permutations(ts))
+    assert counting.count_triangle_many(params, shuffled) == [
+        counting.count_triangle(params, t) for t in shuffled]
+    descending = range(80, 80 - len(ts), -1)
+    assert counting.count_triangle_many(params, descending) == [
+        counting.count_triangle(params, t) for t in descending]
+    repeated = [t for t in ts for _ in range(2)]
+    assert counting.count_triangle_many(params, repeated) == [n for n in want for _ in range(2)]
+
+
+def test_runs_no_longer_than_q_plus_s_on_huge_legs_are_per_t_counts():
+    huge = 1 << 40
+    for params in (RationalTriangleParams(huge + 1, huge, 3, 2), RationalTriangleParams(2, 3, 1, huge)):
+        for a in (0, 5, huge - 3):
+            run = range(a, a + 40)
+            want = [counting.count_triangle(params, t) for t in run]
+            assert counting.count_triangle_many(params, run) == want
+            assert counting.count_triangle_many(params.triangle().swapped(), run) == want
 
 
 @settings(max_examples=60, deadline=None)
