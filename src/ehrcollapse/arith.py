@@ -31,13 +31,16 @@ def _squarefree_split(d: int) -> tuple[int, int]:
     """Return (s, m) with d = s*s*m, for d >= 1.
 
     m keeps no square p*p of a prime p below _TRIAL_BOUND, and m is a perfect
-    square only if m == 1.  For d < 10**12 the cofactor left after trial
-    division is 1 or a prime, so m is squarefree; beyond that m may keep the
-    square of a large prime, which no operation needs to know: floor_surd is
-    exact for any radicand that is not a perfect square.
+    square only if m == 1.  Trial division stops at _TRIAL_BOUND or once p
+    passes the cube root of the cofactor, whose prime factors then all exceed
+    that root, so it is 1, q, q*q' or q*q; the square test settles q*q.  For
+    d < 10**18 the root is below _TRIAL_BOUND, so m is squarefree; beyond that
+    m may keep the square of a large prime, which no operation needs to know:
+    floor_surd is exact for any radicand that is not a perfect square.
     """
     s = m = 1
-    limit = min(_TRIAL_BOUND, isqrt(d) + 1)
+    # 2**ceil(bits(d)/3) lies between the cube root of d and twice that root
+    limit = min(_TRIAL_BOUND, 1 << (d.bit_length() + 2) // 3)
     for p in chain((2, 3), accumulate(cycle((2, 4)), initial=5)):  # 2, 3, 6k -+ 1
         if p >= limit:
             break
@@ -48,7 +51,7 @@ def _squarefree_split(d: int) -> tuple[int, int]:
                 e += 1
             s *= p ** (e // 2)
             m *= p ** (e % 2)
-            limit = min(limit, isqrt(d) + 1)
+            limit = min(limit, 1 << (d.bit_length() + 2) // 3)
     r = isqrt(d)
     if r * r == d:
         return s * r, m
@@ -166,7 +169,7 @@ class QuadNumber:
     Canonical means: C > 0 and gcd(A, B, C) == 1; B == 0 and d == 0 whenever
     the number is rational; otherwise d > 1 is not a perfect square and has no
     square factor p*p of a prime p below 10**6, so d is squarefree for
-    d < 10**12 but need not be past that bound.  The constructor takes
+    d < 10**18 but need not be past that bound.  The constructor takes
     rational a, b with value a + b*sqrt(d) and normalizes them; results of
     operations keep the radicand of their operands and are never split again.
     Equality and hashing go by value, whichever radicand a value carries.

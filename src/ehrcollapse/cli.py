@@ -143,8 +143,7 @@ def _add_triangle_flags(sub) -> None:
 # -- count -------------------------------------------------------------------
 
 
-def _cmd_count(args, parser) -> int:
-    emit = _Emitter(args.output, args.format).emit
+def _cmd_count(args, parser, emit) -> int:
     shapes = [
         args.legs is not None,
         args.interval is not None,
@@ -193,7 +192,7 @@ def _cmd_count(args, parser) -> int:
 # -- fit / period --------------------------------------------------------------
 
 
-def _cmd_fit(args, parser) -> int:
+def _cmd_fit(args, parser, emit) -> int:
     obj = _triangle_object(args, parser)
     t_max = args.t_max if args.t_max is not None else (args.degree + 4) * args.period - 1
     ts = range(t_max + 1)
@@ -205,11 +204,11 @@ def _cmd_fit(args, parser) -> int:
         "t_max": t_max,
         "fit": None if fit is None else fit.to_json_dict(),
     }
-    args.output.write(json.dumps(record) + "\n")
+    emit(record)
     return 0
 
 
-def _cmd_period(args, parser) -> int:
+def _cmd_period(args, parser, emit) -> int:
     obj = _triangle_object(args, parser)
     if isinstance(obj, AdmissiblePair):
         record = {"alpha": obj.alpha, "beta": obj.beta, "guaranteed_period": obj.alpha}
@@ -225,14 +224,14 @@ def _cmd_period(args, parser) -> int:
         "collapse": period < reference,
         "quasipolynomial": qp.to_json_dict(),
     })
-    args.output.write(json.dumps(record) + "\n")
+    emit(record)
     return 0
 
 
 # -- check -------------------------------------------------------------------
 
 
-def _cmd_check(args, parser) -> int:
+def _cmd_check(args, parser, emit) -> int:
     kind = args.criterion
     if kind in ("collapse", "pseudo-integral"):
         if args.params is None:
@@ -259,7 +258,7 @@ def _cmd_check(args, parser) -> int:
             "bound": args.bound,
             "solutions": [list(sol) for sol in criteria.solve_beta_equation(args.bound)],
         }
-    args.output.write(json.dumps(record) + "\n")
+    emit(record)
     return 0
 
 
@@ -281,7 +280,7 @@ def _search_record(params: RationalTriangleParams) -> dict:
     }
 
 
-def _cmd_search(args, parser) -> int:
+def _cmd_search(args, parser, emit) -> int:
     bounds = (
         args.max_p or args.bound,
         args.max_q or args.bound,
@@ -291,7 +290,6 @@ def _cmd_search(args, parser) -> int:
     if any(b is None for b in bounds):
         parser.error("give --bound or all of --max-p/--max-q/--max-r/--max-s")
     tuples = iter_lowest_term_params(*bounds)
-    emit = _Emitter(args.output, args.format).emit
     if args.jobs > 1:
         import multiprocessing  # here, so that no other command pays for it at start-up
 
@@ -307,8 +305,7 @@ def _cmd_search(args, parser) -> int:
 # -- fib / tetra ----------------------------------------------------------------
 
 
-def _cmd_fib(args, parser) -> int:
-    emit = _Emitter(args.output, args.format).emit
+def _cmd_fib(args, parser, emit) -> int:
     for n in args.n:
         record = {"k": args.k, "n": n, "value": sequences.k_fib(args.k, n)}
         if args.triangle:
@@ -319,8 +316,7 @@ def _cmd_fib(args, parser) -> int:
     return 0
 
 
-def _cmd_tetra(args, parser) -> int:
-    emit = _Emitter(args.output, args.format).emit
+def _cmd_tetra(args, parser, emit) -> int:
     if args.limit == (args.n is not None):
         parser.error("give exactly one of --n, --limit")
     if args.limit:
@@ -343,7 +339,7 @@ def _cmd_tetra(args, parser) -> int:
 # -- guess-rec -------------------------------------------------------------------
 
 
-def _cmd_guess_rec(args, parser) -> int:
+def _cmd_guess_rec(args, parser, emit) -> int:
     if args.values is not None:
         values: list = [parse_fraction(x) for x in args.values.split(",")]
     else:
@@ -358,14 +354,14 @@ def _cmd_guess_rec(args, parser) -> int:
         "max_degree": args.max_degree,
         "recurrence": None if rec is None else rec.to_json_dict(),
     }
-    args.output.write(json.dumps(record) + "\n")
+    emit(record)
     return 0
 
 
 # -- verify ---------------------------------------------------------------------
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args, parser, emit) -> int:
     from . import verify
 
     results = verify.run_suite(args.suite)
@@ -376,8 +372,8 @@ def _cmd_verify(args, parser) -> int:
             failed += 1
             if res.detail is not None:
                 record["counterexample"] = res.detail
-        args.output.write(json.dumps(record) + "\n")
-    args.output.write(json.dumps({"checks": len(results), "failed": failed}) + "\n")
+        emit(record)
+    emit({"checks": len(results), "failed": failed})
     return 1 if failed else 0
 
 
@@ -489,10 +485,10 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv if argv is None else list(argv))
     opened = args.output
-    if opened is None:
-        args.output = sys.stdout
+    # subcommands without --format write JSON lines
+    emit = _Emitter(opened or sys.stdout, getattr(args, "format", "jsonl")).emit
     try:
-        return args.fn(args, parser)
+        return args.fn(args, parser, emit)
     except (ValueError, KeyError, quasipoly.FitFailureError) as exc:
         parser.exit(2, f"error: {exc}\n")
     finally:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .polytopes import AdmissiblePair, NotIrrationalError, RationalTriangleParams
+from .polytopes import RationalTriangleParams, is_admissible
 
 COLLAPSE_PREDICTED = "collapse-predicted"
 PSEUDO_INTEGRAL_PREDICTED = "pseudo-integral-predicted"
@@ -121,9 +121,7 @@ def classify_admissible(alpha: int, beta: int) -> str:
     """Classification of (alpha, beta): admissible pairs have period 1 exactly
     when alpha = 1 or beta = 2*alpha/(alpha - 1), i.e. (alpha, beta) is
     (3, 3) or (2, 4); all other admissible pairs are pseudo-rational only."""
-    try:
-        AdmissiblePair(alpha, beta)
-    except (NotIrrationalError, ValueError):
+    if not is_admissible(alpha, beta):
         return NOT_ADMISSIBLE
     if alpha == 1 or (alpha, beta) in ((3, 3), (2, 4)):
         return PSEUDO_INTEGRAL
@@ -136,8 +134,5 @@ def solve_beta_equation(bound: int = 100) -> list[tuple[int, int]]:
     alpha - 1 must divide 2*alpha = 2*(alpha - 1) + 2, hence alpha - 1 | 2,
     so the full solution set is [(2, 4), (3, 3)] for any bound >= 3.
     """
-    out = []
-    for alpha in range(2, bound + 1):
-        if (2 * alpha) % (alpha - 1) == 0:
-            out.append((alpha, 2 * alpha // (alpha - 1)))
-    return out
+    # the solutions with alpha <= bound are the first bound - 1 of them
+    return [(2, 4), (3, 3)][:max(bound - 1, 0)]

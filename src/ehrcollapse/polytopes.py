@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Optional
 
 from .arith import (Expansion, QuadLike, QuadNumber, RadicandMismatchError, Triple, reduced_triple,
@@ -83,14 +83,25 @@ def _classify(u: QuadNumber, v: QuadNumber) -> str:
         return "rational"
     try:
         alpha = u + v
-        ratio = u / v
     except RadicandMismatchError:
         return "other"
-    if alpha.is_integer() and not ratio.is_rational:
+    # an integer sum needs both legs irrational, and then u/v is irrational too:
+    # u = r*v with r rational would make v = alpha/(1 + r) rational
+    if alpha.is_integer():
         beta = alpha / (u * v)  # 1/u + 1/v = (u+v)/(u*v)
         if beta.is_integer():
             return "admissible"
     return "other"
+
+
+def is_admissible(alpha: int, beta: int) -> bool:
+    """Whether integers (alpha, beta) are positive with irrational legs.
+
+    With m = alpha*beta the legs have the discriminant m*(m - 4), which is
+    <= 0 for m <= 4 and lies strictly between (m - 3)^2 and (m - 2)^2 for
+    m >= 5, so it is a positive non-square exactly when m >= 5.
+    """
+    return alpha >= 1 and beta >= 1 and alpha * beta >= 5
 
 
 @dataclass(frozen=True)
@@ -100,7 +111,7 @@ class AdmissiblePair:
     The legs solve x^2*beta - alpha*beta*x + alpha = 0, so
     u, v = (alpha*beta +- sqrt(alpha*beta*(alpha*beta - 4))) / (2*beta),
     and the pair is admissible only when that discriminant is positive and
-    not a perfect square (equivalently alpha*beta >= 5).
+    not a perfect square, that is when alpha*beta >= 5 (is_admissible).
     """
 
     alpha: int
@@ -109,15 +120,14 @@ class AdmissiblePair:
     v: QuadNumber = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.alpha < 1 or self.beta < 1:
-            raise ValueError("alpha and beta must be positive integers")
-        m = self.alpha * self.beta
-        disc = m * (m - 4)
-        if disc <= 0 or isqrt(disc) ** 2 == disc:
+        if not is_admissible(self.alpha, self.beta):
+            if self.alpha < 1 or self.beta < 1:
+                raise ValueError("alpha and beta must be positive integers")
             raise NotIrrationalError(
                 f"(alpha, beta) = ({self.alpha}, {self.beta}) gives a rational leg ratio"
             )
-        u = QuadNumber(Fraction(self.alpha, 2), Fraction(1, 2 * self.beta), disc)
+        m = self.alpha * self.beta
+        u = QuadNumber(Fraction(self.alpha, 2), Fraction(1, 2 * self.beta), m * (m - 4))
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", u.conjugate())
 
@@ -193,6 +203,7 @@ class AxisSimplex:
             raise ValueError("at least one leg required")
         if any(leg.sign() <= 0 for leg in legs):
             raise ValueError("all legs must be positive")
+        shared_triples(legs)  # RadicandMismatchError unless one field holds every leg
         object.__setattr__(self, "legs", legs)
 
     @property
@@ -276,10 +287,8 @@ def iter_admissible_pairs(product_max: int):
     """All admissible pairs with alpha*beta <= product_max, ordered by (alpha, beta)."""
     for alpha in range(1, product_max + 1):
         for beta in range(1, product_max // alpha + 1):
-            try:
+            if is_admissible(alpha, beta):
                 yield AdmissiblePair(alpha, beta)
-            except NotIrrationalError:
-                continue
 
 
 def iter_lowest_term_params(
@@ -306,17 +315,12 @@ def scales_to_admissible(alpha_sum: Fraction, beta_sum: Fraction) -> bool:
     integer dilate c*T' of some admissible pair's triangle.
 
     Dilating T' by a positive integer c multiplies the leg sum by c and
-    divides the reciprocal sum by c, so it suffices to scan c | beta_sum.
+    divides the reciprocal sum by c, so T' is the pair (c*alpha_sum,
+    beta_sum/c), whose product does not depend on c.  Every c that makes
+    c*alpha_sum an integer is a multiple of den, the denominator of
+    alpha_sum, and beta_sum/den is an integer whenever beta_sum/c is, so
+    c = den decides.
     """
     alpha_sum, beta_sum = Fraction(alpha_sum), Fraction(beta_sum)
-    if alpha_sum <= 0 or beta_sum <= 0:
-        return False
-    c_max = beta_sum.numerator // beta_sum.denominator
-    for c in range(1, c_max + 1):
-        a_scaled = alpha_sum * c
-        b_scaled = beta_sum / c
-        if a_scaled.denominator != 1 or b_scaled.denominator != 1:
-            continue
-        if a_scaled.numerator * b_scaled.numerator >= 5:
-            return True
-    return False
+    b_scaled = beta_sum / alpha_sum.denominator
+    return b_scaled.denominator == 1 and is_admissible(alpha_sum.numerator, b_scaled.numerator)

@@ -36,6 +36,8 @@ from typing import Iterable, Optional, Sequence, Union
 from . import counting
 from .polytopes import AdmissiblePair, RationalTriangleParams
 
+HELD_OUT_PER_RESIDUE = 3  # values per residue class past the k + 1 a fit reads
+
 
 class InsufficientSamplesError(ValueError):
     """Raised when some residue class has fewer than degree+1 samples at
@@ -184,7 +186,7 @@ def fit_quasipolynomial(
 
 
 def _certify(
-    obj: Union[RationalTriangleParams, AdmissiblePair], degree: int, extra_per_residue: int
+    obj: Union[RationalTriangleParams, AdmissiblePair], degree: int
 ) -> tuple[list[int], int]:
     """The counts read by the certificates, and the certified minimal period."""
     if isinstance(obj, AdmissiblePair):
@@ -193,11 +195,11 @@ def _certify(
         guaranteed = obj.denominator
     else:
         raise TypeError(f"unsupported type {type(obj).__name__}")
-    if degree < 0 or extra_per_residue < 0:
-        raise ValueError("need degree >= 0 and extra_per_residue >= 0")
+    if degree < 0:
+        raise ValueError("need degree >= 0")
     order, divisors = degree + 1, _divisors(guaranteed)
     window = order * guaranteed
-    held_out = (order + extra_per_residue) * guaranteed
+    held_out = (order + HELD_OUT_PER_RESIDUE) * guaranteed
     # the certificate at the largest proper divisor d reads t < (k+1)(P + d),
     # which at a high degree lies past the held-out range
     needed = window + order * divisors[-2] if len(divisors) > 1 else 0
@@ -214,31 +216,28 @@ def _certify(
 
 
 def certified_period(
-    obj: Union[RationalTriangleParams, AdmissiblePair],
-    degree: int = 2,
-    extra_per_residue: int = 3,
+    obj: Union[RationalTriangleParams, AdmissiblePair], degree: int = 2
 ) -> int:
     """Certify the guaranteed period, then return its least divisor that passes.
 
     The guaranteed period P is the vertex denominator lcm(q, s) for rational
-    parameters and alpha for an admissible pair.  With k = degree, the counts
-    must satisfy Delta_P^(k+1) I = 0 on t in [0, extra_per_residue * P), the
-    test a fit at P through k+1 values per residue class passes on
-    extra_per_residue held-out values per class; FitFailureError otherwise.
-    The minimal period is the least divisor d of P with Delta_d^(k+1) I = 0 on
-    [0, (k+1) P).
+    parameters and alpha for an admissible pair.  With k = degree and
+    h = HELD_OUT_PER_RESIDUE, the counts on t in [0, (k + 1 + h) P) must
+    satisfy Delta_P^(k+1) I = 0 at t in [0, h P): the test a fit at P through
+    the first k+1 values of each residue class passes on the next h values of
+    that class; FitFailureError otherwise.
+    The minimal period is the least divisor d of P with Delta_d^(k+1) I = 0 at
+    t in [0, (k+1) P).
     """
-    return _certify(obj, degree, extra_per_residue)[1]
+    return _certify(obj, degree)[1]
 
 
 def minimal_period(
-    obj: Union[RationalTriangleParams, AdmissiblePair],
-    degree: int = 2,
-    extra_per_residue: int = 3,
+    obj: Union[RationalTriangleParams, AdmissiblePair], degree: int = 2
 ) -> tuple[Quasipolynomial, int]:
     """The certified period d of certified_period and the quasipolynomial at d,
     built from the same counts.  Returns (quasipolynomial at period d, d)."""
-    values, period = _certify(obj, degree, extra_per_residue)
+    values, period = _certify(obj, degree)
     order = degree + 1
     table = []
     for r in range(period):

@@ -272,3 +272,69 @@ def nullspace_vector_rref(rows: Sequence[Sequence], ncols: int) -> "list[Fractio
     for col, prow in pivots.items():
         vec[col] = -prow[free[0]]
     return vec
+
+
+# -- admissibility by the scans and tests that the closed forms replaced --------------
+
+
+def admissible_by_discriminant(alpha: int, beta: int) -> bool:
+    """Whether alpha, beta >= 1 and the legs' discriminant m(m - 4), m = alpha*beta,
+    is positive and not a perfect square."""
+    if alpha < 1 or beta < 1:
+        return False
+    m = alpha * beta
+    disc = m * (m - 4)
+    return disc > 0 and isqrt(disc) ** 2 != disc
+
+
+def scales_to_admissible_scan(alpha_sum: Fraction, beta_sum: Fraction) -> bool:
+    """Whether some c = 1..floor(beta_sum) makes (c*alpha_sum, beta_sum/c)
+    integers with a discriminant test that passes."""
+    alpha_sum, beta_sum = Fraction(alpha_sum), Fraction(beta_sum)
+    if alpha_sum <= 0 or beta_sum <= 0:
+        return False
+    for c in range(1, beta_sum.numerator // beta_sum.denominator + 1):
+        a_scaled, b_scaled = alpha_sum * c, beta_sum / c
+        if a_scaled.denominator == 1 and b_scaled.denominator == 1 and \
+                admissible_by_discriminant(a_scaled.numerator, b_scaled.numerator):
+            return True
+    return False
+
+
+def solve_beta_equation_scan(bound: int) -> list[tuple[int, int]]:
+    """Integer pairs with beta = 2*alpha/(alpha - 1), by trying alpha = 2..bound."""
+    return [(alpha, 2 * alpha // (alpha - 1)) for alpha in range(2, bound + 1)
+            if (2 * alpha) % (alpha - 1) == 0]
+
+
+def classify_legs_by_ratio(u, v) -> str:
+    """The kind of legs u, v (QuadNumbers): 'rational', 'admissible' when
+    u + v and 1/u + 1/v are integers while u/v is irrational, else 'other'."""
+    if u.is_rational and v.is_rational:
+        return "rational"
+    try:
+        alpha, ratio = u + v, u / v
+    except ValueError:  # legs from two fields
+        return "other"
+    if alpha.is_integer() and not ratio.is_rational and (1 / u + 1 / v).is_integer():
+        return "admissible"
+    return "other"
+
+
+def squarefree_split_to_sqrt(d: int, bound: int = 10 ** 6) -> tuple[int, int]:
+    """(s, m) with d = s*s*m, trial-dividing by 2, 3 and 6k -+ 1 below
+    min(bound, sqrt of the cofactor) and testing the rest for a square."""
+    s = m = 1
+    p, step = 2, 1
+    while p < bound and p * p <= d:
+        e = 0
+        while d % p == 0:
+            d //= p
+            e += 1
+        s *= p ** (e // 2)
+        m *= p ** (e % 2)
+        p, step = (p + step, 2) if p < 5 else (p + step, 6 - step)
+    r = isqrt(d)
+    if r * r == d:
+        return s * r, m
+    return s, m * d

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from ehrcollapse import arith
 from ehrcollapse.arith import (
     QuadNumber,
@@ -49,6 +50,21 @@ def test_normalizes_perfect_square_radicand():
     # the cofactor left after trial division is tested for a square as well
     z = QuadNumber(Fraction(1), Fraction(1), 1000003 ** 2)
     assert z == 1000004 and z.d == 0
+
+
+# primes on both sides of the trial bound 10**6, and small ones
+split_primes = st.sampled_from([2, 3, 5, 7, 97, 9973, 999953, 999961, 999979, 999983,
+                                1000003, 1000033, 1000037, 1000039])
+
+
+@settings(max_examples=40, deadline=None)
+@given(split_primes, split_primes, st.integers(1, 2), st.integers(1, 3000))
+def test_squarefree_split_matches_the_scan_to_the_square_root(p, q, e, k):
+    # k*p*q and k*p*p*q: the cofactor left after trial division is 1, q, q*q' or q*q
+    d = k * p ** e * q
+    s, m = _squarefree_split(d)
+    assert (s, m) == oracles.squarefree_split_to_sqrt(d)
+    assert s * s * m == d
 
 
 def test_radicand_is_factored_once(monkeypatch):

@@ -276,6 +276,7 @@ def test_bad_numbers_exit_2_with_one_line(argv):
     ("search", "--bound", "-2"),
     ("search", "--bound", "0"),
     ("search", "--max-p", "0", "--max-q", "1", "--max-r", "1", "--max-s", "1"),
+    ("count", "--legs", "0,1,2", "0,1,3", "1", "--t", "0..2"),
 ])
 def test_bad_arguments_are_usage_errors(argv):
     proc = run_cli(*argv, check=False)
@@ -386,3 +387,101 @@ def test_output_file_is_closed(tmp_path):
 
 def test_build_parser_returns_a_fresh_parser():
     assert cli.build_parser() is not cli.build_parser()
+
+
+# -- closed forms answer at any bound ---------------------------------------------------
+
+
+def test_beta_equation_at_a_huge_bound_answers_at_once():
+    proc = subprocess.run(BASE + ["check", "--criterion", "beta-equation", "--bound", str(10 ** 12)],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json_lines(proc) == [{"bound": 10 ** 12, "solutions": [[2, 4], [3, 3]]}]
+
+
+# -- argv fuzz over every subcommand ------------------------------------------------------
+
+
+def _values(valid, bad=(), count=1):
+    """count values, each a bad one about one time in five."""
+    return st.lists(st.sampled_from(4 * valid + bad), min_size=count, max_size=count)
+
+
+_INT = _values(("1", "2", "3", "5"), ("-1", "0", "x"))
+_SUM = _values(("2", "3", "5"), ("1", "0", "-1", "x"))  # alpha, beta
+_ORDER = _values(("0", "1", "2"), ("-1", "x"))
+_LEG = ("1", "1/2", "2", "3", "5/3", "0,1,2", "1,1,2", "0,1,8", "0,1,3", "-1/2,1,2")
+_BAD_LEG = ("0", "-1", "1/0", "1,2", "1,1,-2")
+_LEGS = _values(_LEG, _BAD_LEG)
+_RANGE = _values(("0", "3", "0..4", "2..6"), ("-1..2", "5..3", "-1", "x", "1.."))
+_PARAMS = _values(("1,1,1,1", "2,3,3,2", "3,1,2,3", "2,1,1,2", "3,2,1,1"),
+                  ("0,1,1,1", "2,2,1,1", "1,2,3"))
+_TRIANGLES = [[("--params", _PARAMS)], [("--alpha", _SUM), ("--beta", _SUM)],
+              [("--u", _LEGS), ("--v", _LEGS)]]
+_COMMON = [("--output", st.just(["-"])), ("--format", _values(("jsonl", "csv"), ("xml",)))]
+_FLAG = st.just([])
+
+# Per subcommand: the option sets of which a valid call needs one, and options
+# that may be added to it.  Every value is small, so that each call runs in
+# milliseconds; --jobs stays at most 1, so that no process pool starts; verify
+# meets only suite names it rejects.
+SUBCOMMANDS = {
+    "count": (
+        [shape + [("--t", _RANGE)] for shape in _TRIANGLES]
+        + [[("--legs", st.lists(st.sampled_from(4 * _LEG + _BAD_LEG), min_size=1, max_size=4)),
+            ("--t", _RANGE)],
+           [("--interval", _values(_LEG, _BAD_LEG, count=2)), ("--t", _RANGE)],
+           [("--vertices", _values(("0,0", "2,0", "0,3/2", "1,1", "-1,2", "2,2"),
+                                   ("1/0,1", "1"), count=3))],
+           [("--mw-image", _INT), ("--t", _RANGE)]],
+        _COMMON + _TRIANGLES[0] + [("--interior", _FLAG), ("--closed-form", _FLAG),
+                                   ("--t", _RANGE), ("--legs", _LEGS)]),
+    "fit": ([shape + [("--period", _INT)] for shape in _TRIANGLES],
+            _COMMON[:1] + [("--degree", _INT), ("--t-max", _values(("4", "11"), ("-1", "0")))]),
+    "period": (_TRIANGLES, _COMMON[:1] + [("--degree", _INT)]),
+    "check": (
+        [[("--criterion", st.just([kind])), *extra] for kind, extra in (
+            ("collapse", [("--params", _PARAMS)]),
+            ("pseudo-integral", [("--params", _PARAMS)]),
+            ("reciprocal", [("--p", _INT), ("--q", _INT)]),
+            ("classify", [("--alpha", _SUM), ("--beta", _SUM)]),
+            ("beta-equation", [("--bound", _values(("1", "3", str(10 ** 12)), ("-2", "0")))]),
+            ("other", []))],
+        _COMMON[:1] + [("--alpha", _INT), ("--p", _INT), ("--params", _PARAMS)]),
+    "search": ([[("--bound", _values(("1", "2"), ("0", "-1", "x")))],
+                [(f"--max-{c}", _values(("1", "2"), ("0",))) for c in "pqrs"]],
+               _COMMON + [("--jobs", _values(("1",), ("0", "-1"))), ("--max-q", _INT)]),
+    "fib": ([[("--k", _INT), ("--n", _RANGE)]], _COMMON + [("--triangle", _FLAG)]),
+    "tetra": ([[("--n", _INT)], [("--limit", _FLAG)]], _COMMON + [("--t", _RANGE), ("--n", _INT)]),
+    "guess-rec": (
+        [source + [("--max-order", _ORDER), ("--max-degree", _ORDER)] for source in
+         [[("--values", _values((",".join(str(2 ** n) for n in range(16)),
+                                  ",".join(str(n * n - 3) for n in range(16))),
+                                 ("1/0,1", "x", "")))]]
+         + [shape + [("--t-max", _values(("20", "30"), ("-1", "0")))] for shape in _TRIANGLES]],
+        _COMMON[:1]),
+    "verify": ([[("--suite", _values(("none", "ALL", "")))]], _COMMON[:1]),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    needed, extra = SUBCOMMANDS[command]
+    options = draw(st.sampled_from(needed)) + draw(st.lists(st.sampled_from(extra), max_size=2))
+    argv = [command]
+    for flag, values in draw(st.permutations(options)):
+        argv += [flag, *draw(values)]
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argvs())
+def test_argv_fuzz_exits_0_1_or_2_without_a_traceback(argv):
+    code, out, err = _run_in_process(argv)  # any exception but SystemExit fails the test
+    assert code in (0, 1, 2), (argv, code, err)
+    if code == 2:
+        assert out == "", (argv, out)
+        assert any("error:" in line for line in err.splitlines()), (argv, err)
+    else:
+        assert err == "", (argv, err)

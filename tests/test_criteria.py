@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+import oracles
 from ehrcollapse import criteria, quasipoly
 from ehrcollapse.criteria import (
     PSEUDO_INTEGRAL,
@@ -130,6 +131,22 @@ def test_classification_matches_computed_period_small():
 def test_solve_beta_equation():
     assert solve_beta_equation(100) == [(2, 4), (3, 3)]
     assert solve_beta_equation(1000) == [(2, 4), (3, 3)]
+    assert solve_beta_equation(10 ** 12) == [(2, 4), (3, 3)]
+    for bound in range(-5, 301):
+        assert solve_beta_equation(bound) == oracles.solve_beta_equation_scan(bound)
+
+
+def test_classify_matches_the_discriminant_test():
+    solutions = oracles.solve_beta_equation_scan(40)
+    for alpha in range(-3, 41):
+        for beta in range(-3, 41):
+            if not oracles.admissible_by_discriminant(alpha, beta):
+                want = criteria.NOT_ADMISSIBLE
+            elif alpha == 1 or (alpha, beta) in solutions:
+                want = PSEUDO_INTEGRAL
+            else:
+                want = criteria.PSEUDO_RATIONAL_ONLY
+            assert classify_admissible(alpha, beta) == want
 
 
 # -- soundness against computed periods (small sweep; wide sweep in acceptance) --------

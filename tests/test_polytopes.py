@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from ehrcollapse.arith import QuadNumber, quad_sqrt
 from ehrcollapse.criteria import check_collapse_criterion
 from ehrcollapse.polytopes import (
@@ -14,6 +17,7 @@ from ehrcollapse.polytopes import (
     RationalTriangle2D,
     RationalTriangleParams,
     TrianglePair,
+    is_admissible,
     iter_admissible_pairs,
     iter_lowest_term_params,
     mcallister_woods_image,
@@ -40,6 +44,24 @@ def test_admissible_rejects_small_or_square_products():
             AdmissiblePair(alpha, beta)
     with pytest.raises(ValueError):
         AdmissiblePair(0, 5)
+
+
+def test_admissibility_matches_the_discriminant_test():
+    for alpha in range(-3, 41):
+        for beta in range(-3, 41):
+            want = oracles.admissible_by_discriminant(alpha, beta)
+            assert is_admissible(alpha, beta) == want
+            if want:
+                AdmissiblePair(alpha, beta)
+            elif alpha < 1 or beta < 1:
+                with pytest.raises(ValueError, match="must be positive integers"):
+                    AdmissiblePair(alpha, beta)
+            else:
+                with pytest.raises(NotIrrationalError, match="rational leg ratio"):
+                    AdmissiblePair(alpha, beta)
+    want = [(a, b) for a in range(1, 201) for b in range(1, 200 // a + 1)
+            if oracles.admissible_by_discriminant(a, b)]
+    assert [(pair.alpha, pair.beta) for pair in iter_admissible_pairs(200)] == want
 
 
 def test_admissible_known_roots():
@@ -194,3 +216,29 @@ def test_scales_to_admissible():
     # no integer scaling of (2, 5/2) lands on integer sums
     assert not scales_to_admissible(Fraction(2), Fraction(5, 2))
     assert not scales_to_admissible(Fraction(1), Fraction(4))
+
+
+sums = st.fractions(min_value=Fraction(-2), max_value=Fraction(60), max_denominator=12)
+# (a/c, b*c/k) dilates by c to (a, b/k), which is admissible for k = 1 and a*b >= 5
+dilates = st.builds(lambda a, c, b, k: (Fraction(a, c), Fraction(b * c, k)),
+                    st.integers(-3, 40), st.integers(1, 12), st.integers(-3, 40), st.integers(1, 12))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.tuples(sums, sums), dilates))
+def test_scales_to_admissible_matches_the_scan(sum_pair):
+    assert scales_to_admissible(*sum_pair) == oracles.scales_to_admissible_scan(*sum_pair)
+
+
+admissible_legs = st.sampled_from([(pair.u, pair.v) for pair in iter_admissible_pairs(40)])
+scales = st.fractions(min_value=Fraction(1, 6), max_value=Fraction(6), max_denominator=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(admissible_legs, admissible_legs, scales, scales, st.booleans())
+def test_kind_matches_the_ratio_test(first, second, r1, r2, conjugate):
+    # legs of one pair, of two pairs, scaled and conjugated, and one leg rational
+    u, v = first[0] * r1, (second[1] if conjugate else first[1]) * r2
+    for legs in ((u, v), (v, u), (u, QuadNumber(r2)), (QuadNumber(r1), v)):
+        if all(leg > 0 for leg in legs):
+            assert TrianglePair(*legs).kind == oracles.classify_legs_by_ratio(*legs)
