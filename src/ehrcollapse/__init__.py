@@ -3,11 +3,10 @@ fitting with minimal-period detection, divisibility criteria for period
 collapse, and recurrence guessing for the resulting counting sequences."""
 
 from .arith import (
+    EhrcollapseError,
     QuadNumber,
     RadicandMismatchError,
     parse_quad,
-    quad_floor,
-    quad_sign,
     quad_sqrt,
 )
 from .counting import (

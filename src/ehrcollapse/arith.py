@@ -23,7 +23,11 @@ Triple = tuple[int, int, int]  # (A, B, C) stands for (A + B*sqrt(d)) / C
 _TRIAL_BOUND = 10 ** 6
 
 
-class RadicandMismatchError(ValueError):
+class EhrcollapseError(ValueError):
+    """Base of the errors this package raises on input it cannot handle."""
+
+
+class RadicandMismatchError(EhrcollapseError):
     """Raised when combining two irrational numbers from different fields."""
 
 
@@ -434,16 +438,6 @@ def shared_triples(xs: Sequence[QuadNumber]) -> tuple[list[Triple], int]:
     """
     d = reduce(_common_d, (x.d for x in xs), 0)
     return [x._over(d) for x in xs], d
-
-
-def quad_sign(x: QuadLike) -> int:
-    """Exact sign of x in {-1, 0, 1}."""
-    return QuadNumber.from_value(x).sign()
-
-
-def quad_floor(x: QuadLike) -> int:
-    """Exact floor of x, computed with integer square roots only."""
-    return QuadNumber.from_value(x).__floor__()
 
 
 def quad_sqrt(n: RationalLike) -> QuadNumber:

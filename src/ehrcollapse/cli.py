@@ -208,16 +208,26 @@ def _cmd_fit(args, parser, emit) -> int:
     return 0
 
 
+def _period_object(pair: TrianglePair):
+    """The rational parameters or the admissible pair of --u/--v legs."""
+    u, v = pair.u, pair.v
+    if pair.kind == "rational":
+        return RationalTriangleParams.from_fractions(u.as_fraction(), v.as_fraction())
+    if pair.kind == "admissible":
+        return AdmissiblePair(int((u + v).as_fraction()), int((1 / u + 1 / v).as_fraction()))
+    raise ValueError("period needs rational legs, or legs with integer u + v and 1/u + 1/v")
+
+
 def _cmd_period(args, parser, emit) -> int:
     obj = _triangle_object(args, parser)
+    if isinstance(obj, TrianglePair):
+        obj = _period_object(obj)
     if isinstance(obj, AdmissiblePair):
         record = {"alpha": obj.alpha, "beta": obj.beta, "guaranteed_period": obj.alpha}
         reference = obj.alpha
-    elif isinstance(obj, RationalTriangleParams):
+    else:
         record = {"params": obj.to_json_dict(), "denominator": obj.denominator}
         reference = obj.denominator
-    else:
-        parser.error("period needs --params or --alpha/--beta")
     qp, period = quasipoly.minimal_period(obj, degree=args.degree)
     record.update({
         "minimal_period": period,
@@ -489,7 +499,7 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     emit = _Emitter(opened or sys.stdout, getattr(args, "format", "jsonl")).emit
     try:
         return args.fn(args, parser, emit)
-    except (ValueError, KeyError, quasipoly.FitFailureError) as exc:
+    except ValueError as exc:  # EhrcollapseError and bad numbers alike
         parser.exit(2, f"error: {exc}\n")
     finally:
         if opened is not None and opened is not sys.stdout:  # FileType maps '-' to stdout

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import floor, gcd, lcm
 from typing import Iterable, Union
 
-from .arith import Expansion, QuadNumber, Triple, floor_surd, triple_in_field
+from .arith import Expansion, QuadNumber, Triple, floor_surd, shared_triples, triple_in_field
 from .polytopes import (
     AdmissiblePair,
     AxisSimplex,
@@ -158,28 +158,24 @@ def count_triangle_interior(obj: TriangleLike, t: int) -> int:
 def count_axis_simplex(simplex: AxisSimplex, t: int) -> int:
     """Number of integer points x >= 0 with sum(x_i / L_i) <= t.
 
-    The leading legs are walked one point at a time; the last two are one
-    triangle count at the remaining right-hand side, whatever it is.
+    The count is symmetric in the legs, so all but the two largest are
+    walked, smallest first, one point at a time: each point x_i of leg L_i
+    leaves the right-hand side rem - x_i/L_i for the legs after it.  The two
+    largest legs are the final triangle, counted once below every
+    right-hand side that the walk leaves.
     """
     if t < 0:
         raise ValueError("dilation factor must be >= 0")
     legs, rem = simplex.legs, QuadNumber.from_value(t)
     if len(legs) == 1:
         return floor(rem * legs[0]) + 1
-    return _simplex_count(legs[:-2], simplex.final_triangle, rem)
-
-
-def _simplex_count(legs: tuple[QuadNumber, ...], pair: TrianglePair, rem: QuadNumber) -> int:
-    if rem.sign() < 0:
-        return 0
-    if not legs:
-        t, d = triple_in_field(rem, pair.slopes[1])
-        return _count_below(pair, (t,), d)[0]
-    first = legs[0]
-    total = 0
-    for x in range(floor(rem * first) + 1):
-        total += _simplex_count(legs[1:], pair, rem - x / first)
-    return total
+    rems = [rem]
+    for leg in sorted(legs)[:-2]:
+        step = 1 / leg
+        rems = [r - x * step for r in rems for x in range(floor(r * leg) + 1)]
+    pair = simplex.final_triangle
+    d = pair.slopes[1] or shared_triples(legs)[1]  # a rational pair counts below any field
+    return sum(_count_below(pair, [triple_in_field(r, d)[0] for r in rems], d))
 
 
 def count_interval(interval: Interval, t: int) -> int:

@@ -20,11 +20,11 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Optional
 
-from .arith import (Expansion, QuadLike, QuadNumber, RadicandMismatchError, Triple, reduced_triple,
-                    shared_triples)
+from .arith import (EhrcollapseError, Expansion, QuadNumber, RadicandMismatchError, Triple,
+                    reduced_triple, shared_triples)
 
 
-class NotIrrationalError(ValueError):
+class NotIrrationalError(EhrcollapseError):
     """Raised when (alpha, beta) fails to produce an irrational leg ratio."""
 
 
@@ -183,9 +183,6 @@ class RationalTriangleParams:
     def _triangle(self) -> TrianglePair:
         return TrianglePair(QuadNumber.from_value(self.u), QuadNumber.from_value(self.v))
 
-    def transpose(self) -> "RationalTriangleParams":
-        return RationalTriangleParams(self.r, self.s, self.p, self.q)
-
     def to_json_dict(self) -> dict[str, int]:
         return {"p": self.p, "q": self.q, "r": self.r, "s": self.s}
 
@@ -212,9 +209,10 @@ class AxisSimplex:
 
     @cached_property
     def final_triangle(self) -> TrianglePair:
-        """The triangle of the last two legs L, M (needs dim >= 2): u = 1/L and
-        v = 1/M, so theta = M/L, 1/u = L and 1/v = M."""
-        return TrianglePair(1 / self.legs[-2], 1 / self.legs[-1])
+        """The triangle of the two largest legs L <= M (needs dim >= 2): u = 1/L
+        and v = 1/M, so theta = M/L, 1/u = L and 1/v = M."""
+        *_, big, bigger = sorted(self.legs)
+        return TrianglePair(1 / big, 1 / bigger)
 
     def to_json_dict(self) -> dict:
         return {"legs": [leg.to_json_dict() for leg in self.legs]}

@@ -14,12 +14,13 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence, Union
 
+from .arith import EhrcollapseError
 from .linalg import nullspace_vector, rank_mod_p
 
 Value = Union[int, Fraction]
 
 
-class InsufficientDataError(ValueError):
+class InsufficientDataError(EhrcollapseError):
     """Raised when too few values are given for the requested search bounds."""
 
 

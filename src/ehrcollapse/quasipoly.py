@@ -34,17 +34,21 @@ from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from . import counting
+from .arith import EhrcollapseError
 from .polytopes import AdmissiblePair, RationalTriangleParams
 
 HELD_OUT_PER_RESIDUE = 3  # values per residue class past the k + 1 a fit reads
+# The certificate holds every count it reads, about 120 bytes per count at
+# large P; a period that needs more counts than this is refused before any.
+MAX_CERTIFICATE_COUNTS = 10 ** 7
 
 
-class InsufficientSamplesError(ValueError):
+class InsufficientSamplesError(EhrcollapseError):
     """Raised when some residue class has fewer than degree+1 samples at
     distinct t."""
 
 
-class FitFailureError(RuntimeError):
+class FitFailureError(EhrcollapseError):
     """Raised when a fit that is guaranteed to exist does not verify."""
 
 
@@ -73,13 +77,6 @@ class Quasipolynomial:
         for c in reversed(self.coeffs[t % self.period]):
             acc = acc * t + c
         return acc
-
-    def reduce(self) -> "Quasipolynomial":
-        """Equivalent quasipolynomial at the least period dividing this one."""
-        for cand in _divisors(self.period):
-            if all(self.coeffs[z] == self.coeffs[z % cand] for z in range(self.period)):
-                return Quasipolynomial(cand, self.degree, self.coeffs[:cand])
-        return self  # unreachable: cand == period always matches
 
     def to_json_dict(self) -> dict:
         return {
@@ -185,6 +182,14 @@ def fit_quasipolynomial(
     return Quasipolynomial(period, degree, table)
 
 
+def _check_size(counts: int, guaranteed: int) -> None:
+    if counts > MAX_CERTIFICATE_COUNTS:
+        raise EhrcollapseError(
+            f"the certificate at guaranteed period {guaranteed} needs at least {counts} counts,"
+            f" more than the limit of {MAX_CERTIFICATE_COUNTS}"
+        )
+
+
 def _certify(
     obj: Union[RationalTriangleParams, AdmissiblePair], degree: int
 ) -> tuple[list[int], int]:
@@ -197,13 +202,16 @@ def _certify(
         raise TypeError(f"unsupported type {type(obj).__name__}")
     if degree < 0:
         raise ValueError("need degree >= 0")
-    order, divisors = degree + 1, _divisors(guaranteed)
+    order = degree + 1
     window = order * guaranteed
     held_out = (order + HELD_OUT_PER_RESIDUE) * guaranteed
+    _check_size(held_out, guaranteed)  # before the O(P) divisor scan
+    divisors = _divisors(guaranteed)
     # the certificate at the largest proper divisor d reads t < (k+1)(P + d),
     # which at a high degree lies past the held-out range
-    needed = window + order * divisors[-2] if len(divisors) > 1 else 0
-    values = counting.count_triangle_many(obj, range(max(held_out, needed)))
+    needed = max(held_out, window + order * divisors[-2] if len(divisors) > 1 else 0)
+    _check_size(needed, guaranteed)
+    values = counting.count_triangle_many(obj, range(needed))
     if any(_differences(values[:held_out], guaranteed, order)):
         raise FitFailureError(
             f"no verified degree-{degree} fit at guaranteed period {guaranteed}"
@@ -227,7 +235,8 @@ def certified_period(
     the first k+1 values of each residue class passes on the next h values of
     that class; FitFailureError otherwise.
     The minimal period is the least divisor d of P with Delta_d^(k+1) I = 0 at
-    t in [0, (k+1) P).
+    t in [0, (k+1) P).  Raises EhrcollapseError, before counting, when the
+    certificates would read more than MAX_CERTIFICATE_COUNTS counts.
     """
     return _certify(obj, degree)[1]
 

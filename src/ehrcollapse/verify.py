@@ -15,7 +15,7 @@ from math import gcd
 from typing import Callable, Optional
 
 from . import counting, criteria, precursive, quasipoly, sequences
-from .arith import QuadNumber
+from .arith import EhrcollapseError, QuadNumber
 from .polytopes import (
     AdmissiblePair,
     AxisSimplex,
@@ -537,7 +537,7 @@ def run_suite(name: str) -> list[CheckResult]:
     elif name in _SUITE_CHECKS:
         names = [name]
     else:
-        raise KeyError(f"unknown suite {name!r}; choose from {SUITES}")
+        raise EhrcollapseError(f"unknown suite {name!r}; choose from {SUITES}")
     results = []
     for suite in names:
         for check_name, fn in _SUITE_CHECKS[suite]:

@@ -16,8 +16,6 @@ from ehrcollapse.arith import (
     RadicandMismatchError,
     _squarefree_split,
     parse_quad,
-    quad_floor,
-    quad_sign,
     quad_sqrt,
 )
 
@@ -186,13 +184,13 @@ def test_division_by_zero():
 
 def test_known_signs_and_floors():
     r2 = quad_sqrt(2)
-    assert quad_sign(r2 - 1) == 1 and quad_sign(r2 - 2) == -1
-    assert quad_floor(r2) == 1
-    assert quad_floor(-r2) == -2
+    assert (r2 - 1).sign() == 1 and (r2 - 2).sign() == -1
+    assert floor(r2) == 1
+    assert floor(-r2) == -2
     golden_root = QuadNumber(Fraction(3, 2), Fraction(1, 2), 5)  # (3+sqrt 5)/2
-    assert quad_floor(golden_root) == 2
-    assert quad_floor(QuadNumber(Fraction(7))) == 7
-    assert quad_floor(QuadNumber(Fraction(-7, 2))) == -4
+    assert floor(golden_root) == 2
+    assert floor(QuadNumber(Fraction(7))) == 7
+    assert floor(QuadNumber(Fraction(-7, 2))) == -4
 
 
 @given(quads())
@@ -302,4 +300,4 @@ def test_isqrt_agreement_on_large_values():
     # the floor path must stay exact far beyond float precision
     big = 10 ** 18
     x = QuadNumber(Fraction(0), Fraction(big), 2)
-    assert quad_floor(x) == isqrt(2 * big * big)
+    assert floor(x) == isqrt(2 * big * big)

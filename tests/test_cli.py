@@ -5,8 +5,10 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -74,6 +76,24 @@ def test_count_simplex_interval_and_vertices():
     assert records == [{"p": 2, "t": 2, "count": 6}]
 
 
+def test_simplex_with_a_huge_leg_counts_at_once_in_every_leg_order():
+    counts = set()
+    for legs in permutations(("0,1,100000000000000003", "1/2", "2")):
+        start = time.perf_counter()
+        proc = subprocess.run(BASE + ["count", "--legs", *legs, "--t", "3"],
+                              capture_output=True, text=True, timeout=30)
+        assert time.perf_counter() - start < 0.5, legs
+        assert proc.returncode == 0, proc.stderr
+        counts.add(proc.stdout)
+    assert len(counts) == 1
+
+
+def test_simplex_with_a_thousand_legs_counts_without_recursion():
+    proc = run_cli("count", "--legs", *["1"] * 1100, "--t", "0")
+    assert json_lines(proc) == [{"t": 0, "count": 1}]
+    assert proc.stderr == ""
+
+
 def test_count_requires_exactly_one_polytope():
     proc = run_cli("count", "--params", "1,1,1,1", "--legs", "1", "--t", "1",
                    check=False)
@@ -118,8 +138,31 @@ def test_period_without_a_verified_fit_is_usage_error():
 def test_period_on_quadratic_legs_is_usage_error():
     proc = run_cli("period", "--u", "1", "--v", "1,1,2", check=False)
     assert proc.returncode == 2
-    assert "period needs --params or --alpha/--beta" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ("error: period needs rational legs, or legs with integer u + v"
+                           " and 1/u + 1/v\n")
+
+
+@pytest.mark.parametrize("legs, same", [
+    (("--u", "3/2", "--v", "2/3"), ("--params", "2,3,3,2")),
+    (("--u", "5", "--v", "7/4"), ("--params", "1,5,4,7")),
+    (("--u", "3/2,1/2,5", "--v", "3/2,-1/2,5"), ("--alpha", "3", "--beta", "3")),
+    (("--u", "7/2,-1/10,1085", "--v", "7/2,1/10,1085"), ("--alpha", "7", "--beta", "5")),
+])
+def test_period_on_rational_or_admissible_legs_prints_what_the_other_forms_print(legs, same):
+    assert run_cli("period", *legs).stdout == run_cli("period", *same).stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("period", "--params", "1,100000000,1,1"),
+    ("period", "--alpha", "3", "--beta", "3", "--degree", "100000000"),
+])
+def test_period_that_needs_too_many_counts_is_refused_at_once(argv):
+    start = time.perf_counter()
+    proc = run_cli(*argv, check=False)
+    assert time.perf_counter() - start < 0.5
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
 
 
 # -- check ------------------------------------------------------------------------
@@ -235,6 +278,19 @@ def test_verify_suite_passes():
 def test_unknown_suite_is_usage_error():
     proc = run_cli("verify", "--suite", "nope", check=False)
     assert proc.returncode == 2
+
+
+def test_every_error_of_the_package_shares_one_value_error_base():
+    import ehrcollapse
+    from ehrcollapse import verify
+
+    for cls in (ehrcollapse.RadicandMismatchError, ehrcollapse.NotIrrationalError,
+                ehrcollapse.InsufficientDataError, ehrcollapse.InsufficientSamplesError,
+                ehrcollapse.FitFailureError):
+        assert issubclass(cls, ehrcollapse.EhrcollapseError)
+    assert issubclass(ehrcollapse.EhrcollapseError, ValueError)
+    with pytest.raises(ehrcollapse.EhrcollapseError, match="unknown suite"):
+        verify.run_suite("nope")
 
 
 def test_missing_subcommand_is_usage_error():
@@ -408,6 +464,7 @@ def _values(valid, bad=(), count=1):
 
 
 _INT = _values(("1", "2", "3", "5"), ("-1", "0", "x"))
+_DEGREE = _values(("1", "2", "3", "5", "100000000"), ("-1", "0", "x"))  # 10**8: too many counts
 _SUM = _values(("2", "3", "5"), ("1", "0", "-1", "x"))  # alpha, beta
 _ORDER = _values(("0", "1", "2"), ("-1", "x"))
 _LEG = ("1", "1/2", "2", "3", "5/3", "0,1,2", "1,1,2", "0,1,8", "0,1,3", "-1/2,1,2")
@@ -418,6 +475,7 @@ _PARAMS = _values(("1,1,1,1", "2,3,3,2", "3,1,2,3", "2,1,1,2", "3,2,1,1"),
                   ("0,1,1,1", "2,2,1,1", "1,2,3"))
 _TRIANGLES = [[("--params", _PARAMS)], [("--alpha", _SUM), ("--beta", _SUM)],
               [("--u", _LEGS), ("--v", _LEGS)]]
+_GOLDEN_LEGS = [("--u", st.just(["3/2,1/2,5"])), ("--v", st.just(["3/2,-1/2,5"]))]  # (3, 3)
 _COMMON = [("--output", st.just(["-"])), ("--format", _values(("jsonl", "csv"), ("xml",)))]
 _FLAG = st.just([])
 
@@ -438,7 +496,7 @@ SUBCOMMANDS = {
                                    ("--t", _RANGE), ("--legs", _LEGS)]),
     "fit": ([shape + [("--period", _INT)] for shape in _TRIANGLES],
             _COMMON[:1] + [("--degree", _INT), ("--t-max", _values(("4", "11"), ("-1", "0")))]),
-    "period": (_TRIANGLES, _COMMON[:1] + [("--degree", _INT)]),
+    "period": (_TRIANGLES + [_GOLDEN_LEGS], _COMMON[:1] + [("--degree", _DEGREE)]),
     "check": (
         [[("--criterion", st.just([kind])), *extra] for kind, extra in (
             ("collapse", [("--params", _PARAMS)]),

@@ -320,3 +320,17 @@ def test_simplex_counts_share_the_expansion_in_every_leg_order(data, d, dim):
         ts = data.draw(st.permutations(range(7)))
         assert [counting.count_axis_simplex(simplex, t) for t in ts] == [want[t] for t in ts]
         assert simplex.final_triangle.expansion is cf and cf.steps
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data(), radicands, st.integers(3, 4))
+def test_simplex_counts_match_the_oracle_in_every_leg_order(data, d, dim):
+    """3-D and 4-D legs from one field: the walk takes the smallest legs, in
+    whatever order they are given, and every order counts alike."""
+    legs = [data.draw(quad_leg(d)) for _ in range(dim)]
+    dd = max(leg.d for leg in legs)
+    t_max = 6 if dim == 3 else 4
+    want = oracles.count_simplex_quad_range([_triple(1 / leg) for leg in legs], dd, t_max)
+    for perm in permutations(legs):
+        simplex = AxisSimplex(perm)
+        assert [counting.count_axis_simplex(simplex, t) for t in range(t_max + 1)] == want

@@ -131,10 +131,8 @@ def test_params_from_fractions_reduces():
     assert (params.p, params.q, params.r, params.s) == (2, 3, 3, 2)
 
 
-def test_params_transpose_and_triangle():
+def test_params_triangle():
     params = RationalTriangleParams(2, 3, 5, 4)
-    flipped = params.transpose()
-    assert (flipped.p, flipped.q, flipped.r, flipped.s) == (5, 4, 2, 3)
     assert params.triangle().kind == "rational"
 
 

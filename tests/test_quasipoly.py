@@ -16,7 +16,7 @@ from ehrcollapse.polytopes import (
     iter_admissible_pairs,
     iter_lowest_term_params,
 )
-from ehrcollapse.arith import QuadNumber, quad_sqrt
+from ehrcollapse.arith import EhrcollapseError, QuadNumber, quad_sqrt
 from ehrcollapse.quasipoly import (
     InsufficientSamplesError,
     Quasipolynomial,
@@ -47,7 +47,6 @@ def test_fit_golden_counts_collapses():
     assert qp is not None
     assert all(row == (Fraction(1), Fraction(3, 2), Fraction(1, 2))
                for row in qp.coeffs)
-    assert qp.reduce().period == 1
 
 
 def test_fit_rejects_non_quasipolynomial_counts():
@@ -94,7 +93,6 @@ def test_fit_at_a_multiple_of_the_true_period():
     fitted = fit_quasipolynomial(samples, 6, 1)
     assert fitted is not None and fitted.period == 6
     assert fitted.coeffs == qp.coeffs * 3
-    assert fitted.reduce() == qp
 
 
 def test_fit_then_verify_at_denominator_period():
@@ -267,12 +265,17 @@ def test_quasipolynomial_validation_and_json():
     assert again == qp
 
 
-def test_reduce_idempotent():
-    qp = Quasipolynomial(4, 0, ((Fraction(1),), (Fraction(2),),
-                                (Fraction(1),), (Fraction(2),)))
-    reduced = qp.reduce()
-    assert reduced.period == 2
-    assert reduced.reduce() == reduced
+def test_certificate_limit_admits_the_largest_scheduled_period():
+    # period --params 1,1000,1,999: P = 999000 reads (k + 1 + 3) P counts at k = 2
+    assert quasipoly.MAX_CERTIFICATE_COUNTS >= 5_994_000
+
+
+def test_certificate_past_the_limit_is_refused_before_counting():
+    with pytest.raises(EhrcollapseError, match="needs at least 600000000 counts"):
+        certified_period(RationalTriangleParams(1, 10 ** 8, 1, 1))
+    # (k + 1)(P + 1) counts at P = 3, past the (k + 4) P of the held-out check
+    with pytest.raises(EhrcollapseError, match="needs at least 12000004 counts"):
+        certified_period(AdmissiblePair(3, 3), degree=3 * 10 ** 6)
 
 
 @st.composite
@@ -295,7 +298,7 @@ def test_fit_recovers_sampled_quasipolynomial(qp):
     fitted = fit_quasipolynomial(samples, qp.period, qp.degree)
     assert fitted is not None
     assert all(fitted.evaluate(t) == value for t, value in samples)
-    assert fitted.reduce() == qp.reduce()
+    assert fitted == qp
 
 
 # -- series numerator and reciprocity -------------------------------------------------
