@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import counting, criteria, precursive, quasipoly, sequences
-from .arith import QuadNumber, parse_fraction, parse_quad
+from .arith import EhrcollapseError, QuadNumber, parse_fraction, parse_quad
 from .polytopes import (
     AdmissiblePair,
     AxisSimplex,
@@ -195,6 +195,11 @@ def _cmd_count(args, parser, emit) -> int:
 def _cmd_fit(args, parser, emit) -> int:
     obj = _triangle_object(args, parser)
     t_max = args.t_max if args.t_max is not None else (args.degree + 4) * args.period - 1
+    if t_max + 1 > quasipoly.MAX_CERTIFICATE_COUNTS:  # the fit holds every sample
+        raise EhrcollapseError(
+            f"a fit through t_max {t_max} needs {t_max + 1} counts,"
+            f" more than the limit of {quasipoly.MAX_CERTIFICATE_COUNTS}"
+        )
     ts = range(t_max + 1)
     counts = counting.count_triangle_many(obj, ts)
     fit = quasipoly.fit_quasipolynomial(zip(ts, counts), args.period, args.degree)

@@ -160,8 +160,9 @@ def count_axis_simplex(simplex: AxisSimplex, t: int) -> int:
 
     The count is symmetric in the legs, so all but the two largest are
     walked, smallest first, one point at a time: each point x_i of leg L_i
-    leaves the right-hand side rem - x_i/L_i for the legs after it.  The two
-    largest legs are the final triangle, counted once below every
+    leaves the right-hand side rem - x_i/L_i for the legs after it, and equal
+    right-hand sides are kept once, with the number of ways they arise.  The
+    two largest legs are the final triangle, counted once below every
     right-hand side that the walk leaves.
     """
     if t < 0:
@@ -169,13 +170,18 @@ def count_axis_simplex(simplex: AxisSimplex, t: int) -> int:
     legs, rem = simplex.legs, QuadNumber.from_value(t)
     if len(legs) == 1:
         return floor(rem * legs[0]) + 1
-    rems = [rem]
+    rems = {rem: 1}
     for leg in sorted(legs)[:-2]:
-        step = 1 / leg
-        rems = [r - x * step for r in rems for x in range(floor(r * leg) + 1)]
+        step, walked = 1 / leg, {}
+        for r, ways in rems.items():
+            for x in range(floor(r * leg) + 1):
+                key = r - x * step
+                walked[key] = walked.get(key, 0) + ways
+        rems = walked
     pair = simplex.final_triangle
     d = pair.slopes[1] or shared_triples(legs)[1]  # a rational pair counts below any field
-    return sum(_count_below(pair, [triple_in_field(r, d)[0] for r in rems], d))
+    counts = _count_below(pair, [triple_in_field(r, d)[0] for r in rems], d)
+    return sum(ways * n for ways, n in zip(rems.values(), counts))
 
 
 def count_interval(interval: Interval, t: int) -> int:

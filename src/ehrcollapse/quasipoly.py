@@ -8,18 +8,26 @@ The difference certificate: write Delta_d I(t) = I(t+d) - I(t).  A sequence
 is a quasipolynomial of period d and degree <= k on t >= 0 exactly when
 Delta_d^(k+1) I vanishes there, since then every residue class mod d is a
 sequence whose (k+1)-th difference is zero, i.e. a polynomial of degree <= k.
-If I is known to be a quasipolynomial of period P and degree <= k, then so is
-Delta_d^(k+1) I for every d, and it vanishes everywhere as soon as it
-vanishes at k+1 points of every residue class mod P, i.e. on t in [0, (k+1)P).
 
-certified_period uses that twice.  It first checks Delta_P^(k+1) I = 0 on
-held-out t at the guaranteed period P, which is the same test as fitting each
-constituent through its first k+1 samples and verifying the rest.  It then
-returns the least divisor d of P whose difference vanishes on [0, (k+1)P);
-McAllister and Woods (J. Combin. Theory A 109, 2005) discuss why d can be
-smaller than the denominator.  minimal_period also builds the coefficients,
-once, at d, by Newton interpolation with integer numerators over one common
-denominator.
+The window (Stanley, EC1 section 4.4): for rational legs u = q/p, v = s/r,
+the translate identity I(t) = I(t-q) + I(t-s) - I(t-q-s) + p*r for t >= q+s
+of counting.count_triangle_many, differenced once, makes
+C(z) = (1-z)(1-z^q)(1-z^s) annihilate I from t = deg C on.  For an
+admissible pair, I(t) = I(t-alpha) + beta*t for t >= alpha (the points with
+x, y >= 1 are a translate, the axes hold beta*t) gives
+C(z) = (1-z)^2 (1-z^alpha).  Delta_d^(k+1) I is a sum of forward shifts of I,
+so it obeys the same recurrence from t = w = deg C on: it vanishes for all
+t >= 0 once it vanishes on [0, w).  No root of C has multiplicity above 3,
+so a sequence that obeys the recurrence is a quasipolynomial of degree <= 2,
+and past k = 2 the third difference decides what the (k+1)-th would.
+
+certified_period counts t < w + (k+1)P for the guaranteed period P, checks
+the run against its identity and Delta_P^(k+1) I on [0, w), then divides P
+by one prime at a time while Delta_d^(k+1) I still vanishes on [0, w): the
+periods are the multiples of the least one (McAllister and Woods, J.
+Combin. Theory A 109, 2005, on why it can be below the denominator).
+minimal_period also builds the coefficients, once, at that period, by Newton
+interpolation with integer numerators over one common denominator.
 
 fit_quasipolynomial interpolates each constituent through its first degree+1
 samples with the same Newton helper, then demands that every remaining sample
@@ -30,15 +38,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import islice
+from math import comb, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 from . import counting
 from .arith import EhrcollapseError
 from .polytopes import AdmissiblePair, RationalTriangleParams
 
-HELD_OUT_PER_RESIDUE = 3  # values per residue class past the k + 1 a fit reads
-# The certificate holds every count it reads, about 120 bytes per count at
+# The certificate holds every count it reads, about 56 bytes per count at
 # large P; a period that needs more counts than this is refused before any.
 MAX_CERTIFICATE_COUNTS = 10 ** 7
 
@@ -96,15 +105,15 @@ class Quasipolynomial:
         )
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _differences(values: Sequence[int], step: int, order: int) -> list[int]:
-    """Delta_step^order of values at t = 0 .. len(values) - order*step - 1."""
-    for _ in range(order):
-        values = [b - a for a, b in zip(values, values[step:])]
-    return values
+def _prime_factors(n: int) -> list[int]:
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
 
 
 def _newton(
@@ -195,48 +204,58 @@ def _certify(
 ) -> tuple[list[int], int]:
     """The counts read by the certificates, and the certified minimal period."""
     if isinstance(obj, AdmissiblePair):
-        guaranteed = obj.alpha
+        guaranteed, width = obj.alpha, obj.alpha + 2
     elif isinstance(obj, RationalTriangleParams):
-        guaranteed = obj.denominator
+        guaranteed, width = obj.denominator, obj.q + obj.s + 1
     else:
         raise TypeError(f"unsupported type {type(obj).__name__}")
     if degree < 0:
         raise ValueError("need degree >= 0")
     order = degree + 1
-    window = order * guaranteed
-    held_out = (order + HELD_OUT_PER_RESIDUE) * guaranteed
-    _check_size(held_out, guaranteed)  # before the O(P) divisor scan
-    divisors = _divisors(guaranteed)
-    # the certificate at the largest proper divisor d reads t < (k+1)(P + d),
-    # which at a high degree lies past the held-out range
-    needed = max(held_out, window + order * divisors[-2] if len(divisors) > 1 else 0)
-    _check_size(needed, guaranteed)
-    values = counting.count_triangle_many(obj, range(needed))
-    if any(_differences(values[:held_out], guaranteed, order)):
-        raise FitFailureError(
-            f"no verified degree-{degree} fit at guaranteed period {guaranteed}"
-        )
-    period = next(
-        d for d in divisors
-        if d == guaranteed or not any(_differences(values[:window + order * d], d, order))
-    )
+    n = width + order * guaranteed
+    _check_size(n, guaranteed)
+    values = counting.count_triangle_many(obj, range(n))
+    if isinstance(obj, AdmissiblePair):  # every count is a floor sum
+        alpha, beta = obj.alpha, obj.beta
+        held = all(y - x == beta * t for t, y, x
+                   in zip(range(alpha, n), islice(values, alpha, None), values))
+    else:
+        # the identity extends the run past q + s; one floor sum checks that
+        q, s, box = obj.q, obj.s, obj.p * obj.r
+        shifted = zip(islice(values, q + s, None), islice(values, q, None),
+                      islice(values, s, None), values)
+        held = (all(y - a - b + c == box for y, a, b, c in shifted)
+                and counting.count_triangle(obj, n - 1) == values[-1])
+    if not held:
+        raise FitFailureError(f"the counts of {obj} break its translate identity")
+    m = min(order, 3)  # binomials of order k + 1 would take O(k^2) bits
+    signed = [(-1) ** (m - i) * comb(m, i) for i in range(m + 1)]
+
+    def vanishes(d: int) -> bool:  # Delta_d^m I on [0, width)
+        return not any(sum(map(mul, signed, values[t:t + m * d + 1:d])) for t in range(width))
+
+    if not vanishes(guaranteed):
+        raise FitFailureError(f"no verified degree-{degree} fit at guaranteed period {guaranteed}")
+    period = guaranteed
+    for p in _prime_factors(guaranteed):
+        while period % p == 0 and vanishes(period // p):
+            period //= p
     return values, period
 
 
 def certified_period(
     obj: Union[RationalTriangleParams, AdmissiblePair], degree: int = 2
 ) -> int:
-    """Certify the guaranteed period, then return its least divisor that passes.
+    """Certify the guaranteed period, then descend to the least period.
 
-    The guaranteed period P is the vertex denominator lcm(q, s) for rational
-    parameters and alpha for an admissible pair.  With k = degree and
-    h = HELD_OUT_PER_RESIDUE, the counts on t in [0, (k + 1 + h) P) must
-    satisfy Delta_P^(k+1) I = 0 at t in [0, h P): the test a fit at P through
-    the first k+1 values of each residue class passes on the next h values of
-    that class; FitFailureError otherwise.
-    The minimal period is the least divisor d of P with Delta_d^(k+1) I = 0 at
-    t in [0, (k+1) P).  Raises EhrcollapseError, before counting, when the
-    certificates would read more than MAX_CERTIFICATE_COUNTS counts.
+    The guaranteed period P is lcm(q, s) for rational parameters and alpha
+    for an admissible pair; the counts obey a recurrence of degree
+    w = q + s + 1 or alpha + 2.  With k = degree, the counts on t in
+    [0, w + (k+1)P) must obey their translate identity and Delta_P^(k+1) I = 0
+    at t in [0, w); FitFailureError otherwise.  P then loses one prime at a
+    time while Delta_d^(k+1) I = 0 at t in [0, w) still holds.  Raises
+    EhrcollapseError, before counting, when the certificate would read more
+    than MAX_CERTIFICATE_COUNTS counts.
     """
     return _certify(obj, degree)[1]
 

@@ -338,3 +338,35 @@ def squarefree_split_to_sqrt(d: int, bound: int = 10 ** 6) -> tuple[int, int]:
     if r * r == d:
         return s * r, m
     return s, m * d
+
+
+# -- the period certificate that the translate-identity window replaced ---------------
+
+
+def divisor_scan_counts_needed(guaranteed: int, degree: int) -> int:
+    """How many counts, t = 0, 1, ..., period_by_divisor_scan reads."""
+    order = degree + 1
+    largest = max((d for d in range(1, guaranteed) if guaranteed % d == 0), default=0)
+    return max((order + 3) * guaranteed, order * (guaranteed + largest))
+
+
+def _differences(values: Sequence[int], step: int, order: int) -> list[int]:
+    for _ in range(order):
+        values = [b - a for a, b in zip(values, values[step:])]
+    return values
+
+
+def period_by_divisor_scan(counts: Sequence[int], guaranteed: int,
+                           degree: int) -> "int | None":
+    """The minimal period of counts that form a quasipolynomial of period P =
+    guaranteed and degree <= 2, with k = degree: None unless Delta_P^(k+1)
+    vanishes on [0, 3P), the test a fit through k + 1 values of each residue
+    class passes on 3 more; else the least divisor d of P whose Delta_d^(k+1)
+    vanishes on [0, (k+1)P), trying every divisor from 1 up."""
+    order = degree + 1
+    assert len(counts) >= divisor_scan_counts_needed(guaranteed, degree)
+    if any(_differences(counts[:(order + 3) * guaranteed], guaranteed, order)):
+        return None
+    window = order * guaranteed
+    return next(d for d in range(1, guaranteed + 1) if guaranteed % d == 0
+                and not any(_differences(counts[:window + order * d], d, order)))

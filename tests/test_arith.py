@@ -1,6 +1,7 @@
 """Exact quadratic arithmetic: canonical forms, order, floor, serialization."""
 
 import pickle
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import floor, inf, isqrt, nextafter
@@ -109,6 +110,16 @@ def test_equal_values_hash_equal(x):
         wide = arith._new(a * p, b, c * p, p * p * x.d)
         assert wide.d == p * p * x.d
         assert wide == x and hash(wide) == hash(x)
+
+
+def test_hash_with_a_denominator_that_is_a_multiple_of_the_hash_modulus():
+    # hashes are taken modulo this prime without a gcd, except in this case
+    m = sys.hash_info.modulus
+    x = QuadNumber(Fraction(3, 7), Fraction(-2, 5), 11)
+    a, b, c = x.triple
+    wide = arith._new(a * m, b, c * m, m * m * x.d)
+    assert wide == x and hash(wide) == hash(x)
+    assert hash(QuadNumber(Fraction(5, m))) == hash(Fraction(5, m))
 
 
 def test_square_factor_past_the_trial_bound_is_kept():

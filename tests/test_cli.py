@@ -165,6 +165,21 @@ def test_period_that_needs_too_many_counts_is_refused_at_once(argv):
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
 
 
+@pytest.mark.parametrize("argv, needs", [
+    (("fit", "--alpha", "3", "--beta", "3", "--period", "10000000"), 60_000_000),
+    (("fit", "--params", "2,3,3,2", "--period", "6", "--t-max", "10000000"), 10_000_001),
+])
+def test_fit_that_needs_too_many_counts_is_refused_before_counting(argv, needs):
+    # counting that many samples would take minutes
+    start = time.perf_counter()
+    proc = run_cli(*argv, check=False)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: a fit through t_max {needs - 1} needs {needs} counts,"
+                           " more than the limit of 10000000\n")
+
+
 # -- check ------------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Lattice-point counters vs independent oracles and frozen known values."""
 
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -194,6 +195,14 @@ def test_simplex_slices_sum_to_triangle():
         sliced = sum(counting.count_axis_simplex(tail, t - 2 * x)
                      for x in range(t // 2 + 1))
         assert direct == sliced
+
+
+def test_simplex_with_many_equal_legs_merges_right_hand_sides():
+    # 200 legs of 1 at t = 2 leave three distinct right-hand sides, each
+    # counted once: C(202, 2) points, in well under a second
+    start = time.perf_counter()
+    assert counting.count_axis_simplex(AxisSimplex((QuadNumber(1),) * 200), 2) == 20301
+    assert time.perf_counter() - start < 1
 
 
 coords = st.fractions(-12, 12, max_denominator=6)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehrcollapse import counting, quasipoly
+from ehrcollapse import counting, quasipoly, sequences
 from ehrcollapse.polytopes import (
     AdmissiblePair,
     RationalTriangleParams,
@@ -163,8 +163,8 @@ def test_certified_period_is_the_minimal_period():
 
 
 def test_minimal_period_at_high_degree_counts_the_whole_certificate(monkeypatch):
-    # at degree k the certificate at the divisor d = 3 of P = 6 reads
-    # t < (k+1)(P+d) = 81, past the (k+1+3)P = 72 held-out counts
+    # u = 3/2 and v = 2/3 obey a recurrence of degree w = 3 + 2 + 1 = 6, so at
+    # degree k the run is t < w + (k+1)P = 60, and one floor sum checks its last t
     params = RationalTriangleParams(2, 3, 3, 2)
     lengths = []
     real = counting.count_triangle_many
@@ -176,21 +176,78 @@ def test_minimal_period_at_high_degree_counts_the_whole_certificate(monkeypatch)
 
     monkeypatch.setattr(counting, "count_triangle_many", spy)
     qp, period = minimal_period(params, degree=8)
-    assert period == 3 and lengths == [81]
+    assert period == 3 and lengths == [60, 1]
     low, _ = minimal_period(params)
     assert qp.coeffs == tuple(row + (Fraction(0),) * 6 for row in low.coeffs)
 
 
 def test_minimal_period_certificate_spans_k_plus_1_periods(monkeypatch):
-    # a period-6 quadratic quasipolynomial that is zero for t < 17: a
-    # certificate window of one period reads only zeros, so takes it for period 1
+    # a period-6 quadratic quasipolynomial that is zero for t < 17: its
+    # differences vanish on the window [0, 8) of (1, 6, 1, 1) at every d, but
+    # it breaks the translate identity L(t) = L(t-6) + L(t-1) - L(t-7) + 1
     def counts(obj, ts):
         return [(t - 5) * (t - 11) if t % 6 == 5 else 0 for t in ts]
 
     monkeypatch.setattr(counting, "count_triangle_many", counts)
-    qp, period = minimal_period(RationalTriangleParams(1, 6, 1, 1))
-    assert period == 6
-    assert qp.coeffs == ((0, 0, 0),) * 5 + ((55, -16, 1),)
+    with pytest.raises(quasipoly.FitFailureError, match="translate identity"):
+        minimal_period(RationalTriangleParams(1, 6, 1, 1))
+
+
+@pytest.mark.parametrize("obj, offset", [
+    # one more count everywhere in the run still obeys the rational identity,
+    # so only the floor sum at the last t tells
+    (RationalTriangleParams(2, 3, 3, 2), lambda t, in_run: in_run),
+    # one more count from t = 10 on breaks the admissible identity there
+    (AdmissiblePair(3, 3), lambda t, in_run: t >= 10),
+])
+def test_certificate_checks_the_run_independently(monkeypatch, obj, offset):
+    real = counting.count_triangle_many
+
+    def shifted(obj, ts):
+        ts = list(ts)
+        return [n + offset(t, len(ts) > 1) for t, n in zip(ts, real(obj, ts))]
+
+    monkeypatch.setattr(counting, "count_triangle_many", shifted)
+    with pytest.raises(quasipoly.FitFailureError, match="translate identity"):
+        certified_period(obj)
+
+
+def _assert_matches_the_divisor_scan(obj, degrees):
+    guaranteed = obj.alpha if isinstance(obj, AdmissiblePair) else obj.denominator
+    needed = oracles.divisor_scan_counts_needed(guaranteed, max(degrees))
+    counts = counting.count_triangle_many(obj, range(needed))
+    for degree in degrees:
+        want = oracles.period_by_divisor_scan(counts, guaranteed, degree)
+        if want is None:
+            with pytest.raises(quasipoly.FitFailureError):
+                certified_period(obj, degree)
+            with pytest.raises(quasipoly.FitFailureError):
+                minimal_period(obj, degree)
+        else:
+            qp, period = minimal_period(obj, degree)
+            assert certified_period(obj, degree) == period == qp.period == want, (obj, degree)
+
+
+def test_certified_period_matches_the_divisor_scan_rational():
+    tuples = list(iter_lowest_term_params(6))
+    assert len(tuples) == 529
+    for params in tuples:
+        _assert_matches_the_divisor_scan(params, range(4))
+
+
+def test_certified_period_matches_the_divisor_scan_admissible():
+    pairs = list(iter_admissible_pairs(80))
+    assert len(pairs) > 300
+    for pair in pairs:
+        _assert_matches_the_divisor_scan(pair, range(1, 4))
+
+
+@pytest.mark.parametrize("k, n", [(1, 14), (2, 8), (3, 6)])
+def test_fib_triangle_period_is_f_n(k, n):
+    # denominator F_n F_(n-1) = 87841, 68952 and 39240, period F_n(k) for even n
+    params = sequences.fib_triangle(k, n)
+    assert params.denominator == sequences.k_fib(k, n) * sequences.k_fib(k, n - 1)
+    assert certified_period(params) == sequences.k_fib(k, n)
 
 
 def _interpolate(points):
@@ -266,16 +323,16 @@ def test_quasipolynomial_validation_and_json():
 
 
 def test_certificate_limit_admits_the_largest_scheduled_period():
-    # period --params 1,1000,1,999: P = 999000 reads (k + 1 + 3) P counts at k = 2
-    assert quasipoly.MAX_CERTIFICATE_COUNTS >= 5_994_000
+    # period --params 1,1000,1,999: P = 999000 reads w + (k + 1) P counts at k = 2
+    assert quasipoly.MAX_CERTIFICATE_COUNTS >= 1000 + 999 + 1 + 3 * 999_000
 
 
 def test_certificate_past_the_limit_is_refused_before_counting():
-    with pytest.raises(EhrcollapseError, match="needs at least 600000000 counts"):
+    with pytest.raises(EhrcollapseError, match="needs at least 400000002 counts"):
         certified_period(RationalTriangleParams(1, 10 ** 8, 1, 1))
-    # (k + 1)(P + 1) counts at P = 3, past the (k + 4) P of the held-out check
-    with pytest.raises(EhrcollapseError, match="needs at least 12000004 counts"):
-        certified_period(AdmissiblePair(3, 3), degree=3 * 10 ** 6)
+    # w + (k + 1) P counts at w = 5 and P = 3
+    with pytest.raises(EhrcollapseError, match="needs at least 12000008 counts"):
+        certified_period(AdmissiblePair(3, 3), degree=4 * 10 ** 6)
 
 
 @st.composite
