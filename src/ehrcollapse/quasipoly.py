@@ -15,19 +15,19 @@ of counting.count_triangle_many, differenced once, makes
 C(z) = (1-z)(1-z^q)(1-z^s) annihilate I from t = deg C on.  For an
 admissible pair, I(t) = I(t-alpha) + beta*t for t >= alpha (the points with
 x, y >= 1 are a translate, the axes hold beta*t) gives
-C(z) = (1-z)^2 (1-z^alpha).  Delta_d^(k+1) I is a sum of forward shifts of I,
-so it obeys the same recurrence from t = w = deg C on: it vanishes for all
+C(z) = (1-z)^2 (1-z^alpha).  Delta_d^3 I is a sum of forward shifts of I, so
+it obeys the same recurrence from t = w = deg C on: it vanishes for all
 t >= 0 once it vanishes on [0, w).  No root of C has multiplicity above 3,
 so a sequence that obeys the recurrence is a quasipolynomial of degree <= 2,
-and past k = 2 the third difference decides what the (k+1)-th would.
+and degree 2 is the only one a certificate needs.
 
-certified_period counts t < w + (k+1)P for the guaranteed period P, checks
-the run against its identity and Delta_P^(k+1) I on [0, w), then divides P
-by one prime at a time while Delta_d^(k+1) I still vanishes on [0, w): the
-periods are the multiples of the least one (McAllister and Woods, J.
-Combin. Theory A 109, 2005, on why it can be below the denominator).
-minimal_period also builds the coefficients, once, at that period, by Newton
-interpolation with integer numerators over one common denominator.
+certified_period counts t < w + 3P for the guaranteed period P, checks the
+run against its identity and Delta_P^3 I on [0, w), then divides P by one
+prime at a time while Delta_d^3 I still vanishes on [0, w): the periods are
+the multiples of the least one (McAllister and Woods, J. Combin. Theory A
+109, 2005, on why it can be below the denominator).  minimal_period also
+builds the coefficients, once, at that period, by Newton interpolation with
+integer numerators over one common denominator.
 
 fit_quasipolynomial interpolates each constituent through its first degree+1
 samples with the same Newton helper, then demands that every remaining sample
@@ -39,8 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb, lcm
-from operator import mul
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from . import counting
@@ -199,9 +198,7 @@ def _check_size(counts: int, guaranteed: int) -> None:
         )
 
 
-def _certify(
-    obj: Union[RationalTriangleParams, AdmissiblePair], degree: int
-) -> tuple[list[int], int]:
+def _certify(obj: Union[RationalTriangleParams, AdmissiblePair]) -> tuple[list[int], int]:
     """The counts read by the certificates, and the certified minimal period."""
     if isinstance(obj, AdmissiblePair):
         guaranteed, width = obj.alpha, obj.alpha + 2
@@ -209,10 +206,7 @@ def _certify(
         guaranteed, width = obj.denominator, obj.q + obj.s + 1
     else:
         raise TypeError(f"unsupported type {type(obj).__name__}")
-    if degree < 0:
-        raise ValueError("need degree >= 0")
-    order = degree + 1
-    n = width + order * guaranteed
+    n = width + 3 * guaranteed
     _check_size(n, guaranteed)
     values = counting.count_triangle_many(obj, range(n))
     if isinstance(obj, AdmissiblePair):  # every count is a floor sum
@@ -228,14 +222,14 @@ def _certify(
                 and counting.count_triangle(obj, n - 1) == values[-1])
     if not held:
         raise FitFailureError(f"the counts of {obj} break its translate identity")
-    m = min(order, 3)  # binomials of order k + 1 would take O(k^2) bits
-    signed = [(-1) ** (m - i) * comb(m, i) for i in range(m + 1)]
 
-    def vanishes(d: int) -> bool:  # Delta_d^m I on [0, width)
-        return not any(sum(map(mul, signed, values[t:t + m * d + 1:d])) for t in range(width))
+    def vanishes(d: int) -> bool:  # Delta_d^3 I on [0, width)
+        v = values
+        return not any(v[t + 3 * d] - 3 * v[t + 2 * d] + 3 * v[t + d] - v[t]
+                       for t in range(width))
 
     if not vanishes(guaranteed):
-        raise FitFailureError(f"no verified degree-{degree} fit at guaranteed period {guaranteed}")
+        raise FitFailureError(f"no verified degree-2 fit at guaranteed period {guaranteed}")
     period = guaranteed
     for p in _prime_factors(guaranteed):
         while period % p == 0 and vanishes(period // p):
@@ -243,36 +237,34 @@ def _certify(
     return values, period
 
 
-def certified_period(
-    obj: Union[RationalTriangleParams, AdmissiblePair], degree: int = 2
-) -> int:
+def certified_period(obj: Union[RationalTriangleParams, AdmissiblePair]) -> int:
     """Certify the guaranteed period, then descend to the least period.
 
     The guaranteed period P is lcm(q, s) for rational parameters and alpha
     for an admissible pair; the counts obey a recurrence of degree
-    w = q + s + 1 or alpha + 2.  With k = degree, the counts on t in
-    [0, w + (k+1)P) must obey their translate identity and Delta_P^(k+1) I = 0
-    at t in [0, w); FitFailureError otherwise.  P then loses one prime at a
-    time while Delta_d^(k+1) I = 0 at t in [0, w) still holds.  Raises
-    EhrcollapseError, before counting, when the certificate would read more
-    than MAX_CERTIFICATE_COUNTS counts.
+    w = q + s + 1 or alpha + 2, so they form a quasipolynomial of degree 2.
+    The counts on t in [0, w + 3P) must obey their translate identity and
+    Delta_P^3 I = 0 at t in [0, w); FitFailureError otherwise.  P then loses
+    one prime at a time while Delta_d^3 I = 0 at t in [0, w) still holds.
+    Raises EhrcollapseError, before counting, when the certificate would read
+    more than MAX_CERTIFICATE_COUNTS counts.
     """
-    return _certify(obj, degree)[1]
+    return _certify(obj)[1]
 
 
 def minimal_period(
-    obj: Union[RationalTriangleParams, AdmissiblePair], degree: int = 2
+    obj: Union[RationalTriangleParams, AdmissiblePair]
 ) -> tuple[Quasipolynomial, int]:
-    """The certified period d of certified_period and the quasipolynomial at d,
-    built from the same counts.  Returns (quasipolynomial at period d, d)."""
-    values, period = _certify(obj, degree)
-    order = degree + 1
+    """The certified period d of certified_period and the degree-2
+    quasipolynomial at d, built from the same counts.  Returns
+    (quasipolynomial at period d, d)."""
+    values, period = _certify(obj)
     table = []
     for r in range(period):
-        stop = r + order * period
+        stop = r + 3 * period
         numerators, den = _newton(range(r, stop, period), values[r:stop:period])
         table.append(tuple(Fraction(c, den) for c in numerators))
-    return Quasipolynomial(period, degree, tuple(table)), period
+    return Quasipolynomial(period, 2, tuple(table)), period
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .polytopes import (
     AdmissiblePair,
     AxisSimplex,
     Interval,
+    RationalTriangleParams,
     TrianglePair,
     iter_admissible_pairs,
     iter_lowest_term_params,
@@ -309,24 +310,17 @@ def _check_series_monotone() -> tuple[bool, Optional[dict]]:
 # -- criteria ---------------------------------------------------------------
 
 
-def _check_collapse_soundness() -> tuple[bool, Optional[dict]]:
+def _criterion_soundness(
+    check: Callable[[RationalTriangleParams], criteria.CriterionReport]
+) -> tuple[bool, Optional[dict]]:
+    """Wherever the criterion holds, the certified period divides the period
+    divisor it predicts: q for collapse, 1 for pseudo-integral."""
     for params in iter_lowest_term_params(12):
-        report = criteria.check_collapse_criterion(params)
+        report = check(params)
         if not report.holds:
             continue
         period = quasipoly.certified_period(params)
-        if params.q % period != 0:
-            return False, {"params": params.to_json_dict(), "period": period}
-    return True, None
-
-
-def _check_pseudo_integral_soundness() -> tuple[bool, Optional[dict]]:
-    for params in iter_lowest_term_params(12):
-        report = criteria.check_pseudo_integral_criterion(params)
-        if not report.holds:
-            continue
-        period = quasipoly.certified_period(params)
-        if period != 1:
+        if report.predicted_period_divisor % period != 0:
             return False, {"params": params.to_json_dict(), "period": period}
     return True, None
 
@@ -434,22 +428,14 @@ def _check_a_sequence() -> tuple[bool, Optional[dict]]:
     return True, None
 
 
-def _check_tetra_counts() -> tuple[bool, Optional[dict]]:
-    for n in (1, 2, 3):
-        simplex = sequences.tetra_family(n)
+def _tetra_cubic_counts(cases) -> tuple[bool, Optional[dict]]:
+    """Each (payload, simplex) case counts sequences.tetra_polynomial(t) for
+    t <= 40; a miss reports the payload with t and the count."""
+    for named, simplex in cases:
         for t in range(41):
             got = counting.count_axis_simplex(simplex, t)
             if got != sequences.tetra_polynomial(t):
-                return False, {"n": n, "t": t, "got": got}
-    return True, None
-
-
-def _check_tetra_limit() -> tuple[bool, Optional[dict]]:
-    simplex = sequences.limit_tetrahedron()
-    for t in range(41):
-        got = counting.count_axis_simplex(simplex, t)
-        if got != sequences.tetra_polynomial(t):
-            return False, {"t": t, "got": got}
+                return False, {**named, "t": t, "got": got}
     return True, None
 
 
@@ -498,8 +484,10 @@ _SUITE_CHECKS: dict[str, list[tuple[str, Callable[[], tuple[bool, Optional[dict]
         ("fit-rejects-non-quasipolynomial", _check_fit_rejection),
     ],
     "criteria": [
-        ("collapse-criterion-soundness", _check_collapse_soundness),
-        ("pseudo-integral-criterion-soundness", _check_pseudo_integral_soundness),
+        ("collapse-criterion-soundness",
+         lambda: _criterion_soundness(criteria.check_collapse_criterion)),
+        ("pseudo-integral-criterion-soundness",
+         lambda: _criterion_soundness(criteria.check_pseudo_integral_criterion)),
         ("reciprocal-criterion-iff", _check_reciprocal_iff),
         ("beta-equation-solutions", _check_beta_equation),
         ("classification-matches-period", _check_classification),
@@ -512,8 +500,10 @@ _SUITE_CHECKS: dict[str, list[tuple[str, Callable[[], tuple[bool, Optional[dict]
     ],
     "tetrahedra": [
         ("a-sequence-values", _check_a_sequence),
-        ("tetra-cubic-counts", _check_tetra_counts),
-        ("tetra-limit-cubic-counts", _check_tetra_limit),
+        ("tetra-cubic-counts", lambda: _tetra_cubic_counts(
+            ({"n": n}, sequences.tetra_family(n)) for n in (1, 2, 3))),
+        ("tetra-limit-cubic-counts", lambda: _tetra_cubic_counts(
+            [({}, sequences.limit_tetrahedron())])),
     ],
     "reciprocity": [
         ("reciprocity-correction-pattern", _check_reciprocity_pattern),

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: schemas, determinism, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ehrcollapse import cli
+from ehrcollapse.polytopes import is_admissible
 
 BASE = [sys.executable, "-m", "ehrcollapse"]
 
@@ -129,12 +131,6 @@ def test_period_reports_collapse():
     assert record["guaranteed_period"] == 2
 
 
-def test_period_without_a_verified_fit_is_usage_error():
-    proc = run_cli("period", "--alpha", "3", "--beta", "3", "--degree", "1", check=False)
-    assert proc.returncode == 2
-    assert proc.stderr == "error: no verified degree-1 fit at guaranteed period 3\n"
-
-
 def test_period_on_quadratic_legs_is_usage_error():
     proc = run_cli("period", "--u", "1", "--v", "1,1,2", check=False)
     assert proc.returncode == 2
@@ -154,7 +150,7 @@ def test_period_on_rational_or_admissible_legs_prints_what_the_other_forms_print
 
 @pytest.mark.parametrize("argv", [
     ("period", "--params", "1,100000000,1,1"),
-    ("period", "--alpha", "3", "--beta", "3", "--degree", "100000000"),
+    ("period", "--alpha", "10000000", "--beta", "1"),
 ])
 def test_period_that_needs_too_many_counts_is_refused_at_once(argv):
     start = time.perf_counter()
@@ -293,6 +289,10 @@ def test_verify_suite_passes():
 def test_unknown_suite_is_usage_error():
     proc = run_cli("verify", "--suite", "nope", check=False)
     assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: unknown suite 'nope'; choose from ['arith', 'closed-form',"
+                           " 'criteria', 'fibonacci', 'tetrahedra', 'reciprocity', 'recurrence',"
+                           " 'all']\n")
 
 
 def test_every_error_of_the_package_shares_one_value_error_base():
@@ -362,12 +362,6 @@ def test_import_leaves_numpy_out():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-
-
-def test_suite_names_match_verify():
-    from ehrcollapse import verify
-
-    assert cli.SUITES == verify.SUITES
 
 
 # -- values that start with '-' ---------------------------------------------------------
@@ -460,6 +454,32 @@ def test_build_parser_returns_a_fresh_parser():
     assert cli.build_parser() is not cli.build_parser()
 
 
+# -- output that must not drift ---------------------------------------------------------
+
+# sha256 of the stdout of each command, in order, recorded before `period` lost --degree
+PINNED_STDOUT = {
+    "period on admissible pairs": "eb0212ac0611e57b3fe80d3ed1ee210d4b48d14021f7e40c2180db62649e025a",
+    "search --bound 5": "62985f7dfab799366a02359ed88ebf0a5f2b5e50a873c72f7651f260166d27f5",
+}
+
+
+def _stdout_digest(argvs):
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out, err = _run_in_process(argv)
+        assert (code, err) == (0, ""), (argv, err)
+        digest.update(out.encode())
+    return digest.hexdigest()
+
+
+def test_stdout_matches_the_pinned_digests():
+    pairs = [(a, b) for a in range(1, 15) for b in range(1, 41) if is_admissible(a, b)]
+    assert len(pairs) == 552
+    periods = (["period", "--alpha", str(a), "--beta", str(b)] for a, b in pairs)
+    assert _stdout_digest(periods) == PINNED_STDOUT["period on admissible pairs"]
+    assert _stdout_digest([["search", "--bound", "5"]]) == PINNED_STDOUT["search --bound 5"]
+
+
 # -- closed forms answer at any bound ---------------------------------------------------
 
 
@@ -479,7 +499,6 @@ def _values(valid, bad=(), count=1):
 
 
 _INT = _values(("1", "2", "3", "5"), ("-1", "0", "x"))
-_DEGREE = _values(("1", "2", "3", "5", "100000000"), ("-1", "0", "x"))  # 10**8: too many counts
 _SUM = _values(("2", "3", "5"), ("1", "0", "-1", "x"))  # alpha, beta
 _ORDER = _values(("0", "1", "2"), ("-1", "x"))
 _LEG = ("1", "1/2", "2", "3", "5/3", "0,1,2", "1,1,2", "0,1,8", "0,1,3", "-1/2,1,2")
@@ -511,7 +530,7 @@ SUBCOMMANDS = {
                                    ("--t", _RANGE), ("--legs", _LEGS)]),
     "fit": ([shape + [("--period", _INT)] for shape in _TRIANGLES],
             _COMMON[:1] + [("--degree", _INT), ("--t-max", _values(("4", "11"), ("-1", "0")))]),
-    "period": (_TRIANGLES + [_GOLDEN_LEGS], _COMMON[:1] + [("--degree", _DEGREE)]),
+    "period": (_TRIANGLES + [_GOLDEN_LEGS], _COMMON[:1]),
     "check": (
         [[("--criterion", st.just([kind])), *extra] for kind, extra in (
             ("collapse", [("--params", _PARAMS)]),

@@ -145,26 +145,16 @@ def test_admissible_minimal_period_divides_alpha():
         assert qp.evaluate(0) == 1
 
 
-def test_minimal_period_rejects_degree_too_low():
-    with pytest.raises(quasipoly.FitFailureError):
-        minimal_period(RationalTriangleParams(2, 3, 3, 2), degree=1)
-    with pytest.raises(quasipoly.FitFailureError):
-        certified_period(RationalTriangleParams(2, 3, 3, 2), degree=1)
-    with pytest.raises(quasipoly.FitFailureError):
-        minimal_period(AdmissiblePair(3, 3), degree=1)
-
-
 def test_certified_period_is_the_minimal_period():
     objs = list(iter_lowest_term_params(4)) + list(iter_admissible_pairs(12))
     for obj in objs:
-        for degree in (2, 3):
-            qp, period = minimal_period(obj, degree=degree)
-            assert certified_period(obj, degree=degree) == period == qp.period
+        qp, period = minimal_period(obj)
+        assert certified_period(obj) == period == qp.period
 
 
-def test_minimal_period_at_high_degree_counts_the_whole_certificate(monkeypatch):
-    # u = 3/2 and v = 2/3 obey a recurrence of degree w = 3 + 2 + 1 = 6, so at
-    # degree k the run is t < w + (k+1)P = 60, and one floor sum checks its last t
+def test_minimal_period_counts_the_whole_certificate(monkeypatch):
+    # u = 3/2 and v = 2/3 obey a recurrence of degree w = 3 + 2 + 1 = 6, so the
+    # run is t < w + 3P = 24, and one floor sum checks its last t
     params = RationalTriangleParams(2, 3, 3, 2)
     lengths = []
     real = counting.count_triangle_many
@@ -175,10 +165,8 @@ def test_minimal_period_at_high_degree_counts_the_whole_certificate(monkeypatch)
         return real(obj, ts)
 
     monkeypatch.setattr(counting, "count_triangle_many", spy)
-    qp, period = minimal_period(params, degree=8)
-    assert period == 3 and lengths == [60, 1]
-    low, _ = minimal_period(params)
-    assert qp.coeffs == tuple(row + (Fraction(0),) * 6 for row in low.coeffs)
+    _, period = minimal_period(params)
+    assert period == 3 and lengths == [24, 1]
 
 
 def test_minimal_period_certificate_spans_k_plus_1_periods(monkeypatch):
@@ -212,34 +200,27 @@ def test_certificate_checks_the_run_independently(monkeypatch, obj, offset):
         certified_period(obj)
 
 
-def _assert_matches_the_divisor_scan(obj, degrees):
+def _assert_matches_the_divisor_scan(obj):
     guaranteed = obj.alpha if isinstance(obj, AdmissiblePair) else obj.denominator
-    needed = oracles.divisor_scan_counts_needed(guaranteed, max(degrees))
+    needed = oracles.divisor_scan_counts_needed(guaranteed, 2)
     counts = counting.count_triangle_many(obj, range(needed))
-    for degree in degrees:
-        want = oracles.period_by_divisor_scan(counts, guaranteed, degree)
-        if want is None:
-            with pytest.raises(quasipoly.FitFailureError):
-                certified_period(obj, degree)
-            with pytest.raises(quasipoly.FitFailureError):
-                minimal_period(obj, degree)
-        else:
-            qp, period = minimal_period(obj, degree)
-            assert certified_period(obj, degree) == period == qp.period == want, (obj, degree)
+    want = oracles.period_by_divisor_scan(counts, guaranteed, 2)
+    qp, period = minimal_period(obj)
+    assert certified_period(obj) == period == qp.period == want, obj
 
 
 def test_certified_period_matches_the_divisor_scan_rational():
     tuples = list(iter_lowest_term_params(6))
     assert len(tuples) == 529
     for params in tuples:
-        _assert_matches_the_divisor_scan(params, range(4))
+        _assert_matches_the_divisor_scan(params)
 
 
 def test_certified_period_matches_the_divisor_scan_admissible():
     pairs = list(iter_admissible_pairs(80))
     assert len(pairs) > 300
     for pair in pairs:
-        _assert_matches_the_divisor_scan(pair, range(1, 4))
+        _assert_matches_the_divisor_scan(pair)
 
 
 @pytest.mark.parametrize("k, n", [(1, 14), (2, 8), (3, 6)])
@@ -323,16 +304,13 @@ def test_quasipolynomial_validation_and_json():
 
 
 def test_certificate_limit_admits_the_largest_scheduled_period():
-    # period --params 1,1000,1,999: P = 999000 reads w + (k + 1) P counts at k = 2
+    # period --params 1,1000,1,999: P = 999000 reads w + 3P counts
     assert quasipoly.MAX_CERTIFICATE_COUNTS >= 1000 + 999 + 1 + 3 * 999_000
 
 
 def test_certificate_past_the_limit_is_refused_before_counting():
     with pytest.raises(EhrcollapseError, match="needs at least 400000002 counts"):
         certified_period(RationalTriangleParams(1, 10 ** 8, 1, 1))
-    # w + (k + 1) P counts at w = 5 and P = 3
-    with pytest.raises(EhrcollapseError, match="needs at least 12000008 counts"):
-        certified_period(AdmissiblePair(3, 3), degree=4 * 10 ** 6)
 
 
 @st.composite
