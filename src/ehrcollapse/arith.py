@@ -461,6 +461,12 @@ def quad_sqrt(n: RationalLike) -> QuadNumber:
     return QuadNumber(Fraction(0), Fraction(1, f.denominator), f.numerator * f.denominator)
 
 
+def to_integers(values: Sequence[RationalLike]) -> tuple[list[int], int]:
+    """The values times the lcm of their denominators, and that lcm."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def parse_fraction(text: str) -> Fraction:
     """Fraction(text), with a zero denominator reported as a ValueError."""
     try:

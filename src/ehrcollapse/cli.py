@@ -187,17 +187,22 @@ def _cmd_count(args, parser, emit) -> int:
 # -- fit / period --------------------------------------------------------------
 
 
+def _counts_through(obj, t_max: int, use: str) -> list:
+    """The counts at t = 0..t_max, which the caller holds all at once; refused
+    before counting when there are more than the certificate's limit."""
+    if t_max + 1 > quasipoly.MAX_CERTIFICATE_COUNTS:
+        raise EhrcollapseError(
+            f"a {use} through t_max {t_max} needs {t_max + 1} counts,"
+            f" more than the limit of {quasipoly.MAX_CERTIFICATE_COUNTS}"
+        )
+    return counting.count_triangle_many(obj, range(t_max + 1))
+
+
 def _cmd_fit(args, parser, emit) -> int:
     obj = _triangle_object(args, parser)
     t_max = args.t_max if args.t_max is not None else (args.degree + 4) * args.period - 1
-    if t_max + 1 > quasipoly.MAX_CERTIFICATE_COUNTS:  # the fit holds every sample
-        raise EhrcollapseError(
-            f"a fit through t_max {t_max} needs {t_max + 1} counts,"
-            f" more than the limit of {quasipoly.MAX_CERTIFICATE_COUNTS}"
-        )
-    ts = range(t_max + 1)
-    counts = counting.count_triangle_many(obj, ts)
-    fit = quasipoly.fit_quasipolynomial(zip(ts, counts), args.period, args.degree)
+    counts = _counts_through(obj, t_max, "fit")
+    fit = quasipoly.fit_quasipolynomial(counts, args.period, args.degree)
     record = {
         "period": args.period,
         "degree": args.degree,
@@ -356,7 +361,7 @@ def _cmd_guess_rec(args, parser, emit) -> int:
         obj = _triangle_object(args, parser)
         if args.t_max is None:
             parser.error("counting input needs --t-max")
-        values = counting.count_triangle_many(obj, range(args.t_max + 1))
+        values = _counts_through(obj, args.t_max, "recurrence guess")
     rec = precursive.guess_recurrence(values, args.max_order, args.max_degree)
     record = {
         "n_values": len(values),

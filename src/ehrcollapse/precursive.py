@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence, Union
 
-from .arith import EhrcollapseError
+from .arith import EhrcollapseError, to_integers
 from .linalg import nullspace_vector, rank_mod_p
 
 Value = Union[int, Fraction]
@@ -62,12 +62,6 @@ class Recurrence:
         )
 
 
-def _integers(values: Sequence[Value]) -> list[int]:
-    """The values times the lcm of their denominators."""
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values]
-
-
 def verify_recurrence(rec: Recurrence, values: Sequence[Value]) -> bool:
     """Whether sum_j p_j(n+j) * f(n+j) = 0 holds at every window in values.
 
@@ -80,7 +74,7 @@ def verify_recurrence(rec: Recurrence, values: Sequence[Value]) -> bool:
         return False
     scale = lcm(*(c.denominator for row in rec.polys for c in row))
     table = [[c.numerator * (scale // c.denominator) for c in row] for row in rec.polys]
-    ints = _integers(values)
+    ints, _ = to_integers(values)
     for n in range(len(ints) - k):
         acc = 0
         for j, row in enumerate(table):
@@ -115,7 +109,7 @@ def guess_recurrence(
             f"{len(values)} values are too few for bounds "
             f"({max_order}, {max_degree})"
         )
-    ints = _integers([v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values])
+    ints, _ = to_integers([v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values])
     for order in range(max_order + 1):
         for degree in range(max_degree + 1):
             ncols = (order + 1) * (degree + 1)

@@ -25,13 +25,15 @@ certified_period counts t < w + 3P for the guaranteed period P, checks the
 run against its identity and Delta_P^3 I on [0, w), then divides P by one
 prime at a time while Delta_d^3 I still vanishes on [0, w): the periods are
 the multiples of the least one (McAllister and Woods, J. Combin. Theory A
-109, 2005, on why it can be below the denominator).  minimal_period also
-builds the coefficients, once, at that period, by Newton interpolation with
-integer numerators over one common denominator.
+109, 2005, on why it can be below the denominator).  minimal_period builds
+the coefficients at that period, once, with fit_quasipolynomial.
 
-fit_quasipolynomial interpolates each constituent through its first degree+1
-samples with the same Newton helper, then demands that every remaining sample
-matches exactly; any mismatch returns None rather than a best-effort answer.
+fit_quasipolynomial takes the values at t = 0, 1, 2, ..., so residue class z
+lies on the equispaced nodes z, z + P, z + 2P, ...  It scales the values to
+integers once, interpolates each constituent through its first degree+1
+values by Newton's forward differences, with integer numerators over one
+common denominator, and demands that every further value matches exactly; any
+mismatch returns None rather than a best-effort answer.
 """
 
 from __future__ import annotations
@@ -39,11 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import counting
-from .arith import EhrcollapseError
+from .arith import EhrcollapseError, to_integers
 from .polytopes import AdmissiblePair, RationalTriangleParams
 
 # The certificate holds every count it reads, about 56 bytes per count at
@@ -52,8 +53,7 @@ MAX_CERTIFICATE_COUNTS = 10 ** 7
 
 
 class InsufficientSamplesError(EhrcollapseError):
-    """Raised when some residue class has fewer than degree+1 samples at
-    distinct t."""
+    """Raised when some residue class has fewer than degree+1 samples."""
 
 
 class FitFailureError(EhrcollapseError):
@@ -115,37 +115,27 @@ def _prime_factors(n: int) -> list[int]:
     return primes + [n] if n > 1 else primes
 
 
-def _newton(
-    nodes: Sequence[int], values: Sequence[Union[int, Fraction]]
-) -> tuple[list[int], int]:
-    """The polynomial of degree < len(nodes) through (nodes[i], values[i]).
+def _newton(start: int, step: int, values: Sequence[int]) -> tuple[list[int], int]:
+    """The polynomial of degree < len(values) through (start + i*step, values[i]).
 
     Returns the integer numerators of its coefficients of t^0, t^1, ... and
-    their common positive denominator.  Newton divided differences are kept
-    as integers: the entries of level m share one denominator, the one of
-    level m-1 times the lcm of the level's node gaps.  On equispaced nodes
-    with step h they are the forward differences over m! h^m.  Raises
-    InsufficientSamplesError when a node repeats.
+    their common positive denominator k! step^k, for k = len(values) - 1: the
+    Newton coefficient of level m is the forward difference Delta^m values[0]
+    over m! step^m.
     """
-    scale = lcm(*(y.denominator for y in values))
-    diffs = [y.numerator * (scale // y.denominator) for y in values]
-    leads, dens = [diffs[0]], [scale]
-    for m in range(1, len(nodes)):
-        gaps = [b - a for a, b in zip(nodes, nodes[m:])]
-        step = lcm(*gaps)
-        if step == 0:
-            raise InsufficientSamplesError(f"degenerate sample nodes {list(nodes)}")
-        diffs = [(b - a) * (step // gap) for a, b, gap in zip(diffs, diffs[1:], gaps)]
+    diffs, leads = values, [values[0]]
+    for _ in range(len(values) - 1):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
         leads.append(diffs[0])
-        dens.append(dens[-1] * step)
-    den = dens[-1]
-    # nested Newton form: acc <- acc * (t - nodes[m]) + leads[m] / dens[m]
-    acc = [leads[-1]]
-    for m in range(len(nodes) - 2, -1, -1):
-        x = nodes[m]
+    # nested Newton form: acc <- acc * (t - start - m*step) + leads[m] / (m! step^m),
+    # all times the common denominator; weight is that denominator over m! step^m
+    acc, weight = [leads[-1]], 1
+    for m in range(len(values) - 2, -1, -1):
+        weight *= (m + 1) * step
+        x = start + m * step
         acc = [s - x * a for s, a in zip([0] + acc, acc + [0])]
-        acc[0] += leads[m] * (den // dens[m])
-    return acc, den
+        acc[0] += leads[m] * weight
+    return acc, weight
 
 
 def _horner(numerators: Sequence[int], t: int) -> int:
@@ -155,39 +145,36 @@ def _horner(numerators: Sequence[int], t: int) -> int:
     return acc
 
 
-Sample = tuple[int, Union[int, Fraction]]
-
-
 def fit_quasipolynomial(
-    samples: Iterable[Sample], period: int, degree: int
+    values: Sequence[Union[int, Fraction]], period: int, degree: int
 ) -> Optional[Quasipolynomial]:
-    """Exact fit of the samples at the given period and degree.
+    """Exact fit of values[t], for t = 0..len(values)-1, at the given period
+    and degree.
 
-    Interpolates each residue class through its first degree+1 samples and
-    verifies all others; returns None if any sample disagrees.  Raises
-    InsufficientSamplesError when a class has fewer than degree+1 samples,
-    or when two of the samples it is interpolated through share a t.
+    Interpolates residue class z through values[z], values[z + period], ...,
+    the first degree+1 of them, and verifies all others; returns None if any
+    value disagrees.  Raises InsufficientSamplesError when a class has fewer
+    than degree+1 values: those are the classes from len(values) -
+    degree*period on.
     """
     if period < 1 or degree < 0:
         raise ValueError("need period >= 1 and degree >= 0")
-    cleaned = sorted({(int(t), Fraction(y)) for t, y in samples})
-    by_res: dict[int, list[tuple[int, Fraction]]] = {z: [] for z in range(period)}
-    for t, y in cleaned:
-        by_res[t % period].append((t, y))
-    short = [z for z, pts in by_res.items() if len(pts) < degree + 1]
-    if short:
+    n = len(values)
+    short = max(0, n - degree * period)
+    if short < period:
         raise InsufficientSamplesError(
-            f"residues {short} have fewer than {degree + 1} samples"
+            f"residues {short}..{period - 1} have fewer than {degree + 1} samples"
         )
-    fits = [_newton(*zip(*pts[: degree + 1])) for pts in by_res.values()]
-    for (numerators, den), pts in zip(fits, by_res.values()):
-        for t, y in pts[degree + 1:]:
-            if _horner(numerators, t) * y.denominator != y.numerator * den:
-                return None
-    table = tuple(
-        tuple(Fraction(c, den) for c in numerators) for numerators, den in fits
-    )
-    return Quasipolynomial(period, degree, table)
+    ints, scale = to_integers(values)
+    table = []
+    for z in range(period):
+        column = ints[z::period]
+        numerators, den = _newton(z, period, column[: degree + 1])
+        rest = zip(range(z, n, period)[degree + 1:], column[degree + 1:])
+        if any(_horner(numerators, t) != y * den for t, y in rest):
+            return None
+        table.append(tuple(Fraction(c, den * scale) for c in numerators))
+    return Quasipolynomial(period, degree, tuple(table))
 
 
 def _check_size(counts: int, guaranteed: int) -> None:
@@ -259,12 +246,8 @@ def minimal_period(
     quasipolynomial at d, built from the same counts.  Returns
     (quasipolynomial at period d, d)."""
     values, period = _certify(obj)
-    table = []
-    for r in range(period):
-        stop = r + 3 * period
-        numerators, den = _newton(range(r, stop, period), values[r:stop:period])
-        table.append(tuple(Fraction(c, den) for c in numerators))
-    return Quasipolynomial(period, 2, tuple(table)), period
+    # three values per residue leave nothing to verify, so the fit is never None
+    return fit_quasipolynomial(values[: 3 * period], period, 2), period
 
 
 @dataclass(frozen=True)

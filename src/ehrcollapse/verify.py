@@ -245,9 +245,8 @@ def _check_period_divides_denominator() -> tuple[bool, Optional[dict]]:
 
 def _check_fit_rejection() -> tuple[bool, Optional[dict]]:
     pair = TrianglePair(QuadNumber(Fraction(1)), QuadNumber(Fraction(0), Fraction(1), 2))
-    ts = range(12)
-    counts = counting.count_triangle_many(pair, ts)
-    fit = quasipoly.fit_quasipolynomial(zip(ts, counts), 3, 2)
+    counts = counting.count_triangle_many(pair, range(12))
+    fit = quasipoly.fit_quasipolynomial(counts, 3, 2)
     return (fit is None), (None if fit is None else {"fit": fit.to_json_dict()})
 
 
@@ -399,9 +398,8 @@ def _check_fib_quasiperiod() -> tuple[bool, Optional[dict]]:
                 break
             for tri_n in (n, n + 1):
                 params = sequences.fib_triangle(k, tri_n)
-                ts = range(6 * f)
-                counts = counting.count_triangle_many(params, ts)
-                fit = quasipoly.fit_quasipolynomial(zip(ts, counts), f, 2)
+                counts = counting.count_triangle_many(params, range(6 * f))
+                fit = quasipoly.fit_quasipolynomial(counts, f, 2)
                 if fit is None:
                     return False, {"k": k, "n": tri_n, "quasiperiod": f}
     return True, None

@@ -58,10 +58,8 @@ def test_c03_admissible_periods_divide_alpha():
     with budget(120):
         for pair in iter_admissible_pairs(60):
             alpha = pair.alpha
-            ts = range(6 * alpha)
-            counts = counting.count_triangle_many(pair, ts)
-            qp = quasipoly.fit_quasipolynomial(
-                list(zip(ts, counts))[: 3 * alpha], alpha, 2)
+            counts = counting.count_triangle_many(pair, range(6 * alpha))
+            qp = quasipoly.fit_quasipolynomial(counts[: 3 * alpha], alpha, 2)
             assert qp is not None
             # 3*alpha held-out values beyond the fitting window
             assert all(qp.evaluate(t) == counts[t] for t in range(3 * alpha, 6 * alpha))
@@ -129,9 +127,8 @@ def test_c07_fibonacci_facts_and_quasiperiods():
                     break
                 for index in (n, n + 1):
                     params = sequences.fib_triangle(k, index)
-                    ts = range(6 * quasi)
-                    counts = counting.count_triangle_many(params, ts)
-                    fit = quasipoly.fit_quasipolynomial(zip(ts, counts), quasi, 2)
+                    counts = counting.count_triangle_many(params, range(6 * quasi))
+                    fit = quasipoly.fit_quasipolynomial(counts, quasi, 2)
                     assert fit is not None, (k, index, quasi)
 
 

@@ -312,3 +312,9 @@ def test_isqrt_agreement_on_large_values():
     big = 10 ** 18
     x = QuadNumber(Fraction(0), Fraction(big), 2)
     assert floor(x) == isqrt(2 * big * big)
+
+
+def test_to_integers_scales_by_the_lcm_of_the_denominators():
+    assert arith.to_integers([Fraction(1, 2), 3, Fraction(-2, 3)]) == ([3, 18, -4], 6)
+    assert arith.to_integers([4, 5]) == ([4, 5], 1)
+    assert arith.to_integers([]) == ([], 1)

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ehrcollapse import cli
+from ehrcollapse import cli, sequences
 from ehrcollapse.polytopes import is_admissible
 
 BASE = [sys.executable, "-m", "ehrcollapse"]
@@ -174,6 +174,32 @@ def test_fit_that_needs_too_many_counts_is_refused_before_counting(argv, needs):
     assert proc.stdout == ""
     assert proc.stderr == (f"error: a fit through t_max {needs - 1} needs {needs} counts,"
                            " more than the limit of 10000000\n")
+
+
+def _answers_at_once(*argv):
+    """Exit code and stderr lines of the CLI as a process that must end within 0.5 s."""
+    start = time.perf_counter()
+    proc = subprocess.run(BASE + list(argv), capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - start < 0.5
+    assert proc.stdout == ""
+    return proc.returncode, proc.stderr.splitlines()
+
+
+@pytest.mark.parametrize("period", [10 ** 6, 10 ** 9])
+def test_fit_with_short_residues_fails_without_walking_them(period):
+    code, lines = _answers_at_once("fit", "--params", "2,3,3,2", "--period", str(period),
+                                   "--t-max", "0")
+    assert code == 2
+    assert lines == [f"error: residues 0..{period - 1} have fewer than 3 samples"]
+
+
+def test_guess_rec_that_needs_too_many_counts_is_refused_before_counting():
+    code, lines = _answers_at_once("guess-rec", "--alpha", "3", "--beta", "3",
+                                   "--t-max", "100000000", "--max-order", "0",
+                                   "--max-degree", "0")
+    assert code == 2
+    assert lines == ["error: a recurrence guess through t_max 100000000 needs 100000001"
+                     " counts, more than the limit of 10000000"]
 
 
 # -- check ------------------------------------------------------------------------
@@ -460,6 +486,9 @@ def test_build_parser_returns_a_fresh_parser():
 PINNED_STDOUT = {
     "period on admissible pairs": "eb0212ac0611e57b3fe80d3ed1ee210d4b48d14021f7e40c2180db62649e025a",
     "search --bound 5": "62985f7dfab799366a02359ed88ebf0a5f2b5e50a873c72f7651f260166d27f5",
+    # recorded before fit_quasipolynomial took consecutive counts
+    "period on fib triangles": "c65de19bc0740b76733d739fafbcf6aa0bea76c58656d79b6c4b025393b635f7",
+    "fit": "971e873009ca5978f5a294d32152ccf5afb21e60c2a7ffad352e5293f4f70ae8",
 }
 
 
@@ -472,12 +501,45 @@ def _stdout_digest(argvs):
     return digest.hexdigest()
 
 
+def _fib_period_argvs():
+    """period --params on fib_triangle(k, n) for n >= 2 up to 12, 7 and 6 at k = 1, 2, 3."""
+    for k, n_max in ((1, 12), (2, 7), (3, 6)):
+        for n in range(2, n_max + 1):
+            params = sequences.fib_triangle(k, n)
+            yield ["period", "--params", f"{params.p},{params.q},{params.r},{params.s}"]
+
+
+def _fit_argvs():
+    """fit at degrees 0-4; at period 1, a divisor, the denominator and a non-divisor;
+    with default and explicit --t-max; on --alpha/--beta; and one null fit."""
+    for degree in range(5):
+        for period in (1, 3, 6, 4):  # denominator 6, minimal period 3
+            yield ["fit", "--params", "2,3,3,2", "--period", str(period), "--degree", str(degree)]
+    for period in (1, 3, 6, 4):
+        yield ["fit", "--params", "2,3,3,2", "--period", str(period), "--t-max", "40"]
+    for period in (5, 30, 7):  # denominator 30
+        for degree in (1, 2):
+            yield ["fit", "--params", "3,10,2,15", "--period", str(period), "--degree", str(degree)]
+    for t_max in (89, 200):  # 89: exactly three samples per residue
+        yield ["fit", "--params", "3,10,2,15", "--period", "30", "--t-max", str(t_max)]
+    for alpha, beta, period in ((3, 3, 1), (3, 3, 3), (5, 2, 5), (5, 2, 2), (7, 3, 7)):
+        yield ["fit", "--alpha", str(alpha), "--beta", str(beta), "--period", str(period)]
+    yield ["fit", "--alpha", "5", "--beta", "2", "--period", "5", "--degree", "1", "--t-max", "9"]
+    yield ["fit", "--u", "1", "--v", "0,1,2", "--period", "3"]  # sqrt(2) leg: no fit
+
+
 def test_stdout_matches_the_pinned_digests():
     pairs = [(a, b) for a in range(1, 15) for b in range(1, 41) if is_admissible(a, b)]
     assert len(pairs) == 552
     periods = (["period", "--alpha", str(a), "--beta", str(b)] for a, b in pairs)
     assert _stdout_digest(periods) == PINNED_STDOUT["period on admissible pairs"]
     assert _stdout_digest([["search", "--bound", "5"]]) == PINNED_STDOUT["search --bound 5"]
+    fib_periods = list(_fib_period_argvs())
+    assert len(fib_periods) == 22
+    assert _stdout_digest(fib_periods) == PINNED_STDOUT["period on fib triangles"]
+    fits = list(_fit_argvs())
+    assert len(fits) == 39
+    assert _stdout_digest(fits) == PINNED_STDOUT["fit"]
 
 
 # -- closed forms answer at any bound ---------------------------------------------------
