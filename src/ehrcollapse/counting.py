@@ -15,7 +15,8 @@ from fractions import Fraction
 from math import floor, gcd, lcm
 from typing import Iterable, Union
 
-from .arith import Expansion, QuadNumber, Triple, floor_surd, shared_triples, triple_in_field
+from .arith import (EhrcollapseError, Expansion, QuadNumber, Triple, floor_surd, shared_triples,
+                    triple_in_field)
 from .polytopes import (
     AdmissiblePair,
     AxisSimplex,
@@ -117,8 +118,12 @@ def count_triangle_many(obj: TriangleLike, ts: Iterable[int]) -> list[int]:
         L(t) = L(t - q) + L(t - s) - L(t - q - s) + p*r.
 
     When ts is a contiguous ascending run a, a + 1, ... longer than q + s,
-    its first q + s counts are floor sums and the identity gives the rest;
-    every other ts is counted by one floor sum per t.
+    its first q + s counts are floor sums and the identity gives the rest.
+    For legs with an identity L(t) = L(t - n) + strip(t) (TrianglePair.translate,
+    not built for runs of one or two t), a run longer than 2n takes floor sums
+    for its first n counts, the identity for the rest, and floor sums for its
+    last n again, which must match (EhrcollapseError otherwise).  Every other
+    ts is one floor sum per t.
     """
     pair = _as_pair(obj)
     is_run = isinstance(ts, range) and ts.step == 1
@@ -128,14 +133,23 @@ def count_triangle_many(obj: TriangleLike, ts: Iterable[int]) -> list[int]:
     if ts and (ts[0] if is_run else min(ts)) < 0:
         raise ValueError("dilation factors must be >= 0")
     (q, _, p), (s, _, r) = pair.u.triple, pair.v.triple  # u = q/p, v = s/r if rational
-    seeds = q + s
-    if pair.kind != "rational" or not is_run or len(ts) <= seeds:
-        return _count_below(pair, [(t, 0, 1) for t in ts], pair.slopes[1])
-    counts = _count_below(pair, [(t, 0, 1) for t in ts[:seeds]], 0)
-    box = p * r
-    for i in range(seeds, len(ts)):
-        counts.append(counts[i - q] + counts[i - s] - counts[i - seeds] + box)
-    return counts
+    seeds, d = q + s, pair.slopes[1]
+    if pair.kind == "rational":
+        if is_run and len(ts) > seeds:
+            counts = _count_below(pair, [(t, 0, 1) for t in ts[:seeds]], 0)
+            box = p * r
+            for i in range(seeds, len(ts)):
+                counts.append(counts[i - q] + counts[i - s] - counts[i - seeds] + box)
+            return counts
+    elif is_run and len(ts) > 2 and pair.translate and len(ts) > 2 * pair.translate[0]:
+        n, strip = pair.translate
+        counts = _count_below(pair, [(t, 0, 1) for t in ts[:n]], d)
+        for t in ts[n:]:
+            counts.append(counts[-n] + strip(t))
+        if _count_below(pair, [(t, 0, 1) for t in ts[-n:]], d) != counts[-n:]:
+            raise EhrcollapseError(f"the counts of {pair} break its translate identity")
+        return counts
+    return _count_below(pair, [(t, 0, 1) for t in ts], d)
 
 
 def count_triangle_interior(obj: TriangleLike, t: int) -> int:

@@ -16,12 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd, lcm
-from typing import Optional
+from operator import mul
+from typing import Callable, Optional
 
 from .arith import (EhrcollapseError, Expansion, QuadNumber, RadicandMismatchError, Triple,
-                    reduced_triple, shared_triples)
+                    floor_surd, reduced_triple, shared_triples)
+
+# rows up to which a strip of one floor per row costs less than a floor sum
+MAX_STRIP_FLOORS = 8
 
 
 class NotIrrationalError(EhrcollapseError):
@@ -70,12 +74,37 @@ class TrianglePair:
         (theta, _, _), d = self.slopes
         return Expansion(theta, d)
 
+    @cached_property
+    def translate(self) -> Optional[tuple[int, Callable[[int], int]]]:
+        """(n, strip) with L(t) = L(t - n) + strip(t) for t >= n, L(t) the
+        count of the t-th dilate, or None (rational legs: count_triangle_many).
+        Admissible legs: x, y >= 1 is a translate of the (t - alpha)-th
+        dilate, n = alpha, strip(t) = beta*t.  One rational leg v = s/r, r <=
+        MAX_STRIP_FLOORS: y >= r is a translate of the (t - s)-th, n = s, and
+        row y < r holds floor((r*t - s*y)/(r*u)) + 1 points (swap if u = s/r)."""
+        if self.kind == "admissible":  # partials of module functions keep the pair picklable
+            return (self.u + self.v).triple[0], partial(mul, (1 / self.u + 1 / self.v).triple[0])
+        if self.kind == "rational" or not (self.u.is_rational or self.v.is_rational):
+            return None
+        (_, inv_u, inv_v), d = self.slopes
+        leg, (i0, i1, ic) = (self.v, inv_u) if self.v.is_rational else (self.u, inv_v)
+        s, _, r = leg.triple
+        return None if r > MAX_STRIP_FLOORS else (s, partial(_rows, r, s, i0, i1, r * ic, d))
+
     def to_json_dict(self) -> dict:
         return {
             "u": self.u.to_json_dict(),
             "v": self.v.to_json_dict(),
             "class": self.kind,
         }
+
+
+def _rows(r: int, s: int, i0: int, i1: int, rc: int, d: int, t: int) -> int:
+    """Sum of floor(m*(i0 + i1*sqrt(d))/rc) + 1 over m = r*t - s*y, y < r, for t >= s."""
+    n = r
+    for m in range(r * t, r * (t - s), -s):
+        n += floor_surd(m * i0, m * i1, rc, d)
+    return n
 
 
 def _classify(u: QuadNumber, v: QuadNumber) -> str:

@@ -22,11 +22,12 @@ so a sequence that obeys the recurrence is a quasipolynomial of degree <= 2,
 and degree 2 is the only one a certificate needs.
 
 certified_period counts t < w + 3P for the guaranteed period P, checks the
-run against its identity and Delta_P^3 I on [0, w), then divides P by one
-prime at a time while Delta_d^3 I still vanishes on [0, w): the periods are
-the multiples of the least one (McAllister and Woods, J. Combin. Theory A
-109, 2005, on why it can be below the denominator).  minimal_period builds
-the coefficients at that period, once, with fit_quasipolynomial.
+run against its identity (an admissible run is built and checked in
+count_triangle_many) and Delta_P^3 I on [0, w), then divides P by one prime
+at a time while Delta_d^3 I still vanishes on [0, w): the periods are the
+multiples of the least one (McAllister and Woods, J. Combin. Theory A 109,
+2005, on why it can be below the denominator).  minimal_period builds the
+coefficients at that period, once, with fit_quasipolynomial.
 
 fit_quasipolynomial takes the values at t = 0, 1, 2, ..., so residue class z
 lies on the equispaced nodes z, z + P, z + 2P, ...  It scales the values to
@@ -196,19 +197,14 @@ def _certify(obj: Union[RationalTriangleParams, AdmissiblePair]) -> tuple[list[i
     n = width + 3 * guaranteed
     _check_size(n, guaranteed)
     values = counting.count_triangle_many(obj, range(n))
-    if isinstance(obj, AdmissiblePair):  # every count is a floor sum
-        alpha, beta = obj.alpha, obj.beta
-        held = all(y - x == beta * t for t, y, x
-                   in zip(range(alpha, n), islice(values, alpha, None), values))
-    else:
+    if isinstance(obj, RationalTriangleParams):
         # the identity extends the run past q + s; one floor sum checks that
         q, s, box = obj.q, obj.s, obj.p * obj.r
         shifted = zip(islice(values, q + s, None), islice(values, q, None),
                       islice(values, s, None), values)
-        held = (all(y - a - b + c == box for y, a, b, c in shifted)
-                and counting.count_triangle(obj, n - 1) == values[-1])
-    if not held:
-        raise FitFailureError(f"the counts of {obj} break its translate identity")
+        if not (all(y - a - b + c == box for y, a, b, c in shifted)
+                and counting.count_triangle(obj, n - 1) == values[-1]):
+            raise FitFailureError(f"the counts of {obj} break its translate identity")
 
     def vanishes(d: int) -> bool:  # Delta_d^3 I on [0, width)
         v = values
@@ -231,10 +227,11 @@ def certified_period(obj: Union[RationalTriangleParams, AdmissiblePair]) -> int:
     for an admissible pair; the counts obey a recurrence of degree
     w = q + s + 1 or alpha + 2, so they form a quasipolynomial of degree 2.
     The counts on t in [0, w + 3P) must obey their translate identity and
-    Delta_P^3 I = 0 at t in [0, w); FitFailureError otherwise.  P then loses
-    one prime at a time while Delta_d^3 I = 0 at t in [0, w) still holds.
-    Raises EhrcollapseError, before counting, when the certificate would read
-    more than MAX_CERTIFICATE_COUNTS counts.
+    Delta_P^3 I = 0 at t in [0, w); FitFailureError otherwise (an admissible
+    run that breaks its identity raises EhrcollapseError in counting).  P then
+    loses one prime at a time while Delta_d^3 I = 0 at t in [0, w) still
+    holds.  Raises EhrcollapseError, before counting, when the certificate
+    would read more than MAX_CERTIFICATE_COUNTS counts.
     """
     return _certify(obj)[1]
 

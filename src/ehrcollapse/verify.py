@@ -106,9 +106,9 @@ def _check_round_trip() -> tuple[bool, Optional[dict]]:
 
 def _check_closed_form() -> tuple[bool, Optional[dict]]:
     for pair in iter_admissible_pairs(60):
-        ts = range(12 * pair.alpha + 1)
-        counts = counting.count_triangle_many(pair, ts)
-        for t, n in zip(ts, counts):
+        for t in range(12 * pair.alpha + 1):
+            # a per-t floor sum: a run would follow the closed form's own recursion
+            n = counting.count_triangle(pair, t)
             val = counting.closed_form_admissible(pair, t)
             if val.denominator != 1 or val != n:
                 return False, {"alpha": pair.alpha, "beta": pair.beta, "t": t,

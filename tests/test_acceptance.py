@@ -38,7 +38,8 @@ def test_c01_golden_triangle_is_polynomial():
         counts = counting.count_triangle_many(pair, range(201))
         for t, n in enumerate(counts):
             assert 2 * n == (t + 1) * (t + 2)
-            assert counting.closed_form_admissible(pair, t) == n
+            # a per-t floor sum, not the run, which follows the closed form's recursion
+            assert counting.closed_form_admissible(pair, t) == counting.count_triangle(pair, t)
         _, period = quasipoly.minimal_period(pair)
         assert period == 1
 

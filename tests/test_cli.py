@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import subprocess
@@ -10,20 +11,22 @@ import time
 
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ehrcollapse import cli, sequences
-from ehrcollapse.polytopes import is_admissible
+from ehrcollapse import cli, counting, sequences
+from ehrcollapse.arith import parse_quad
+from ehrcollapse.polytopes import TrianglePair, is_admissible
 
 BASE = [sys.executable, "-m", "ehrcollapse"]
 
 
-def run_cli(*args, check=True):
-    proc = subprocess.run(BASE + list(args), capture_output=True, text=True)
+def run_cli(*args, check=True, timeout=None):
+    proc = subprocess.run(BASE + list(args), capture_output=True, text=True, timeout=timeout)
     if check:
         assert proc.returncode == 0, proc.stderr
     return proc
@@ -489,6 +492,13 @@ PINNED_STDOUT = {
     # recorded before fit_quasipolynomial took consecutive counts
     "period on fib triangles": "c65de19bc0740b76733d739fafbcf6aa0bea76c58656d79b6c4b025393b635f7",
     "fit": "971e873009ca5978f5a294d32152ccf5afb21e60c2a7ffad352e5293f4f70ae8",
+    # recorded before runs of irrational triangles were counted by their translate identity
+    "count items of quadratic seeds 1-3": "cc95fcaca91f1340b6bee05bc297fbaad93b947b68e6b505f9eac6b020079806",
+    "count --closed-form": "38bd4b7495537844b090ca99a6fa180800641f68949a5a6a9f5f59b3aa320f84",
+    "guess-admissible items of recurrence seeds 1-3":
+        "592bc0f54da1b09fd2a2677b10438569407c3d039b09926d7a620f5fb55c5aad",
+    "count u = 1, v = sqrt(2) and its swap":
+        "3dc911c3a916322b0b59d121ec514b3fcf66c1d03f52174a2bdb647970fdcfc4",
 }
 
 
@@ -507,6 +517,18 @@ def _fib_period_argvs():
         for n in range(2, n_max + 1):
             params = sequences.fib_triangle(k, n)
             yield ["period", "--params", f"{params.p},{params.q},{params.r},{params.s}"]
+
+
+def _benchmark_argvs(workload, kind, seeds):
+    """The distinct command lines of one kind in the benchmark's runs of 12 s
+    (perfbench/items.py) at the given seeds, in order of first appearance."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_items", Path(__file__).resolve().parents[1] / "perfbench" / "items.py")
+    items = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(items)
+    argvs = (tuple(c["argv"]) for seed in seeds for c in items.build(workload, seed, 12)
+             if c["kind"] == kind)
+    return [list(argv) for argv in dict.fromkeys(argvs)]
 
 
 def _fit_argvs():
@@ -540,6 +562,36 @@ def test_stdout_matches_the_pinned_digests():
     fits = list(_fit_argvs())
     assert len(fits) == 39
     assert _stdout_digest(fits) == PINNED_STDOUT["fit"]
+    dense = _benchmark_argvs("quadratic", "dense", (1, 2, 3))  # the dense and bigd slots
+    assert len(dense) == 312
+    assert _stdout_digest(dense) == PINNED_STDOUT["count items of quadratic seeds 1-3"]
+    pairs = ((3, 3), (2, 4), (1, 5), (5, 1), (2, 3), (3, 2), (4, 7), (7, 4), (5, 5), (13, 17))
+    closed = (["count", "--alpha", str(a), "--beta", str(b), "--t", "0..300", "--closed-form"]
+              for a, b in pairs)
+    assert _stdout_digest(closed) == PINNED_STDOUT["count --closed-form"]
+    guesses = _benchmark_argvs("recurrence", "guess-admissible", (1, 2, 3))
+    assert len(guesses) == 29
+    assert _stdout_digest(guesses) == PINNED_STDOUT["guess-admissible items of recurrence seeds 1-3"]
+    sqrt2 = [["count", "--u", "1", "--v", "0,1,2", "--t", "0..200"],
+             ["count", "--u", "0,1,2", "--v", "1", "--t", "0..200"]]
+    assert _stdout_digest(sqrt2) == PINNED_STDOUT["count u = 1, v = sqrt(2) and its swap"]
+
+
+# -- runs of irrational triangles --------------------------------------------------------
+
+
+def test_a_rational_leg_of_large_denominator_counts_runs_by_floor_sums():
+    """v = 1/10^6 would need a strip of 10^6 floors per t, so the run takes one
+    floor sum per t; a strip would not end before the timeout."""
+    pair = TrianglePair(parse_quad("0,1,2"), Fraction(1, 10 ** 6))
+    start = time.perf_counter()
+    want = [{"t": t, "count": counting.count_triangle(pair, t)} for t in range(2001)]
+    per_t = time.perf_counter() - start
+    start = time.perf_counter()
+    proc = run_cli("count", "--u", "0,1,2", "--v", "1/1000000", "--t", "0..2000", timeout=60)
+    assert json_lines(proc) == want
+    # the run and the per-t counts do the same floor sums; the process adds its start
+    assert time.perf_counter() - start < 3 * per_t + 5
 
 
 # -- closed forms answer at any bound ---------------------------------------------------

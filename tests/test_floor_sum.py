@@ -6,6 +6,7 @@ admissible closed form, and quasipolynomials fitted at small t (with
 Ehrhart-Macdonald reciprocity for interior counts of rational triangles).
 """
 
+import pickle
 from fractions import Fraction
 from itertools import permutations
 from math import floor, gcd, isqrt
@@ -16,8 +17,9 @@ from hypothesis import strategies as st
 
 import oracles
 from ehrcollapse import counting
-from ehrcollapse.arith import Expansion, QuadNumber, parse_quad
+from ehrcollapse.arith import EhrcollapseError, Expansion, QuadNumber, parse_quad
 from ehrcollapse.polytopes import (
+    MAX_STRIP_FLOORS,
     AdmissiblePair,
     AxisSimplex,
     RationalTriangleParams,
@@ -104,6 +106,70 @@ def test_runs_no_longer_than_q_plus_s_on_huge_legs_are_per_t_counts():
             want = [counting.count_triangle(params, t) for t in run]
             assert counting.count_triangle_many(params, run) == want
             assert counting.count_triangle_many(params.triangle().swapped(), run) == want
+
+
+@st.composite
+def translate_pairs(draw):
+    """A triangle with an identity L(t) = L(t - n) + strip(t) of
+    TrianglePair.translate: an admissible pair, or a quadratic irrational leg
+    with a rational leg of denominator at most MAX_STRIP_FLOORS, in either order."""
+    if draw(st.booleans()):
+        alpha, beta = draw(st.sampled_from([(a, b) for a in range(1, 15) for b in range(1, 20)
+                                            if a * b >= 5]))
+        pair = AdmissiblePair(alpha, beta).triangle()
+    else:
+        d = draw(st.sampled_from((2, 3, 5, 7, 10, 13, 10 ** 9 + 7)))
+        irrational = draw(quad_leg(d).filter(lambda x: not x.is_rational))
+        r = draw(st.integers(1, MAX_STRIP_FLOORS))
+        rational = QuadNumber(Fraction(draw(st.integers(1, 3 * r)), r))
+        pair = TrianglePair(irrational, rational)
+    return pair.swapped() if draw(st.booleans()) else pair
+
+
+starts = st.one_of(st.integers(0, 60), st.integers(0, 10 ** 12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), translate_pairs(), starts)
+def test_translate_runs_of_irrational_triangles_match_per_t_counts(data, pair, a):
+    """Runs a..a+len-1 of any length, on both sides of the 2n cut past which
+    the identity extends them, as a range and as a list."""
+    n, _ = pair.translate
+    run = range(a, a + data.draw(st.integers(0, 4 * n + 12)))
+    per_t = [counting.count_triangle(pair, t) for t in run]
+    assert counting.count_triangle_many(pair, run) == per_t
+    assert counting.count_triangle_many(pair, list(run)) == per_t
+    assert counting.count_triangle_many(pair.swapped(), run) == per_t
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), translate_pairs(), starts, st.sampled_from((1, -1)))
+def test_an_off_by_one_inside_a_translate_run_fails_its_tail_check(data, pair, a, error):
+    """One wrong strip anywhere in the extension reaches the last count of its
+    residue class mod n, which the run's closing floor sums recount."""
+    n, strip = pair.translate
+    length = data.draw(st.integers(2 * n + 1, 4 * n + 12))
+    bad = data.draw(st.integers(a + n, a + length - 1))
+    broken = TrianglePair(pair.u, pair.v)
+    broken.__dict__["translate"] = (n, lambda t: strip(t) + (error if t == bad else 0))
+    with pytest.raises(EhrcollapseError, match="translate identity"):
+        counting.count_triangle_many(broken, range(a, a + length))
+
+
+def test_pairs_that_counted_a_translate_run_still_pickle():
+    for pair in (AdmissiblePair(3, 3), TrianglePair(parse_quad("1/2,3/4,7"), Fraction(7, 4))):
+        want = counting.count_triangle_many(pair, range(40))
+        copy = pickle.loads(pickle.dumps(pair))
+        assert copy == pair and counting.count_triangle_many(copy, range(40)) == want
+
+
+def test_rational_legs_of_large_denominator_have_no_strip():
+    sqrt2 = QuadNumber(Fraction(0), Fraction(1), 2)
+    for v in (Fraction(1, MAX_STRIP_FLOORS + 1), Fraction(1, 10 ** 6)):
+        assert TrianglePair(sqrt2, v).translate is None
+        assert TrianglePair(v, sqrt2).translate is None
+    assert TrianglePair(sqrt2, QuadNumber(Fraction(0), Fraction(1), 3)).translate is None
+    assert TrianglePair(Fraction(1, 2), Fraction(3, 4)).translate is None  # rational legs
 
 
 @settings(max_examples=60, deadline=None)

@@ -164,18 +164,26 @@ def test_minimal_period_certificate_spans_k_plus_1_periods(monkeypatch):
     # one more count everywhere in the run still obeys the rational identity,
     # so only the floor sum at the last t tells
     (RationalTriangleParams(2, 3, 3, 2), lambda t, in_run: in_run),
-    # one more count from t = 10 on breaks the admissible identity there
-    (AdmissiblePair(3, 3), lambda t, in_run: t >= 10),
+    # one more point in the strip at t = 10 puts one more count at t = 10, 13,
+    # which the floor sums of the run's last alpha counts tell
+    (AdmissiblePair(3, 3), lambda t, in_run: t == 10),
 ])
 def test_certificate_checks_the_run_independently(monkeypatch, obj, offset):
-    real = counting.count_triangle_many
+    raised = quasipoly.FitFailureError
+    if isinstance(obj, AdmissiblePair):  # the identity builds the run inside count_triangle_many
+        raised = EhrcollapseError
+        pair = obj.triangle()
+        n, strip = pair.translate
+        monkeypatch.setitem(pair.__dict__, "translate", (n, lambda t: strip(t) + offset(t, True)))
+    else:
+        real = counting.count_triangle_many
 
-    def shifted(obj, ts):
-        ts = list(ts)
-        return [n + offset(t, len(ts) > 1) for t, n in zip(ts, real(obj, ts))]
+        def shifted(obj, ts):
+            ts = list(ts)
+            return [n + offset(t, len(ts) > 1) for t, n in zip(ts, real(obj, ts))]
 
-    monkeypatch.setattr(counting, "count_triangle_many", shifted)
-    with pytest.raises(quasipoly.FitFailureError, match="translate identity"):
+        monkeypatch.setattr(counting, "count_triangle_many", shifted)
+    with pytest.raises(raised, match="translate identity"):
         certified_period(obj)
 
 
