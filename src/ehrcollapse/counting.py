@@ -110,19 +110,13 @@ def count_triangle(obj: TriangleLike, t: int) -> int:
 def count_triangle_many(obj: TriangleLike, ts: Iterable[int]) -> list[int]:
     """Batch version of count_triangle; one exact count per t.
 
-    For rational legs u = q/p and v = s/r in lowest terms, the points of the
-    t-th dilate with x >= p are a translate of the (t - q)-th dilate, those
-    with y >= r a translate of the (t - s)-th, and the box x < p, y < r is
-    full once t >= q + s, so there
-
-        L(t) = L(t - q) + L(t - s) - L(t - q - s) + p*r.
-
-    When ts is a contiguous ascending run a, a + 1, ... longer than q + s,
-    its first q + s counts are floor sums and the identity gives the rest.
-    For legs with an identity L(t) = L(t - n) + strip(t) (TrianglePair.translate,
-    not built for runs of one or two t), a run longer than 2n takes floor sums
-    for its first n counts, the identity for the rest, and floor sums for its
-    last n again, which must match (EhrcollapseError otherwise).  Every other
+    When ts is a contiguous ascending run a, a + 1, ... longer than 2n + m,
+    for legs with a translate identity (n, m, step) (TrianglePair.translate,
+    not built for runs of one or two t), its first n + m counts are floor
+    sums, the identity gives the rest, and floor sums of its last n counts
+    must match them (EhrcollapseError otherwise).  The identity is linear
+    with non-negative coefficients, so an error at any one t reaches the
+    count at t + a*n, the last one of its residue class mod n.  Every other
     ts is one floor sum per t.
     """
     pair = _as_pair(obj)
@@ -132,24 +126,21 @@ def count_triangle_many(obj: TriangleLike, ts: Iterable[int]) -> list[int]:
         is_run = bool(ts) and ts == list(range(ts[0], ts[0] + len(ts)))
     if ts and (ts[0] if is_run else min(ts)) < 0:
         raise ValueError("dilation factors must be >= 0")
-    (q, _, p), (s, _, r) = pair.u.triple, pair.v.triple  # u = q/p, v = s/r if rational
-    seeds, d = q + s, pair.slopes[1]
-    if pair.kind == "rational":
-        if is_run and len(ts) > seeds:
-            counts = _count_below(pair, [(t, 0, 1) for t in ts[:seeds]], 0)
-            box = p * r
-            for i in range(seeds, len(ts)):
-                counts.append(counts[i - q] + counts[i - s] - counts[i - seeds] + box)
-            return counts
-    elif is_run and len(ts) > 2 and pair.translate and len(ts) > 2 * pair.translate[0]:
-        n, strip = pair.translate
-        counts = _count_below(pair, [(t, 0, 1) for t in ts[:n]], d)
+    d, identity = pair.slopes[1], is_run and len(ts) > 2 and pair.translate
+    if not identity or len(ts) <= 2 * identity[0] + identity[1]:
+        return _count_below(pair, [(t, 0, 1) for t in ts], d)
+    n, m, step = identity
+    seeds = n + m
+    counts = _count_below(pair, [(t, 0, 1) for t in ts[:seeds]], d)
+    if m:
+        for i in range(seeds, len(ts)):
+            counts.append(counts[i - n] + counts[i - m] - counts[i - seeds] + step)
+    else:
         for t in ts[n:]:
-            counts.append(counts[-n] + strip(t))
-        if _count_below(pair, [(t, 0, 1) for t in ts[-n:]], d) != counts[-n:]:
-            raise EhrcollapseError(f"the counts of {pair} break its translate identity")
-        return counts
-    return _count_below(pair, [(t, 0, 1) for t in ts], d)
+            counts.append(counts[-n] + step(t))
+    if _count_below(pair, [(t, 0, 1) for t in ts[-n:]], d) != counts[-n:]:
+        raise EhrcollapseError(f"the counts of {pair} break its translate identity")
+    return counts
 
 
 def count_triangle_interior(obj: TriangleLike, t: int) -> int:

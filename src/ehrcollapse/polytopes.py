@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from math import gcd, lcm
-from operator import mul
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from .arith import (EhrcollapseError, Expansion, QuadNumber, RadicandMismatchError, Triple,
                     floor_surd, reduced_triple, shared_triples)
@@ -75,21 +74,29 @@ class TrianglePair:
         return Expansion(theta, d)
 
     @cached_property
-    def translate(self) -> Optional[tuple[int, Callable[[int], int]]]:
-        """(n, strip) with L(t) = L(t - n) + strip(t) for t >= n, L(t) the
-        count of the t-th dilate, or None (rational legs: count_triangle_many).
+    def translate(self) -> Optional[tuple[int, int, Union[int, Callable[[int], int]]]]:
+        """(n, m, step) with L(t) = L(t - n) + L(t - m) - L(t - n - m) + step
+        for t >= n + m, L(t) the count of the t-th dilate, or (n, 0, strip)
+        with L(t) = L(t - n) + strip(t) for t >= n, or None.  Rational legs
+        u = q/p, v = s/r: x >= p and y >= r are translates of the (t - q)-th
+        and (t - s)-th dilates and the box x < p, y < r is full: (q, s, p*r).
         Admissible legs: x, y >= 1 is a translate of the (t - alpha)-th
-        dilate, n = alpha, strip(t) = beta*t.  One rational leg v = s/r, r <=
-        MAX_STRIP_FLOORS: y >= r is a translate of the (t - s)-th, n = s, and
-        row y < r holds floor((r*t - s*y)/(r*u)) + 1 points (swap if u = s/r)."""
-        if self.kind == "admissible":  # partials of module functions keep the pair picklable
-            return (self.u + self.v).triple[0], partial(mul, (1 / self.u + 1 / self.v).triple[0])
-        if self.kind == "rational" or not (self.u.is_rational or self.v.is_rational):
+        dilate and the axes hold beta*t points; differenced once, (alpha, 1,
+        beta).  One rational leg v = s/r, r <= MAX_STRIP_FLOORS: y >= r is a
+        translate of the (t - s)-th, n = s, and row y < r holds
+        floor((r*t - s*y)/(r*u)) + 1 points (swap if u = s/r)."""
+        if self.kind == "rational":
+            (q, _, p), (s, _, r) = self.u.triple, self.v.triple
+            return q, s, p * r
+        if self.kind == "admissible":
+            return (self.u + self.v).triple[0], 1, (1 / self.u + 1 / self.v).triple[0]
+        if not (self.u.is_rational or self.v.is_rational):
             return None
         (_, inv_u, inv_v), d = self.slopes
         leg, (i0, i1, ic) = (self.v, inv_u) if self.v.is_rational else (self.u, inv_v)
         s, _, r = leg.triple
-        return None if r > MAX_STRIP_FLOORS else (s, partial(_rows, r, s, i0, i1, r * ic, d))
+        # a partial of a module function keeps the pair picklable
+        return None if r > MAX_STRIP_FLOORS else (s, 0, partial(_rows, r, s, i0, i1, r * ic, d))
 
     def to_json_dict(self) -> dict:
         return {

@@ -9,25 +9,24 @@ is a quasipolynomial of period d and degree <= k on t >= 0 exactly when
 Delta_d^(k+1) I vanishes there, since then every residue class mod d is a
 sequence whose (k+1)-th difference is zero, i.e. a polynomial of degree <= k.
 
-The window (Stanley, EC1 section 4.4): for rational legs u = q/p, v = s/r,
-the translate identity I(t) = I(t-q) + I(t-s) - I(t-q-s) + p*r for t >= q+s
-of counting.count_triangle_many, differenced once, makes
-C(z) = (1-z)(1-z^q)(1-z^s) annihilate I from t = deg C on.  For an
-admissible pair, I(t) = I(t-alpha) + beta*t for t >= alpha (the points with
-x, y >= 1 are a translate, the axes hold beta*t) gives
-C(z) = (1-z)^2 (1-z^alpha).  Delta_d^3 I is a sum of forward shifts of I, so
-it obeys the same recurrence from t = w = deg C on: it vanishes for all
-t >= 0 once it vanishes on [0, w).  No root of C has multiplicity above 3,
-so a sequence that obeys the recurrence is a quasipolynomial of degree <= 2,
-and degree 2 is the only one a certificate needs.
+The window (Stanley, EC1 section 4.4): the counts obey the translate
+identity I(t) = I(t-n) + I(t-m) - I(t-n-m) + c for t >= n+m of
+TrianglePair.translate, with (n, m, c) = (q, s, p*r) for rational legs
+u = q/p, v = s/r and (alpha, 1, beta) for an admissible pair.  Differenced
+once, it makes C(z) = (1-z)(1-z^n)(1-z^m) annihilate I from t = deg C on.
+Delta_d^3 I is a sum of forward shifts of I, so it obeys the same recurrence
+from t = w = deg C = n + m + 1 on: it vanishes for all t >= 0 once it
+vanishes on [0, w).  No root of C has multiplicity above 3, so a sequence
+that obeys the recurrence is a quasipolynomial of degree <= 2 and period
+lcm(n, m), and degree 2 is the only one a certificate needs.
 
-certified_period counts t < w + 3P for the guaranteed period P, checks the
-run against its identity (an admissible run is built and checked in
-count_triangle_many) and Delta_P^3 I on [0, w), then divides P by one prime
-at a time while Delta_d^3 I still vanishes on [0, w): the periods are the
-multiples of the least one (McAllister and Woods, J. Combin. Theory A 109,
-2005, on why it can be below the denominator).  minimal_period builds the
-coefficients at that period, once, with fit_quasipolynomial.
+certified_period counts t < w + 3P for the guaranteed period P = lcm(n, m),
+in one run that count_triangle_many checks against the identity, checks
+Delta_P^3 I on [0, w), then divides P by one prime at a time while
+Delta_d^3 I still vanishes on [0, w): the periods are the multiples of the
+least one (McAllister and Woods, J. Combin. Theory A 109, 2005, on why it
+can be below the denominator).  minimal_period builds the coefficients at
+that period, once, with fit_quasipolynomial.
 
 fit_quasipolynomial takes the values at t = 0, 1, 2, ..., so residue class z
 lies on the equispaced nodes z, z + P, z + 2P, ...  It scales the values to
@@ -41,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from . import counting
@@ -188,23 +187,13 @@ def _check_size(counts: int, guaranteed: int) -> None:
 
 def _certify(obj: Union[RationalTriangleParams, AdmissiblePair]) -> tuple[list[int], int]:
     """The counts read by the certificates, and the certified minimal period."""
-    if isinstance(obj, AdmissiblePair):
-        guaranteed, width = obj.alpha, obj.alpha + 2
-    elif isinstance(obj, RationalTriangleParams):
-        guaranteed, width = obj.denominator, obj.q + obj.s + 1
-    else:
+    if not isinstance(obj, (RationalTriangleParams, AdmissiblePair)):
         raise TypeError(f"unsupported type {type(obj).__name__}")
-    n = width + 3 * guaranteed
-    _check_size(n, guaranteed)
-    values = counting.count_triangle_many(obj, range(n))
-    if isinstance(obj, RationalTriangleParams):
-        # the identity extends the run past q + s; one floor sum checks that
-        q, s, box = obj.q, obj.s, obj.p * obj.r
-        shifted = zip(islice(values, q + s, None), islice(values, q, None),
-                      islice(values, s, None), values)
-        if not (all(y - a - b + c == box for y, a, b, c in shifted)
-                and counting.count_triangle(obj, n - 1) == values[-1]):
-            raise FitFailureError(f"the counts of {obj} break its translate identity")
+    n, m, _ = obj.triangle().translate
+    guaranteed, width = lcm(n, m), n + m + 1
+    size = width + 3 * guaranteed
+    _check_size(size, guaranteed)
+    values = counting.count_triangle_many(obj, range(size))
 
     def vanishes(d: int) -> bool:  # Delta_d^3 I on [0, width)
         v = values
@@ -223,15 +212,17 @@ def _certify(obj: Union[RationalTriangleParams, AdmissiblePair]) -> tuple[list[i
 def certified_period(obj: Union[RationalTriangleParams, AdmissiblePair]) -> int:
     """Certify the guaranteed period, then descend to the least period.
 
-    The guaranteed period P is lcm(q, s) for rational parameters and alpha
-    for an admissible pair; the counts obey a recurrence of degree
-    w = q + s + 1 or alpha + 2, so they form a quasipolynomial of degree 2.
-    The counts on t in [0, w + 3P) must obey their translate identity and
-    Delta_P^3 I = 0 at t in [0, w); FitFailureError otherwise (an admissible
-    run that breaks its identity raises EhrcollapseError in counting).  P then
-    loses one prime at a time while Delta_d^3 I = 0 at t in [0, w) still
-    holds.  Raises EhrcollapseError, before counting, when the certificate
-    would read more than MAX_CERTIFICATE_COUNTS counts.
+    The counts obey the translate identity (n, m, step) of
+    TrianglePair.translate, so they satisfy a recurrence of degree w = n + m + 1
+    and are a quasipolynomial of degree 2 and guaranteed period P = lcm(n, m):
+    lcm(q, s) for rational parameters and alpha for an admissible pair.  The
+    counts on t in [0, w + 3P) are one run of count_triangle_many, which
+    raises EhrcollapseError when they break the identity; Delta_P^3 I must
+    vanish at t in [0, w) (FitFailureError otherwise).  P then loses one
+    prime at a time while Delta_d^3 I = 0 at t in [0, w) still holds.
+    Raises TypeError for objects other than rational parameters and
+    admissible pairs, and EhrcollapseError, before counting, when the
+    certificate would read more than MAX_CERTIFICATE_COUNTS counts.
     """
     return _certify(obj)[1]
 

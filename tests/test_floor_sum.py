@@ -67,8 +67,8 @@ def test_rational_counts_match_range_oracle(params, t_max):
 @settings(max_examples=150, deadline=None)
 @given(st.data(), lowest_term_params(), st.integers(0, 60))
 def test_translate_identity_run_matches_per_t_counts(data, params, a):
-    """A run a..a+n-1 with n on both sides of the q + s cut, where runs longer
-    than q + s are counted by the translate identity."""
+    """A run a..a+n-1 with n on both sides of the 2q + s cut, where longer runs
+    are counted by the translate identity."""
     p, q, r, s = params.p, params.q, params.r, params.s
     n = data.draw(st.integers(0, 3 * (q + s)))
     run = range(a, a + n)
@@ -110,10 +110,14 @@ def test_runs_no_longer_than_q_plus_s_on_huge_legs_are_per_t_counts():
 
 @st.composite
 def translate_pairs(draw):
-    """A triangle with an identity L(t) = L(t - n) + strip(t) of
-    TrianglePair.translate: an admissible pair, or a quadratic irrational leg
-    with a rational leg of denominator at most MAX_STRIP_FLOORS, in either order."""
-    if draw(st.booleans()):
+    """A triangle with a translate identity (n, m, step) of
+    TrianglePair.translate: rational legs, an admissible pair, or a quadratic
+    irrational leg with a rational leg of denominator at most
+    MAX_STRIP_FLOORS, in either order."""
+    kind = draw(st.sampled_from(("rational", "admissible", "strip")))
+    if kind == "rational":
+        pair = draw(lowest_term_params()).triangle()
+    elif kind == "admissible":
         alpha, beta = draw(st.sampled_from([(a, b) for a in range(1, 15) for b in range(1, 20)
                                             if a * b >= 5]))
         pair = AdmissiblePair(alpha, beta).triangle()
@@ -132,26 +136,44 @@ starts = st.one_of(st.integers(0, 60), st.integers(0, 10 ** 12))
 @settings(max_examples=100, deadline=None)
 @given(st.data(), translate_pairs(), starts)
 def test_translate_runs_of_irrational_triangles_match_per_t_counts(data, pair, a):
-    """Runs a..a+len-1 of any length, on both sides of the 2n cut past which
-    the identity extends them, as a range and as a list."""
-    n, _ = pair.translate
-    run = range(a, a + data.draw(st.integers(0, 4 * n + 12)))
+    """Runs a..a+len-1 of any length, on both sides of the 2n + m cut past
+    which the identity extends them, as a range and as a list."""
+    n, m, _ = pair.translate
+    run = range(a, a + data.draw(st.integers(0, 4 * n + 2 * m + 12)))
     per_t = [counting.count_triangle(pair, t) for t in run]
     assert counting.count_triangle_many(pair, run) == per_t
     assert counting.count_triangle_many(pair, list(run)) == per_t
     assert counting.count_triangle_many(pair.swapped(), run) == per_t
 
 
-@settings(max_examples=100, deadline=None)
+class StepOffAt(int):
+    """A constant identity step that is off by error at its k-th use alone."""
+
+    def __new__(cls, step, k, error):
+        obj = super().__new__(cls, step)
+        obj.k, obj.error = k, error
+        return obj
+
+    def __radd__(self, count):
+        self.k -= 1
+        return count + int(self) + (self.error if self.k == 0 else 0)
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.data(), translate_pairs(), starts, st.sampled_from((1, -1)))
 def test_an_off_by_one_inside_a_translate_run_fails_its_tail_check(data, pair, a, error):
-    """One wrong strip anywhere in the extension reaches the last count of its
+    """One wrong step anywhere in the extension reaches the last count of its
     residue class mod n, which the run's closing floor sums recount."""
-    n, strip = pair.translate
-    length = data.draw(st.integers(2 * n + 1, 4 * n + 12))
-    bad = data.draw(st.integers(a + n, a + length - 1))
+    n, m, step = pair.translate
+    length = data.draw(st.integers(2 * n + m + 1, 4 * n + 2 * m + 12))
+    bad = data.draw(st.integers(a + n + m, a + length - 1))
+    if m:  # the run extends t = a + n + m, a + n + m + 1, ... in turn
+        step = StepOffAt(step, bad - a - n - m + 1, error)
+    else:
+        strip = step
+        step = lambda t: strip(t) + (error if t == bad else 0)
     broken = TrianglePair(pair.u, pair.v)
-    broken.__dict__["translate"] = (n, lambda t: strip(t) + (error if t == bad else 0))
+    broken.__dict__["translate"] = (n, m, step)
     with pytest.raises(EhrcollapseError, match="translate identity"):
         counting.count_triangle_many(broken, range(a, a + length))
 
@@ -169,7 +191,9 @@ def test_rational_legs_of_large_denominator_have_no_strip():
         assert TrianglePair(sqrt2, v).translate is None
         assert TrianglePair(v, sqrt2).translate is None
     assert TrianglePair(sqrt2, QuadNumber(Fraction(0), Fraction(1), 3)).translate is None
-    assert TrianglePair(Fraction(1, 2), Fraction(3, 4)).translate is None  # rational legs
+    # two rational legs u = q/p, v = s/r have the identity (q, s, p*r) whatever r is
+    assert TrianglePair(Fraction(1, 2), Fraction(3, 4)).translate == (1, 3, 8)
+    assert TrianglePair(Fraction(7, 10 ** 6), Fraction(3, 4)).translate == (7, 3, 4 * 10 ** 6)
 
 
 @settings(max_examples=60, deadline=None)

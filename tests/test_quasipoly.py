@@ -6,6 +6,7 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_floor_sum import StepOffAt
 
 from ehrcollapse import counting, quasipoly, sequences
 from ehrcollapse.polytopes import (
@@ -133,7 +134,7 @@ def test_certified_period_is_the_minimal_period():
 
 def test_minimal_period_counts_the_whole_certificate(monkeypatch):
     # u = 3/2 and v = 2/3 obey a recurrence of degree w = 3 + 2 + 1 = 6, so the
-    # run is t < w + 3P = 24, and one floor sum checks its last t
+    # run is t < w + 3P = 24, one call whose floor sums recount its last 3 t
     params = RationalTriangleParams(2, 3, 3, 2)
     lengths = []
     real = counting.count_triangle_many
@@ -145,46 +146,58 @@ def test_minimal_period_counts_the_whole_certificate(monkeypatch):
 
     monkeypatch.setattr(counting, "count_triangle_many", spy)
     _, period = minimal_period(params)
-    assert period == 3 and lengths == [24, 1]
+    assert period == 3 and lengths == [24]
+    # so a step that is off only at the run's last t, t = 23, is refused
+    pair = params.triangle()
+    (n, m, box), last = pair.translate, 23 - (3 + 2) + 1
+    monkeypatch.setitem(pair.__dict__, "translate", (n, m, StepOffAt(box, last, 1)))
+    with pytest.raises(EhrcollapseError, match="translate identity"):
+        minimal_period(params)
 
 
 def test_minimal_period_certificate_spans_k_plus_1_periods(monkeypatch):
-    # a period-6 quadratic quasipolynomial that is zero for t < 17: its
-    # differences vanish on the window [0, 8) of (1, 6, 1, 1) at every d, but
-    # it breaks the translate identity L(t) = L(t-6) + L(t-1) - L(t-7) + 1
-    def counts(obj, ts):
-        return [(t - 5) * (t - 11) if t % 6 == 5 else 0 for t in ts]
+    # u = 6 and v = 1 obey L(t) = L(t-6) + L(t-1) - L(t-7) + 1; with the step
+    # 2 in place of 1, the run of t < w + 3P = 8 + 18 is still a period-6
+    # quadratic quasipolynomial (its generating function gains
+    # z^7/((1-z)^2 (1-z^6))), so Delta^3 vanishes on the window, and only the
+    # floor sums that close the run tell
+    params = RationalTriangleParams(1, 6, 1, 1)
+    pair = params.triangle()
+    n, m, step = pair.translate
+    run = counting.count_triangle_many(params, range(7))
+    for t in range(7, 26):
+        run.append(run[t - n] + run[t - m] - run[t - n - m] + step + 1)
+    assert not any(run[t + 18] - 3 * run[t + 12] + 3 * run[t + 6] - run[t] for t in range(8))
+    monkeypatch.setitem(pair.__dict__, "translate", (n, m, step + 1))
+    with pytest.raises(EhrcollapseError, match="translate identity"):
+        minimal_period(params)
 
-    monkeypatch.setattr(counting, "count_triangle_many", counts)
-    with pytest.raises(quasipoly.FitFailureError, match="translate identity"):
-        minimal_period(RationalTriangleParams(1, 6, 1, 1))
 
-
-@pytest.mark.parametrize("obj, offset", [
-    # one more count everywhere in the run still obeys the rational identity,
-    # so only the floor sum at the last t tells
-    (RationalTriangleParams(2, 3, 3, 2), lambda t, in_run: in_run),
-    # one more point in the strip at t = 10 puts one more count at t = 10, 13,
-    # which the floor sums of the run's last alpha counts tell
-    (AdmissiblePair(3, 3), lambda t, in_run: t == 10),
+@pytest.mark.parametrize("obj, broken", [
+    # one more point in the box x < p, y < r at every t
+    (RationalTriangleParams(2, 3, 3, 2), lambda n, m, box: (n, m, box + 1)),
+    # one point fewer on the axes per unit of t
+    (AdmissiblePair(3, 3), lambda n, m, beta: (n, m, beta - 1)),
 ])
-def test_certificate_checks_the_run_independently(monkeypatch, obj, offset):
-    raised = quasipoly.FitFailureError
-    if isinstance(obj, AdmissiblePair):  # the identity builds the run inside count_triangle_many
-        raised = EhrcollapseError
-        pair = obj.triangle()
-        n, strip = pair.translate
-        monkeypatch.setitem(pair.__dict__, "translate", (n, lambda t: strip(t) + offset(t, True)))
-    else:
-        real = counting.count_triangle_many
-
-        def shifted(obj, ts):
-            ts = list(ts)
-            return [n + offset(t, len(ts) > 1) for t, n in zip(ts, real(obj, ts))]
-
-        monkeypatch.setattr(counting, "count_triangle_many", shifted)
-    with pytest.raises(raised, match="translate identity"):
+def test_certificate_checks_the_run_independently(monkeypatch, obj, broken):
+    # the certificate's run comes from the identity, and the floor sums that
+    # close it are what tells a broken identity
+    pair = obj.triangle()
+    monkeypatch.setitem(pair.__dict__, "translate", broken(*pair.translate))
+    with pytest.raises(EhrcollapseError, match="translate identity"):
         certified_period(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    TrianglePair(Fraction(3, 2), Fraction(2, 3)),  # rational legs, not parameters
+    AdmissiblePair(3, 3).triangle(),
+    TrianglePair(quad_sqrt(2), Fraction(7, 4)),  # one rational leg: a strip identity
+    TrianglePair(quad_sqrt(2), quad_sqrt(3)),  # no identity
+])
+def test_period_certificates_refuse_triangle_pairs(obj):
+    for certify in (certified_period, minimal_period):
+        with pytest.raises(TypeError):
+            certify(obj)
 
 
 def _assert_matches_the_divisor_scan(obj):
