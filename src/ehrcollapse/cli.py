@@ -215,11 +215,11 @@ def _cmd_fit(args, parser, emit) -> int:
 
 def _period_object(pair: TrianglePair):
     """The rational parameters or the admissible pair of --u/--v legs."""
-    u, v = pair.u, pair.v
     if pair.kind == "rational":
-        return RationalTriangleParams.from_fractions(u.as_fraction(), v.as_fraction())
+        return RationalTriangleParams.from_fractions(pair.u.as_fraction(), pair.v.as_fraction())
     if pair.kind == "admissible":
-        return AdmissiblePair(int((u + v).as_fraction()), int((1 / u + 1 / v).as_fraction()))
+        _, alpha, beta = pair.translate
+        return AdmissiblePair(alpha, beta)
     raise ValueError("period needs rational legs, or legs with integer u + v and 1/u + 1/v")
 
 
@@ -385,8 +385,7 @@ def _cmd_verify(args, parser, emit) -> int:
         record = {"suite": res.suite, "check": res.name, "pass": res.passed}
         if not res.passed:
             failed += 1
-            if res.detail is not None:
-                record["counterexample"] = res.detail
+            record["counterexample"] = res.detail
         emit(record)
     emit({"checks": len(results), "failed": failed})
     return 1 if failed else 0

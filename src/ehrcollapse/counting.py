@@ -116,8 +116,9 @@ def count_triangle_many(obj: TriangleLike, ts: Iterable[int]) -> list[int]:
     sums, the identity gives the rest, and floor sums of its last n counts
     must match them (EhrcollapseError otherwise).  The identity is linear
     with non-negative coefficients, so an error at any one t reaches the
-    count at t + a*n, the last one of its residue class mod n.  Every other
-    ts is one floor sum per t.
+    count at t + a*n, the last one of its residue class mod n.  n is the
+    smaller shift: one closing floor sum for an admissible pair, min(q, s)
+    for rational legs.  Every other ts is one floor sum per t.
     """
     pair = _as_pair(obj)
     is_run = isinstance(ts, range) and ts.step == 1

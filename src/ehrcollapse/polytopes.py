@@ -37,7 +37,6 @@ class TrianglePair:
 
     u: QuadNumber
     v: QuadNumber
-    kind: str = field(init=False)
 
     def __post_init__(self) -> None:
         u = QuadNumber.from_value(self.u)
@@ -46,7 +45,15 @@ class TrianglePair:
             raise ValueError("both legs must be positive")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "kind", _classify(u, v))
+
+    @property
+    def kind(self) -> str:
+        """'rational' for two rational legs, 'admissible' for legs with the
+        two-shift identity (1, alpha, beta), else 'other'."""
+        if self.u.is_rational and self.v.is_rational:
+            return "rational"
+        identity = self.translate
+        return "admissible" if identity and identity[1] else "other"
 
     def swapped(self) -> "TrianglePair":
         return TrianglePair(self.v, self.u)
@@ -76,24 +83,34 @@ class TrianglePair:
     @cached_property
     def translate(self) -> Optional[tuple[int, int, Union[int, Callable[[int], int]]]]:
         """(n, m, step) with L(t) = L(t - n) + L(t - m) - L(t - n - m) + step
-        for t >= n + m, L(t) the count of the t-th dilate, or (n, 0, strip)
-        with L(t) = L(t - n) + strip(t) for t >= n, or None.  Rational legs
-        u = q/p, v = s/r: x >= p and y >= r are translates of the (t - q)-th
-        and (t - s)-th dilates and the box x < p, y < r is full: (q, s, p*r).
-        Admissible legs: x, y >= 1 is a translate of the (t - alpha)-th
-        dilate and the axes hold beta*t points; differenced once, (alpha, 1,
-        beta).  One rational leg v = s/r, r <= MAX_STRIP_FLOORS: y >= r is a
-        translate of the (t - s)-th, n = s, and row y < r holds
+        for t >= n + m and n <= m, L(t) the count of the t-th dilate, or
+        (n, 0, strip) with L(t) = L(t - n) + strip(t) for t >= n, or None.
+        Rational legs u = q/p, v = s/r: x >= p and y >= r are translates of
+        the (t - q)-th and (t - s)-th dilates and the box x < p, y < r is
+        full: (min(q, s), max(q, s), p*r).  Irrational legs with integer
+        alpha = u + v and beta = 1/u + 1/v (admissible): x, y >= 1 is a
+        translate of the (t - alpha)-th dilate and the axes hold beta*t
+        points; differenced once, (1, alpha, beta).  Other irrational legs
+        have none.  One rational leg v = s/r, r <= MAX_STRIP_FLOORS: y >= r
+        is a translate of the (t - s)-th, n = s, and row y < r holds
         floor((r*t - s*y)/(r*u)) + 1 points (swap if u = s/r)."""
-        if self.kind == "rational":
-            (q, _, p), (s, _, r) = self.u.triple, self.v.triple
-            return q, s, p * r
-        if self.kind == "admissible":
-            return (self.u + self.v).triple[0], 1, (1 / self.u + 1 / self.v).triple[0]
-        if not (self.u.is_rational or self.v.is_rational):
-            return None
+        u, v = self.u, self.v
+        if u.is_rational and v.is_rational:
+            (q, _, p), (s, _, r) = u.triple, v.triple
+            return min(q, s), max(q, s), p * r
+        if not (u.is_rational or v.is_rational):
+            try:
+                alpha = u + v
+            except RadicandMismatchError:
+                return None
+            # an integer sum of irrational legs makes u/v irrational: u = r*v
+            # with r rational would make v = alpha/(1 + r) rational
+            if not alpha.is_integer():
+                return None
+            beta = alpha / (u * v)  # 1/u + 1/v = (u+v)/(u*v)
+            return (1, alpha.triple[0], beta.triple[0]) if beta.is_integer() else None
         (_, inv_u, inv_v), d = self.slopes
-        leg, (i0, i1, ic) = (self.v, inv_u) if self.v.is_rational else (self.u, inv_v)
+        leg, (i0, i1, ic) = (v, inv_u) if v.is_rational else (u, inv_v)
         s, _, r = leg.triple
         # a partial of a module function keeps the pair picklable
         return None if r > MAX_STRIP_FLOORS else (s, 0, partial(_rows, r, s, i0, i1, r * ic, d))
@@ -112,22 +129,6 @@ def _rows(r: int, s: int, i0: int, i1: int, rc: int, d: int, t: int) -> int:
     for m in range(r * t, r * (t - s), -s):
         n += floor_surd(m * i0, m * i1, rc, d)
     return n
-
-
-def _classify(u: QuadNumber, v: QuadNumber) -> str:
-    if u.is_rational and v.is_rational:
-        return "rational"
-    try:
-        alpha = u + v
-    except RadicandMismatchError:
-        return "other"
-    # an integer sum needs both legs irrational, and then u/v is irrational too:
-    # u = r*v with r rational would make v = alpha/(1 + r) rational
-    if alpha.is_integer():
-        beta = alpha / (u * v)  # 1/u + 1/v = (u+v)/(u*v)
-        if beta.is_integer():
-            return "admissible"
-    return "other"
 
 
 def is_admissible(alpha: int, beta: int) -> bool:

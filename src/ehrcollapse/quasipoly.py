@@ -11,14 +11,14 @@ sequence whose (k+1)-th difference is zero, i.e. a polynomial of degree <= k.
 
 The window (Stanley, EC1 section 4.4): the counts obey the translate
 identity I(t) = I(t-n) + I(t-m) - I(t-n-m) + c for t >= n+m of
-TrianglePair.translate, with (n, m, c) = (q, s, p*r) for rational legs
-u = q/p, v = s/r and (alpha, 1, beta) for an admissible pair.  Differenced
-once, it makes C(z) = (1-z)(1-z^n)(1-z^m) annihilate I from t = deg C on.
-Delta_d^3 I is a sum of forward shifts of I, so it obeys the same recurrence
-from t = w = deg C = n + m + 1 on: it vanishes for all t >= 0 once it
-vanishes on [0, w).  No root of C has multiplicity above 3, so a sequence
-that obeys the recurrence is a quasipolynomial of degree <= 2 and period
-lcm(n, m), and degree 2 is the only one a certificate needs.
+TrianglePair.translate, with (n, m, c) = (min(q, s), max(q, s), p*r) for
+rational legs u = q/p, v = s/r and (1, alpha, beta) for an admissible pair.
+Differenced once, it makes C(z) = (1-z)(1-z^n)(1-z^m) annihilate I from
+t = deg C on.  Delta_d^3 I is a sum of forward shifts of I, so it obeys the
+same recurrence from t = w = deg C = n + m + 1 on: it vanishes for all
+t >= 0 once it vanishes on [0, w).  No root of C has multiplicity above 3,
+so a sequence that obeys the recurrence is a quasipolynomial of degree <= 2
+and period lcm(n, m), and degree 2 is the only one a certificate needs.
 
 certified_period counts t < w + 3P for the guaranteed period P = lcm(n, m),
 in one run that count_triangle_many checks against the identity, checks

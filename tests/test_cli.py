@@ -324,6 +324,25 @@ def test_unknown_suite_is_usage_error():
                            " 'all']\n")
 
 
+def test_a_failing_check_reports_its_first_counterexample_and_exits_1(monkeypatch):
+    from ehrcollapse import verify
+
+    def two_counterexamples():
+        yield {"x": 1}
+        yield {"x": 2}
+
+    checks = list(verify._SUITE_CHECKS["arith"])
+    checks[1] = ("field-axioms-sample", two_counterexamples)
+    monkeypatch.setitem(verify._SUITE_CHECKS, "arith", checks)
+    code, out, err = _run_in_process(["verify", "--suite", "arith"])
+    records = [json.loads(line) for line in out.splitlines()]
+    assert (code, err) == (1, "")
+    assert records[1] == {"suite": "arith", "check": "field-axioms-sample", "pass": False,
+                          "counterexample": {"x": 1}}
+    assert all(record["pass"] for record in records[:1] + records[2:4])
+    assert records[4:] == [{"checks": 4, "failed": 1}]
+
+
 def test_every_error_of_the_package_shares_one_value_error_base():
     import ehrcollapse
     from ehrcollapse import verify
@@ -499,6 +518,8 @@ PINNED_STDOUT = {
         "592bc0f54da1b09fd2a2677b10438569407c3d039b09926d7a620f5fb55c5aad",
     "count u = 1, v = sqrt(2) and its swap":
         "3dc911c3a916322b0b59d121ec514b3fcf66c1d03f52174a2bdb647970fdcfc4",
+    # recorded before the verify checks yielded their counterexamples
+    "verify --suite all": "ac73860546dced4bb5aac97998236a60ff1a2defe23c9763f8448d40f7594657",
 }
 
 
@@ -575,6 +596,7 @@ def test_stdout_matches_the_pinned_digests():
     sqrt2 = [["count", "--u", "1", "--v", "0,1,2", "--t", "0..200"],
              ["count", "--u", "0,1,2", "--v", "1", "--t", "0..200"]]
     assert _stdout_digest(sqrt2) == PINNED_STDOUT["count u = 1, v = sqrt(2) and its swap"]
+    assert _stdout_digest([["verify", "--suite", "all"]]) == PINNED_STDOUT["verify --suite all"]
 
 
 # -- runs of irrational triangles --------------------------------------------------------

@@ -191,9 +191,10 @@ def test_rational_legs_of_large_denominator_have_no_strip():
         assert TrianglePair(sqrt2, v).translate is None
         assert TrianglePair(v, sqrt2).translate is None
     assert TrianglePair(sqrt2, QuadNumber(Fraction(0), Fraction(1), 3)).translate is None
-    # two rational legs u = q/p, v = s/r have the identity (q, s, p*r) whatever r is
+    # two rational legs u = q/p, v = s/r have the identity (min(q, s), max(q, s), p*r)
+    # whatever r is
     assert TrianglePair(Fraction(1, 2), Fraction(3, 4)).translate == (1, 3, 8)
-    assert TrianglePair(Fraction(7, 10 ** 6), Fraction(3, 4)).translate == (7, 3, 4 * 10 ** 6)
+    assert TrianglePair(Fraction(7, 10 ** 6), Fraction(3, 4)).translate == (3, 7, 4 * 10 ** 6)
 
 
 @settings(max_examples=60, deadline=None)

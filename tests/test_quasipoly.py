@@ -134,7 +134,7 @@ def test_certified_period_is_the_minimal_period():
 
 def test_minimal_period_counts_the_whole_certificate(monkeypatch):
     # u = 3/2 and v = 2/3 obey a recurrence of degree w = 3 + 2 + 1 = 6, so the
-    # run is t < w + 3P = 24, one call whose floor sums recount its last 3 t
+    # run is t < w + 3P = 24, one call whose floor sums recount its last 2 t
     params = RationalTriangleParams(2, 3, 3, 2)
     lengths = []
     real = counting.count_triangle_many
