@@ -2,7 +2,8 @@
 
 Subcommands: count, fit, period, check, search, fib, tetra, guess-rec, verify.
 Records go to stdout as JSON lines by default; tabular subcommands also
-support --format csv.  Exit codes: 0 success, 1 failed verification, 2 usage.
+support --format csv.  Exit codes: 0 success (also when the reader closes
+stdout early), 1 failed verification, 2 usage.
 """
 
 from __future__ import annotations
@@ -10,7 +11,9 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -78,34 +81,49 @@ def _frac_str(value: Fraction) -> str:
 
 
 class _Emitter:
-    """Writes records as JSON lines or CSV (header from the first record)."""
+    """Writes runs of records, each run its keys and a tuple of values per record,
+    as JSON lines or CSV (header from the first record written)."""
+
+    CHUNK_LINES = 4096  # JSON lines joined into one write
 
     def __init__(self, stream, fmt: str):
         self.stream = stream
         self.fmt = fmt
-        self.writer: Optional[csv.DictWriter] = None
+        self.writer = None
 
     @staticmethod
-    def _flatten(record: dict) -> dict:
-        flat = {}
-        for key, val in record.items():
+    def _cells(row) -> list:
+        """A dict value spreads into its values; a bool reads true/false."""
+        cells = []
+        for val in row:
             if isinstance(val, dict):
-                flat.update(val)
+                cells.extend(val.values())
             elif isinstance(val, bool):
-                flat[key] = "true" if val else "false"
+                cells.append("true" if val else "false")
             else:
-                flat[key] = val
-        return flat
+                cells.append(val)
+        return cells
 
-    def emit(self, record: dict) -> None:
+    def emit(self, keys: Iterable[str], rows: Iterable[tuple]) -> None:
         if self.fmt == "csv":
-            flat = self._flatten(record)
-            if self.writer is None:
-                self.writer = csv.DictWriter(self.stream, fieldnames=list(flat))
-                self.writer.writeheader()
-            self.writer.writerow(flat)
-        else:
-            self.stream.write(json.dumps(record) + "\n")
+            for row in rows:
+                if self.writer is None:
+                    self.writer = csv.writer(self.stream)
+                    self.writer.writerow([name for key, val in zip(keys, row)
+                                          for name in (val if isinstance(val, dict) else (key,))])
+                self.writer.writerow(self._cells(row))
+            return
+        rows, template = iter(rows), None  # rows are taken a chunk at a time
+        while chunk := list(itertools.islice(rows, self.CHUNK_LINES)):
+            if {int}.issuperset(map(type, itertools.chain.from_iterable(chunk))):
+                if template is None:  # the record's JSON line, each value a %s slot
+                    fields = (json.dumps(key).replace("%", "%%") + ": %s" for key in keys)
+                    template = "{" + ", ".join(fields) + "}\n"
+                # an exact int (never a bool) fills its slot with its repr, as json.dumps does
+                text = "".join([template % row for row in chunk])
+            else:
+                text = "".join([json.dumps(dict(zip(keys, row))) + "\n" for row in chunk])
+            self.stream.write(text)
 
 
 def _triangle_object(args, parser):
@@ -150,37 +168,33 @@ def _cmd_count(args, parser, emit) -> int:
         parser.error("give exactly one polytope")
     if args.vertices is not None:
         tri = RationalTriangle2D(tuple(args.vertices))
-        emit({"count": counting.count_rational_triangle2d(tri)})
+        emit(("count",), [(counting.count_rational_triangle2d(tri),)])
         return 0
     if args.t is None:
         parser.error("this polytope needs --t")
+    keys, columns = ["t", "count"], [args.t]
     if args.legs is not None:
         simplex = AxisSimplex(tuple(args.legs))
-        for t in args.t:
-            emit({"t": t, "count": counting.count_axis_simplex(simplex, t)})
-        return 0
-    if args.interval is not None:
+        columns.append(counting.count_axis_simplex(simplex, t) for t in args.t)
+    elif args.interval is not None:
         iv = Interval(args.interval[0], args.interval[1])
-        for t in args.t:
-            emit({"t": t, "count": counting.count_interval(iv, t)})
-        return 0
-    if args.mw_image is not None:
-        for t in args.t:
-            tri = mcallister_woods_image(args.mw_image, t)
-            emit({"p": args.mw_image, "t": t,
-                  "count": counting.count_rational_triangle2d(tri)})
-        return 0
-    obj = _triangle_object(args, parser)
-    if args.closed_form and not isinstance(obj, AdmissiblePair):
-        parser.error("--closed-form needs --alpha/--beta")
-    counts = counting.count_triangle_many(obj, args.t)
-    for t, n in zip(args.t, counts):
-        record = {"t": t, "count": n}
+        columns.append(counting.count_interval(iv, t) for t in args.t)
+    elif args.mw_image is not None:
+        keys, columns = ["p", "t", "count"], [itertools.repeat(args.mw_image), args.t]
+        columns.append(counting.count_rational_triangle2d(mcallister_woods_image(args.mw_image, t))
+                       for t in args.t)
+    else:
+        obj = _triangle_object(args, parser)
+        if args.closed_form and not isinstance(obj, AdmissiblePair):
+            parser.error("--closed-form needs --alpha/--beta")
+        columns.append(counting.count_triangle_many(obj, args.t))
         if args.interior:
-            record["interior"] = counting.count_triangle_interior(obj, t)
+            keys.append("interior")
+            columns.append(counting.count_triangle_interior(obj, t) for t in args.t)
         if args.closed_form:
-            record["closed_form"] = _frac_str(counting.closed_form_admissible(obj, t))
-        emit(record)
+            keys.append("closed_form")
+            columns.append(_frac_str(counting.closed_form_admissible(obj, t)) for t in args.t)
+    emit(keys, zip(*columns))  # generator columns are counted as the writer takes them
     return 0
 
 
@@ -203,13 +217,8 @@ def _cmd_fit(args, parser, emit) -> int:
     t_max = args.t_max if args.t_max is not None else (args.degree + 4) * args.period - 1
     counts = _counts_through(obj, t_max, "fit")
     fit = quasipoly.fit_quasipolynomial(counts, args.period, args.degree)
-    record = {
-        "period": args.period,
-        "degree": args.degree,
-        "t_max": t_max,
-        "fit": None if fit is None else fit.to_json_dict(),
-    }
-    emit(record)
+    emit(("period", "degree", "t_max", "fit"),
+         [(args.period, args.degree, t_max, None if fit is None else fit.to_json_dict())])
     return 0
 
 
@@ -239,7 +248,7 @@ def _cmd_period(args, parser, emit) -> int:
         "collapse": period < reference,
         "quasipolynomial": qp.to_json_dict(),
     })
-    emit(record)
+    emit(record.keys(), [tuple(record.values())])
     return 0
 
 
@@ -273,26 +282,24 @@ def _cmd_check(args, parser, emit) -> int:
             "bound": args.bound,
             "solutions": [list(sol) for sol in criteria.solve_beta_equation(args.bound)],
         }
-    emit(record)
+    emit(record.keys(), [tuple(record.values())])
     return 0
 
 
 # -- search -------------------------------------------------------------------
 
 
-def _search_record(params: RationalTriangleParams) -> dict:
+_SEARCH_KEYS = ("params", "denominator", "minimal_period", "criterion_predicted", "collapse")
+
+
+def _search_row(params: RationalTriangleParams) -> tuple:
+    """The values of one search record, in the order of _SEARCH_KEYS."""
     report = criteria.check_collapse_criterion(params)
     period = quasipoly.certified_period(params)
     denom = params.denominator
     if denom % period != 0:
         raise AssertionError(f"minimal period {period} does not divide {denom}")
-    return {
-        "params": params.to_json_dict(),
-        "denominator": denom,
-        "minimal_period": period,
-        "criterion_predicted": report.holds,
-        "collapse": period < denom,
-    }
+    return (params.to_json_dict(), denom, period, report.holds, period < denom)
 
 
 def _cmd_search(args, parser, emit) -> int:
@@ -309,11 +316,11 @@ def _cmd_search(args, parser, emit) -> int:
         import multiprocessing  # here, so that no other command pays for it at start-up
 
         with multiprocessing.Pool(args.jobs) as pool:
-            for record in pool.imap(_search_record, tuples, chunksize=32):
-                emit(record)
+            for row in pool.imap(_search_row, tuples, chunksize=32):
+                emit(_SEARCH_KEYS, [row])
     else:
         for params in tuples:
-            emit(_search_record(params))
+            emit(_SEARCH_KEYS, [_search_row(params)])
     return 0
 
 
@@ -321,13 +328,14 @@ def _cmd_search(args, parser, emit) -> int:
 
 
 def _cmd_fib(args, parser, emit) -> int:
-    for n in args.n:
-        record = {"k": args.k, "n": n, "value": sequences.k_fib(args.k, n)}
-        if args.triangle:
-            if n < 2:
-                parser.error("--triangle needs n >= 2")
-            record["params"] = sequences.fib_triangle(args.k, n).to_json_dict()
-        emit(record)
+    keys = ["k", "n", "value"]
+    columns = [itertools.repeat(args.k), args.n, (sequences.k_fib(args.k, n) for n in args.n)]
+    if args.triangle:
+        if args.n.start < 2:
+            parser.error("--triangle needs n >= 2")
+        keys.append("params")
+        columns.append(sequences.fib_triangle(args.k, n).to_json_dict() for n in args.n)
+    emit(keys, zip(*columns))
     return 0
 
 
@@ -341,13 +349,16 @@ def _cmd_tetra(args, parser, emit) -> int:
         simplex = sequences.tetra_family(args.n)
         base = {"n": args.n}
     if args.t is None:
-        emit({**base, "legs": [leg.to_json_dict() for leg in simplex.legs]})
+        emit((*base, "legs"), [(*base.values(), [leg.to_json_dict() for leg in simplex.legs])])
         return 0
-    for t in args.t:
-        count = counting.count_axis_simplex(simplex, t)
-        cubic = sequences.tetra_polynomial(t)
-        emit({**base, "t": t, "count": count, "cubic": int(cubic),
-              "matches": count == cubic})
+
+    def rows():
+        for t in args.t:
+            count = counting.count_axis_simplex(simplex, t)
+            cubic = sequences.tetra_polynomial(t)
+            yield (*base.values(), t, count, int(cubic), count == cubic)
+
+    emit((*base, "t", "count", "cubic", "matches"), rows())
     return 0
 
 
@@ -363,13 +374,9 @@ def _cmd_guess_rec(args, parser, emit) -> int:
             parser.error("counting input needs --t-max")
         values = _counts_through(obj, args.t_max, "recurrence guess")
     rec = precursive.guess_recurrence(values, args.max_order, args.max_degree)
-    record = {
-        "n_values": len(values),
-        "max_order": args.max_order,
-        "max_degree": args.max_degree,
-        "recurrence": None if rec is None else rec.to_json_dict(),
-    }
-    emit(record)
+    emit(("n_values", "max_order", "max_degree", "recurrence"),
+         [(len(values), args.max_order, args.max_degree,
+           None if rec is None else rec.to_json_dict())])
     return 0
 
 
@@ -386,8 +393,8 @@ def _cmd_verify(args, parser, emit) -> int:
         if not res.passed:
             failed += 1
             record["counterexample"] = res.detail
-        emit(record)
-    emit({"checks": len(results), "failed": failed})
+        emit(record.keys(), [tuple(record.values())])
+    emit(("checks", "failed"), [(len(results), failed)])
     return 1 if failed else 0
 
 
@@ -501,9 +508,15 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     # subcommands without --format write JSON lines
     emit = _Emitter(opened or sys.stdout, getattr(args, "format", "jsonl")).emit
     try:
-        return args.fn(args, parser, emit)
+        code = args.fn(args, parser, emit)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:  # EhrcollapseError and bad numbers alike
         parser.exit(2, f"error: {exc}\n")
+    except BrokenPipeError:  # the reader closed stdout: stop as a finished run
+        # stdout's final flush at exit goes to devnull, so nothing reaches stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     finally:
         if opened is not None and opened is not sys.stdout:  # FileType maps '-' to stdout
             opened.close()

@@ -520,6 +520,31 @@ PINNED_STDOUT = {
         "3dc911c3a916322b0b59d121ec514b3fcf66c1d03f52174a2bdb647970fdcfc4",
     # recorded before the verify checks yielded their counterexamples
     "verify --suite all": "ac73860546dced4bb5aac97998236a60ff1a2defe23c9763f8448d40f7594657",
+    # recorded before a run of records was written as one block of lines
+    "count --format csv ranges": "947229ae9613e21eba0e8e0212001be85c11eeec598f5f6ad1462b6d907fc44f",
+    "count --interior": "143b7280ed4b06774f0c58e2e830b6ef918a94f91bce23117080a8250c194685",
+    "tetra --t": "befd11d672747ae87557c0e607f2a401f7b851c6d0bd1be5263d19b12b727962",
+    "fib --n": "5d27d60eccf4c93c3cd6147e2eda53b1aaf24006049bb3796c57e1ff3cd2b38d",
+    "count over three chunks": "df87a8b97ce288beff3c57b5052ad36959b8c194a6ff43d7634d0d4a21c4fe80",
+}
+
+RUN_ARGVS = {
+    "count --format csv ranges": [
+        ["count", "--params", "2,3,3,2", "--t", "0..60", "--format", "csv"],
+        ["count", "--u", "1/2,3/4,7", "--v", "7/4", "--t", "0..60", "--format", "csv"],
+        ["count", "--legs", "1/2", "10/3", "3/5", "--t", "0..20", "--format", "csv"],
+        ["count", "--interval", "0,1,2", "3,1,2", "--t", "0..40", "--format", "csv"],
+        ["count", "--mw-image", "3", "--t", "1..20", "--format", "csv"],
+        ["count", "--alpha", "3", "--beta", "3", "--t", "0..40", "--interior", "--closed-form",
+         "--format", "csv"],
+    ],
+    "count --interior": [["count", "--alpha", "3", "--beta", "3", "--t", "0..300", "--interior"]],
+    "tetra --t": [["tetra", "--n", "2", "--t", "0..200"], ["tetra", "--limit", "--t", "0..30"],
+                  ["tetra", "--n", "3", "--t", "0..30", "--format", "csv"]],
+    "fib --n": [["fib", "--k", "2", "--n", "2..30", "--triangle"], ["fib", "--k", "1", "--n", "0..40"],
+                ["fib", "--k", "2", "--n", "2..30", "--triangle", "--format", "csv"]],
+    # 10 001 lines: more than two chunks of 4096
+    "count over three chunks": [["count", "--params", "7,13,11,9", "--t", "0..10000"]],
 }
 
 
@@ -597,6 +622,88 @@ def test_stdout_matches_the_pinned_digests():
              ["count", "--u", "0,1,2", "--v", "1", "--t", "0..200"]]
     assert _stdout_digest(sqrt2) == PINNED_STDOUT["count u = 1, v = sqrt(2) and its swap"]
     assert _stdout_digest([["verify", "--suite", "all"]]) == PINNED_STDOUT["verify --suite all"]
+
+
+@pytest.mark.parametrize("name", RUN_ARGVS)
+def test_runs_match_the_pinned_digests_in_stdout_and_output_files(name, tmp_path):
+    assert _stdout_digest(RUN_ARGVS[name]) == PINNED_STDOUT[name]
+    target = tmp_path / "run.out"
+    for argv in RUN_ARGVS[name]:
+        _, out, _ = _run_in_process(argv)
+        assert _run_in_process(argv + ["--output", str(target)]) == (0, "", "")
+        assert target.read_bytes() == out.encode()
+
+
+# -- the run writer ------------------------------------------------------------------------
+
+
+class _Writes(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def _written(keys, rows, chunk_lines=cli._Emitter.CHUNK_LINES):
+    out = _Writes()
+    emitter = cli._Emitter(out, "jsonl")
+    emitter.CHUNK_LINES = chunk_lines
+    emitter.emit(keys, rows)
+    return out.getvalue(), out.writes
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2 ** 64, 2 ** 200)
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+json_keys = st.text(st.sampled_from('a%"\\é☃\n'), max_size=4) | st.text(max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(json_keys, min_size=1, max_size=4, unique=True), st.data())
+def test_a_run_is_written_as_json_dumps_of_each_record(names, data):
+    values = data.draw(st.sampled_from([st.integers(), json_values]))
+    rows = data.draw(st.lists(st.tuples(*[values] * len(names)), max_size=12))
+    chunk_lines = data.draw(st.integers(1, 5))
+    text, writes = _written(names, rows, chunk_lines)
+    assert text == "".join(json.dumps(dict(zip(names, row))) + "\n" for row in rows)
+    assert writes == -(-len(rows) // chunk_lines)  # one write per chunk
+
+
+def test_a_bool_or_float_never_fills_an_int_slot():
+    rows = [(1, True), (False, 1.0), (2 ** 70, -0.0), (float("inf"), None), (-3, 7)]
+    text, _ = _written(("a", "b%s"), rows, chunk_lines=1)  # each row its own chunk
+    assert text == ('{"a": 1, "b%s": true}\n{"a": false, "b%s": 1.0}\n'
+                    '{"a": 1180591620717411303424, "b%s": -0.0}\n'
+                    '{"a": Infinity, "b%s": null}\n{"a": -3, "b%s": 7}\n')
+
+
+def test_a_run_longer_than_a_chunk_is_one_write_per_chunk():
+    rows = [(t, t * t) for t in range(2 * cli._Emitter.CHUNK_LINES + 1)]
+    text, writes = _written(("t", "count"), rows)
+    assert writes == 3
+    assert text.splitlines() == [json.dumps({"t": t, "count": n}) for t, n in rows]
+
+
+def test_search_writes_one_record_per_write():
+    out = _Writes()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["search", "--bound", "2"]) == 0
+    assert out.writes == out.getvalue().count("\n") > 1
+
+
+def test_a_reader_that_closes_the_pipe_ends_the_run_quietly():
+    argv = BASE + ["count", "--params", "7,13,11,9", "--t", "0..200000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b'{"t": 0, "count": 1}\n'
+        proc.stdout.close()  # some 5 MB of lines are still to come
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 0
 
 
 # -- runs of irrational triangles --------------------------------------------------------
