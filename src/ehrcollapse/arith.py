@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, cycle
 from math import gcd, isqrt, lcm
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 QuadLike = Union[int, Fraction, "QuadNumber"]
@@ -134,14 +134,6 @@ class Expansion:
             self.steps.append((q, a0, a1, ac, r0, r1, rc))
 
 
-def _as_fraction(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
-
-
 _alloc = object.__new__
 _set = object.__setattr__
 
@@ -197,12 +189,9 @@ class QuadNumber:
     d: int
 
     def __init__(self, a: RationalLike, b: RationalLike = 0, d: int = 0) -> None:
-        a, b = _as_fraction(a), _as_fraction(b)
+        (big_a, big_b), c = to_integers((a, b))
         if not isinstance(d, int) or d < 0:
             raise ValueError(f"radicand must be a nonnegative int, got {d!r}")
-        c = lcm(a.denominator, b.denominator)
-        big_a = a.numerator * (c // a.denominator)
-        big_b = b.numerator * (c // b.denominator)
         if big_b and d:
             s, d = _squarefree_split(d)
             big_b *= s
@@ -424,11 +413,11 @@ class QuadNumber:
 
     @classmethod
     def from_json_dict(cls, obj: dict[str, str]) -> "QuadNumber":
-        return cls(
-            Fraction(int(obj["a_num"]), int(obj["a_den"])),
-            Fraction(int(obj["b_num"]), int(obj["b_den"])),
-            int(obj["d"]),
-        )
+        try:
+            a, b = (Fraction(int(obj[f"{x}_num"]), int(obj[f"{x}_den"])) for x in "ab")
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {obj!r}") from None
+        return cls(a, b, int(obj["d"]))
 
 
 def triple_in_field(x: QuadNumber, d: int) -> tuple[Triple, int]:
@@ -454,20 +443,55 @@ def shared_triples(xs: Sequence[QuadNumber]) -> tuple[list[Triple], int]:
 
 def quad_sqrt(n: RationalLike) -> QuadNumber:
     """Exact sqrt(n) for a nonnegative rational n, as a QuadNumber."""
-    f = _as_fraction(n)
-    if f < 0:
+    (num,), den = to_integers((n,))
+    if num < 0:
         raise ValueError("square root of a negative number")
-    # sqrt(p/q) = sqrt(p*q)/q
-    return QuadNumber(Fraction(0), Fraction(1, f.denominator), f.numerator * f.denominator)
+    # sqrt(num/den) = sqrt(num*den)/den
+    return QuadNumber(0, Fraction(1, den), num * den)
 
 
 def to_integers(values: Sequence[RationalLike]) -> tuple[list[int], int]:
-    """The values times the lcm of their denominators, and that lcm."""
-    scale = lcm(*(v.denominator for v in values))
+    """The values times the lcm of their denominators, and that lcm; a value
+    that is not an int or a Fraction, such as a float, raises TypeError."""
+    try:
+        scale = lcm(*(v.denominator for v in values))
+    except AttributeError:
+        bad = next(v for v in values if not isinstance(v, (int, Fraction)))
+        raise TypeError(f"expected int or Fraction, got {type(bad).__name__}") from None
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def parse_fraction(text: str) -> Fraction:
+def _as_fraction(x: Union[int, str]) -> Fraction:
+    if isinstance(x, (int, str)):
+        return parse_fraction(x)
+    raise TypeError(f"expected int, Fraction or 'n/d' text, got {type(x).__name__}")
+
+
+def fraction_rows(rows: Iterable[Iterable], count: int,
+                  width: int) -> tuple[tuple[Fraction, ...], ...]:
+    """rows as count rows of width Fractions, each entry an int, a Fraction or
+    'n/d' text; another entry raises TypeError, another shape ValueError."""
+    table = tuple(tuple(c if isinstance(c, Fraction) else _as_fraction(c) for c in row)
+                  for row in rows)
+    if len(table) != count or any(len(row) != width for row in table):
+        raise ValueError(f"expected {count} rows of {width} numbers")
+    return table
+
+
+def horner(coeffs: Sequence, x):
+    """coeffs[0] + coeffs[1]*x + coeffs[2]*x^2 + ..., by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def fraction_text(x: RationalLike) -> str:
+    """x as 'n/d' text with d >= 1, an int n as 'n/1'; parse_fraction reads it back."""
+    return f"{x.numerator}/{x.denominator}"
+
+
+def parse_fraction(text: Union[int, str]) -> Fraction:
     """Fraction(text), with a zero denominator reported as a ValueError."""
     try:
         return Fraction(text)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import counting, criteria, precursive, quasipoly, sequences
-from .arith import EhrcollapseError, QuadNumber, parse_fraction, parse_quad
+from .arith import EhrcollapseError, QuadNumber, fraction_text, parse_fraction, parse_quad
 from .polytopes import (
     AdmissiblePair,
     AxisSimplex,
@@ -76,20 +76,25 @@ def _parse_vertex(text: str) -> tuple[Fraction, Fraction]:
     return (parse_fraction(parts[0]), parse_fraction(parts[1]))
 
 
-def _frac_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
 class _Emitter:
     """Writes runs of records, each run its keys and a tuple of values per record,
-    as JSON lines or CSV (header from the first record written)."""
+    as JSON lines or CSV (header from the first record written).  Without a
+    stream, the first run opens the file at path: a command that fails before
+    it writes leaves that file as it was."""
 
     CHUNK_LINES = 4096  # JSON lines joined into one write
 
-    def __init__(self, stream, fmt: str):
+    def __init__(self, stream, fmt: str, path: Optional[str] = None):
         self.stream = stream
         self.fmt = fmt
+        self.path = path
         self.writer = None
+
+    def open(self) -> None:
+        try:
+            self.stream = open(self.path, "w")
+        except OSError as exc:
+            raise ValueError(f"can't open {self.path!r}: {exc.strerror or exc}") from None
 
     @staticmethod
     def _cells(row) -> list:
@@ -105,6 +110,8 @@ class _Emitter:
         return cells
 
     def emit(self, keys: Iterable[str], rows: Iterable[tuple]) -> None:
+        if self.stream is None:
+            self.open()
         if self.fmt == "csv":
             for row in rows:
                 if self.writer is None:
@@ -193,7 +200,7 @@ def _cmd_count(args, parser, emit) -> int:
             columns.append(counting.count_triangle_interior(obj, t) for t in args.t)
         if args.closed_form:
             keys.append("closed_form")
-            columns.append(_frac_str(counting.closed_form_admissible(obj, t)) for t in args.t)
+            columns.append(fraction_text(counting.closed_form_admissible(obj, t)) for t in args.t)
     emit(keys, zip(*columns))  # generator columns are counted as the writer takes them
     return 0
 
@@ -409,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     def common(sub, fmt=False):
-        sub.add_argument("--output", type=argparse.FileType("w"))
+        sub.add_argument("--output", metavar="FILE", help="write records to FILE ('-': stdout)")
         if fmt:
             sub.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
 
@@ -504,11 +511,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Iterable[str]] = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv if argv is None else list(argv))
-    opened = args.output
-    # subcommands without --format write JSON lines
-    emit = _Emitter(opened or sys.stdout, getattr(args, "format", "jsonl")).emit
+    to_file = args.output not in (None, "-")
+    fmt = getattr(args, "format", "jsonl")  # subcommands without --format write JSON lines
+    emitter = _Emitter(None if to_file else sys.stdout, fmt, args.output)
     try:
-        code = args.fn(args, parser, emit)
+        code = args.fn(args, parser, emitter.emit)
         sys.stdout.flush()
         return code
     except ValueError as exc:  # EhrcollapseError and bad numbers alike
@@ -518,8 +525,8 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     finally:
-        if opened is not None and opened is not sys.stdout:  # FileType maps '-' to stdout
-            opened.close()
+        if to_file and emitter.stream is not None:
+            emitter.stream.close()
 
 
 if __name__ == "__main__":

@@ -12,11 +12,11 @@ quantities use integer square roots, never floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, gcd, lcm
+from math import floor, gcd
 from typing import Iterable, Union
 
 from .arith import (EhrcollapseError, Expansion, QuadNumber, Triple, floor_surd, shared_triples,
-                    triple_in_field)
+                    to_integers, triple_in_field)
 from .polytopes import (
     AdmissiblePair,
     AxisSimplex,
@@ -228,9 +228,8 @@ def count_rational_triangle2d(tri: RationalTriangle2D) -> int:
     ceil(y) = -floor(-y), so a strip is two floor sums; the two strips share
     the long edge and its expansion.
     """
-    m = lcm(*(z.denominator for vertex in tri.vertices for z in vertex))
-    a, b, c = sorted((x.numerator * (m // x.denominator), y.numerator * (m // y.denominator))
-                     for x, y in tri.vertices)
+    coords, m = to_integers([z for vertex in tri.vertices for z in vertex])
+    a, b, c = sorted(zip(coords[::2], coords[1::2]))
     # b lies above the edge a-c iff a, b, c turn clockwise; then a-c is the bottom
     sign = -1 if (b[0] - a[0]) * (c[1] - a[1]) < (c[0] - a[0]) * (b[1] - a[1]) else 1
     long_edge = _edge(a, c, sign, m)

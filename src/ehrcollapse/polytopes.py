@@ -21,7 +21,7 @@ from math import gcd, lcm
 from typing import Callable, Optional, Union
 
 from .arith import (EhrcollapseError, Expansion, QuadNumber, RadicandMismatchError, Triple,
-                    floor_surd, reduced_triple, shared_triples)
+                    floor_surd, fraction_rows, reduced_triple, shared_triples)
 
 # rows up to which a strip of one floor per row costs less than a floor sum
 MAX_STRIP_FLOORS = 8
@@ -281,11 +281,7 @@ class RationalTriangle2D:
     vertices: tuple[Vertex, Vertex, Vertex]
 
     def __post_init__(self) -> None:
-        verts = tuple(
-            (Fraction(x), Fraction(y)) for x, y in self.vertices
-        )
-        if len(verts) != 3:
-            raise ValueError("exactly three vertices required")
+        verts = fraction_rows(self.vertices, 3, 2)
         (x0, y0), (x1, y1), (x2, y2) = verts
         area2 = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
         if area2 == 0:

@@ -11,13 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .arith import EhrcollapseError, to_integers
+from .arith import EhrcollapseError, RationalLike, fraction_rows, fraction_text, horner, to_integers
 from .linalg import nullspace_vector, rank_mod_p
-
-Value = Union[int, Fraction]
 
 
 class InsufficientDataError(EhrcollapseError):
@@ -26,43 +23,37 @@ class InsufficientDataError(EhrcollapseError):
 
 @dataclass(frozen=True)
 class Recurrence:
+    """The recurrence sum_j p_j(n+j) * f(n+j) = 0, j = 0..order, where p_j is
+    polys[j][0] + polys[j][1]*n + ... + polys[j][degree]*n^degree.
+
+    polys is an (order+1) x (degree+1) table of exact Fractions, not all zero,
+    built by arith.fraction_rows from ints, Fractions or 'n/d' text (a float
+    raises TypeError); its JSON form writes each coefficient as 'n/d'.
+    """
+
     order: int
     degree: int
-    polys: tuple[tuple[Fraction, ...], ...]  # polys[j][i]: coefficient of n^i in p_j
+    polys: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(Fraction(c) for c in row) for row in self.polys)
-        if len(rows) != self.order + 1 or any(len(r) != self.degree + 1 for r in rows):
-            raise ValueError("need order+1 polynomials of degree <= degree")
-        if all(c == 0 for row in rows for c in row):
+        rows = fraction_rows(self.polys, self.order + 1, self.degree + 1)
+        if not any(c for row in rows for c in row):
             raise ValueError("the zero recurrence is not allowed")
         object.__setattr__(self, "polys", rows)
 
     def poly_value(self, j: int, n: int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.polys[j]):
-            acc = acc * n + c
-        return acc
+        return horner(self.polys[j], n)
 
     def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "degree": self.degree,
-            "polys": [
-                [f"{c.numerator}/{c.denominator}" for c in row] for row in self.polys
-            ],
-        }
+        return {"order": self.order, "degree": self.degree,
+                "polys": [[fraction_text(c) for c in row] for row in self.polys]}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Recurrence":
-        return cls(
-            int(obj["order"]),
-            int(obj["degree"]),
-            tuple(tuple(Fraction(c) for c in row) for row in obj["polys"]),
-        )
+        return cls(int(obj["order"]), int(obj["degree"]), obj["polys"])
 
 
-def verify_recurrence(rec: Recurrence, values: Sequence[Value]) -> bool:
+def verify_recurrence(rec: Recurrence, values: Sequence[RationalLike]) -> bool:
     """Whether sum_j p_j(n+j) * f(n+j) = 0 holds at every window in values.
 
     Scaling all values, or all coefficients, by one nonzero integer keeps each
@@ -72,8 +63,8 @@ def verify_recurrence(rec: Recurrence, values: Sequence[Value]) -> bool:
     k = rec.order
     if len(values) < k + 1:
         return False
-    scale = lcm(*(c.denominator for row in rec.polys for c in row))
-    table = [[c.numerator * (scale // c.denominator) for c in row] for row in rec.polys]
+    flat, _ = to_integers([c for row in rec.polys for c in row])
+    table = [flat[i:i + rec.degree + 1] for i in range(0, len(flat), rec.degree + 1)]
     ints, _ = to_integers(values)
     for n in range(len(ints) - k):
         acc = 0
@@ -88,7 +79,7 @@ def verify_recurrence(rec: Recurrence, values: Sequence[Value]) -> bool:
 
 
 def guess_recurrence(
-    values: Sequence[Value], max_order: int, max_degree: int
+    values: Sequence[RationalLike], max_order: int, max_degree: int
 ) -> Optional[Recurrence]:
     """Smallest verified recurrence within the bounds, or None.
 
@@ -109,7 +100,7 @@ def guess_recurrence(
             f"{len(values)} values are too few for bounds "
             f"({max_order}, {max_degree})"
         )
-    ints, _ = to_integers([v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values])
+    ints, _ = to_integers(values)
     for order in range(max_order + 1):
         for degree in range(max_degree + 1):
             ncols = (order + 1) * (degree + 1)
@@ -125,17 +116,11 @@ def guess_recurrence(
             vec = nullspace_vector(rows, ncols)
             if vec is None:
                 continue
-            rec = _vector_to_recurrence(vec, order, degree)
+            rec = Recurrence(order, degree,
+                             [vec[i:i + degree + 1] for i in range(0, ncols, degree + 1)])
             if verify_recurrence(rec, ints):
                 return rec
     return None
-
-
-def _vector_to_recurrence(vec: Sequence[int], order: int, degree: int) -> Recurrence:
-    width = degree + 1
-    return Recurrence(order, degree, tuple(
-        tuple(Fraction(c) for c in vec[j * width:(j + 1) * width]) for j in range(order + 1)
-    ))
 
 
 def recurrence_from_quasipolynomial_bounds(period: int, degree: int) -> tuple[int, int]:

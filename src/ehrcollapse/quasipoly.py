@@ -44,7 +44,8 @@ from math import lcm
 from typing import Optional, Sequence, Union
 
 from . import counting
-from .arith import EhrcollapseError, to_integers
+from .arith import (EhrcollapseError, RationalLike, fraction_rows, fraction_text, horner,
+                    to_integers)
 from .polytopes import AdmissiblePair, RationalTriangleParams
 
 # The certificate holds every count it reads, about 56 bytes per count at
@@ -62,46 +63,36 @@ class FitFailureError(EhrcollapseError):
 
 @dataclass(frozen=True)
 class Quasipolynomial:
+    """The quasipolynomial that is coeffs[z][0] + coeffs[z][1]*t + ... +
+    coeffs[z][degree]*t^degree on t = z mod period.
+
+    coeffs is a period x (degree+1) table of exact Fractions, built by
+    arith.fraction_rows from ints, Fractions or 'n/d' text (a float raises
+    TypeError); its JSON form writes each coefficient as 'n/d'.
+    """
+
     period: int
     degree: int
-    coeffs: tuple[tuple[Fraction, ...], ...]  # coeffs[z][i]: coefficient of t^i
+    coeffs: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
         if self.period < 1:
             raise ValueError("period must be >= 1")
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
-        rows = tuple(
-            tuple(c if isinstance(c, Fraction) else Fraction(c) for c in row)
-            for row in self.coeffs
-        )
-        if len(rows) != self.period or any(len(row) != self.degree + 1 for row in rows):
-            raise ValueError("coefficient table must be period x (degree+1)")
-        object.__setattr__(self, "coeffs", rows)
+        object.__setattr__(self, "coeffs", fraction_rows(self.coeffs, self.period, self.degree + 1))
 
     def evaluate(self, t: int) -> Fraction:
         """Exact value at any integer t (negative t uses t mod period >= 0)."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs[t % self.period]):
-            acc = acc * t + c
-        return acc
+        return horner(self.coeffs[t % self.period], t)
 
     def to_json_dict(self) -> dict:
-        return {
-            "period": self.period,
-            "degree": self.degree,
-            "coeffs": [
-                [f"{c.numerator}/{c.denominator}" for c in row] for row in self.coeffs
-            ],
-        }
+        return {"period": self.period, "degree": self.degree,
+                "coeffs": [[fraction_text(c) for c in row] for row in self.coeffs]}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Quasipolynomial":
-        return cls(
-            int(obj["period"]),
-            int(obj["degree"]),
-            tuple(tuple(Fraction(c) for c in row) for row in obj["coeffs"]),
-        )
+        return cls(int(obj["period"]), int(obj["degree"]), obj["coeffs"])
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -138,15 +129,8 @@ def _newton(start: int, step: int, values: Sequence[int]) -> tuple[list[int], in
     return acc, weight
 
 
-def _horner(numerators: Sequence[int], t: int) -> int:
-    acc = 0
-    for c in reversed(numerators):
-        acc = acc * t + c
-    return acc
-
-
 def fit_quasipolynomial(
-    values: Sequence[Union[int, Fraction]], period: int, degree: int
+    values: Sequence[RationalLike], period: int, degree: int
 ) -> Optional[Quasipolynomial]:
     """Exact fit of values[t], for t = 0..len(values)-1, at the given period
     and degree.
@@ -171,7 +155,7 @@ def fit_quasipolynomial(
         column = ints[z::period]
         numerators, den = _newton(z, period, column[: degree + 1])
         rest = zip(range(z, n, period)[degree + 1:], column[degree + 1:])
-        if any(_horner(numerators, t) != y * den for t, y in rest):
+        if any(horner(numerators, t) != y * den for t, y in rest):
             return None
         table.append(tuple(Fraction(c, den * scale) for c in numerators))
     return Quasipolynomial(period, degree, tuple(table))
@@ -251,7 +235,7 @@ class SeriesNumerator:
         return (self.a0, self.a1, self.a2)
 
 
-def series_numerator(i1: Union[int, Fraction], i2: Union[int, Fraction]) -> SeriesNumerator:
+def series_numerator(i1: RationalLike, i2: RationalLike) -> SeriesNumerator:
     """Numerator coefficients from the counts at t = 1 and t = 2."""
     i1, i2 = Fraction(i1), Fraction(i2)
     return SeriesNumerator(Fraction(1), i1 - 3, 3 - 3 * i1 + i2)

@@ -1,7 +1,10 @@
 """Exact quadratic arithmetic: canonical forms, order, floor, serialization."""
 
+import json
 import pickle
+import re
 import sys
+from dataclasses import astuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import floor, inf, isqrt, nextafter
@@ -19,6 +22,9 @@ from ehrcollapse.arith import (
     parse_quad,
     quad_sqrt,
 )
+from ehrcollapse.polytopes import RationalTriangle2D
+from ehrcollapse.precursive import Recurrence, guess_recurrence, verify_recurrence
+from ehrcollapse.quasipoly import Quasipolynomial, fit_quasipolynomial
 
 fractions = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -318,3 +324,87 @@ def test_to_integers_scales_by_the_lcm_of_the_denominators():
     assert arith.to_integers([Fraction(1, 2), 3, Fraction(-2, 3)]) == ([3, 18, -4], 6)
     assert arith.to_integers([4, 5]) == ([4, 5], 1)
     assert arith.to_integers([]) == ([], 1)
+
+
+# -- the exact-rational toolkit shared by quasipolynomials and recurrences -------------
+
+
+def test_the_toolkit_scales_evaluates_and_writes_exactly():
+    assert arith.horner([Fraction(1, 2), 0, 3], 2) == Fraction(25, 2)
+    assert arith.horner([5, -1], -3) == 8 and arith.horner([], 7) == 0
+    assert [arith.fraction_text(x) for x in (3, Fraction(-2, 4), -2 ** 70)] == \
+        ["3/1", "-1/2", f"{-2 ** 70}/1"]
+    assert arith.fraction_rows([[1, "-3/6"], (Fraction(2, 3), " 5 ")], 2, 2) == \
+        ((1, Fraction(-1, 2)), (Fraction(2, 3), 5))
+    with pytest.raises(ValueError, match="2 rows of 2"):
+        arith.fraction_rows([[1, 2], [3]], 2, 2)
+    with pytest.raises(TypeError, match="QuadNumber"):
+        arith.fraction_rows([[quad_sqrt(2)]], 1, 1)
+    with pytest.raises(TypeError, match="str"):
+        arith.to_integers([1, "1/2"])
+
+
+FLOAT_CALLS = {
+    "to_integers": lambda: arith.to_integers([Fraction(1, 3), 0.5]),
+    "QuadNumber": lambda: QuadNumber(1, 0.5, 2),
+    "quad_sqrt": lambda: quad_sqrt(2.0),
+    "fit_quasipolynomial": lambda: fit_quasipolynomial([1, 2, 0.5, 4], 1, 1),
+    "guess_recurrence": lambda: guess_recurrence([1.0] * 12, 1, 0),
+    "verify_recurrence": lambda: verify_recurrence(Recurrence(1, 0, ((1,), (-1,))), [1, 1.0]),
+    "Quasipolynomial": lambda: Quasipolynomial(1, 1, ((Fraction(1), 0.5),)),
+    "Recurrence": lambda: Recurrence(0, 0, ((0.1,),)),
+    "RationalTriangle2D": lambda: RationalTriangle2D(((0, 0), (1, 0), (0, 0.5))),
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_CALLS)
+def test_a_float_is_refused_by_every_exact_entry_point(name):
+    with pytest.raises(TypeError, match="float"):
+        FLOAT_CALLS[name]()
+
+
+ZERO_DENOMINATOR_READS = {
+    "Quasipolynomial": lambda: Quasipolynomial.from_json_dict(
+        {"period": 1, "degree": 1, "coeffs": [["1/2", "1/0"]]}),
+    "Recurrence": lambda: Recurrence.from_json_dict(
+        {"order": 1, "degree": 0, "polys": [["1/0"], ["1/1"]]}),
+    "QuadNumber a": lambda: QuadNumber.from_json_dict(
+        {"a_num": "1", "a_den": "0", "b_num": "1", "b_den": "1", "d": "2"}),
+    "QuadNumber b": lambda: QuadNumber.from_json_dict(
+        {"a_num": "1", "a_den": "1", "b_num": "1", "b_den": "0", "d": "2"}),
+}
+
+
+@pytest.mark.parametrize("name", ZERO_DENOMINATOR_READS)
+def test_a_zero_denominator_read_back_is_a_value_error(name):
+    with pytest.raises(ValueError, match="zero denominator"):
+        ZERO_DENOMINATOR_READS[name]()
+
+
+# numerators past 2**64 of either sign, and integers, which are written n/1
+exact_entries = (st.integers(-2 ** 200, 2 ** 200)
+                 | st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 80)))
+
+
+def _tables(count, width):
+    return st.lists(st.lists(exact_entries, min_size=width, max_size=width),
+                    min_size=count, max_size=count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([Quasipolynomial, Recurrence]), st.integers(0, 3), st.integers(0, 3),
+       st.data())
+def test_coefficient_tables_read_back_exactly(cls, size, degree, data):
+    rows = data.draw(_tables(size + 1, degree + 1))
+    if cls is Recurrence and not any(c for row in rows for c in row):
+        rows[0][0] = 2 ** 65
+    shape = (size + 1, degree) if cls is Quasipolynomial else (size, degree)  # period or order
+    built = cls(*shape, [[Fraction(c) for c in row] for row in rows])
+    assert cls(*shape, [[str(c) for c in row] for row in rows]) == built
+    assert cls(*shape, rows) == built
+    record = json.loads(json.dumps(built.to_json_dict()))
+    table = record["coeffs" if cls is Quasipolynomial else "polys"]
+    assert all(re.fullmatch(r"-?\d+/[1-9]\d*", text) for row in table for text in row)
+    again = cls.from_json_dict(record)
+    assert again == built
+    assert all(type(c) is Fraction for row in astuple(again)[2] for c in row)

@@ -498,6 +498,31 @@ def test_output_file_is_closed(tmp_path):
     assert target.read_text() == '{"k": 1, "n": 3, "value": 2}\n'
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--alpha", "1", "--beta", "1", "--t", "1"],  # the command refuses its input
+    ["count", "--alpha", "3", "--t", "1"],  # the command's own usage check
+    ["count", "--alpha", "3", "--beta", "3", "--t", "x"],  # the parser
+])
+def test_a_failing_command_leaves_its_output_file_as_it_was(argv, tmp_path):
+    target = tmp_path / "keep.jsonl"
+    target.write_bytes(b"precious\n")
+    proc = run_cli(argv[0], "--output", str(target), *argv[1:], check=False)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert target.read_bytes() == b"precious\n"
+
+
+def test_an_output_file_that_cannot_be_opened_is_a_usage_error(tmp_path):
+    proc = run_cli("count", "--alpha", "3", "--beta", "3", "--t", "1",
+                   "--output", str(tmp_path / "no-such-dir" / "x"), check=False)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_output_dash_writes_to_stdout():
+    argv = ["count", "--params", "2,3,3,2", "--t", "0..6", "--format", "csv"]
+    assert run_cli(*argv, "--output", "-").stdout == run_cli(*argv).stdout != ""
+
+
 def test_build_parser_returns_a_fresh_parser():
     assert cli.build_parser() is not cli.build_parser()
 
