@@ -491,6 +491,14 @@ def fraction_text(x: RationalLike) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def exact_int(x: object) -> int:
+    """x when it is an int and not a bool, such as a JSON integer read back;
+    anything else, a float or text among them, raises TypeError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"expected int, got {type(x).__name__}")
+    return x
+
+
 def parse_fraction(text: Union[int, str]) -> Fraction:
     """Fraction(text), with a zero denominator reported as a ValueError."""
     try:

@@ -195,7 +195,7 @@ class RationalTriangleParams:
 
     @classmethod
     def from_fractions(cls, u: Fraction, v: Fraction) -> "RationalTriangleParams":
-        u, v = Fraction(u), Fraction(v)
+        ((u, v),) = fraction_rows([(u, v)], 1, 2)
         if u <= 0 or v <= 0:
             raise ValueError("legs must be positive")
         return cls(u.denominator, u.numerator, v.denominator, v.numerator)
@@ -352,6 +352,6 @@ def scales_to_admissible(alpha_sum: Fraction, beta_sum: Fraction) -> bool:
     alpha_sum, and beta_sum/den is an integer whenever beta_sum/c is, so
     c = den decides.
     """
-    alpha_sum, beta_sum = Fraction(alpha_sum), Fraction(beta_sum)
+    ((alpha_sum, beta_sum),) = fraction_rows([(alpha_sum, beta_sum)], 1, 2)
     b_scaled = beta_sum / alpha_sum.denominator
     return b_scaled.denominator == 1 and is_admissible(alpha_sum.numerator, b_scaled.numerator)

@@ -13,8 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import EhrcollapseError, RationalLike, fraction_rows, fraction_text, horner, to_integers
-from .linalg import nullspace_vector, rank_mod_p
+from .arith import (EhrcollapseError, RationalLike, exact_int, fraction_rows, fraction_text, horner,
+                    to_integers)
+from .linalg import nullspace_vector
+
+P = (1 << 61) - 1  # the prime of the rank test
 
 
 class InsufficientDataError(EhrcollapseError):
@@ -50,7 +53,7 @@ class Recurrence:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Recurrence":
-        return cls(int(obj["order"]), int(obj["degree"]), obj["polys"])
+        return cls(exact_int(obj["order"]), exact_int(obj["degree"]), obj["polys"])
 
 
 def verify_recurrence(rec: Recurrence, values: Sequence[RationalLike]) -> bool:
@@ -60,13 +63,16 @@ def verify_recurrence(rec: Recurrence, values: Sequence[RationalLike]) -> bool:
     sum zero or nonzero, so both are made integers and the sums are integer
     Horner evaluations.
     """
-    k = rec.order
-    if len(values) < k + 1:
+    if len(values) < rec.order + 1:
         return False
     flat, _ = to_integers([c for row in rec.polys for c in row])
-    table = [flat[i:i + rec.degree + 1] for i in range(0, len(flat), rec.degree + 1)]
-    ints, _ = to_integers(values)
-    for n in range(len(ints) - k):
+    width = rec.degree + 1
+    return _holds([flat[i:i + width] for i in range(0, len(flat), width)], to_integers(values)[0])
+
+
+def _holds(table: Sequence[Sequence[int]], ints: Sequence[int]) -> bool:
+    """verify_recurrence on integer coefficient rows and integer values."""
+    for n in range(len(ints) - len(table) + 1):
         acc = 0
         for j, row in enumerate(table):
             m, p = n + j, 0
@@ -78,19 +84,41 @@ def verify_recurrence(rec: Recurrence, values: Sequence[RationalLike]) -> bool:
     return True
 
 
+def _independent(basis: list[tuple[int, list[int]]], col: list[int]) -> bool:
+    """Reduce col mod P by an echelon basis of columns, each 1 at its own pivot
+    and 0 at the pivots before it, and append it; False when it reduces to 0."""
+    for pivot, b in basis:
+        f = col[pivot]
+        if f:
+            col = [(x - f * y) % P for x, y in zip(col, b)]
+    lead = next((n for n, x in enumerate(col) if x), None)
+    if lead is None:
+        return False
+    inv = pow(col[lead], -1, P)
+    basis.append((lead, [x * inv % P for x in col]))
+    return True
+
+
 def guess_recurrence(
     values: Sequence[RationalLike], max_order: int, max_degree: int
 ) -> Optional[Recurrence]:
     """Smallest verified recurrence within the bounds, or None.
 
     Cells (order, degree) are scanned in lexicographic order.  For each cell
-    the linear system uses the first half of the windows; a rank mod p equal
-    to the number of unknowns proves the cell empty, otherwise an exact
-    canonical nullspace vector gives the candidate, which must then verify on
-    the whole sequence.  A homogeneous recurrence does not change when every
-    value is multiplied by the lcm of their denominators, so all of this runs
-    on integers.  Requires len(values) - 1 >= 2*(max_order+1)*(max_degree+1) +
+    the linear system uses the first half of the windows; an exact canonical
+    nullspace vector gives the candidate, which must then verify on the whole
+    sequence.  A homogeneous recurrence does not change when every value is
+    multiplied by the lcm of their denominators, so all of this runs on
+    integers.  Requires len(values) - 1 >= 2*(max_order+1)*(max_degree+1) +
     max_order so the fit stays overdetermined at the largest cell.
+
+    Each degree keeps one echelon basis mod the prime P of its columns, each
+    order appending its own, on rows every cell fits on: the first and last
+    2*(max_order+1)*(max_degree+1) of the largest order's, so that a recurrence
+    holding only on a prefix still shows its break.  While all columns are
+    independent mod P the cell has full column rank, since a nonzero minor mod
+    P is one over the rationals, and is skipped; from the first dependent
+    column on, every cell of that degree takes the exact pass.
     """
     if max_order < 0 or max_degree < 0:
         raise ValueError("bounds must be >= 0")
@@ -101,25 +129,32 @@ def guess_recurrence(
             f"({max_order}, {max_degree})"
         )
     ints, _ = to_integers(values)
+    block = 2 * (max_order + 1) * (max_degree + 1)
+    n_least = (n_top - max_order + 2) // 2  # the fit rows of the largest order
+    shared = [*range(min(block, n_least)), *range(max(block, n_least - block), n_least)]
+    bases: list[Optional[list]] = [[] for _ in range(max_degree + 1)]
     for order in range(max_order + 1):
+        # column (order, i) on the shared rows n: (n+order)^i * f(n+order) mod P
+        cols = [[ints[n + order] % P for n in shared]]
+        for _ in range(max_degree):
+            cols.append([x * (n + order) % P for n, x in zip(shared, cols[-1])])
         for degree in range(max_degree + 1):
+            basis = bases[degree]
+            if basis is not None:
+                if all(_independent(basis, col) for col in cols[:degree + 1]):
+                    continue  # full column rank: provably trivial nullspace
+                bases[degree] = None
             ncols = (order + 1) * (degree + 1)
-            windows = n_top - order + 1
-            n_fit = (windows + 1) // 2
-            rows = [
-                [(n + j) ** i * ints[n + j]
-                 for j in range(order + 1) for i in range(degree + 1)]
-                for n in range(n_fit)
-            ]
-            if rank_mod_p(rows, ncols) == ncols:
-                continue  # provably trivial nullspace, skip the exact pass
+            n_fit = (n_top - order + 2) // 2
+            rows = ([(n + j) ** i * ints[n + j]
+                     for j in range(order + 1) for i in range(degree + 1)]
+                    for n in range(n_fit))
             vec = nullspace_vector(rows, ncols)
             if vec is None:
                 continue
-            rec = Recurrence(order, degree,
-                             [vec[i:i + degree + 1] for i in range(0, ncols, degree + 1)])
-            if verify_recurrence(rec, ints):
-                return rec
+            table = [vec[i:i + degree + 1] for i in range(0, ncols, degree + 1)]
+            if _holds(table, ints):
+                return Recurrence(order, degree, table)
     return None
 
 

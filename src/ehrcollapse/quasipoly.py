@@ -44,8 +44,8 @@ from math import lcm
 from typing import Optional, Sequence, Union
 
 from . import counting
-from .arith import (EhrcollapseError, RationalLike, fraction_rows, fraction_text, horner,
-                    to_integers)
+from .arith import (EhrcollapseError, RationalLike, exact_int, fraction_rows, fraction_text,
+                    horner, to_integers)
 from .polytopes import AdmissiblePair, RationalTriangleParams
 
 # The certificate holds every count it reads, about 56 bytes per count at
@@ -92,7 +92,7 @@ class Quasipolynomial:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Quasipolynomial":
-        return cls(int(obj["period"]), int(obj["degree"]), obj["coeffs"])
+        return cls(exact_int(obj["period"]), exact_int(obj["degree"]), obj["coeffs"])
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -237,7 +237,7 @@ class SeriesNumerator:
 
 def series_numerator(i1: RationalLike, i2: RationalLike) -> SeriesNumerator:
     """Numerator coefficients from the counts at t = 1 and t = 2."""
-    i1, i2 = Fraction(i1), Fraction(i2)
+    ((i1, i2),) = fraction_rows([(i1, i2)], 1, 2)
     return SeriesNumerator(Fraction(1), i1 - 3, 3 - 3 * i1 + i2)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 
@@ -272,6 +272,35 @@ def nullspace_vector_rref(rows: Sequence[Sequence], ncols: int) -> "list[Fractio
     for col, prow in pivots.items():
         vec[col] = -prow[free[0]]
     return vec
+
+
+def guess_recurrence_unfiltered(values: Sequence, max_order: int, max_degree: int):
+    """The recurrence guesser with no rank filter: at every cell (order, degree)
+    in lexicographic order, the Fraction RREF nullspace of the first half of
+    the windows, checked at every window of the values.  Returns (order,
+    degree, coefficient rows) with the coefficients a primitive integer vector
+    whose first nonzero entry is positive, or None."""
+    vals = [Fraction(v) for v in values]
+    n_top = len(vals) - 1
+    for order in range(max_order + 1):
+        for degree in range(max_degree + 1):
+            ncols = (order + 1) * (degree + 1)
+            rows = [[(n + j) ** i * vals[n + j]
+                     for j in range(order + 1) for i in range(degree + 1)]
+                    for n in range((n_top - order + 2) // 2)]
+            vec = nullspace_vector_rref(rows, ncols)
+            if vec is None:
+                continue
+            scale = lcm(*(v.denominator for v in vec))
+            ints = [int(v * scale) for v in vec]
+            g = gcd(*ints) * (1 if next(v for v in ints if v) > 0 else -1)
+            polys = tuple(tuple(v // g for v in ints[j * (degree + 1):(j + 1) * (degree + 1)])
+                          for j in range(order + 1))
+            if all(sum(sum(c * (n + j) ** i for i, c in enumerate(poly)) * vals[n + j]
+                       for j, poly in enumerate(polys)) == 0
+                   for n in range(len(vals) - order)):
+                return order, degree, polys
+    return None
 
 
 # -- admissibility by the scans and tests that the closed forms replaced --------------

@@ -22,9 +22,9 @@ from ehrcollapse.arith import (
     parse_quad,
     quad_sqrt,
 )
-from ehrcollapse.polytopes import RationalTriangle2D
+from ehrcollapse.polytopes import RationalTriangle2D, RationalTriangleParams, scales_to_admissible
 from ehrcollapse.precursive import Recurrence, guess_recurrence, verify_recurrence
-from ehrcollapse.quasipoly import Quasipolynomial, fit_quasipolynomial
+from ehrcollapse.quasipoly import Quasipolynomial, fit_quasipolynomial, series_numerator
 
 fractions = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -354,6 +354,9 @@ FLOAT_CALLS = {
     "Quasipolynomial": lambda: Quasipolynomial(1, 1, ((Fraction(1), 0.5),)),
     "Recurrence": lambda: Recurrence(0, 0, ((0.1,),)),
     "RationalTriangle2D": lambda: RationalTriangle2D(((0, 0), (1, 0), (0, 0.5))),
+    "RationalTriangleParams.from_fractions": lambda: RationalTriangleParams.from_fractions(0.1, 1),
+    "scales_to_admissible": lambda: scales_to_admissible(0.5, 8.0),
+    "series_numerator": lambda: series_numerator(0.1, 2),
 }
 
 
@@ -379,6 +382,30 @@ ZERO_DENOMINATOR_READS = {
 def test_a_zero_denominator_read_back_is_a_value_error(name):
     with pytest.raises(ValueError, match="zero denominator"):
         ZERO_DENOMINATOR_READS[name]()
+
+
+def test_exact_int_takes_only_an_int():
+    assert arith.exact_int(3) == 3 and arith.exact_int(-2 ** 70) == -2 ** 70
+    for bad in (1.9, 1.0, "1", True, None, Fraction(2)):
+        with pytest.raises(TypeError, match="expected int"):
+            arith.exact_int(bad)
+
+
+INEXACT_SIZES = {
+    "period 1.9": (Quasipolynomial, {"period": 1.9, "degree": 0, "coeffs": [["1/1"]]}),
+    "period '1'": (Quasipolynomial, {"period": "1", "degree": 0, "coeffs": [["1/1"]]}),
+    "degree true": (Quasipolynomial, {"period": 1, "degree": True, "coeffs": [["1/1", "1/1"]]}),
+    "order '1'": (Recurrence, {"order": "1", "degree": 0, "polys": [["1/1"], ["-1/1"]]}),
+    "degree 0.5": (Recurrence, {"order": 1, "degree": 0.5, "polys": [["1/1"], ["-1/1"]]}),
+    "order 1.0": (Recurrence, {"order": 1.0, "degree": 0, "polys": [["1/1"], ["-1/1"]]}),
+}
+
+
+@pytest.mark.parametrize("name", INEXACT_SIZES)
+def test_a_size_read_back_must_be_a_json_integer(name):
+    cls, obj = INEXACT_SIZES[name]
+    with pytest.raises(TypeError, match="expected int"):
+        cls.from_json_dict(obj)
 
 
 # numerators past 2**64 of either sign, and integers, which are written n/1

@@ -541,6 +541,9 @@ PINNED_STDOUT = {
     "count --closed-form": "38bd4b7495537844b090ca99a6fa180800641f68949a5a6a9f5f59b3aa320f84",
     "guess-admissible items of recurrence seeds 1-3":
         "592bc0f54da1b09fd2a2677b10438569407c3d039b09926d7a620f5fb55c5aad",
+    # recorded before guess_recurrence kept one column basis mod p per degree
+    "guess-values items of recurrence seeds 1-3":
+        "c87d8be4fd8b45f423e609765e0af0111974f70e6b978af5097a0210971c40dd",
     "count u = 1, v = sqrt(2) and its swap":
         "3dc911c3a916322b0b59d121ec514b3fcf66c1d03f52174a2bdb647970fdcfc4",
     # recorded before the verify checks yielded their counterexamples
@@ -643,6 +646,9 @@ def test_stdout_matches_the_pinned_digests():
     guesses = _benchmark_argvs("recurrence", "guess-admissible", (1, 2, 3))
     assert len(guesses) == 29
     assert _stdout_digest(guesses) == PINNED_STDOUT["guess-admissible items of recurrence seeds 1-3"]
+    values = _benchmark_argvs("recurrence", "guess-values", (1, 2, 3))
+    assert len(values) == 176
+    assert _stdout_digest(values) == PINNED_STDOUT["guess-values items of recurrence seeds 1-3"]
     sqrt2 = [["count", "--u", "1", "--v", "0,1,2", "--t", "0..200"],
              ["count", "--u", "0,1,2", "--v", "1", "--t", "0..200"]]
     assert _stdout_digest(sqrt2) == PINNED_STDOUT["count u = 1, v = sqrt(2) and its swap"]

@@ -1,4 +1,4 @@
-"""Integer nullspaces and ranks mod p against the Fraction RREF oracle."""
+"""Integer nullspaces and the column rank test mod p against the Fraction RREF oracle."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ehrcollapse.linalg import nullspace_vector, rank_mod_p
+from ehrcollapse.linalg import nullspace_vector
+from ehrcollapse.precursive import P, _independent
 
 
 def _primitive_positive(vec):
@@ -77,11 +78,32 @@ def test_nullspace_known_vectors():
     assert nullspace_vector([[1, 2], [3, 4]], 2) is None
 
 
+def test_nullspace_checks_the_rows_after_the_last_pivot():
+    # two pivots of three columns leave (1, -2, 1); later rows are checked against it
+    span = [[1, 1, 1], [1, 0, -1]]
+    assert nullspace_vector(span + [[2, 1, 0], [0, 0, 0], [-1, 1, 3]], 3) == [1, -2, 1]
+    assert nullspace_vector(span + [[2, 1, 0], [0, 0, 1]], 3) is None
+    assert nullspace_vector(span + [[2, 1, 0]] * 5 + [[1, 2, 4]], 3) is None
+    # one column: no row is eliminated, every row is checked against (1)
+    assert nullspace_vector([], 1) == [1]
+    assert nullspace_vector([[0], [0]], 1) == [1]
+    assert nullspace_vector([[3]], 1) is None
+    assert nullspace_vector([[0], [0], [-7]], 1) is None
+    # rows from a generator are read once
+    assert nullspace_vector(iter(span + [[0, 0, 1]]), 3) is None
+
+
 @settings(max_examples=200, deadline=None)
-@given(integer_systems())
-def test_rank_mod_p_never_exceeds_rational_rank(system):
+@given(integer_systems(), st.randoms(use_true_random=False))
+def test_columns_independent_mod_p_leave_no_rational_nullspace(system, rnd):
     rows, ncols = system
-    full = rank_mod_p(rows, ncols) == ncols
-    # full rank mod p proves the rational nullspace trivial
-    if full:
+    order = list(range(ncols))
+    rnd.shuffle(order)
+    basis = []
+    independent = all(_independent(basis, [row[c] % P for row in rows]) for c in order)
+    # a nonzero minor mod P is a nonzero minor over the rationals
+    if independent:
         assert oracles.nullspace_vector_rref(rows, ncols) is None
+    # a zero column, or more columns than rows, always leaves a dependent one
+    if len(rows) < ncols or any(not any(row[c] for row in rows) for c in order):
+        assert not independent

@@ -1,5 +1,6 @@
 """Recurrence guessing: exact fits, verification, and deterministic absence."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -143,21 +144,38 @@ def test_non_quasipolynomial_counts_have_no_recurrence_in_bounds():
         assert guess_recurrence(counts, max_order, max_degree) is None
 
 
+def test_a_recurrence_that_breaks_early_costs_no_exact_pass(monkeypatch):
+    # Fibonacci numbers, or zeros, on the first 200 values and random ints
+    # after: the first shared rows satisfy F(n+2) = F(n+1) + F(n), but the
+    # last ones show the break, so every cell is skipped without a nullspace
+    rng = random.Random(1)
+    fib = [1, 1]
+    while len(fib) < 200:
+        fib.append(fib[-1] + fib[-2])
+    tail = [rng.randint(-9, 9) for _ in range(400)]
+    calls, exact = [], precursive.nullspace_vector
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return exact(rows, ncols)
+
+    monkeypatch.setattr(precursive, "nullspace_vector", counted)
+    for head in (fib, [0] * 200):
+        assert guess_recurrence(head + tail, 9, 1) is None
+    assert calls == []
+
+
 # -- planted recurrences with rational values ---------------------------------------
 
 
-@st.composite
-def planted(draw):
-    """Values of sum_j p_j(n+j) f(n+j) = 0 with integer p_j of degree <= d,
-    p_k(m) > 0 for m >= 0, and rational start values; returns the values, k
-    and d."""
-    k, d = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+def _planted_values(draw, k, d, n_values):
+    """Values of sum_j p_j(n+j) f(n+j) = 0, j = 0..k, with integer p_j of
+    degree <= d, p_k(m) > 0 for m >= 0, and rational start values."""
     coeff = st.integers(-4, 4)
     polys = [[draw(coeff) for _ in range(d + 1)] for _ in range(k)]
     polys.append([draw(st.integers(1, 4))] + [draw(st.integers(0, 3)) for _ in range(d)])
     fracs = st.fractions(min_value=-5, max_value=5, max_denominator=9)
     values = [draw(fracs) for _ in range(k)]
-    n_values = 2 * (k + 1) * (d + 1) + k + 1 + draw(st.integers(0, 6))
 
     def p(j, m):
         return sum(c * m ** i for i, c in enumerate(polys[j]))
@@ -166,29 +184,16 @@ def planted(draw):
         n = len(values) - k
         acc = sum(p(j, n + j) * values[n + j] for j in range(k))
         values.append(-acc / p(k, n + k))
-    return values, k, d
+    return values
 
 
-def _reference_guess(values, max_order, max_degree):
-    """The guesser on Fraction rows with the RREF oracle and no rank filter."""
-    vals = [Fraction(v) for v in values]
-    n_top = len(vals) - 1
-    for order in range(max_order + 1):
-        for degree in range(max_degree + 1):
-            ncols = (order + 1) * (degree + 1)
-            n_fit = (n_top - order + 2) // 2
-            rows = [[(n + j) ** i * vals[n + j]
-                     for j in range(order + 1) for i in range(degree + 1)]
-                    for n in range(n_fit)]
-            vec = oracles.nullspace_vector_rref(rows, ncols)
-            if vec is None:
-                continue
-            rec = Recurrence(order, degree, tuple(
-                tuple(vec[j * (degree + 1):(j + 1) * (degree + 1)]) for j in range(order + 1)))
-            if all(sum(rec.poly_value(j, n + j) * vals[n + j] for j in range(order + 1)) == 0
-                   for n in range(len(vals) - order)):
-                return rec
-    return None
+@st.composite
+def planted(draw):
+    """Values of a planted recurrence of order k and degree d; returns the
+    values, k and d."""
+    k, d = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    n_values = 2 * (k + 1) * (d + 1) + k + 1 + draw(st.integers(0, 6))
+    return _planted_values(draw, k, d, n_values), k, d
 
 
 @settings(max_examples=80, deadline=None)
@@ -199,12 +204,36 @@ def test_guess_finds_planted_rational_recurrences(case):
     assert rec is not None
     assert (rec.order, rec.degree) <= (k, d)
     assert verify_recurrence(rec, values)
-    # the same cell and, up to a nonzero scale, the same coefficients as the
-    # Fraction guesser
-    ref = _reference_guess(values, k, d)
-    assert (rec.order, rec.degree) == (ref.order, ref.degree)
-    flat = [c for row in rec.polys for c in row]
-    ref_flat = [c for row in ref.polys for c in row]
-    ratio = next(c for c in flat if c) / next(c for c in ref_flat if c)
-    assert flat == [ratio * c for c in ref_flat]
-    assert all(c.denominator == 1 for c in flat)
+    assert all(c.denominator == 1 for row in rec.polys for c in row)
+    assert (rec.order, rec.degree, rec.polys) == oracles.guess_recurrence_unfiltered(values, k, d)
+
+
+@st.composite
+def sequences_in_bounds(draw):
+    """Bounds (order <= 5, degree <= 2) and enough values for them: random
+    small ints, a planted recurrence with constant or polynomial coefficients,
+    or a planted recurrence whose values are replaced by random ints from some
+    index on, so that it holds only on a prefix."""
+    max_order, max_degree = draw(st.integers(0, 5)), draw(st.integers(0, 2))
+    n_values = 2 * (max_order + 1) * (max_degree + 1) + max_order + 1 + draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(("random", "constant", "polynomial", "prefix")))
+    if kind == "random":
+        return draw(st.lists(st.integers(-3, 3), min_size=n_values, max_size=n_values)), \
+            max_order, max_degree
+    k = draw(st.integers(1, max(1, max_order)))
+    d = 0 if kind == "constant" else draw(st.integers(0, max_degree))
+    values = _planted_values(draw, k, d, n_values)
+    if kind == "prefix":
+        cut = draw(st.integers(k + 1, n_values - 1))
+        values[cut:] = draw(st.lists(st.integers(-3, 3), min_size=n_values - cut,
+                                     max_size=n_values - cut))
+    return values, max_order, max_degree
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences_in_bounds())
+def test_guess_matches_the_unfiltered_oracle(case):
+    values, max_order, max_degree = case
+    rec = guess_recurrence(values, max_order, max_degree)
+    want = oracles.guess_recurrence_unfiltered(values, max_order, max_degree)
+    assert (rec and (rec.order, rec.degree, rec.polys)) == want
