@@ -13,6 +13,7 @@ from .counting import (
     asymptotic_deficit,
     closed_form_admissible,
     count_axis_simplex,
+    count_axis_simplex_many,
     count_interval,
     count_rational_triangle2d,
     count_triangle,

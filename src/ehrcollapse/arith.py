@@ -420,18 +420,6 @@ class QuadNumber:
         return cls(a, b, int(obj["d"]))
 
 
-def triple_in_field(x: QuadNumber, d: int) -> tuple[Triple, int]:
-    """x's triple over the radicand d, and d; a rational field (d = 0) takes
-    x's own radicand.
-
-    Raises RadicandMismatchError unless x lies in Q(sqrt(d)).
-    """
-    if d == 0:
-        return x.triple, x.d
-    _common_d(x.d, d)  # raises unless the two radicands name one field
-    return x._over(d), d
-
-
 def shared_triples(xs: Sequence[QuadNumber]) -> tuple[list[Triple], int]:
     """The triples (A, B, C) of xs over one radicand d, and d.
 

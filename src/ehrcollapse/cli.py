@@ -182,7 +182,7 @@ def _cmd_count(args, parser, emit) -> int:
     keys, columns = ["t", "count"], [args.t]
     if args.legs is not None:
         simplex = AxisSimplex(tuple(args.legs))
-        columns.append(counting.count_axis_simplex(simplex, t) for t in args.t)
+        columns.append(counting.count_axis_simplex_many(simplex, args.t))
     elif args.interval is not None:
         iv = Interval(args.interval[0], args.interval[1])
         columns.append(counting.count_interval(iv, t) for t in args.t)
@@ -360,10 +360,9 @@ def _cmd_tetra(args, parser, emit) -> int:
         return 0
 
     def rows():
-        for t in args.t:
-            count = counting.count_axis_simplex(simplex, t)
+        for t, count in zip(args.t, counting.count_axis_simplex_many(simplex, args.t)):
             cubic = sequences.tetra_polynomial(t)
-            yield (*base.values(), t, count, int(cubic), count == cubic)
+            yield (*base.values(), t, count, cubic, count == cubic)
 
     emit((*base, "t", "count", "cubic", "matches"), rows())
     return 0

@@ -12,11 +12,11 @@ quantities use integer square roots, never floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import floor, gcd
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
-from .arith import (EhrcollapseError, Expansion, QuadNumber, Triple, floor_surd, shared_triples,
-                    to_integers, triple_in_field)
+from .arith import EhrcollapseError, Expansion, QuadNumber, Triple, floor_surd, to_integers
 from .polytopes import (
     AdmissiblePair,
     AxisSimplex,
@@ -162,32 +162,52 @@ def count_triangle_interior(obj: TriangleLike, t: int) -> int:
 
 
 def count_axis_simplex(simplex: AxisSimplex, t: int) -> int:
-    """Number of integer points x >= 0 with sum(x_i / L_i) <= t.
+    """Number of integer points x >= 0 with sum(x_i / L_i) <= t."""
+    return count_axis_simplex_many(simplex, (t,))[0]
 
-    The count is symmetric in the legs, so all but the two largest are
-    walked, smallest first, one point at a time: each point x_i of leg L_i
-    leaves the right-hand side rem - x_i/L_i for the legs after it, and equal
-    right-hand sides are kept once, with the number of ways they arise.  The
-    two largest legs are the final triangle, counted once below every
-    right-hand side that the walk leaves.
+
+def _chain_members(chains: dict, s0: int, s1: int) -> Iterator[tuple[int, int]]:
+    """The right-hand sides bottom + j*s, j = 0..top, of each chain {bottom: top}."""
+    for (a, b), top in chains.items():
+        for j in range(top + 1):
+            yield a + j * s0, b + j * s1
+
+
+def count_axis_simplex_many(simplex: AxisSimplex, ts: Iterable[int]) -> list[int]:
+    """Batch version of count_axis_simplex; one exact count per t.
+
+    The count is symmetric in the legs, so all but the two largest are walked
+    (AxisSimplex.walk), with each right-hand side r = (A + B*sqrt(d))/c kept as
+    the pair (A, B).  Leg L with step s = 1/L sends r to the chain bottom + j*s,
+    j = 0..k, with k = floor(r*L) and bottom = r - k*s in [0, s).  Chains with
+    different bottoms are disjoint, so each is kept once, as {bottom: top j},
+    for every r and t that reach it.  The final triangle counts once below every
+    member of the last chains, and each level reads its counts back as prefix
+    sums along its chains, r at its own k.  A simplex of one leg counts k + 1.
     """
-    if t < 0:
-        raise ValueError("dilation factor must be >= 0")
-    legs, rem = simplex.legs, QuadNumber.from_value(t)
-    if len(legs) == 1:
-        return floor(rem * legs[0]) + 1
-    rems = {rem: 1}
-    for leg in sorted(legs)[:-2]:
-        step, walked = 1 / leg, {}
-        for r, ways in rems.items():
-            for x in range(floor(r * leg) + 1):
-                key = r - x * step
-                walked[key] = walked.get(key, 0) + ways
-        rems = walked
-    pair = simplex.final_triangle
-    d = pair.slopes[1] or shared_triples(legs)[1]  # a rational pair counts below any field
-    counts = _count_below(pair, [triple_in_field(r, d)[0] for r in rems], d)
-    return sum(ways * n for ways, n in zip(rems.values(), counts))
+    ts = [int(t) for t in ts]
+    if ts and min(ts) < 0:
+        raise ValueError("dilation factors must be >= 0")
+    steps, c, d = simplex.walk
+    rems, levels = [(t * c, 0) for t in ts], []
+    for l0, l1, lc, s0, s1 in steps:
+        chains, reads = {}, []
+        for a, b in rems:
+            k = floor_surd(a * l0 + b * l1 * d, a * l1 + b * l0, lc, d)
+            bottom = (a - k * s0, b - k * s1)
+            chains[bottom] = max(k, chains.get(bottom, 0))
+            reads.append((bottom, k))
+        levels.append((chains, reads))
+        rems = _chain_members(chains, s0, s1)
+    if simplex.dim == 1:
+        return [k + 1 for _, k in reads]
+    counts = _count_below(simplex.final_triangle, ((a, b, c) for a, b in rems), d)
+    for chains, reads in reversed(levels):
+        offsets = accumulate((top + 1 for top in chains.values()), initial=0)
+        start = dict(zip(chains, offsets))  # each chain's first index in counts
+        sums = list(accumulate(counts, initial=0))
+        counts = [sums[start[bottom] + k + 1] - sums[start[bottom]] for bottom, k in reads]
+    return counts
 
 
 def count_interval(interval: Interval, t: int) -> int:

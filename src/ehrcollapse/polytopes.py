@@ -251,6 +251,20 @@ class AxisSimplex:
         *_, big, bigger = sorted(self.legs)
         return TrianglePair(1 / big, 1 / bigger)
 
+    @cached_property
+    def walk(self) -> tuple[list[tuple[int, ...]], int, int]:
+        """(steps, c, d): the legs L but the two largest (the one leg of dim 1),
+        smallest first, as (l0, l1, lc*c, s0, s1) with L = (l0 + l1*sqrt(d))/lc
+        and 1/L = (s0 + s1*sqrt(d))/c; c is the lcm of the denominators of these
+        1/L, d the radicand of final_triangle, or of the legs if it is rational."""
+        legs = sorted(self.legs)
+        walked = legs[:-2] if len(legs) > 1 else legs
+        d = (len(legs) > 1 and self.final_triangle.slopes[1]) or shared_triples(legs)[1]
+        steps = [(leg._over(d), (1 / leg)._over(d)) for leg in walked]
+        c = lcm(*(sc for _, (_, _, sc) in steps))
+        return [(l0, l1, lc * c, s0 * (c // sc), s1 * (c // sc))
+                for (l0, l1, lc), (s0, s1, sc) in steps], c, d
+
     def to_json_dict(self) -> dict:
         return {"legs": [leg.to_json_dict() for leg in self.legs]}
 

@@ -82,7 +82,7 @@ def limit_tetrahedron() -> AxisSimplex:
     ))
 
 
-def tetra_polynomial(t: int) -> Fraction:
-    """t^3/6 + t^2 + 11*t/6 + 1: the shared counting polynomial of the family
-    (integer-valued at every integer t)."""
-    return Fraction(t ** 3, 6) + t * t + Fraction(11 * t, 6) + 1
+def tetra_polynomial(t: int) -> int:
+    """t^3/6 + t^2 + 11*t/6 + 1 = (t + 1)(t + 2)(t + 3)/6: the shared counting
+    polynomial of the family, exact since 6 divides three consecutive integers' product."""
+    return (t + 1) * (t + 2) * (t + 3) // 6

@@ -158,8 +158,7 @@ def _check_simplex_enumeration() -> Iterator[dict]:
         sequences.limit_tetrahedron(),
     ]
     for simplex in simplices:
-        for t in range(9):
-            got = counting.count_axis_simplex(simplex, t)
+        for t, got in enumerate(counting.count_axis_simplex_many(simplex, range(9))):
             want = _enumerate_simplex(simplex, t)
             if got != want:
                 yield {"legs": [str(leg) for leg in simplex.legs],
@@ -389,8 +388,7 @@ def _tetra_cubic_counts(cases) -> Iterator[dict]:
     """Each (payload, simplex) case counts sequences.tetra_polynomial(t) for
     t <= 40; a miss yields the payload with t and the count."""
     for named, simplex in cases:
-        for t in range(41):
-            got = counting.count_axis_simplex(simplex, t)
+        for t, got in enumerate(counting.count_axis_simplex_many(simplex, range(41))):
             if got != sequences.tetra_polynomial(t):
                 yield {**named, "t": t, "got": got}
 

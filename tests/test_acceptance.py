@@ -146,6 +146,14 @@ def test_c08_tetrahedra_family_and_limit():
                     == sequences.tetra_polynomial(t))
 
 
+def test_c08_tetrahedra_count_runs_of_twenty_thousand():
+    ts = range(20001)
+    want = [sequences.tetra_polynomial(t) for t in ts]
+    for simplex in (sequences.limit_tetrahedron(), sequences.tetra_family(2)):
+        with budget(2):
+            assert counting.count_axis_simplex_many(simplex, ts) == want
+
+
 def test_c09_reciprocity_correction_pattern():
     with budget(60):
         for alpha, beta in ((3, 3), (2, 4), (1, 5), (4, 2), (5, 1)):

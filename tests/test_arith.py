@@ -184,11 +184,6 @@ def test_mixed_radicands_rejected():
         r2 * r3
     # rational operands always combine
     assert r2 + 1 == QuadNumber(Fraction(1), Fraction(1), 2)
-    # a rational field takes the number's radicand; another field rejects it
-    assert arith.triple_in_field(r2, 0) == (r2.triple, 2)
-    assert arith.triple_in_field(QuadNumber(Fraction(1, 2)), 3) == ((1, 0, 2), 3)
-    with pytest.raises(RadicandMismatchError):
-        arith.triple_in_field(r2, 3)
 
 
 def test_division_by_zero():

@@ -425,3 +425,36 @@ def test_simplex_counts_match_the_oracle_in_every_leg_order(data, d, dim):
     for perm in permutations(legs):
         simplex = AxisSimplex(perm)
         assert [counting.count_axis_simplex(simplex, t) for t in range(t_max + 1)] == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data(), radicands, st.integers(3, 4))
+def test_simplex_count_runs_and_lists_match_the_oracle_in_every_leg_order(data, d, dim):
+    """count_axis_simplex_many on a run from any start and on a shuffled list
+    with repeats, for 3-D and 4-D legs from one field, in every leg order."""
+    legs = [data.draw(quad_leg(d)) for _ in range(dim)]
+    dd = max(leg.d for leg in legs)
+    t_max = 8 if dim == 3 else 5
+    want = oracles.count_simplex_quad_range([_triple(1 / leg) for leg in legs], dd, t_max)
+    start = data.draw(st.integers(0, t_max))
+    ts = data.draw(st.lists(st.integers(0, t_max), max_size=2 * t_max))
+    for perm in permutations(legs):
+        simplex = AxisSimplex(perm)
+        assert counting.count_axis_simplex_many(simplex, range(start, t_max + 1)) == want[start:]
+        assert counting.count_axis_simplex_many(simplex, ts) == [want[t] for t in ts]
+
+
+def test_simplex_counts_with_a_huge_step_denominator_match_the_oracle():
+    # the walked leg near 3/4 has a step 1/L of denominator ~1.7e27, so the
+    # walk's right-hand sides carry that denominator
+    d = 9554652451792730
+    legs = [QuadNumber(Fraction(5, 2)), QuadNumber(3),
+            QuadNumber(6, Fraction(-4096, 133458469607), d),
+            QuadNumber(Fraction(7, 4), Fraction(-32768, 3203003270571), d)]
+    want = oracles.count_simplex_quad_range([_triple(1 / leg) for leg in legs], d, 6)
+    assert want == [1, 11, 64, 201, 490, 1006, 1851]
+    for perm in permutations(legs):
+        simplex = AxisSimplex(perm)
+        assert simplex.walk[1] > 10 ** 27
+        assert counting.count_axis_simplex_many(simplex, range(7)) == want
+        assert counting.count_axis_simplex_many(simplex, [6, 0, 6, 3]) == [1851, 1, 1851, 201]

@@ -100,6 +100,13 @@ def test_tetra_polynomial_values():
     assert all(tetra_polynomial(t).denominator == 1 for t in range(20))
 
 
+def test_tetra_polynomial_is_the_exact_cubic_as_an_int():
+    for t in range(-50, 51):
+        value = tetra_polynomial(t)
+        assert type(value) is int
+        assert value == Fraction(t ** 3, 6) + t * t + Fraction(11 * t, 6) + 1
+
+
 def test_fib_triangle_legs_are_reciprocal_and_coprime():
     for k in (1, 2, 3):
         for n in range(2, 12):
