@@ -8,7 +8,6 @@ no floating point; ``float()`` rounds the exact value correctly.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, cycle
@@ -158,17 +157,6 @@ def _align(x: "QuadNumber", y: "QuadNumber") -> tuple[Triple, Triple, int]:
         return x.triple, y.triple, x.d
     d = _common_d(x.d, y.d)
     return x._over(d), y._over(d), d
-
-
-def _rational_hash(n: int, d: int) -> int:
-    """hash(Fraction(n, d)) for d > 0, without the gcd: Python hashes n/d as
-    |n| * d^-1 modulo a prime, with the sign of n, which no common factor of
-    n and d changes unless d is a multiple of that prime."""
-    m = sys.hash_info.modulus
-    if d % m == 0:
-        return hash(Fraction(n, d))
-    h = abs(n) * pow(d, -1, m) % m
-    return hash(h if n >= 0 else -h)
 
 
 class QuadNumber:
@@ -347,9 +335,9 @@ class QuadNumber:
         a, b, c = self.triple
         # rational values hash like their Fraction, so q == 1 implies equal hashes
         if b == 0:
-            return _rational_hash(a, c)
+            return hash(Fraction(a, c))
         # a and sign(b)*b^2*d are the same whichever radicand carries the value
-        return hash((_rational_hash(a, c), _rational_hash(b * abs(b) * self.d, c * c)))
+        return hash((Fraction(a, c), Fraction(b * abs(b) * self.d, c * c)))
 
     def __lt__(self, other: QuadLike) -> bool:
         return (self - other).sign() < 0

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import floor, gcd
-from typing import Iterable, Iterator, Union
+from math import gcd
+from typing import Iterable, Iterator, Sequence, Union
 
-from .arith import EhrcollapseError, Expansion, QuadNumber, Triple, floor_surd, to_integers
+from .arith import (EhrcollapseError, Expansion, QuadNumber, Triple, exact_int, floor_surd,
+                    shared_triples, to_integers)
 from .polytopes import (
     AdmissiblePair,
     AxisSimplex,
@@ -36,6 +37,21 @@ def _as_pair(obj: TriangleLike) -> TrianglePair:
     if isinstance(obj, (AdmissiblePair, RationalTriangleParams)):
         return obj.triangle()
     raise TypeError(f"expected a triangle-like object, got {type(obj).__name__}")
+
+
+def _dilations(ts: Iterable[int]) -> tuple[Sequence[int], bool]:
+    """ts as dilation factors, and whether each t is one more than the last.
+
+    A range of step 1 passes as it is; any other ts becomes a list of
+    exact_int(t), so a float, a bool or a Fraction raises TypeError.
+    """
+    is_run = isinstance(ts, range) and ts.step == 1
+    if not is_run:
+        ts = [exact_int(t) for t in ts]
+        is_run = len(ts) < 2 or ts == list(range(ts[0], ts[0] + len(ts)))
+    if ts and (ts[0] if is_run else min(ts)) < 0:
+        raise ValueError("dilation factors must be >= 0")
+    return ts, is_run
 
 
 def _floor_sum(n: int, cf: Expansion, b: Triple, d: int) -> int:
@@ -121,12 +137,7 @@ def count_triangle_many(obj: TriangleLike, ts: Iterable[int]) -> list[int]:
     for rational legs.  Every other ts is one floor sum per t.
     """
     pair = _as_pair(obj)
-    is_run = isinstance(ts, range) and ts.step == 1
-    if not is_run:
-        ts = [int(t) for t in ts]
-        is_run = bool(ts) and ts == list(range(ts[0], ts[0] + len(ts)))
-    if ts and (ts[0] if is_run else min(ts)) < 0:
-        raise ValueError("dilation factors must be >= 0")
+    ts, is_run = _dilations(ts)
     d, identity = pair.slopes[1], is_run and len(ts) > 2 and pair.translate
     if not identity or len(ts) <= 2 * identity[0] + identity[1]:
         return _count_below(pair, [(t, 0, 1) for t in ts], d)
@@ -151,8 +162,7 @@ def count_triangle_interior(obj: TriangleLike, t: int) -> int:
     holds ceil((t - u*x)/v) - 1 = -floor(theta*x - t/v) - 1 points.
     """
     pair = _as_pair(obj)
-    if t < 0:
-        raise ValueError("dilation factor must be >= 0")
+    (t,), _ = _dilations((t,))
     ((s0, s1, c), (u0, u1, uc), (v0, v1, _)), d = pair.slopes
     x_top = -floor_surd(-t * u0, -t * u1, uc, d) - 1
     if x_top <= 0:
@@ -185,9 +195,7 @@ def count_axis_simplex_many(simplex: AxisSimplex, ts: Iterable[int]) -> list[int
     member of the last chains, and each level reads its counts back as prefix
     sums along its chains, r at its own k.  A simplex of one leg counts k + 1.
     """
-    ts = [int(t) for t in ts]
-    if ts and min(ts) < 0:
-        raise ValueError("dilation factors must be >= 0")
+    ts, _ = _dilations(ts)
     steps, c, d = simplex.walk
     rems, levels = [(t * c, 0) for t in ts], []
     for l0, l1, lc, s0, s1 in steps:
@@ -211,15 +219,10 @@ def count_axis_simplex_many(simplex: AxisSimplex, ts: Iterable[int]) -> list[int
 
 
 def count_interval(interval: Interval, t: int) -> int:
-    """Number of integers in [t*lo, t*hi]."""
-    if t < 0:
-        raise ValueError("dilation factor must be >= 0")
-    lo_t = interval.lo * t
-    hi_t = interval.hi * t
-    n = floor(hi_t) - floor(lo_t)
-    if lo_t.is_integer():
-        n += 1
-    return n
+    """Number of integers in [t*lo, t*hi]: floor(t*hi) - ceil(t*lo) + 1."""
+    (t,), _ = _dilations((t,))
+    ((l0, l1, lc), (h0, h1, hc)), d = shared_triples((interval.lo, interval.hi))
+    return floor_surd(t * h0, t * h1, hc, d) + floor_surd(-t * l0, -t * l1, lc, d) + 1
 
 
 def _edge(p: Point, q: Point, sign: int, m: int) -> tuple[int, int, int, Expansion]:
@@ -269,7 +272,7 @@ def closed_form_admissible(pair: AdmissiblePair, t: int) -> Fraction:
     (t^2*beta + t*alpha*beta + z*beta*(alpha - z) + 2*alpha*sigma) / (2*alpha)
     with z = t mod alpha and sigma = [alpha divides t].
     """
-    a, b = pair.alpha, pair.beta
+    a, b, t = pair.alpha, pair.beta, exact_int(t)
     z = t % a  # in [0, alpha), also for negative t
     num = t * t * b + t * a * b + z * b * (a - z) + (2 * a if z == 0 else 0)
     return Fraction(num, 2 * a)

@@ -39,6 +39,15 @@ class CriterionReport:
         }
 
 
+def _report(criterion: str, conditions: tuple[tuple[str, bool], ...], divisor: int,
+            verdict: str) -> CriterionReport:
+    """The report of a criterion: divisor and verdict when every condition
+    holds, no divisor and NO_PREDICTION otherwise."""
+    holds = all(ok for _, ok in conditions)
+    return CriterionReport(criterion, conditions, divisor if holds else None,
+                           verdict if holds else NO_PREDICTION)
+
+
 def _divisibility_triple(p: int, q: int, r: int, s: int) -> tuple[tuple[str, bool], ...]:
     # conditions on u = q/p, v = s/r predicting that q is a quasiperiod
     c1 = s != 0 and p % s == 0
@@ -55,13 +64,7 @@ def check_collapse_criterion(params: RationalTriangleParams) -> CriterionReport:
     """Sufficient condition for q to be a quasiperiod of the counting function
     of the rational triangle with u = q/p, v = s/r."""
     conds = _divisibility_triple(params.p, params.q, params.r, params.s)
-    holds = all(ok for _, ok in conds)
-    return CriterionReport(
-        criterion="collapse",
-        conditions=conds,
-        predicted_period_divisor=params.q if holds else None,
-        verdict=COLLAPSE_PREDICTED if holds else NO_PREDICTION,
-    )
+    return _report("collapse", conds, params.q, COLLAPSE_PREDICTED)
 
 
 def check_pseudo_integral_criterion(params: RationalTriangleParams) -> CriterionReport:
@@ -78,13 +81,7 @@ def check_pseudo_integral_criterion(params: RationalTriangleParams) -> Criterion
         ("r divides s*p + 1", c5),
         ("gcd((s*p + 1)/r, q) = 1", c6),
     )
-    holds = all(ok for _, ok in conds)
-    return CriterionReport(
-        criterion="pseudo-integral",
-        conditions=conds,
-        predicted_period_divisor=1 if holds else None,
-        verdict=PSEUDO_INTEGRAL_PREDICTED if holds else NO_PREDICTION,
-    )
+    return _report("pseudo-integral", conds, 1, PSEUDO_INTEGRAL_PREDICTED)
 
 
 def reciprocal_params(p: int, q: int) -> RationalTriangleParams:
@@ -103,13 +100,7 @@ def check_reciprocal_criterion(p: int, q: int) -> CriterionReport:
         ("p divides q^2 + 1", c1),
         ("gcd((q^2 + 1)/p, p) = 1", c2),
     )
-    holds = c1 and c2
-    return CriterionReport(
-        criterion="reciprocal",
-        conditions=conds,
-        predicted_period_divisor=q if holds else None,
-        verdict=COLLAPSE_PREDICTED if holds else NO_PREDICTION,
-    )
+    return _report("reciprocal", conds, q, COLLAPSE_PREDICTED)
 
 
 PSEUDO_INTEGRAL = "pseudo-integral"

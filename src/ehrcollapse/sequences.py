@@ -11,12 +11,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .arith import QuadNumber
+from .arith import QuadNumber, exact_int
 from .polytopes import AxisSimplex, RationalTriangleParams
 
 
 def k_fib(k: int, n: int) -> int:
     """F_n(k) with F_0 = 0, F_1 = 1, F_n = k*F_{n-1} + F_{n-2}."""
+    k, n = exact_int(k), exact_int(n)
     if k < 1 or n < 0:
         raise ValueError("need k >= 1 and n >= 0")
     prev, cur = 0, 1
@@ -85,4 +86,5 @@ def limit_tetrahedron() -> AxisSimplex:
 def tetra_polynomial(t: int) -> int:
     """t^3/6 + t^2 + 11*t/6 + 1 = (t + 1)(t + 2)(t + 3)/6: the shared counting
     polynomial of the family, exact since 6 divides three consecutive integers' product."""
+    t = exact_int(t)
     return (t + 1) * (t + 2) * (t + 3) // 6

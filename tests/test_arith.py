@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ehrcollapse import arith
+from ehrcollapse import arith, counting, sequences
 from ehrcollapse.arith import (
     QuadNumber,
     RadicandMismatchError,
@@ -22,7 +22,13 @@ from ehrcollapse.arith import (
     parse_quad,
     quad_sqrt,
 )
-from ehrcollapse.polytopes import RationalTriangle2D, RationalTriangleParams, scales_to_admissible
+from ehrcollapse.polytopes import (
+    AdmissiblePair,
+    Interval,
+    RationalTriangle2D,
+    RationalTriangleParams,
+    scales_to_admissible,
+)
 from ehrcollapse.precursive import Recurrence, guess_recurrence, verify_recurrence
 from ehrcollapse.quasipoly import Quasipolynomial, fit_quasipolynomial, series_numerator
 
@@ -352,6 +358,15 @@ FLOAT_CALLS = {
     "RationalTriangleParams.from_fractions": lambda: RationalTriangleParams.from_fractions(0.1, 1),
     "scales_to_admissible": lambda: scales_to_admissible(0.5, 8.0),
     "series_numerator": lambda: series_numerator(0.1, 2),
+    "count_triangle": lambda: counting.count_triangle(RationalTriangleParams(2, 3, 3, 2), 2.5),
+    "count_triangle_many": lambda: counting.count_triangle_many(AdmissiblePair(3, 3), [0, 1.0]),
+    "count_triangle_interior": lambda: counting.count_triangle_interior(AdmissiblePair(3, 3), 2.5),
+    "count_axis_simplex_many": lambda: counting.count_axis_simplex_many(
+        sequences.limit_tetrahedron(), [3.9]),
+    "count_interval": lambda: counting.count_interval(Interval(QuadNumber(0), quad_sqrt(2)), 2.5),
+    "closed_form_admissible": lambda: counting.closed_form_admissible(AdmissiblePair(3, 3), 2.0),
+    "k_fib": lambda: sequences.k_fib(2.5, 4),
+    "tetra_polynomial": lambda: sequences.tetra_polynomial(2.5),
 }
 
 

@@ -772,15 +772,25 @@ def _values(valid, bad=(), count=1):
     return st.lists(st.sampled_from(4 * valid + bad), min_size=count, max_size=count)
 
 
-_INT = _values(("1", "2", "3", "5"), ("-1", "0", "x"))
-_SUM = _values(("2", "3", "5"), ("1", "0", "-1", "x"))  # alpha, beta
-_ORDER = _values(("0", "1", "2"), ("-1", "x"))
-_LEG = ("1", "1/2", "2", "3", "5/3", "0,1,2", "1,1,2", "0,1,8", "0,1,3", "-1/2,1,2")
-_BAD_LEG = ("0", "-1", "1/0", "1,2", "1,1,-2")
+# Ints near 10**30 go only to options that set no amount of work: --params,
+# --alpha/--beta, --k, --p/--q, --mw-image and radicands.
+_H = 10 ** 30
+_HUGE = (str(_H), str(_H + 7), str(-_H))
+_SMALL, _BAD_INT = ("1", "2", "3", "5"), ("-1", "0", "x", "2.5", "3/0")
+_INT = _values(_SMALL, _BAD_INT)
+_HUGE_INT = _values(_SMALL, _BAD_INT + _HUGE)
+_SUM = _values(("2", "3", "5"), ("1", "0", "-1", "x", "2.5") + _HUGE)  # alpha, beta
+_ORDER = _values(("0", "1", "2"), ("-1", "x", "1.5"))
+_LEG = ("1", "1/2", "2", "3", "5/3", "0,1,2", "1,1,2", "0,1,8", "0,1,3", "-1/2,1,2", "2.5")
+# radicands that are squares, negative or near 10**30
+_BAD_LEG = ("0", "-1", "1/0", "3/0,1,2", "", "1,2", "1,1,-2", "0,1,4", "1,1,-4",
+            *(f"0,1,{h}" for h in _HUGE), f"1/2,-1,{_H + 1}")
 _LEGS = _values(_LEG, _BAD_LEG)
-_RANGE = _values(("0", "3", "0..4", "2..6"), ("-1..2", "5..3", "-1", "x", "1.."))
+_RANGE = _values(("0", "3", "0..4", "2..6"),
+                 ("-1..2", "5..3", "-1", "x", "1..", "", "2.5", "0..2.5"))
 _PARAMS = _values(("1,1,1,1", "2,3,3,2", "3,1,2,3", "2,1,1,2", "3,2,1,1"),
-                  ("0,1,1,1", "2,2,1,1", "1,2,3"))
+                  ("0,1,1,1", "2,2,1,1", "1,2,3", "1/0,1,1,1", "2.5,1,1,1",
+                   f"1,{_H},1,{_H + 1}", f"{_H + 1},{_H},{_H},{_H + 1}"))
 _TRIANGLES = [[("--params", _PARAMS)], [("--alpha", _SUM), ("--beta", _SUM)],
               [("--u", _LEGS), ("--v", _LEGS)]]
 _GOLDEN_LEGS = [("--u", st.just(["3/2,1/2,5"])), ("--v", st.just(["3/2,-1/2,5"]))]  # (3, 3)
@@ -788,8 +798,8 @@ _COMMON = [("--output", st.just(["-"])), ("--format", _values(("jsonl", "csv"), 
 _FLAG = st.just([])
 
 # Per subcommand: the option sets of which a valid call needs one, and options
-# that may be added to it.  Every value is small, so that each call runs in
-# milliseconds; --jobs stays at most 1, so that no process pool starts; verify
+# that may be added to it.  Every value that sets an amount of work is small,
+# so that each call runs in milliseconds; --jobs stays at most 1, so that no process pool starts; verify
 # meets only suite names it rejects.
 SUBCOMMANDS = {
     "count": (
@@ -798,8 +808,8 @@ SUBCOMMANDS = {
             ("--t", _RANGE)],
            [("--interval", _values(_LEG, _BAD_LEG, count=2)), ("--t", _RANGE)],
            [("--vertices", _values(("0,0", "2,0", "0,3/2", "1,1", "-1,2", "2,2"),
-                                   ("1/0,1", "1"), count=3))],
-           [("--mw-image", _INT), ("--t", _RANGE)]],
+                                   ("1/0,1", "1", "2.5,0"), count=3))],
+           [("--mw-image", _HUGE_INT), ("--t", _RANGE)]],
         _COMMON + _TRIANGLES[0] + [("--interior", _FLAG), ("--closed-form", _FLAG),
                                    ("--t", _RANGE), ("--legs", _LEGS)]),
     "fit": ([shape + [("--period", _INT)] for shape in _TRIANGLES],
@@ -809,21 +819,22 @@ SUBCOMMANDS = {
         [[("--criterion", st.just([kind])), *extra] for kind, extra in (
             ("collapse", [("--params", _PARAMS)]),
             ("pseudo-integral", [("--params", _PARAMS)]),
-            ("reciprocal", [("--p", _INT), ("--q", _INT)]),
+            ("reciprocal", [("--p", _HUGE_INT), ("--q", _HUGE_INT)]),
             ("classify", [("--alpha", _SUM), ("--beta", _SUM)]),
-            ("beta-equation", [("--bound", _values(("1", "3", str(10 ** 12)), ("-2", "0")))]),
+            ("beta-equation",
+             [("--bound", _values(("1", "3", str(10 ** 12)), ("-2", "0", "2.5")))]),
             ("other", []))],
-        _COMMON[:1] + [("--alpha", _INT), ("--p", _INT), ("--params", _PARAMS)]),
-    "search": ([[("--bound", _values(("1", "2"), ("0", "-1", "x")))],
-                [(f"--max-{c}", _values(("1", "2"), ("0",))) for c in "pqrs"]],
-               _COMMON + [("--jobs", _values(("1",), ("0", "-1"))), ("--max-q", _INT)]),
-    "fib": ([[("--k", _INT), ("--n", _RANGE)]], _COMMON + [("--triangle", _FLAG)]),
+        _COMMON[:1] + [("--alpha", _HUGE_INT), ("--p", _HUGE_INT), ("--params", _PARAMS)]),
+    "search": ([[("--bound", _values(("1", "2"), ("0", "-1", "x", "2.5")))],
+                [(f"--max-{c}", _values(("1", "2"), ("0", "1.5"))) for c in "pqrs"]],
+               _COMMON + [("--jobs", _values(("1",), ("0", "-1", "1.5"))), ("--max-q", _INT)]),
+    "fib": ([[("--k", _HUGE_INT), ("--n", _RANGE)]], _COMMON + [("--triangle", _FLAG)]),
     "tetra": ([[("--n", _INT)], [("--limit", _FLAG)]], _COMMON + [("--t", _RANGE), ("--n", _INT)]),
     "guess-rec": (
         [source + [("--max-order", _ORDER), ("--max-degree", _ORDER)] for source in
          [[("--values", _values((",".join(str(2 ** n) for n in range(16)),
                                   ",".join(str(n * n - 3) for n in range(16))),
-                                 ("1/0,1", "x", "")))]]
+                                 ("1/0,1", "x", "", ",".join(f"{n}.5" for n in range(16)))))]]
          + [shape + [("--t-max", _values(("20", "30"), ("-1", "0")))] for shape in _TRIANGLES]],
         _COMMON[:1]),
     "verify": ([[("--suite", _values(("none", "ALL", "")))]], _COMMON[:1]),
@@ -839,6 +850,16 @@ def argvs(draw):
     for flag, values in draw(st.permutations(options)):
         argv += [flag, *draw(values)]
     return argv
+
+
+def test_the_fuzz_draws_every_option_of_every_subcommand():
+    (subparsers,) = (a for a in cli.build_parser()._actions if a.choices and a.dest == "command")
+    assert set(subparsers.choices) == set(SUBCOMMANDS)
+    for command, sub in subparsers.choices.items():
+        needed, extra = SUBCOMMANDS[command]
+        drawn = {flag for flag, _ in extra + [option for shape in needed for option in shape]}
+        defined = {flag for action in sub._actions for flag in action.option_strings}
+        assert defined - {"-h", "--help"} == drawn, command
 
 
 @settings(max_examples=1000, deadline=None)

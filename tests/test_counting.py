@@ -287,6 +287,24 @@ def test_negative_dilation_rejected():
         counting.count_axis_simplex(AxisSimplex((QuadNumber(Fraction(1)),)), -2)
 
 
+def test_a_dilation_is_an_int_that_is_not_a_bool_and_not_negative():
+    simplex = AxisSimplex((QuadNumber(Fraction(1, 2)), QuadNumber(Fraction(3))))
+    iv = Interval(QuadNumber(0), QuadNumber(Fraction(3, 2)))
+    for bad in (True, Fraction(3)):
+        for call in (lambda: counting.count_triangle_many(GOLDEN, [bad]),
+                     lambda: counting.count_axis_simplex_many(simplex, [2, bad]),
+                     lambda: counting.count_triangle_interior(GOLDEN, bad),
+                     lambda: counting.count_interval(iv, bad),
+                     lambda: counting.closed_form_admissible(GOLDEN, bad)):
+            with pytest.raises(TypeError, match="expected int"):
+                call()
+    for call in (lambda: counting.count_triangle_many(GOLDEN, [3, -1, 2]),
+                 lambda: counting.count_axis_simplex_many(simplex, [0, -1]),
+                 lambda: counting.count_interval(iv, -1)):
+        with pytest.raises(ValueError, match="dilation factors must be >= 0"):
+            call()
+
+
 def test_asymptotic_deficit_shrinks():
     coarse = counting.asymptotic_deficit(SQRT2_PAIR, 100)
     fine = counting.asymptotic_deficit(SQRT2_PAIR, 10_000)
