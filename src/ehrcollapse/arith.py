@@ -8,8 +8,9 @@ no floating point; ``float()`` rounds the exact value correctly.
 
 from __future__ import annotations
 
+from dataclasses import field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate, chain, cycle
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
@@ -17,6 +18,7 @@ from typing import Iterable, Sequence, Union
 RationalLike = Union[int, Fraction]
 QuadLike = Union[int, Fraction, "QuadNumber"]
 Triple = tuple[int, int, int]  # (A, B, C) stands for (A + B*sqrt(d)) / C
+IntRows = tuple[tuple[int, ...], ...]
 
 # Radicands are trial-divided by primes below this bound only: the squarefree
 # part of d is as hard to find as a factorization of d.
@@ -429,6 +431,8 @@ def quad_sqrt(n: RationalLike) -> QuadNumber:
 def to_integers(values: Sequence[RationalLike]) -> tuple[list[int], int]:
     """The values times the lcm of their denominators, and that lcm; a value
     that is not an int or a Fraction, such as a float, raises TypeError."""
+    if {int}.issuperset(map(type, values)):
+        return list(values), 1
     try:
         scale = lcm(*(v.denominator for v in values))
     except AttributeError:
@@ -462,9 +466,38 @@ def horner(coeffs: Sequence, x):
     return acc
 
 
-def fraction_text(x: RationalLike) -> str:
-    """x as 'n/d' text with d >= 1, an int n as 'n/1'; parse_fraction reads it back."""
-    return f"{x.numerator}/{x.denominator}"
+def fraction_text(x: RationalLike, den: int = 1) -> str:
+    """x / den as 'n/d' text in lowest terms with d >= 1, for an int den >= 1, so
+    an int x alone reads 'x/1'; parse_fraction reads it back."""
+    n, d = x.numerator, x.denominator * den
+    g = gcd(n, d)
+    return f"{n // g}/{d // g}"
+
+
+def integer_table(rows: Iterable[Iterable[RationalLike]], den: int = 1) -> tuple[IntRows, int]:
+    """The rationals rows[i][j] / den (ints or Fractions, over an int den != 0)
+    in their one form: integer rows over a positive denominator, all divided by
+    the gcd of the denominator and every entry, so that two tables of equal
+    rationals have equal forms.  Every row has the width of the first."""
+    rows = tuple(map(tuple, rows))
+    flat, scale = to_integers([*chain.from_iterable(rows)])
+    den *= scale
+    g = gcd(den, *flat) * (-1 if den < 0 else 1)
+    if flat and (g != 1 or scale != 1):
+        rows = tuple(zip(*[iter([c // g for c in flat])] * len(rows[0])))
+    return rows, den // g
+
+
+def _fractions(table) -> tuple[tuple[Fraction, ...], ...]:
+    den = table.denominator
+    return tuple(tuple(Fraction(c, den) for c in row) for row in table.numerators)
+
+
+def fraction_view():
+    """A dataclass field that reads the numerators over the denominator of its
+    instance as rows of Fractions, built when first read and kept; neither
+    equality nor hashing nor repr reads it."""
+    return field(default=cached_property(_fractions), init=False, compare=False, repr=False)
 
 
 def exact_int(x: object) -> int:

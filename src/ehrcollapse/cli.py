@@ -503,13 +503,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subparsers by command, built once per process."""
+    parser = build_parser()
+    (commands,) = parser._subparsers._group_actions
+    return parser, commands.choices
+
+
+def _parse(argv: list[str]) -> tuple[argparse.Namespace, argparse.ArgumentParser]:
+    """The namespace that parser.parse_args(argv) gives, and the subparser of
+    its command.  An argv that starts with a command goes straight to that
+    command's parser, in one parse; the tokens it leaves are reported by the
+    top-level parser, as parse_args reports them."""
+    parser, subparsers = _parsers()
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is None:
+        args = parser.parse_args(argv)
+        return args, subparsers[args.command]
+    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args, sub
 
 
 def main(argv: Optional[Iterable[str]] = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv if argv is None else list(argv))
+    args, parser = _parse(sys.argv[1:] if argv is None else list(argv))
     to_file = args.output not in (None, "-")
     fmt = getattr(args, "format", "jsonl")  # subcommands without --format write JSON lines
     emitter = _Emitter(None if to_file else sys.stdout, fmt, args.output)

@@ -17,7 +17,7 @@ from math import gcd
 from typing import Iterable, Iterator, Sequence, Union
 
 from .arith import (EhrcollapseError, Expansion, QuadNumber, Triple, exact_int, floor_surd,
-                    shared_triples, to_integers)
+                    to_integers)
 from .polytopes import (
     AdmissiblePair,
     AxisSimplex,
@@ -221,7 +221,7 @@ def count_axis_simplex_many(simplex: AxisSimplex, ts: Iterable[int]) -> list[int
 def count_interval(interval: Interval, t: int) -> int:
     """Number of integers in [t*lo, t*hi]: floor(t*hi) - ceil(t*lo) + 1."""
     (t,), _ = _dilations((t,))
-    ((l0, l1, lc), (h0, h1, hc)), d = shared_triples((interval.lo, interval.hi))
+    ((l0, l1, lc), (h0, h1, hc)), d = interval.triples
     return floor_surd(t * h0, t * h1, hc, d) + floor_surd(-t * l0, -t * l1, lc, d) + 1
 
 

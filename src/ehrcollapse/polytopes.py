@@ -284,6 +284,12 @@ class Interval:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
+    @cached_property
+    def triples(self) -> tuple[list[Triple], int]:
+        """lo and hi as integer triples over one radicand, and that radicand;
+        built once per interval."""
+        return shared_triples((self.lo, self.hi))
+
 
 Vertex = tuple[Fraction, Fraction]
 

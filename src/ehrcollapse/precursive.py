@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .arith import (EhrcollapseError, RationalLike, exact_int, fraction_rows, fraction_text, horner,
-                    to_integers)
+from .arith import (EhrcollapseError, IntRows, RationalLike, exact_int, fraction_rows,
+                    fraction_text, fraction_view, horner, integer_table, to_integers)
 from .linalg import nullspace_vector
 
 P = (1 << 61) - 1  # the prime of the rank test
@@ -24,32 +24,48 @@ class InsufficientDataError(EhrcollapseError):
     """Raised when too few values are given for the requested search bounds."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Recurrence:
     """The recurrence sum_j p_j(n+j) * f(n+j) = 0, j = 0..order, where p_j is
     polys[j][0] + polys[j][1]*n + ... + polys[j][degree]*n^degree.
 
-    polys is an (order+1) x (degree+1) table of exact Fractions, not all zero,
-    built by arith.fraction_rows from ints, Fractions or 'n/d' text (a float
-    raises TypeError); its JSON form writes each coefficient as 'n/d'.
+    It holds its (order+1) x (degree+1) table, not all zero, as integer
+    numerators over one positive denominator in the form of
+    arith.integer_table, which equality and hashing read; polys is the table
+    as Fractions, built when first read.  The constructor takes ints,
+    Fractions or 'n/d' text through arith.fraction_rows (a float raises
+    TypeError); the JSON form writes each coefficient as 'n/d'.
     """
 
     order: int
     degree: int
-    polys: tuple[tuple[Fraction, ...], ...]
+    polys: tuple[tuple[Fraction, ...], ...] = fraction_view()
+    numerators: tuple[tuple[int, ...], ...]
+    denominator: int
 
-    def __post_init__(self) -> None:
-        rows = fraction_rows(self.polys, self.order + 1, self.degree + 1)
-        if not any(c for row in rows for c in row):
+    def __init__(self, order: int, degree: int, polys: Iterable[Iterable]) -> None:
+        table = integer_table(fraction_rows(polys, order + 1, degree + 1))
+        if not any(map(any, table[0])):
             raise ValueError("the zero recurrence is not allowed")
-        object.__setattr__(self, "polys", rows)
+        self._fill(order, degree, table)
+
+    def _fill(self, order: int, degree: int, table: tuple[IntRows, int]) -> None:
+        vars(self).update(order=order, degree=degree, numerators=table[0], denominator=table[1])
+
+    @classmethod
+    def _of(cls, order: int, degree: int, rows: Iterable[Iterable[int]], den: int) -> "Recurrence":
+        """The recurrence of integer rows over den, not all zero, with no shape check."""
+        rec = cls.__new__(cls)
+        rec._fill(order, degree, integer_table(rows, den))
+        return rec
 
     def poly_value(self, j: int, n: int) -> Fraction:
-        return horner(self.polys[j], n)
+        return Fraction(horner(self.numerators[j], n), self.denominator)
 
     def to_json_dict(self) -> dict:
+        den = self.denominator
         return {"order": self.order, "degree": self.degree,
-                "polys": [[fraction_text(c) for c in row] for row in self.polys]}
+                "polys": [[fraction_text(c, den) for c in row] for row in self.numerators]}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Recurrence":
@@ -60,14 +76,12 @@ def verify_recurrence(rec: Recurrence, values: Sequence[RationalLike]) -> bool:
     """Whether sum_j p_j(n+j) * f(n+j) = 0 holds at every window in values.
 
     Scaling all values, or all coefficients, by one nonzero integer keeps each
-    sum zero or nonzero, so both are made integers and the sums are integer
-    Horner evaluations.
+    sum zero or nonzero, so the sums are integer Horner evaluations of the
+    recurrence's numerators on the values made integers.
     """
     if len(values) < rec.order + 1:
         return False
-    flat, _ = to_integers([c for row in rec.polys for c in row])
-    width = rec.degree + 1
-    return _holds([flat[i:i + width] for i in range(0, len(flat), width)], to_integers(values)[0])
+    return _holds(rec.numerators, to_integers(values)[0])
 
 
 def _holds(table: Sequence[Sequence[int]], ints: Sequence[int]) -> bool:
@@ -154,7 +168,7 @@ def guess_recurrence(
                 continue
             table = [vec[i:i + degree + 1] for i in range(0, ncols, degree + 1)]
             if _holds(table, ints):
-                return Recurrence(order, degree, table)
+                return Recurrence._of(order, degree, table, 1)
     return None
 
 

@@ -30,22 +30,29 @@ that period, once, with fit_quasipolynomial.
 
 fit_quasipolynomial takes the values at t = 0, 1, 2, ..., so residue class z
 lies on the equispaced nodes z, z + P, z + 2P, ...  It scales the values to
-integers once, interpolates each constituent through its first degree+1
-values by Newton's forward differences, with integer numerators over one
-common denominator, and demands that every further value matches exactly; any
-mismatch returns None rather than a best-effort answer.
+integers once and fits every class at once, level by level on the whole list:
+degree + 1 passes of stride-P differences give each class's Newton forward
+differences at its first node, and the next pass must vanish everywhere,
+which is the same as every further value matching its class's polynomial;
+any mismatch returns None rather than a best-effort answer.  The nested
+Newton form then runs across the classes as list passes, giving integer
+numerators over the one denominator k! P^k times the scale, for k = degree.
+A Quasipolynomial keeps that integer table, reduced by one gcd, and builds
+Fractions only when coeffs is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
-from typing import Optional, Sequence, Union
+from operator import sub
+from typing import Iterable, Optional, Sequence, Union
 
 from . import counting
-from .arith import (EhrcollapseError, RationalLike, exact_int, fraction_rows, fraction_text,
-                    horner, to_integers)
+from .arith import (EhrcollapseError, IntRows, RationalLike, exact_int, fraction_rows,
+                    fraction_text, fraction_view, horner, integer_table, to_integers)
 from .polytopes import AdmissiblePair, RationalTriangleParams
 
 # The certificate holds every count it reads, about 56 bytes per count at
@@ -61,34 +68,51 @@ class FitFailureError(EhrcollapseError):
     """Raised when a fit that is guaranteed to exist does not verify."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Quasipolynomial:
     """The quasipolynomial that is coeffs[z][0] + coeffs[z][1]*t + ... +
     coeffs[z][degree]*t^degree on t = z mod period.
 
-    coeffs is a period x (degree+1) table of exact Fractions, built by
-    arith.fraction_rows from ints, Fractions or 'n/d' text (a float raises
-    TypeError); its JSON form writes each coefficient as 'n/d'.
+    It holds its period x (degree+1) table as integer numerators over one
+    positive denominator in the form of arith.integer_table, which equality
+    and hashing read; coeffs is the table as Fractions, built when first read.
+    The constructor takes ints, Fractions or 'n/d' text through
+    arith.fraction_rows (a float raises TypeError); the JSON form writes each
+    coefficient as 'n/d'.
     """
 
     period: int
     degree: int
-    coeffs: tuple[tuple[Fraction, ...], ...]
+    coeffs: tuple[tuple[Fraction, ...], ...] = fraction_view()
+    numerators: tuple[tuple[int, ...], ...]
+    denominator: int
 
-    def __post_init__(self) -> None:
-        if self.period < 1:
+    def __init__(self, period: int, degree: int, coeffs: Iterable[Iterable]) -> None:
+        if period < 1:
             raise ValueError("period must be >= 1")
-        if self.degree < 0:
+        if degree < 0:
             raise ValueError("degree must be >= 0")
-        object.__setattr__(self, "coeffs", fraction_rows(self.coeffs, self.period, self.degree + 1))
+        self._fill(period, degree, integer_table(fraction_rows(coeffs, period, degree + 1)))
+
+    def _fill(self, period: int, degree: int, table: tuple[IntRows, int]) -> None:
+        vars(self).update(period=period, degree=degree, numerators=table[0], denominator=table[1])
+
+    @classmethod
+    def _of(cls, period: int, degree: int, rows: Iterable[Iterable[int]],
+            den: int) -> "Quasipolynomial":
+        """The quasipolynomial of integer rows over den, with no shape check."""
+        qp = cls.__new__(cls)
+        qp._fill(period, degree, integer_table(rows, den))
+        return qp
 
     def evaluate(self, t: int) -> Fraction:
         """Exact value at any integer t (negative t uses t mod period >= 0)."""
-        return horner(self.coeffs[t % self.period], t)
+        return Fraction(horner(self.numerators[t % self.period], t), self.denominator)
 
     def to_json_dict(self) -> dict:
+        den = self.denominator
         return {"period": self.period, "degree": self.degree,
-                "coeffs": [[fraction_text(c) for c in row] for row in self.coeffs]}
+                "coeffs": [[fraction_text(c, den) for c in row] for row in self.numerators]}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Quasipolynomial":
@@ -106,29 +130,6 @@ def _prime_factors(n: int) -> list[int]:
     return primes + [n] if n > 1 else primes
 
 
-def _newton(start: int, step: int, values: Sequence[int]) -> tuple[list[int], int]:
-    """The polynomial of degree < len(values) through (start + i*step, values[i]).
-
-    Returns the integer numerators of its coefficients of t^0, t^1, ... and
-    their common positive denominator k! step^k, for k = len(values) - 1: the
-    Newton coefficient of level m is the forward difference Delta^m values[0]
-    over m! step^m.
-    """
-    diffs, leads = values, [values[0]]
-    for _ in range(len(values) - 1):
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        leads.append(diffs[0])
-    # nested Newton form: acc <- acc * (t - start - m*step) + leads[m] / (m! step^m),
-    # all times the common denominator; weight is that denominator over m! step^m
-    acc, weight = [leads[-1]], 1
-    for m in range(len(values) - 2, -1, -1):
-        weight *= (m + 1) * step
-        x = start + m * step
-        acc = [s - x * a for s, a in zip([0] + acc, acc + [0])]
-        acc[0] += leads[m] * weight
-    return acc, weight
-
-
 def fit_quasipolynomial(
     values: Sequence[RationalLike], period: int, degree: int
 ) -> Optional[Quasipolynomial]:
@@ -143,22 +144,29 @@ def fit_quasipolynomial(
     """
     if period < 1 or degree < 0:
         raise ValueError("need period >= 1 and degree >= 0")
-    n = len(values)
-    short = max(0, n - degree * period)
+    short = max(0, len(values) - degree * period)
     if short < period:
         raise InsufficientSamplesError(
             f"residues {short}..{period - 1} have fewer than {degree + 1} samples"
         )
-    ints, scale = to_integers(values)
-    table = []
-    for z in range(period):
-        column = ints[z::period]
-        numerators, den = _newton(z, period, column[: degree + 1])
-        rest = zip(range(z, n, period)[degree + 1:], column[degree + 1:])
-        if any(horner(numerators, t) != y * den for t, y in rest):
-            return None
-        table.append(tuple(Fraction(c, den * scale) for c in numerators))
-    return Quasipolynomial(period, degree, tuple(table))
+    diffs, scale = to_integers(values)
+    leads = [diffs[:period]]  # leads[m][z]: Delta_period^m values at t = z
+    for _ in range(degree):
+        diffs = list(map(sub, islice(diffs, period, None), diffs))
+        leads.append(diffs[:period])
+    if any(map(sub, islice(diffs, period, None), diffs)):
+        return None  # Delta_period^(degree+1) is not zero on some residue class
+    # nested Newton form of every class at once, times k! period^k for
+    # k = degree: acc <- acc * (t - z - m*period) + leads[m] * weight, weight
+    # = k! period^k / (m! period^m); acc[i][z] is the coefficient of t^i
+    acc, weight = [leads[degree]], 1
+    for m in range(degree - 1, -1, -1):
+        weight *= (m + 1) * period
+        xs = range(m * period, (m + 1) * period)
+        acc = ([[weight * y - x * a for y, x, a in zip(leads[m], xs, acc[0])]]
+               + [[b - x * a for x, a, b in zip(xs, hi, lo)] for lo, hi in zip(acc, acc[1:])]
+               + [acc[-1]])
+    return Quasipolynomial._of(period, degree, zip(*acc), weight * scale)
 
 
 def _check_size(counts: int, guaranteed: int) -> None:

@@ -399,3 +399,36 @@ def period_by_divisor_scan(counts: Sequence[int], guaranteed: int,
     window = order * guaranteed
     return next(d for d in range(1, guaranteed + 1) if guaranteed % d == 0
                 and not any(_differences(counts[:window + order * d], d, order)))
+
+
+# -- quasipolynomial fits, one residue class at a time --------------------------------
+
+
+def interpolate(points: Sequence[tuple[int, Fraction]]) -> tuple[Fraction, ...]:
+    """Coefficients of the polynomial through the points, by Lagrange's formula."""
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis, scale = [Fraction(1)], Fraction(yi)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                basis = [a - xj * b for a, b in zip([0] + basis, basis + [0])]
+                scale /= xi - xj
+        coeffs = [c + scale * b for c, b in zip(coeffs, basis)]
+    return tuple(coeffs)
+
+
+def fit_by_residue(values: Sequence, period: int,
+                   degree: int) -> "tuple[tuple[Fraction, ...], ...] | None":
+    """The constituents of values[t], t = 0, 1, ..., at this period and
+    degree: each residue class interpolated with Fractions through its first
+    degree + 1 values and checked on every further one, or None when one does
+    not agree.  Every class needs degree + 1 values."""
+    rows = []
+    for z in range(period):
+        points = [(t, Fraction(values[t])) for t in range(z, len(values), period)]
+        assert len(points) > degree
+        row = interpolate(points[:degree + 1])
+        if any(sum(c * t ** i for i, c in enumerate(row)) != y for t, y in points[degree + 1:]):
+            return None
+        rows.append(row)
+    return tuple(rows)

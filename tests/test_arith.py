@@ -443,5 +443,5 @@ def test_coefficient_tables_read_back_exactly(cls, size, degree, data):
     table = record["coeffs" if cls is Quasipolynomial else "polys"]
     assert all(re.fullmatch(r"-?\d+/[1-9]\d*", text) for row in table for text in row)
     again = cls.from_json_dict(record)
-    assert again == built
+    assert again == built and hash(again) == hash(built)
     assert all(type(c) is Fraction for row in astuple(again)[2] for c in row)

@@ -872,3 +872,43 @@ def test_argv_fuzz_exits_0_1_or_2_without_a_traceback(argv):
         assert any("error:" in line for line in err.splitlines()), (argv, err)
     else:
         assert err == "", (argv, err)
+
+
+def _parse_or_exit(parse, argv):
+    """parse(argv), or the exit code and stderr of the SystemExit it raises."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            return parse(argv)
+        except SystemExit as exc:
+            return exc.code, err.getvalue()
+
+
+@settings(max_examples=500, deadline=None)
+@given(argvs(), st.sampled_from([[], ["extra"], ["--t", "1", "x"]]))
+def test_one_parse_gives_what_the_full_parse_gives(argv, tail):
+    parser, subparsers = cli._parsers()
+    argv = argv + tail
+    full = _parse_or_exit(parser.parse_args, argv)
+    one = _parse_or_exit(cli._parse, argv)
+    if isinstance(full, tuple):
+        assert one == full, argv
+    else:
+        assert one == (full, subparsers[argv[0]]), argv
+
+
+@pytest.mark.parametrize("argv", [[], ["nope"], ["-h"], ["--version"], ["count", "-h"]])
+def test_help_and_an_argv_without_a_command_parse_as_before(argv):
+    parser, _ = cli._parsers()
+    assert _parse_or_exit(cli._parse, argv) == _parse_or_exit(parser.parse_args, argv)
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["fib", "--k", "3", "--n", "0..4", "--triangle"], "ehrcollapse fib: error: --triangle needs n >= 2"),
+    (["count", "--t", "1"], "ehrcollapse count: error: give exactly one polytope"),
+    (["count", "--params", "2,3,3,2"], "ehrcollapse count: error: this polytope needs --t"),
+])
+def test_a_command_reports_its_own_errors_under_its_own_usage(argv, usage):
+    code, out, err = _run_in_process(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: ehrcollapse {argv[0]} ") and err.endswith(f"\n{usage}\n"), err

@@ -1,5 +1,6 @@
 """Quasipolynomial fitting, minimal periods, series numerators, reciprocity."""
 
+import json
 from fractions import Fraction
 
 import oracles
@@ -16,7 +17,7 @@ from ehrcollapse.polytopes import (
     iter_admissible_pairs,
     iter_lowest_term_params,
 )
-from ehrcollapse.arith import EhrcollapseError, QuadNumber, quad_sqrt
+from ehrcollapse.arith import EhrcollapseError, QuadNumber, fraction_text, horner, quad_sqrt
 from ehrcollapse.quasipoly import (
     InsufficientSamplesError,
     Quasipolynomial,
@@ -231,32 +232,14 @@ def test_fib_triangle_period_is_f_n(k, n):
     assert certified_period(params) == sequences.k_fib(k, n)
 
 
-def _interpolate(points):
-    """Coefficients of the polynomial through the points, by Lagrange's formula."""
-    coeffs = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        basis, scale = [Fraction(1)], Fraction(yi)
-        for j, (xj, _) in enumerate(points):
-            if j != i:
-                basis = [a - xj * b for a, b in zip([0] + basis, basis + [0])]
-                scale /= xi - xj
-        coeffs = [c + scale * b for c, b in zip(coeffs, basis)]
-    return tuple(coeffs)
-
-
 def _oracle_minimal_period(counts, guaranteed, degree=2):
     """Constituents at the guaranteed period interpolated from oracle counts,
     checked on every further count, and the least divisor where they agree."""
-    rows = []
-    for z in range(guaranteed):
-        pts = [(t, counts[t]) for t in range(z, len(counts), guaranteed)]
-        row = _interpolate(pts[: degree + 1])
-        assert all(sum(c * t ** i for i, c in enumerate(row)) == y
-                   for t, y in pts[degree + 1:])
-        rows.append(row)
+    rows = oracles.fit_by_residue(counts, guaranteed, degree)
+    assert rows is not None
     period = next(d for d in range(1, guaranteed + 1) if guaranteed % d == 0
                   and all(rows[z] == rows[z % d] for z in range(guaranteed)))
-    return period, tuple(rows[:period])
+    return period, rows[:period]
 
 
 def test_minimal_period_matches_oracle_interpolation_rational():
@@ -334,6 +317,65 @@ def test_fit_recovers_sampled_quasipolynomial(qp):
     assert fitted is not None
     assert all(fitted.evaluate(t) == value for t, value in enumerate(values))
     assert fitted == qp
+
+
+exact_values = st.integers(-40, 40) | st.fractions(Fraction(-40), Fraction(40), max_denominator=9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 3), st.booleans(), st.data())
+def test_fit_matches_the_residue_by_residue_oracle(period, degree, planted, data):
+    # any values, or those of a planted quasipolynomial, on every class's
+    # degree + 1 points and up to two periods more
+    n = (degree + 1) * period + data.draw(st.integers(0, 2 * period))
+    if planted:
+        rows = data.draw(st.lists(st.lists(exact_values, min_size=degree + 1, max_size=degree + 1),
+                                  min_size=period, max_size=period))
+        values = [horner(rows[t % period], t) for t in range(n)]
+    else:
+        values = data.draw(st.lists(exact_values, min_size=n, max_size=n))
+    fitted = fit_quasipolynomial(values, period, degree)
+    assert (None if fitted is None else fitted.coeffs) == oracles.fit_by_residue(values, period, degree)
+    assert fitted is not None or not planted
+    if fitted is None:
+        return
+    record = fitted.to_json_dict()
+    assert record["coeffs"] == [[fraction_text(c) for c in row] for row in fitted.coeffs]
+    same = [Quasipolynomial(period, degree, fitted.coeffs),
+            Quasipolynomial.from_json_dict(json.loads(json.dumps(record)))]
+    if all(c.denominator == 1 for row in fitted.coeffs for c in row):
+        same.append(Quasipolynomial(period, degree, [[int(c) for c in row] for row in fitted.coeffs]))
+    assert all(qp == fitted and hash(qp) == hash(fitted) for qp in same)
+    if n > (degree + 1) * period:  # one value that the fit checks, moved
+        t = data.draw(st.integers((degree + 1) * period, n - 1))
+        values[t] += data.draw(exact_values.filter(bool))
+        assert fit_quasipolynomial(values, period, degree) is None
+        assert oracles.fit_by_residue(values, period, degree) is None
+
+
+def test_fit_refuses_a_class_short_of_degree_plus_one_values():
+    for period in range(1, 13):
+        for degree in range(4):
+            enough = (degree + 1) * period
+            assert fit_quasipolynomial([0] * enough, period, degree) == \
+                Quasipolynomial(period, degree, [[0] * (degree + 1)] * period)
+            for n in {0, degree * period, enough - 1}:
+                short = n - degree * period
+                with pytest.raises(InsufficientSamplesError,
+                                   match=f"residues {max(short, 0)}..{period - 1} have fewer"):
+                    fit_quasipolynomial([1] * n, period, degree)
+
+
+def test_equal_tables_are_one_quasipolynomial_and_one_hash():
+    # 1 + t/2 + t^2/2 on every t, written four ways
+    want = Quasipolynomial(2, 2, [[1, Fraction(1, 2), Fraction(1, 2)]] * 2)
+    same = [fit_quasipolynomial([1 + Fraction(t * (t + 1), 2) for t in range(8)], 2, 2),
+            Quasipolynomial(2, 2, [["2/2", "3/6", "1/2"], ["1", "1/2", " 2/4 "]]),
+            Quasipolynomial(2, 2, [(Fraction(1), Fraction(2, 4), Fraction(1, 2))] * 2)]
+    assert all(qp == want and hash(qp) == hash(want) for qp in same)
+    assert (want.numerators, want.denominator) == (((2, 1, 1), (2, 1, 1)), 2)
+    assert want != Quasipolynomial(2, 2, [[1, Fraction(1, 2), Fraction(1, 3)]] * 2)
+    assert Quasipolynomial(1, 0, [[0]]).denominator == 1
 
 
 # -- series numerator and reciprocity -------------------------------------------------
