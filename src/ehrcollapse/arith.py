@@ -267,14 +267,6 @@ class QuadNumber:
 
     __rmul__ = __mul__
 
-    def _invert(self) -> "QuadNumber":
-        a, b, c = self.triple
-        # 1/x = c*(a - b*sqrt(d)) / (a^2 - b^2*d); the norm is 0 only for x = 0
-        norm = a * a - b * b * self.d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero")
-        return _new(c * a, -c * b, norm, self.d)
-
     def __truediv__(self, other: QuadLike) -> "QuadNumber":
         (a1, b1, c1), (a2, b2, c2), d = _align(self, QuadNumber.from_value(other))
         norm = a2 * a2 - b2 * b2 * d
@@ -289,7 +281,7 @@ class QuadNumber:
         if not isinstance(n, int):
             raise TypeError("exponent must be an int")
         if n < 0:
-            return (self ** (-n))._invert()
+            return 1 / self ** -n
         out = _new(1, 0, 1, 0)
         base = self
         while n:
@@ -506,6 +498,41 @@ def exact_int(x: object) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise TypeError(f"expected int, got {type(x).__name__}")
     return x
+
+
+class RationalTable:
+    """The shared body of a frozen dataclass that holds a table of rationals in
+    the one form of integer_table, as numerators over a denominator, which
+    equality and hashing read.  KEYS names its field that sizes the table and
+    its fraction_view field; with "degree", these are the keys of the JSON
+    form, which writes each entry as 'n/d'.  A subclass declares its fields
+    and checks the shape of the rows it is given."""
+
+    KEYS: tuple[str, str]
+
+    def _fill(self, size: int, degree: int, rows: Iterable[Iterable[RationalLike]],
+              den: int = 1) -> None:
+        numerators, denominator = integer_table(rows, den)
+        vars(self).update({self.KEYS[0]: size, "degree": degree, "numerators": numerators,
+                           "denominator": denominator})
+
+    @classmethod
+    def _of(cls, size: int, degree: int, rows: Iterable[Iterable[int]], den: int):
+        """The table of integer rows over den, with no shape check."""
+        table = cls.__new__(cls)
+        table._fill(size, degree, rows, den)
+        return table
+
+    def to_json_dict(self) -> dict:
+        size, view = self.KEYS
+        den = self.denominator
+        return {size: getattr(self, size), "degree": self.degree,
+                view: [[fraction_text(c, den) for c in row] for row in self.numerators]}
+
+    @classmethod
+    def from_json_dict(cls, obj: dict):
+        size, view = cls.KEYS
+        return cls(exact_int(obj[size]), exact_int(obj["degree"]), obj[view])
 
 
 def parse_fraction(text: Union[int, str]) -> Fraction:

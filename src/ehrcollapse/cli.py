@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import counting, criteria, precursive, quasipoly, sequences
-from .arith import EhrcollapseError, QuadNumber, fraction_text, parse_fraction, parse_quad
+from .arith import EhrcollapseError, fraction_text, parse_fraction, parse_quad
 from .polytopes import (
     AdmissiblePair,
     AxisSimplex,

@@ -48,22 +48,25 @@ def _report(criterion: str, conditions: tuple[tuple[str, bool], ...], divisor: i
                            verdict if holds else NO_PREDICTION)
 
 
-def _divisibility_triple(p: int, q: int, r: int, s: int) -> tuple[tuple[str, bool], ...]:
-    # conditions on u = q/p, v = s/r predicting that q is a quasiperiod
+def _divisibility_triple(p: int, q: int, r: int, s: int,
+                         names: str) -> tuple[tuple[str, bool], ...]:
+    # conditions on u = q/p, v = s/r predicting that q is a quasiperiod; names
+    # holds the letters that stand for p, q, r and s in the condition names
+    n_p, n_q, n_r, n_s = names
     c1 = s != 0 and p % s == 0
     c2 = (r * q + 1) % p == 0
     c3 = c2 and gcd((r * q + 1) // p, s) == 1
     return (
-        ("s divides p", c1),
-        ("p divides r*q + 1", c2),
-        ("gcd((r*q + 1)/p, s) = 1", c3),
+        (f"{n_s} divides {n_p}", c1),
+        (f"{n_p} divides {n_r}*{n_q} + 1", c2),
+        (f"gcd(({n_r}*{n_q} + 1)/{n_p}, {n_s}) = 1", c3),
     )
 
 
 def check_collapse_criterion(params: RationalTriangleParams) -> CriterionReport:
     """Sufficient condition for q to be a quasiperiod of the counting function
     of the rational triangle with u = q/p, v = s/r."""
-    conds = _divisibility_triple(params.p, params.q, params.r, params.s)
+    conds = _divisibility_triple(params.p, params.q, params.r, params.s, "pqrs")
     return _report("collapse", conds, params.q, COLLAPSE_PREDICTED)
 
 
@@ -71,16 +74,7 @@ def check_pseudo_integral_criterion(params: RationalTriangleParams) -> Criterion
     """Sufficient condition for minimal period 1: the collapse conditions
     together with their counterparts under swapping the two legs' roles."""
     p, q, r, s = params.p, params.q, params.r, params.s
-    first = _divisibility_triple(p, q, r, s)
-    # second triple: q divides r, r divides s*p + 1, gcd((s*p + 1)/r, q) = 1
-    c4 = r % q == 0
-    c5 = (s * p + 1) % r == 0
-    c6 = c5 and gcd((s * p + 1) // r, q) == 1
-    conds = first + (
-        ("q divides r", c4),
-        ("r divides s*p + 1", c5),
-        ("gcd((s*p + 1)/r, q) = 1", c6),
-    )
+    conds = _divisibility_triple(p, q, r, s, "pqrs") + _divisibility_triple(r, p, s, q, "rpsq")
     return _report("pseudo-integral", conds, 1, PSEUDO_INTEGRAL_PREDICTED)
 
 

@@ -21,7 +21,7 @@ from math import gcd, lcm
 from typing import Callable, Optional, Union
 
 from .arith import (EhrcollapseError, Expansion, QuadNumber, RadicandMismatchError, Triple,
-                    floor_surd, fraction_rows, reduced_triple, shared_triples)
+                    exact_int, floor_surd, fraction_rows, reduced_triple, shared_triples)
 
 # rows up to which a strip of one floor per row costs less than a floor sum
 MAX_STRIP_FLOORS = 8
@@ -157,7 +157,7 @@ class AdmissiblePair:
     v: QuadNumber = field(init=False)
 
     def __post_init__(self) -> None:
-        if not is_admissible(self.alpha, self.beta):
+        if not is_admissible(exact_int(self.alpha), exact_int(self.beta)):
             if self.alpha < 1 or self.beta < 1:
                 raise ValueError("alpha and beta must be positive integers")
             raise NotIrrationalError(
@@ -188,7 +188,7 @@ class RationalTriangleParams:
     def __post_init__(self) -> None:
         for name in ("p", "q", "r", "s"):
             val = getattr(self, name)
-            if not isinstance(val, int) or val < 1:
+            if exact_int(val) < 1:
                 raise ValueError(f"{name} must be a positive integer, got {val!r}")
         if gcd(self.p, self.q) != 1 or gcd(self.r, self.s) != 1:
             raise ValueError("q/p and s/r must be in lowest terms")

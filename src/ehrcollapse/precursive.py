@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .arith import (EhrcollapseError, IntRows, RationalLike, exact_int, fraction_rows,
-                    fraction_text, fraction_view, horner, integer_table, to_integers)
+from .arith import (EhrcollapseError, RationalLike, RationalTable, fraction_rows, fraction_view,
+                    to_integers)
 from .linalg import nullspace_vector
 
 P = (1 << 61) - 1  # the prime of the rank test
@@ -25,17 +25,17 @@ class InsufficientDataError(EhrcollapseError):
 
 
 @dataclass(frozen=True, init=False)
-class Recurrence:
+class Recurrence(RationalTable):
     """The recurrence sum_j p_j(n+j) * f(n+j) = 0, j = 0..order, where p_j is
     polys[j][0] + polys[j][1]*n + ... + polys[j][degree]*n^degree.
 
-    It holds its (order+1) x (degree+1) table, not all zero, as integer
-    numerators over one positive denominator in the form of
-    arith.integer_table, which equality and hashing read; polys is the table
-    as Fractions, built when first read.  The constructor takes ints,
-    Fractions or 'n/d' text through arith.fraction_rows (a float raises
-    TypeError); the JSON form writes each coefficient as 'n/d'.
+    It holds its (order+1) x (degree+1) table, not all zero, as an
+    arith.RationalTable; polys is the table as Fractions, built when first
+    read.  The constructor takes ints, Fractions or 'n/d' text through
+    arith.fraction_rows (a float raises TypeError).
     """
+
+    KEYS = ("order", "polys")
 
     order: int
     degree: int
@@ -44,32 +44,9 @@ class Recurrence:
     denominator: int
 
     def __init__(self, order: int, degree: int, polys: Iterable[Iterable]) -> None:
-        table = integer_table(fraction_rows(polys, order + 1, degree + 1))
-        if not any(map(any, table[0])):
+        self._fill(order, degree, fraction_rows(polys, order + 1, degree + 1))
+        if not any(map(any, self.numerators)):
             raise ValueError("the zero recurrence is not allowed")
-        self._fill(order, degree, table)
-
-    def _fill(self, order: int, degree: int, table: tuple[IntRows, int]) -> None:
-        vars(self).update(order=order, degree=degree, numerators=table[0], denominator=table[1])
-
-    @classmethod
-    def _of(cls, order: int, degree: int, rows: Iterable[Iterable[int]], den: int) -> "Recurrence":
-        """The recurrence of integer rows over den, not all zero, with no shape check."""
-        rec = cls.__new__(cls)
-        rec._fill(order, degree, integer_table(rows, den))
-        return rec
-
-    def poly_value(self, j: int, n: int) -> Fraction:
-        return Fraction(horner(self.numerators[j], n), self.denominator)
-
-    def to_json_dict(self) -> dict:
-        den = self.denominator
-        return {"order": self.order, "degree": self.degree,
-                "polys": [[fraction_text(c, den) for c in row] for row in self.numerators]}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "Recurrence":
-        return cls(exact_int(obj["order"]), exact_int(obj["degree"]), obj["polys"])
 
 
 def verify_recurrence(rec: Recurrence, values: Sequence[RationalLike]) -> bool:

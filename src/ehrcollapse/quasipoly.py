@@ -51,8 +51,8 @@ from operator import sub
 from typing import Iterable, Optional, Sequence, Union
 
 from . import counting
-from .arith import (EhrcollapseError, IntRows, RationalLike, exact_int, fraction_rows,
-                    fraction_text, fraction_view, horner, integer_table, to_integers)
+from .arith import (EhrcollapseError, RationalLike, RationalTable, fraction_rows, fraction_view,
+                    horner, to_integers)
 from .polytopes import AdmissiblePair, RationalTriangleParams
 
 # The certificate holds every count it reads, about 56 bytes per count at
@@ -69,17 +69,17 @@ class FitFailureError(EhrcollapseError):
 
 
 @dataclass(frozen=True, init=False)
-class Quasipolynomial:
+class Quasipolynomial(RationalTable):
     """The quasipolynomial that is coeffs[z][0] + coeffs[z][1]*t + ... +
     coeffs[z][degree]*t^degree on t = z mod period.
 
-    It holds its period x (degree+1) table as integer numerators over one
-    positive denominator in the form of arith.integer_table, which equality
-    and hashing read; coeffs is the table as Fractions, built when first read.
-    The constructor takes ints, Fractions or 'n/d' text through
-    arith.fraction_rows (a float raises TypeError); the JSON form writes each
-    coefficient as 'n/d'.
+    It holds its period x (degree+1) table as an arith.RationalTable;
+    coeffs is the table as Fractions, built when first read.  The
+    constructor takes ints, Fractions or 'n/d' text through
+    arith.fraction_rows (a float raises TypeError).
     """
+
+    KEYS = ("period", "coeffs")
 
     period: int
     degree: int
@@ -92,31 +92,11 @@ class Quasipolynomial:
             raise ValueError("period must be >= 1")
         if degree < 0:
             raise ValueError("degree must be >= 0")
-        self._fill(period, degree, integer_table(fraction_rows(coeffs, period, degree + 1)))
-
-    def _fill(self, period: int, degree: int, table: tuple[IntRows, int]) -> None:
-        vars(self).update(period=period, degree=degree, numerators=table[0], denominator=table[1])
-
-    @classmethod
-    def _of(cls, period: int, degree: int, rows: Iterable[Iterable[int]],
-            den: int) -> "Quasipolynomial":
-        """The quasipolynomial of integer rows over den, with no shape check."""
-        qp = cls.__new__(cls)
-        qp._fill(period, degree, integer_table(rows, den))
-        return qp
+        self._fill(period, degree, fraction_rows(coeffs, period, degree + 1))
 
     def evaluate(self, t: int) -> Fraction:
         """Exact value at any integer t (negative t uses t mod period >= 0)."""
         return Fraction(horner(self.numerators[t % self.period], t), self.denominator)
-
-    def to_json_dict(self) -> dict:
-        den = self.denominator
-        return {"period": self.period, "degree": self.degree,
-                "coeffs": [[fraction_text(c, den) for c in row] for row in self.numerators]}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "Quasipolynomial":
-        return cls(exact_int(obj["period"]), exact_int(obj["degree"]), obj["coeffs"])
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -14,7 +14,6 @@ from ehrcollapse import counting, criteria, precursive, quasipoly, sequences
 from ehrcollapse.arith import QuadNumber, quad_sqrt
 from ehrcollapse.polytopes import (
     AdmissiblePair,
-    RationalTriangleParams,
     TrianglePair,
     iter_admissible_pairs,
     iter_lowest_term_params,

@@ -4,7 +4,7 @@ import json
 import pickle
 import re
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import floor, inf, isqrt, nextafter
@@ -173,12 +173,24 @@ def test_conjugate_norm_is_rational(x):
     assert norm.as_fraction() == x.a * x.a - x.b * x.b * x.d
 
 
-@given(quads(), st.integers(min_value=0, max_value=6))
+@given(quads(), st.integers(min_value=-4, max_value=6))
 def test_pow_matches_repeated_multiplication(x, n):
     out = QuadNumber(Fraction(1))
-    for _ in range(n):
+    for _ in range(abs(n)):
         out = out * x
-    assert x ** n == out
+    if n >= 0:
+        assert x ** n == out
+    elif x != 0:
+        assert x ** n * out == 1  # the product of -n factors, inverted
+    else:
+        with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+            x ** n
+
+
+def test_zero_to_a_negative_power_is_division_by_zero():
+    for n in (-1, -4):
+        with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+            QuadNumber(0) ** n
 
 
 def test_mixed_radicands_rejected():
@@ -367,6 +379,8 @@ FLOAT_CALLS = {
     "closed_form_admissible": lambda: counting.closed_form_admissible(AdmissiblePair(3, 3), 2.0),
     "k_fib": lambda: sequences.k_fib(2.5, 4),
     "tetra_polynomial": lambda: sequences.tetra_polynomial(2.5),
+    "AdmissiblePair": lambda: AdmissiblePair(3.0, 3.0),
+    "RationalTriangleParams": lambda: RationalTriangleParams(2.0, 3, 3, 2),
 }
 
 
@@ -374,6 +388,18 @@ FLOAT_CALLS = {
 def test_a_float_is_refused_by_every_exact_entry_point(name):
     with pytest.raises(TypeError, match="float"):
         FLOAT_CALLS[name]()
+
+
+BOOL_CALLS = {
+    "AdmissiblePair": lambda: AdmissiblePair(True, 5),
+    "RationalTriangleParams": lambda: RationalTriangleParams(True, 2, 1, 1),
+}
+
+
+@pytest.mark.parametrize("name", BOOL_CALLS)
+def test_a_bool_is_refused_by_the_polytope_constructors(name):
+    with pytest.raises(TypeError, match="bool"):
+        BOOL_CALLS[name]()
 
 
 ZERO_DENOMINATOR_READS = {
@@ -416,6 +442,23 @@ def test_a_size_read_back_must_be_a_json_integer(name):
     cls, obj = INEXACT_SIZES[name]
     with pytest.raises(TypeError, match="expected int"):
         cls.from_json_dict(obj)
+
+
+def test_tables_keep_their_repr_and_fields():
+    qp = Quasipolynomial(2, 1, ((1, Fraction(1, 2)), ("3/4", -2)))
+    rec = Recurrence(1, 1, ((Fraction(2, 3), 0), (-1, "1/6")))
+    assert repr(qp) == ("Quasipolynomial(period=2, degree=1, numerators=((4, 2), (3, -8)),"
+                        " denominator=4)")
+    assert repr(rec) == ("Recurrence(order=1, degree=1, numerators=((4, 0), (-6, 1)),"
+                         " denominator=6)")
+    assert [f.name for f in fields(qp)] == ["period", "degree", "coeffs", "numerators",
+                                            "denominator"]
+    assert [f.name for f in fields(rec)] == ["order", "degree", "polys", "numerators",
+                                             "denominator"]
+    assert astuple(qp) == (2, 1, ((1, Fraction(1, 2)), (Fraction(3, 4), -2)),
+                           ((4, 2), (3, -8)), 4)
+    assert astuple(rec) == (1, 1, ((Fraction(2, 3), 0), (-1, Fraction(1, 6))),
+                            ((4, 0), (-6, 1)), 6)
 
 
 # numerators past 2**64 of either sign, and integers, which are written n/1

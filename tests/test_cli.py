@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: schemas, determinism, exit codes."""
 
+import ast
 import contextlib
 import hashlib
 import importlib.util
@@ -11,6 +12,7 @@ import time
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 import oracles
 from ehrcollapse import cli, counting, sequences
 from ehrcollapse.arith import parse_quad
-from ehrcollapse.polytopes import TrianglePair, is_admissible
+from ehrcollapse.polytopes import TrianglePair, is_admissible, iter_lowest_term_params
 
 BASE = [sys.executable, "-m", "ehrcollapse"]
 
@@ -412,6 +414,26 @@ def test_import_leaves_numpy_out():
     assert proc.stdout.strip() == "[]"
 
 
+def _unread_imports(path):
+    """The names a module imports, but for `from __future__`, that it never reads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    return sorted(imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
+
+
+def test_every_imported_name_is_read():
+    root = Path(__file__).resolve().parents[1]
+    paths = [*(root / "src" / "ehrcollapse").glob("*.py"), *(root / "tests").glob("*.py")]
+    unread = {path.name: names for path in paths if path.name != "__init__.py"  # re-exports
+              for names in [_unread_imports(path)] if names}
+    assert len(paths) > 20 and unread == {}
+
+
 # -- values that start with '-' ---------------------------------------------------------
 
 
@@ -554,6 +576,8 @@ PINNED_STDOUT = {
     "tetra --t": "befd11d672747ae87557c0e607f2a401f7b851c6d0bd1be5263d19b12b727962",
     "fib --n": "5d27d60eccf4c93c3cd6147e2eda53b1aaf24006049bb3796c57e1ff3cd2b38d",
     "count over three chunks": "df87a8b97ce288beff3c57b5052ad36959b8c194a6ff43d7634d0d4a21c4fe80",
+    # recorded before the swapped divisibility triple was built by _divisibility_triple
+    "check on small params": "5ebcbe687dd4949bd9ecc463f589bb05b4d8d773eb53951c87c55c5e42dc08be",
 }
 
 RUN_ARGVS = {
@@ -624,6 +648,19 @@ def _fit_argvs():
     yield ["fit", "--u", "1", "--v", "0,1,2", "--period", "3"]  # sqrt(2) leg: no fit
 
 
+def _check_argvs():
+    """check --criterion collapse, then pseudo-integral, on each lowest-term (p, q, r, s)
+    with entries <= 5 in lexicographic order; then reciprocal on each coprime p, q <= 12."""
+    for params in iter_lowest_term_params(5):
+        for criterion in ("collapse", "pseudo-integral"):
+            yield ["check", "--criterion", criterion,
+                   "--params", f"{params.p},{params.q},{params.r},{params.s}"]
+    for p in range(1, 13):
+        for q in range(1, 13):
+            if gcd(p, q) == 1:
+                yield ["check", "--criterion", "reciprocal", "--p", str(p), "--q", str(q)]
+
+
 def test_stdout_matches_the_pinned_digests():
     pairs = [(a, b) for a in range(1, 15) for b in range(1, 41) if is_admissible(a, b)]
     assert len(pairs) == 552
@@ -653,6 +690,9 @@ def test_stdout_matches_the_pinned_digests():
              ["count", "--u", "0,1,2", "--v", "1", "--t", "0..200"]]
     assert _stdout_digest(sqrt2) == PINNED_STDOUT["count u = 1, v = sqrt(2) and its swap"]
     assert _stdout_digest([["verify", "--suite", "all"]]) == PINNED_STDOUT["verify --suite all"]
+    checks = list(_check_argvs())
+    assert len(checks) == 813
+    assert _stdout_digest(checks) == PINNED_STDOUT["check on small params"]
 
 
 @pytest.mark.parametrize("name", RUN_ARGVS)
