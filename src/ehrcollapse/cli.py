@@ -9,7 +9,6 @@ stdout early), 1 failed verification, 2 usage.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import itertools
 import json
@@ -19,18 +18,12 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from . import counting, criteria, precursive, quasipoly, sequences
 from .arith import EhrcollapseError, fraction_text, parse_fraction, parse_quad
-from .polytopes import (
-    AdmissiblePair,
-    AxisSimplex,
-    Interval,
-    RationalTriangle2D,
-    RationalTriangleParams,
-    TrianglePair,
-    iter_lowest_term_params,
-    mcallister_woods_image,
-)
+
+# Commands read the modules they run as attributes of the package, which loads
+# each one when it is first read, so that a start loads only what it runs.  An
+# import statement in a command would cost a few microseconds on every call.
+_package = sys.modules[__package__]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,11 +55,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_params(text: str) -> RationalTriangleParams:
+def _parse_params(text: str):
     parts = [int(x) for x in text.split(",")]
     if len(parts) != 4:
         raise ValueError(f"expected p,q,r,s but got {text!r}")
-    return RationalTriangleParams(*parts)
+    return _package.polytopes.RationalTriangleParams(*parts)
 
 
 def _parse_vertex(text: str) -> tuple[Fraction, Fraction]:
@@ -115,6 +108,8 @@ class _Emitter:
         if self.fmt == "csv":
             for row in rows:
                 if self.writer is None:
+                    import csv  # here, so that only CSV output loads it
+
                     self.writer = csv.writer(self.stream)
                     self.writer.writerow([name for key, val in zip(keys, row)
                                           for name in (val if isinstance(val, dict) else (key,))])
@@ -146,10 +141,10 @@ def _triangle_object(args, parser):
     if args.alpha is not None:
         if args.beta is None:
             parser.error("--alpha requires --beta")
-        return AdmissiblePair(args.alpha, args.beta)
+        return _package.polytopes.AdmissiblePair(args.alpha, args.beta)
     if args.u is None or args.v is None:
         parser.error("--u requires --v")
-    return TrianglePair(args.u, args.v)
+    return _package.polytopes.TrianglePair(args.u, args.v)
 
 
 def _add_triangle_flags(sub) -> None:
@@ -164,6 +159,7 @@ def _add_triangle_flags(sub) -> None:
 
 
 def _cmd_count(args, parser, emit) -> int:
+    counting, polytopes = _package.counting, _package.polytopes
     shapes = [
         args.legs is not None,
         args.interval is not None,
@@ -174,25 +170,25 @@ def _cmd_count(args, parser, emit) -> int:
     if sum(shapes) != 1:
         parser.error("give exactly one polytope")
     if args.vertices is not None:
-        tri = RationalTriangle2D(tuple(args.vertices))
+        tri = polytopes.RationalTriangle2D(tuple(args.vertices))
         emit(("count",), [(counting.count_rational_triangle2d(tri),)])
         return 0
     if args.t is None:
         parser.error("this polytope needs --t")
     keys, columns = ["t", "count"], [args.t]
     if args.legs is not None:
-        simplex = AxisSimplex(tuple(args.legs))
+        simplex = polytopes.AxisSimplex(tuple(args.legs))
         columns.append(counting.count_axis_simplex_many(simplex, args.t))
     elif args.interval is not None:
-        iv = Interval(args.interval[0], args.interval[1])
+        iv = polytopes.Interval(args.interval[0], args.interval[1])
         columns.append(counting.count_interval(iv, t) for t in args.t)
     elif args.mw_image is not None:
         keys, columns = ["p", "t", "count"], [itertools.repeat(args.mw_image), args.t]
-        columns.append(counting.count_rational_triangle2d(mcallister_woods_image(args.mw_image, t))
-                       for t in args.t)
+        image = polytopes.mcallister_woods_image
+        columns.append(counting.count_rational_triangle2d(image(args.mw_image, t)) for t in args.t)
     else:
         obj = _triangle_object(args, parser)
-        if args.closed_form and not isinstance(obj, AdmissiblePair):
+        if args.closed_form and not isinstance(obj, polytopes.AdmissiblePair):
             parser.error("--closed-form needs --alpha/--beta")
         columns.append(counting.count_triangle_many(obj, args.t))
         if args.interior:
@@ -211,6 +207,7 @@ def _cmd_count(args, parser, emit) -> int:
 def _counts_through(obj, t_max: int, use: str) -> list:
     """The counts at t = 0..t_max, which the caller holds all at once; refused
     before counting when there are more than the certificate's limit."""
+    counting, quasipoly = _package.counting, _package.quasipoly
     if t_max + 1 > quasipoly.MAX_CERTIFICATE_COUNTS:
         raise EhrcollapseError(
             f"a {use} through t_max {t_max} needs {t_max + 1} counts,"
@@ -223,27 +220,30 @@ def _cmd_fit(args, parser, emit) -> int:
     obj = _triangle_object(args, parser)
     t_max = args.t_max if args.t_max is not None else (args.degree + 4) * args.period - 1
     counts = _counts_through(obj, t_max, "fit")
-    fit = quasipoly.fit_quasipolynomial(counts, args.period, args.degree)
+    fit = _package.quasipoly.fit_quasipolynomial(counts, args.period, args.degree)
     emit(("period", "degree", "t_max", "fit"),
          [(args.period, args.degree, t_max, None if fit is None else fit.to_json_dict())])
     return 0
 
 
-def _period_object(pair: TrianglePair):
+def _period_object(pair):
     """The rational parameters or the admissible pair of --u/--v legs."""
+    polytopes = _package.polytopes
     if pair.kind == "rational":
-        return RationalTriangleParams.from_fractions(pair.u.as_fraction(), pair.v.as_fraction())
+        u, v = pair.u.as_fraction(), pair.v.as_fraction()
+        return polytopes.RationalTriangleParams.from_fractions(u, v)
     if pair.kind == "admissible":
         _, alpha, beta = pair.translate
-        return AdmissiblePair(alpha, beta)
+        return polytopes.AdmissiblePair(alpha, beta)
     raise ValueError("period needs rational legs, or legs with integer u + v and 1/u + 1/v")
 
 
 def _cmd_period(args, parser, emit) -> int:
+    polytopes, quasipoly = _package.polytopes, _package.quasipoly
     obj = _triangle_object(args, parser)
-    if isinstance(obj, TrianglePair):
+    if isinstance(obj, polytopes.TrianglePair):
         obj = _period_object(obj)
-    if isinstance(obj, AdmissiblePair):
+    if isinstance(obj, polytopes.AdmissiblePair):
         record = {"alpha": obj.alpha, "beta": obj.beta, "guaranteed_period": obj.alpha}
         reference = obj.alpha
     else:
@@ -263,6 +263,7 @@ def _cmd_period(args, parser, emit) -> int:
 
 
 def _cmd_check(args, parser, emit) -> int:
+    criteria = _package.criteria
     kind = args.criterion
     if kind in ("collapse", "pseudo-integral"):
         if args.params is None:
@@ -299,10 +300,11 @@ def _cmd_check(args, parser, emit) -> int:
 _SEARCH_KEYS = ("params", "denominator", "minimal_period", "criterion_predicted", "collapse")
 
 
-def _search_row(params: RationalTriangleParams) -> tuple:
-    """The values of one search record, in the order of _SEARCH_KEYS."""
-    report = criteria.check_collapse_criterion(params)
-    period = quasipoly.certified_period(params)
+def _search_row(check, certified_period, params) -> tuple:
+    """The values of one search record, in the order of _SEARCH_KEYS; check is
+    the collapse criterion."""
+    report = check(params)
+    period = certified_period(params)
     denom = params.denominator
     if denom % period != 0:
         raise AssertionError(f"minimal period {period} does not divide {denom}")
@@ -318,16 +320,19 @@ def _cmd_search(args, parser, emit) -> int:
     )
     if any(b is None for b in bounds):
         parser.error("give --bound or all of --max-p/--max-q/--max-r/--max-s")
-    tuples = iter_lowest_term_params(*bounds)
+    tuples = _package.polytopes.iter_lowest_term_params(*bounds)
+    # the row's modules load here, before any pool forks, for its workers to inherit
+    row = functools.partial(_search_row, _package.criteria.check_collapse_criterion,
+                            _package.quasipoly.certified_period)
     if args.jobs > 1:
         import multiprocessing  # here, so that no other command pays for it at start-up
 
         with multiprocessing.Pool(args.jobs) as pool:
-            for row in pool.imap(_search_row, tuples, chunksize=32):
-                emit(_SEARCH_KEYS, [row])
+            for values in pool.imap(row, tuples, chunksize=32):
+                emit(_SEARCH_KEYS, [values])
     else:
         for params in tuples:
-            emit(_SEARCH_KEYS, [_search_row(params)])
+            emit(_SEARCH_KEYS, [row(params)])
     return 0
 
 
@@ -335,6 +340,7 @@ def _cmd_search(args, parser, emit) -> int:
 
 
 def _cmd_fib(args, parser, emit) -> int:
+    sequences = _package.sequences
     keys = ["k", "n", "value"]
     columns = [itertools.repeat(args.k), args.n, (sequences.k_fib(args.k, n) for n in args.n)]
     if args.triangle:
@@ -347,6 +353,7 @@ def _cmd_fib(args, parser, emit) -> int:
 
 
 def _cmd_tetra(args, parser, emit) -> int:
+    counting, sequences = _package.counting, _package.sequences
     if args.limit == (args.n is not None):
         parser.error("give exactly one of --n, --limit")
     if args.limit:
@@ -372,6 +379,7 @@ def _cmd_tetra(args, parser, emit) -> int:
 
 
 def _cmd_guess_rec(args, parser, emit) -> int:
+    precursive = _package.precursive
     if args.values is not None:
         values: list = [parse_fraction(x) for x in args.values.split(",")]
     else:
@@ -457,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--q", type=int)
     p_check.add_argument("--alpha", type=int)
     p_check.add_argument("--beta", type=int)
-    p_check.add_argument("--bound", type=int, default=100)
+    p_check.add_argument("--bound", type=_positive_int, default=100)
     common(p_check)
     p_check.set_defaults(fn=_cmd_check)
 

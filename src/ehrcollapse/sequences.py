@@ -56,10 +56,10 @@ def a_sequence(n: int) -> int:
     """a_1, a_2, a_3, a_4 = 2, 3, 10, 17 and a_n = 6*a_{n-2} - a_{n-4}."""
     if n < 1:
         raise ValueError("need n >= 1")
-    vals = [2, 3, 10, 17]
-    while len(vals) < n:
-        vals.append(6 * vals[-2] - vals[-4])
-    return vals[n - 1]
+    a, b, c, d = 2, 3, 10, 17  # a_{m-3}, ..., a_m, from m = 4
+    for _ in range(n - 4):
+        a, b, c, d = b, c, d, 6 * c - a
+    return (a, b, c, d)[min(n, 4) - 1]
 
 
 def tetra_family(n: int) -> AxisSimplex:

@@ -398,6 +398,8 @@ def test_bad_numbers_exit_2_with_one_line(argv):
     ("search", "--bound", "0"),
     ("search", "--max-p", "0", "--max-q", "1", "--max-r", "1", "--max-s", "1"),
     ("count", "--legs", "0,1,2", "0,1,3", "1", "--t", "0..2"),
+    ("check", "--criterion", "beta-equation", "--bound", "0"),
+    ("check", "--criterion", "beta-equation", "--bound", "-5"),
 ])
 def test_bad_arguments_are_usage_errors(argv):
     proc = run_cli(*argv, check=False)
@@ -408,10 +410,34 @@ def test_bad_arguments_are_usage_errors(argv):
 
 def test_import_leaves_numpy_out():
     modules = ("numpy", "mpmath", "multiprocessing", "ehrcollapse.verify")
-    script = f"import sys, ehrcollapse.cli; print([m for m in {modules!r} if m in sys.modules])"
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    for script in (  # the package alone loads none of its modules
+        f"import sys, ehrcollapse.cli; print([m for m in {modules!r} if m in sys.modules])",
+        "import sys, ehrcollapse; print([m for m in sys.modules if m.startswith('ehrcollapse.')])",
+    ):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
+_COUNT_MODULES = {"arith", "cli", "counting", "polytopes"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["count", "--alpha", "3", "--beta", "3", "--t", "5"], _COUNT_MODULES),
+    (["count", "--alpha", "3", "--beta", "3", "--t", "5", "--format", "csv"],
+     _COUNT_MODULES | {"csv"}),
+    (["guess-rec", "--values", "1,1,2,3,5,8,13,21,34,55,89,144",
+      "--max-order", "2", "--max-degree", "0"], {"arith", "cli", "linalg", "precursive"}),
+    (["period", "--alpha", "3", "--beta", "3"], _COUNT_MODULES | {"quasipoly"}),
+], ids=["count", "count-csv", "guess-rec", "period"])
+def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
+    script = ("import json, sys; from ehrcollapse import cli; code = cli.main(sys.argv[1:]);"
+              " print(json.dumps(sorted(sys.modules)), file=sys.stderr); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    modules = json.loads(proc.stderr)
+    names = {m.removeprefix("ehrcollapse.") for m in modules if m.startswith("ehrcollapse.")}
+    assert names | ({"csv"} & set(modules)) == loaded
 
 
 def _unread_imports(path):

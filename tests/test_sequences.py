@@ -1,5 +1,6 @@
 """k-Fibonacci data, the tetrahedron sequence, and the families they build."""
 
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -76,6 +77,20 @@ def test_a_sequence_values():
 def test_a_sequence_recurrence_continues():
     for n in range(5, 20):
         assert a_sequence(n) == 6 * a_sequence(n - 2) - a_sequence(n - 4)
+
+
+def test_a_sequence_matches_the_list_recurrence_and_keeps_four_terms():
+    vals = [2, 3, 10, 17]
+    while len(vals) < 300:
+        vals.append(6 * vals[-2] - vals[-4])
+    assert [a_sequence(n) for n in range(1, 301)] == vals
+    tracemalloc.start()
+    try:
+        a_sequence(20001)  # a list of every term peaks at about 35 MB here
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_tetra_family_legs():
