@@ -96,6 +96,17 @@ def floor_surd(a: int, b: int, c: int, d: int) -> int:
     return (a - root - 1) // c
 
 
+def floor_surd_run(a: int, b: int, c: int, d: int, ms: range) -> list[int]:
+    """[floor_surd(m*a, m*b, c, d) for m in ms], m >= 0, in one list pass by
+    the rule of floor_surd: with e = b*b*d, floor(m*b*sqrt(d)) = isqrt(m*m*e)
+    when b >= 0, and -isqrt(m*m*e) - 1 when b < 0 < m (m*b*sqrt(d) is then
+    irrational), or 0 at m = 0."""
+    e = b * b * d
+    if b >= 0:
+        return [(m * a + isqrt(m * m * e)) // c for m in ms]
+    return [(m * a - isqrt(m * m * e) - (m > 0)) // c for m in ms]
+
+
 def reduced_triple(a: int, b: int, c: int) -> Triple:
     """The triple (a, b, c) divided by gcd(a, b, c), with c > 0 (c != 0)."""
     if c < 0:

@@ -207,11 +207,11 @@ def _cmd_count(args, parser, emit) -> int:
 def _counts_through(obj, t_max: int, use: str) -> list:
     """The counts at t = 0..t_max, which the caller holds all at once; refused
     before counting when there are more than the certificate's limit."""
-    counting, quasipoly = _package.counting, _package.quasipoly
-    if t_max + 1 > quasipoly.MAX_CERTIFICATE_COUNTS:
+    counting = _package.counting
+    if t_max + 1 > counting.MAX_CERTIFICATE_COUNTS:
         raise EhrcollapseError(
             f"a {use} through t_max {t_max} needs {t_max + 1} counts,"
-            f" more than the limit of {quasipoly.MAX_CERTIFICATE_COUNTS}"
+            f" more than the limit of {counting.MAX_CERTIFICATE_COUNTS}"
         )
     return counting.count_triangle_many(obj, range(t_max + 1))
 
@@ -535,6 +535,8 @@ def _parse(argv: list[str]) -> tuple[argparse.Namespace, argparse.ArgumentParser
 
 
 def main(argv: Optional[Iterable[str]] = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # every number is written exactly, at any size
+        sys.set_int_max_str_digits(0)
     args, parser = _parse(sys.argv[1:] if argv is None else list(argv))
     to_file = args.output not in (None, "-")
     fmt = getattr(args, "format", "jsonl")  # subcommands without --format write JSON lines

@@ -30,6 +30,12 @@ from .polytopes import (
 TriangleLike = Union[TrianglePair, AdmissiblePair, RationalTriangleParams]
 Point = tuple[int, int]
 
+# t per call of a strip (TrianglePair.translate), which holds r floors per t
+STRIP_CHUNK = 4096
+# The most counts held at once, about 56 bytes each at large P: by a period
+# certificate, or by a fit or a recurrence guess (cli); more are refused first.
+MAX_CERTIFICATE_COUNTS = 10 ** 7
+
 
 def _as_pair(obj: TriangleLike) -> TrianglePair:
     if isinstance(obj, TrianglePair):
@@ -134,7 +140,8 @@ def count_triangle_many(obj: TriangleLike, ts: Iterable[int]) -> list[int]:
     with non-negative coefficients, so an error at any one t reaches the
     count at t + a*n, the last one of its residue class mod n.  n is the
     smaller shift: one closing floor sum for an admissible pair, min(q, s)
-    for rational legs.  Every other ts is one floor sum per t.
+    for rational legs; a strip (m = 0) takes runs of STRIP_CHUNK t per call.
+    Every other ts is one floor sum per t.
     """
     pair = _as_pair(obj)
     ts, is_run = _dilations(ts)
@@ -148,8 +155,9 @@ def count_triangle_many(obj: TriangleLike, ts: Iterable[int]) -> list[int]:
         for i in range(seeds, len(ts)):
             counts.append(counts[i - n] + counts[i - m] - counts[i - seeds] + step)
     else:
-        for t in ts[n:]:
-            counts.append(counts[-n] + step(t))
+        for lo in range(ts[n], ts[-1] + 1, STRIP_CHUNK):
+            for strip in step(range(lo, min(lo + STRIP_CHUNK, ts[-1] + 1))):
+                counts.append(counts[-n] + strip)
     if _count_below(pair, [(t, 0, 1) for t in ts[-n:]], d) != counts[-n:]:
         raise EhrcollapseError(f"the counts of {pair} break its translate identity")
     return counts

@@ -21,7 +21,7 @@ from math import gcd, lcm
 from typing import Callable, Optional, Union
 
 from .arith import (EhrcollapseError, Expansion, QuadNumber, RadicandMismatchError, Triple,
-                    exact_int, floor_surd, fraction_rows, reduced_triple, shared_triples)
+                    exact_int, floor_surd_run, fraction_rows, reduced_triple, shared_triples)
 
 # rows up to which a strip of one floor per row costs less than a floor sum
 MAX_STRIP_FLOORS = 8
@@ -81,7 +81,7 @@ class TrianglePair:
         return Expansion(theta, d)
 
     @cached_property
-    def translate(self) -> Optional[tuple[int, int, Union[int, Callable[[int], int]]]]:
+    def translate(self) -> Optional[tuple[int, int, Union[int, Callable[[range], list[int]]]]]:
         """(n, m, step) with L(t) = L(t - n) + L(t - m) - L(t - n - m) + step
         for t >= n + m and n <= m, L(t) the count of the t-th dilate, or
         (n, 0, strip) with L(t) = L(t - n) + strip(t) for t >= n, or None.
@@ -93,7 +93,8 @@ class TrianglePair:
         points; differenced once, (1, alpha, beta).  Other irrational legs
         have none.  One rational leg v = s/r, r <= MAX_STRIP_FLOORS: y >= r
         is a translate of the (t - s)-th, n = s, and row y < r holds
-        floor((r*t - s*y)/(r*u)) + 1 points (swap if u = s/r)."""
+        floor((r*t - s*y)/(r*u)) + 1 points (swap if u = s/r); strip maps a
+        run of t >= s to the list of their strip(t), one list pass per row."""
         u, v = self.u, self.v
         if u.is_rational and v.is_rational:
             (q, _, p), (s, _, r) = u.triple, v.triple
@@ -113,7 +114,7 @@ class TrianglePair:
         leg, (i0, i1, ic) = (v, inv_u) if v.is_rational else (u, inv_v)
         s, _, r = leg.triple
         # a partial of a module function keeps the pair picklable
-        return None if r > MAX_STRIP_FLOORS else (s, 0, partial(_rows, r, s, i0, i1, r * ic, d))
+        return None if r > MAX_STRIP_FLOORS else (s, 0, partial(_strips, r, s, i0, i1, r * ic, d))
 
     def to_json_dict(self) -> dict:
         return {
@@ -123,12 +124,12 @@ class TrianglePair:
         }
 
 
-def _rows(r: int, s: int, i0: int, i1: int, rc: int, d: int, t: int) -> int:
-    """Sum of floor(m*(i0 + i1*sqrt(d))/rc) + 1 over m = r*t - s*y, y < r, for t >= s."""
-    n = r
-    for m in range(r * t, r * (t - s), -s):
-        n += floor_surd(m * i0, m * i1, rc, d)
-    return n
+def _strips(r: int, s: int, i0: int, i1: int, rc: int, d: int, ts: range) -> list[int]:
+    """Sum of floor(m*(i0 + i1*sqrt(d))/rc) + 1 over m = r*t - s*y, y < r, for each t
+    of a non-empty run ts with ts[0] >= s; row y is one floor_surd_run of step r."""
+    lo, hi = r * ts[0], r * ts[-1] + 1
+    rows = [floor_surd_run(i0, i1, rc, d, range(lo - s * y, hi - s * y, r)) for y in range(r)]
+    return [sum(column, r) for column in zip(*rows)]
 
 
 def is_admissible(alpha: int, beta: int) -> bool:

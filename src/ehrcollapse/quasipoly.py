@@ -53,11 +53,8 @@ from typing import Iterable, Optional, Sequence, Union
 from . import counting
 from .arith import (EhrcollapseError, RationalLike, RationalTable, fraction_rows, fraction_view,
                     horner, to_integers)
+from .counting import MAX_CERTIFICATE_COUNTS
 from .polytopes import AdmissiblePair, RationalTriangleParams
-
-# The certificate holds every count it reads, about 56 bytes per count at
-# large P; a period that needs more counts than this is refused before any.
-MAX_CERTIFICATE_COUNTS = 10 ** 7
 
 
 class InsufficientSamplesError(EhrcollapseError):

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import floor, inf, isqrt, nextafter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -19,6 +19,8 @@ from ehrcollapse.arith import (
     QuadNumber,
     RadicandMismatchError,
     _squarefree_split,
+    floor_surd,
+    floor_surd_run,
     parse_quad,
     quad_sqrt,
 )
@@ -331,6 +333,18 @@ def test_isqrt_agreement_on_large_values():
     big = 10 ** 18
     x = QuadNumber(Fraction(0), Fraction(big), 2)
     assert floor(x) == isqrt(2 * big * big)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 3, 10 ** 3).filter(bool),
+       st.integers(1, 10 ** 4), st.sampled_from((2, 7, 10 ** 9 + 7, 2 ** 64 + 13)),
+       st.one_of(st.just(0), st.integers(0, 60), st.integers(0, 10 ** 12)),
+       st.integers(0, 40), st.integers(1, 9))
+@example(0, -1, 1, 2, 0, 3, 1)  # at m = 0, b < 0 gives floor(0) = 0, not -1
+def test_a_floor_run_is_floor_surd_at_each_m(a, b, c, d, start, length, step):
+    ms = range(start, start + length * step, step)
+    assert floor_surd_run(a, b, c, d, ms) == [floor_surd(m * a, m * b, c, d) for m in ms]
+    assert floor_surd_run(a, 0, c, d, ms) == [m * a // c for m in ms]
 
 
 def test_to_integers_scales_by_the_lcm_of_the_denominators():

@@ -280,6 +280,16 @@ def test_fib_subcommand():
     assert record["params"] == {"p": 2, "q": 3, "r": 3, "s": 2}
 
 
+def test_fib_writes_a_value_past_the_default_int_digit_limit():
+    """F_8289(3) is the first 3-Fibonacci number of more than 4300 digits, the
+    interpreter's default limit for int-to-str conversion, which main lifts.
+    In process, so that json.loads reads the value back under the same limit."""
+    code, out, err = _run_in_process(["fib", "--k", "3", "--n", "8289"])
+    assert (code, err) == (0, "")
+    value = json.loads(out)["value"]
+    assert value == sequences.k_fib(3, 8289) and len(str(value)) == 4301
+
+
 def test_tetra_subcommand():
     records = json_lines(run_cli("tetra", "--n", "1", "--t", "0..3"))
     assert [r["count"] for r in records] == [1, 4, 10, 20]
@@ -428,8 +438,10 @@ _COUNT_MODULES = {"arith", "cli", "counting", "polytopes"}
      _COUNT_MODULES | {"csv"}),
     (["guess-rec", "--values", "1,1,2,3,5,8,13,21,34,55,89,144",
       "--max-order", "2", "--max-degree", "0"], {"arith", "cli", "linalg", "precursive"}),
+    (["guess-rec", "--alpha", "3", "--beta", "3", "--t-max", "30", "--max-order", "2",
+      "--max-degree", "0"], _COUNT_MODULES | {"linalg", "precursive"}),
     (["period", "--alpha", "3", "--beta", "3"], _COUNT_MODULES | {"quasipoly"}),
-], ids=["count", "count-csv", "guess-rec", "period"])
+], ids=["count", "count-csv", "guess-rec", "guess-rec-counts", "period"])
 def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
     script = ("import json, sys; from ehrcollapse import cli; code = cli.main(sys.argv[1:]);"
               " print(json.dumps(sorted(sys.modules)), file=sys.stderr); sys.exit(code)")

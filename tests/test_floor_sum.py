@@ -10,6 +10,7 @@ import pickle
 from fractions import Fraction
 from itertools import permutations
 from math import floor, gcd, isqrt
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -170,12 +171,34 @@ def test_an_off_by_one_inside_a_translate_run_fails_its_tail_check(data, pair, a
     if m:  # the run extends t = a + n + m, a + n + m + 1, ... in turn
         step = StepOffAt(step, bad - a - n - m + 1, error)
     else:
-        strip = step
-        step = lambda t: strip(t) + (error if t == bad else 0)
+        strips = step
+        step = lambda run: [x + (error if t == bad else 0) for t, x in zip(run, strips(run))]
     broken = TrianglePair(pair.u, pair.v)
     broken.__dict__["translate"] = (n, m, step)
     with pytest.raises(EhrcollapseError, match="translate identity"):
         counting.count_triangle_many(broken, range(a, a + length))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), translate_pairs().filter(lambda pair: pair.translate[1] == 0), starts,
+       st.integers(1, 6))
+def test_strip_runs_across_chunk_boundaries_match_per_t_counts(data, pair, a, chunk):
+    """A strip run takes its strips in chunks of STRIP_CHUNK t; chunks of one
+    to six t put boundaries all through the run."""
+    n, _, _ = pair.translate
+    run = range(a, a + data.draw(st.integers(2 * n + 1, 4 * n + 3 * chunk + 12)))
+    per_t = [counting.count_triangle(pair, t) for t in run]
+    with patch.object(counting, "STRIP_CHUNK", chunk):
+        assert counting.count_triangle_many(pair, run) == per_t
+        assert counting.count_triangle_many(pair, list(run)) == per_t
+
+
+def test_a_strip_run_longer_than_one_chunk_matches_per_t_counts():
+    pair = TrianglePair(parse_quad("3,3/4,7"), Fraction(7, 4))  # 1/u has a negative surd
+    run = range(3, 3 + counting.STRIP_CHUNK + 40)
+    assert pair.translate[1] == 0
+    per_t = counting.count_triangle_many(pair, run[::-1])[::-1]  # a descending list is no run
+    assert counting.count_triangle_many(pair, run) == per_t
 
 
 def test_pairs_that_counted_a_translate_run_still_pickle():
