@@ -2,15 +2,16 @@
 
 A recurrence of order k and coefficient degree d is a tuple of polynomials
 p_0..p_k, not all zero, with sum_j p_j(n+j) * f(n+j) = 0 for every n >= 0.
-Guessing fits an exact nullspace on the first half of the available windows
-and verifies the candidate on all of them; failure to verify moves on to the
-next (order, degree) cell instead of ever returning an unverified answer.
+Guessing seeds a candidate mod a prime or fits an exact nullspace on the first
+half of the available windows, and verifies it on all of them; failure to
+verify moves on instead of ever returning an unverified answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .arith import (EhrcollapseError, RationalLike, RationalTable, fraction_rows, fraction_view,
@@ -75,19 +76,62 @@ def _holds(table: Sequence[Sequence[int]], ints: Sequence[int]) -> bool:
     return True
 
 
-def _independent(basis: list[tuple[int, list[int]]], col: list[int]) -> bool:
+def _independent(basis: list[tuple], col: list[int]) -> bool:
     """Reduce col mod P by an echelon basis of columns, each 1 at its own pivot
-    and 0 at the pivots before it, and append it; False when it reduces to 0."""
-    for pivot, b in basis:
+    and 0 at the pivots before it, and append it with its pivot's inverse and
+    the factors it was reduced by, one per entry; False when it reduces to 0,
+    appended as pivot None, inverse 0 and its factors, for _seed."""
+    factors = []
+    for pivot, b, _, _ in basis:
         f = col[pivot]
+        factors.append(f)
         if f:
             col = [(x - f * y) % P for x, y in zip(col, b)]
     lead = next((n for n, x in enumerate(col) if x), None)
-    if lead is None:
-        return False
-    inv = pow(col[lead], -1, P)
-    basis.append((lead, [x * inv % P for x in col]))
-    return True
+    inv = 0 if lead is None else pow(col[lead], -1, P)
+    basis.append((lead, [x * inv % P for x in col], inv, factors))
+    return lead is not None
+
+
+def _rational(x: int) -> Optional[tuple[int, int]]:
+    """(n, d) with n = d*x mod P, |n| < 2^30 and 0 < d < 2^30, by Wang's
+    half-extended Euclid, or None when there is none."""
+    r0, r1, t0, t1 = P, x, 0, 1
+    while r1 >> 30:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return None if abs(t1) >> 30 else (r1 if t1 > 0 else -r1, abs(t1))
+
+
+def _seed(basis: list[tuple], ncols: int) -> Optional[list[int]]:
+    """The dependency w, w_k = 1, of the column k that reduced to 0 by factors
+    g: c_k = sum_l g_l*b_l, and undoing each b_m = inv_m*(c_m - sum_l f_ml*b_l)
+    from the last down gives w mod P.  Lifted to a primitive integer vector,
+    first nonzero entry positive, padded to ncols; None if it does not lift."""
+    *entries, (_, _, _, a) = basis
+    w = [1]
+    for _, _, inv, f in reversed(entries):
+        e = a[-1] * inv % P
+        w.append(-e % P)
+        a = [(x - e * y) % P for x, y in zip(a, f)]
+    fracs = [_rational(x) for x in reversed(w)]
+    if None in fracs:
+        return None
+    scale = lcm(*(d for _, d in fracs))
+    vec = [n * (scale // d) for n, d in fracs]
+    g = gcd(*vec) * (1 if next(v for v in vec if v) > 0 else -1)
+    return [v // g for v in vec] + [0] * (ncols - len(vec))
+
+
+def _candidates(ints: Sequence[int], order: int, degree: int, basis: Optional[list]):
+    """The seed of a basis that has just met a dependent column, then the
+    exact canonical nullspace vector of the first half of the windows."""
+    ncols = (order + 1) * (degree + 1)
+    if basis is not None:
+        yield _seed(basis, ncols)
+    rows = ([(n + j) ** i * ints[n + j] for j in range(order + 1) for i in range(degree + 1)]
+            for n in range((len(ints) - order + 1) // 2))
+    yield nullspace_vector(rows, ncols)
 
 
 def guess_recurrence(
@@ -95,21 +139,24 @@ def guess_recurrence(
 ) -> Optional[Recurrence]:
     """Smallest verified recurrence within the bounds, or None.
 
-    Cells (order, degree) are scanned in lexicographic order.  For each cell
-    the linear system uses the first half of the windows; an exact canonical
-    nullspace vector gives the candidate, which must then verify on the whole
-    sequence.  A homogeneous recurrence does not change when every value is
-    multiplied by the lcm of their denominators, so all of this runs on
-    integers.  Requires len(values) - 1 >= 2*(max_order+1)*(max_degree+1) +
-    max_order so the fit stays overdetermined at the largest cell.
+    Cells (order, degree) are scanned in lexicographic order, and a cell's
+    candidate is returned only if it holds at every window.  A homogeneous
+    recurrence does not change when every value is multiplied by the lcm of
+    their denominators, so all of this runs on integers.  Requires
+    len(values) - 1 >= 2*(max_order+1)*(max_degree+1) + max_order so the fit
+    stays overdetermined at the largest cell.
 
     Each degree keeps one echelon basis mod the prime P of its columns, each
     order appending its own, on rows every cell fits on: the first and last
     2*(max_order+1)*(max_degree+1) of the largest order's, so that a recurrence
     holding only on a prefix still shows its break.  While all columns are
     independent mod P the cell has full column rank, since a nonzero minor mod
-    P is one over the rationals, and is skipped; from the first dependent
-    column on, every cell of that degree takes the exact pass.
+    P is one over the rationals, and is skipped.  The first dependent column k
+    seeds the candidate with its dependency mod P, lifted.  If that holds, it
+    is the one dependency of column k on the fit rows, since columns 0..k-1
+    are independent on the shared rows among them: the exact pass's RREF
+    vector.  Otherwise this and every later cell of the degree take the exact
+    pass, a canonical nullspace vector of the first half of the windows.
     """
     if max_order < 0 or max_degree < 0:
         raise ValueError("bounds must be >= 0")
@@ -135,17 +182,10 @@ def guess_recurrence(
                 if all(_independent(basis, col) for col in cols[:degree + 1]):
                     continue  # full column rank: provably trivial nullspace
                 bases[degree] = None
-            ncols = (order + 1) * (degree + 1)
-            n_fit = (n_top - order + 2) // 2
-            rows = ([(n + j) ** i * ints[n + j]
-                     for j in range(order + 1) for i in range(degree + 1)]
-                    for n in range(n_fit))
-            vec = nullspace_vector(rows, ncols)
-            if vec is None:
-                continue
-            table = [vec[i:i + degree + 1] for i in range(0, ncols, degree + 1)]
-            if _holds(table, ints):
-                return Recurrence._of(order, degree, table, 1)
+            for vec in _candidates(ints, order, degree, basis):
+                table = vec and [vec[i:i + degree + 1] for i in range(0, len(vec), degree + 1)]
+                if table and _holds(table, ints):
+                    return Recurrence._of(order, degree, table, 1)
     return None
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -144,7 +145,20 @@ def test_non_quasipolynomial_counts_have_no_recurrence_in_bounds():
         assert guess_recurrence(counts, max_order, max_degree) is None
 
 
-def test_a_recurrence_that_breaks_early_costs_no_exact_pass(monkeypatch):
+@pytest.fixture
+def exact_passes(monkeypatch):
+    """The column counts of the calls of the exact nullspace, in order."""
+    calls, exact = [], precursive.nullspace_vector
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return exact(rows, ncols)
+
+    monkeypatch.setattr(precursive, "nullspace_vector", counted)
+    return calls
+
+
+def test_a_recurrence_that_breaks_early_costs_no_exact_pass(exact_passes):
     # Fibonacci numbers, or zeros, on the first 200 values and random ints
     # after: the first shared rows satisfy F(n+2) = F(n+1) + F(n), but the
     # last ones show the break, so every cell is skipped without a nullspace
@@ -153,16 +167,59 @@ def test_a_recurrence_that_breaks_early_costs_no_exact_pass(monkeypatch):
     while len(fib) < 200:
         fib.append(fib[-1] + fib[-2])
     tail = [rng.randint(-9, 9) for _ in range(400)]
-    calls, exact = [], precursive.nullspace_vector
-
-    def counted(rows, ncols):
-        calls.append(ncols)
-        return exact(rows, ncols)
-
-    monkeypatch.setattr(precursive, "nullspace_vector", counted)
     for head in (fib, [0] * 200):
         assert guess_recurrence(head + tail, 9, 1) is None
-    assert calls == []
+    assert exact_passes == []
+
+
+def _enough(max_order, max_degree):
+    return 2 * (max_order + 1) * (max_degree + 1) + max_order + 13
+
+
+def _seeded_values():
+    """(values, max order, max degree): f(n+2) = 2f(n+1) + 3f(n), the harmonic
+    sums of 2/(k+3) and 3 * 2^n * n!, each at bounds with room to spare."""
+    linear = [Fraction(1), Fraction(4)]
+    while len(linear) < _enough(3, 1):
+        linear.append(2 * linear[-1] + 3 * linear[-2])
+    harmonic = [sum(Fraction(2, k + 3) for k in range(n + 1)) for n in range(_enough(2, 1))]
+    factorial = [Fraction(3)]
+    while len(factorial) < _enough(2, 2):
+        factorial.append(factorial[-1] * 2 * len(factorial))
+    return [(linear, 3, 1), (harmonic, 2, 1), (factorial, 2, 2)]
+
+
+def test_recurrences_found_from_the_seed_cost_no_exact_pass(exact_passes):
+    # the column that first reduces to 0 mod P gives the recurrence itself, so
+    # admissible counts and seeded sequences never reach the exact nullspace
+    cases = [(counting.count_triangle_many(AdmissiblePair(alpha, beta), range(_enough(k, d))), k, d)
+             for alpha, beta in ((2, 3), (2, 4), (3, 2), (3, 4))
+             for k, d in ((9, 0), (9, 1), (6, 1))]
+    for values, max_order, max_degree in cases + _seeded_values():
+        rec = guess_recurrence(values, max_order, max_degree)
+        assert rec is not None and verify_recurrence(rec, values)
+    assert exact_passes == []
+
+
+P = precursive.P
+
+
+@pytest.mark.parametrize("values, max_order, max_degree, want", [
+    # every column is 0 mod P, so the first seed is (1) and does not hold
+    ([P * (n + 1) for n in range(6)], 1, 0, None),
+    ([P * (n + 1) for n in range(9)], 2, 0, [["1/1"], ["-2/1"], ["1/1"]]),
+    ([P * (n + 1) for n in range(10)], 1, 1, [["2/1", "1/1"], ["0/1", "-1/1"]]),
+    ([P * (n + 1) for n in range(52)], 3, 2, [["2/1", "1/1"], ["0/1", "-1/1"]]),
+    # the ratio 2^40 + 1 is past the bound of the rational reconstruction
+    ([(2 ** 40 + 1) ** n for n in range(8)], 1, 0, [["1099511627777/1"], ["-1/1"]]),
+])
+def test_a_seed_that_fails_falls_back_to_the_exact_pass(exact_passes, values, max_order,
+                                                        max_degree, want):
+    rec = guess_recurrence(values, max_order, max_degree)
+    assert (rec and rec.to_json_dict()["polys"]) == want
+    assert (rec and (rec.order, rec.degree, rec.polys)) == \
+        oracles.guess_recurrence_unfiltered(values, max_order, max_degree)
+    assert exact_passes
 
 
 # -- planted recurrences with rational values ---------------------------------------
@@ -235,5 +292,16 @@ def sequences_in_bounds(draw):
 def test_guess_matches_the_unfiltered_oracle(case):
     values, max_order, max_degree = case
     rec = guess_recurrence(values, max_order, max_degree)
+    want = oracles.guess_recurrence_unfiltered(values, max_order, max_degree)
+    assert (rec and (rec.order, rec.degree, rec.polys)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(sequences_in_bounds())
+def test_guess_without_any_seed_matches_the_unfiltered_oracle(case):
+    # no entry reconstructs, so every dependent column takes the exact pass
+    values, max_order, max_degree = case
+    with mock.patch.object(precursive, "_rational", lambda x: None):
+        rec = guess_recurrence(values, max_order, max_degree)
     want = oracles.guess_recurrence_unfiltered(values, max_order, max_degree)
     assert (rec and (rec.order, rec.degree, rec.polys)) == want
