@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .arith import EhrcollapseError, fraction_text, parse_fraction, parse_quad
+from .arith import fraction_text, parse_fraction, parse_quad
 
 # Commands read the modules they run as attributes of the package, which loads
 # each one when it is first read, so that a start loads only what it runs.  An
@@ -204,22 +204,10 @@ def _cmd_count(args, parser, emit) -> int:
 # -- fit / period --------------------------------------------------------------
 
 
-def _counts_through(obj, t_max: int, use: str) -> list:
-    """The counts at t = 0..t_max, which the caller holds all at once; refused
-    before counting when there are more than the certificate's limit."""
-    counting = _package.counting
-    if t_max + 1 > counting.MAX_CERTIFICATE_COUNTS:
-        raise EhrcollapseError(
-            f"a {use} through t_max {t_max} needs {t_max + 1} counts,"
-            f" more than the limit of {counting.MAX_CERTIFICATE_COUNTS}"
-        )
-    return counting.count_triangle_many(obj, range(t_max + 1))
-
-
 def _cmd_fit(args, parser, emit) -> int:
     obj = _triangle_object(args, parser)
     t_max = args.t_max if args.t_max is not None else (args.degree + 4) * args.period - 1
-    counts = _counts_through(obj, t_max, "fit")
+    counts = _package.counting.count_triangle_many(obj, range(t_max + 1))
     fit = _package.quasipoly.fit_quasipolynomial(counts, args.period, args.degree)
     emit(("period", "degree", "t_max", "fit"),
          [(args.period, args.degree, t_max, None if fit is None else fit.to_json_dict())])
@@ -363,11 +351,14 @@ def _cmd_tetra(args, parser, emit) -> int:
         simplex = sequences.tetra_family(args.n)
         base = {"n": args.n}
     if args.t is None:
-        emit((*base, "legs"), [(*base.values(), [leg.to_json_dict() for leg in simplex.legs])])
+        record = {**base, **simplex.to_json_dict()}
+        emit(record.keys(), [tuple(record.values())])
         return 0
 
+    counts = counting.count_axis_simplex_many(simplex, args.t)  # refused before any write
+
     def rows():
-        for t, count in zip(args.t, counting.count_axis_simplex_many(simplex, args.t)):
+        for t, count in zip(args.t, counts):
             cubic = sequences.tetra_polynomial(t)
             yield (*base.values(), t, count, cubic, count == cubic)
 
@@ -386,7 +377,7 @@ def _cmd_guess_rec(args, parser, emit) -> int:
         obj = _triangle_object(args, parser)
         if args.t_max is None:
             parser.error("counting input needs --t-max")
-        values = _counts_through(obj, args.t_max, "recurrence guess")
+        values = _package.counting.count_triangle_many(obj, range(args.t_max + 1))
     rec = precursive.guess_recurrence(values, args.max_order, args.max_degree)
     emit(("n_values", "max_order", "max_degree", "recurrence"),
          [(len(values), args.max_order, args.max_degree,

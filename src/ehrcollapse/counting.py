@@ -32,8 +32,8 @@ Point = tuple[int, int]
 
 # t per call of a strip (TrianglePair.translate), which holds r floors per t
 STRIP_CHUNK = 4096
-# The most counts held at once, about 56 bytes each at large P: by a period
-# certificate, or by a fit or a recurrence guess (cli); more are refused first.
+# The most dilations of one batch (_dilations), so the most counts held at once:
+# by a period certificate, a fit, a recurrence guess or a count range
 MAX_CERTIFICATE_COUNTS = 10 ** 7
 
 
@@ -49,7 +49,9 @@ def _dilations(ts: Iterable[int]) -> tuple[Sequence[int], bool]:
     """ts as dilation factors, and whether each t is one more than the last.
 
     A range of step 1 passes as it is; any other ts becomes a list of
-    exact_int(t), so a float, a bool or a Fraction raises TypeError.
+    exact_int(t), so a float, a bool or a Fraction raises TypeError.  A batch
+    of more than MAX_CERTIFICATE_COUNTS t raises EhrcollapseError before any
+    count.
     """
     is_run = isinstance(ts, range) and ts.step == 1
     if not is_run:
@@ -57,6 +59,11 @@ def _dilations(ts: Iterable[int]) -> tuple[Sequence[int], bool]:
         is_run = len(ts) < 2 or ts == list(range(ts[0], ts[0] + len(ts)))
     if ts and (ts[0] if is_run else min(ts)) < 0:
         raise ValueError("dilation factors must be >= 0")
+    # len() of a range fails past 2^63 t
+    size = ts.stop - ts.start if isinstance(ts, range) else len(ts)
+    if size > MAX_CERTIFICATE_COUNTS:
+        raise EhrcollapseError(
+            f"{size} counts held at once are more than the limit of {MAX_CERTIFICATE_COUNTS}")
     return ts, is_run
 
 
@@ -141,7 +148,8 @@ def count_triangle_many(obj: TriangleLike, ts: Iterable[int]) -> list[int]:
     count at t + a*n, the last one of its residue class mod n.  n is the
     smaller shift: one closing floor sum for an admissible pair, min(q, s)
     for rational legs; a strip (m = 0) takes runs of STRIP_CHUNK t per call.
-    Every other ts is one floor sum per t.
+    Every other ts is one floor sum per t.  The counts are held all at once,
+    so more than MAX_CERTIFICATE_COUNTS t raise EhrcollapseError before any.
     """
     pair = _as_pair(obj)
     ts, is_run = _dilations(ts)

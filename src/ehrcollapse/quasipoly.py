@@ -53,7 +53,6 @@ from typing import Iterable, Optional, Sequence, Union
 from . import counting
 from .arith import (EhrcollapseError, RationalLike, RationalTable, fraction_rows, fraction_view,
                     horner, to_integers)
-from .counting import MAX_CERTIFICATE_COUNTS
 from .polytopes import AdmissiblePair, RationalTriangleParams
 
 
@@ -146,23 +145,13 @@ def fit_quasipolynomial(
     return Quasipolynomial._of(period, degree, zip(*acc), weight * scale)
 
 
-def _check_size(counts: int, guaranteed: int) -> None:
-    if counts > MAX_CERTIFICATE_COUNTS:
-        raise EhrcollapseError(
-            f"the certificate at guaranteed period {guaranteed} needs at least {counts} counts,"
-            f" more than the limit of {MAX_CERTIFICATE_COUNTS}"
-        )
-
-
 def _certify(obj: Union[RationalTriangleParams, AdmissiblePair]) -> tuple[list[int], int]:
     """The counts read by the certificates, and the certified minimal period."""
     if not isinstance(obj, (RationalTriangleParams, AdmissiblePair)):
         raise TypeError(f"unsupported type {type(obj).__name__}")
     n, m, _ = obj.triangle().translate
     guaranteed, width = lcm(n, m), n + m + 1
-    size = width + 3 * guaranteed
-    _check_size(size, guaranteed)
-    values = counting.count_triangle_many(obj, range(size))
+    values = counting.count_triangle_many(obj, range(width + 3 * guaranteed))
 
     def vanishes(d: int) -> bool:  # Delta_d^3 I on [0, width)
         v = values
@@ -190,8 +179,8 @@ def certified_period(obj: Union[RationalTriangleParams, AdmissiblePair]) -> int:
     vanish at t in [0, w) (FitFailureError otherwise).  P then loses one
     prime at a time while Delta_d^3 I = 0 at t in [0, w) still holds.
     Raises TypeError for objects other than rational parameters and
-    admissible pairs, and EhrcollapseError, before counting, when the
-    certificate would read more than MAX_CERTIFICATE_COUNTS counts.
+    admissible pairs, and EhrcollapseError, before counting, when w + 3P is
+    more than counting.MAX_CERTIFICATE_COUNTS.
     """
     return _certify(obj)[1]
 

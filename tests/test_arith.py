@@ -32,7 +32,8 @@ from ehrcollapse.polytopes import (
     scales_to_admissible,
 )
 from ehrcollapse.precursive import Recurrence, guess_recurrence, verify_recurrence
-from ehrcollapse.quasipoly import Quasipolynomial, fit_quasipolynomial, series_numerator
+from ehrcollapse.quasipoly import (Quasipolynomial, fit_quasipolynomial, reciprocity_report,
+                                  series_numerator)
 
 fractions = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -432,6 +433,35 @@ ZERO_DENOMINATOR_READS = {
 def test_a_zero_denominator_read_back_is_a_value_error(name):
     with pytest.raises(ValueError, match="zero denominator"):
         ZERO_DENOMINATOR_READS[name]()
+
+
+# each call, its error and the start of its message
+REFUSALS = {
+    "RationalTriangleParams.from_fractions": (
+        lambda: RationalTriangleParams.from_fractions(-1, 1), ValueError, "legs must be positive"),
+    "asymptotic_deficit": (
+        lambda: counting.asymptotic_deficit(AdmissiblePair(3, 3), 0), ValueError, "need t >= 1"),
+    "reciprocity_report": (
+        lambda: reciprocity_report(AdmissiblePair(3, 3), 0), ValueError, "need t >= 1"),
+    "Quasipolynomial": (lambda: Quasipolynomial(1, -1, [[]]), ValueError, "degree must be >= 0"),
+    "count_triangle": (lambda: counting.count_triangle(object(), 1), TypeError,
+                       "expected a triangle-like object, got object"),
+    "QuadNumber.as_fraction": (lambda: QuadNumber(0, 1, 2).as_fraction(), ValueError,
+                               r"0\+1\*sqrt\(2\) is irrational"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_out_of_range_input_is_refused_by_its_entry_point(name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("values, holds", [([], False), ([1, 1], False), ([1, 1, 2], True)])
+def test_a_recurrence_holds_only_on_at_least_order_plus_one_values(values, holds):
+    fibonacci = Recurrence(2, 0, ((1,), (1,), (-1,)))  # f(n) + f(n+1) - f(n+2) = 0
+    assert verify_recurrence(fibonacci, values) is holds
 
 
 def test_exact_int_takes_only_an_int():

@@ -156,6 +156,7 @@ def test_period_on_rational_or_admissible_legs_prints_what_the_other_forms_print
 @pytest.mark.parametrize("argv", [
     ("period", "--params", "1,100000000,1,1"),
     ("period", "--alpha", "10000000", "--beta", "1"),
+    ("period", "--params", f"1,{10 ** 30},1,{10 ** 30 + 1}"),  # more counts than len() takes
 ])
 def test_period_that_needs_too_many_counts_is_refused_at_once(argv):
     start = time.perf_counter()
@@ -177,8 +178,8 @@ def test_fit_that_needs_too_many_counts_is_refused_before_counting(argv, needs):
     assert time.perf_counter() - start < 5
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == (f"error: a fit through t_max {needs - 1} needs {needs} counts,"
-                           " more than the limit of 10000000\n")
+    assert proc.stderr == (f"error: {needs} counts held at once are more than the limit"
+                           " of 10000000\n")
 
 
 def _answers_at_once(*argv):
@@ -203,8 +204,18 @@ def test_guess_rec_that_needs_too_many_counts_is_refused_before_counting():
                                    "--t-max", "100000000", "--max-order", "0",
                                    "--max-degree", "0")
     assert code == 2
-    assert lines == ["error: a recurrence guess through t_max 100000000 needs 100000001"
-                     " counts, more than the limit of 10000000"]
+    assert lines == ["error: 100000001 counts held at once are more than the limit of 10000000"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--params", "2,3,3,2", "--t", "0..10000000"),
+    ("tetra", "--n", "1", "--t", "0..10000000"),
+    ("count", "--legs", "1/2", "10/3", "3/5", "--t", "0..10000000"),
+])
+def test_a_count_range_past_the_limit_is_refused_before_counting(argv):
+    code, lines = _answers_at_once(*argv)
+    assert code == 2
+    assert lines == ["error: 10000001 counts held at once are more than the limit of 10000000"]
 
 
 # -- check ------------------------------------------------------------------------
@@ -562,6 +573,7 @@ def test_output_file_is_closed(tmp_path):
     ["count", "--alpha", "1", "--beta", "1", "--t", "1"],  # the command refuses its input
     ["count", "--alpha", "3", "--t", "1"],  # the command's own usage check
     ["count", "--alpha", "3", "--beta", "3", "--t", "x"],  # the parser
+    ["tetra", "--n", "1", "--t", "0..10000000"],  # a range past the count limit
 ])
 def test_a_failing_command_leaves_its_output_file_as_it_was(argv, tmp_path):
     target = tmp_path / "keep.jsonl"
@@ -985,6 +997,17 @@ def test_help_and_an_argv_without_a_command_parse_as_before(argv):
     (["fib", "--k", "3", "--n", "0..4", "--triangle"], "ehrcollapse fib: error: --triangle needs n >= 2"),
     (["count", "--t", "1"], "ehrcollapse count: error: give exactly one polytope"),
     (["count", "--params", "2,3,3,2"], "ehrcollapse count: error: this polytope needs --t"),
+    (["count", "--u", "1", "--t", "1"], "ehrcollapse count: error: --u requires --v"),
+    (["check", "--criterion", "collapse"],
+     "ehrcollapse check: error: --criterion collapse needs --params"),
+    (["check", "--criterion", "reciprocal", "--p", "2"],
+     "ehrcollapse check: error: --criterion reciprocal needs --p and --q"),
+    (["check", "--criterion", "classify", "--alpha", "3"],
+     "ehrcollapse check: error: --criterion classify needs --alpha and --beta"),
+    (["search", "--max-p", "3"],
+     "ehrcollapse search: error: give --bound or all of --max-p/--max-q/--max-r/--max-s"),
+    (["guess-rec", "--alpha", "3", "--beta", "3", "--max-order", "0", "--max-degree", "0"],
+     "ehrcollapse guess-rec: error: counting input needs --t-max"),
 ])
 def test_a_command_reports_its_own_errors_under_its_own_usage(argv, usage):
     code, out, err = _run_in_process(argv)

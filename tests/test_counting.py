@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ehrcollapse import counting
-from ehrcollapse.arith import QuadNumber, RadicandMismatchError, quad_sqrt
+from ehrcollapse.arith import EhrcollapseError, QuadNumber, RadicandMismatchError, quad_sqrt
 from ehrcollapse.polytopes import (
     AdmissiblePair,
     AxisSimplex,
@@ -303,6 +303,29 @@ def test_a_dilation_is_an_int_that_is_not_a_bool_and_not_negative():
                  lambda: counting.count_interval(iv, -1)):
         with pytest.raises(ValueError, match="dilation factors must be >= 0"):
             call()
+
+
+def test_the_dilation_gate_holds_a_batch_of_the_limit_and_refuses_one_more(monkeypatch):
+    simplex = AxisSimplex(tuple(QuadNumber(Fraction(leg)) for leg in ("1/2", "10/3", "3/5")))
+    calls = ((counting.count_triangle_many, GOLDEN), (counting.count_axis_simplex_many, simplex))
+    batches = (range(5), [4, 0, 3, 1, 2])
+    want = [count(obj, ts) for ts in batches for count, obj in calls]
+    monkeypatch.setattr(counting, "MAX_CERTIFICATE_COUNTS", 5)
+    assert [count(obj, ts) for ts in batches for count, obj in calls] == want
+
+    def no_count(*args):
+        raise AssertionError("counted past the limit")
+
+    monkeypatch.setattr(counting, "_count_below", no_count)
+    monkeypatch.setattr(counting, "floor_surd", no_count)
+    for ts in (range(6), [5, 0, 4, 1, 3, 2], range(10, 22, 2)):
+        for count, obj in calls:
+            with pytest.raises(EhrcollapseError,
+                               match="^6 counts held at once are more than the limit of 5$"):
+                count(obj, ts)
+    for count, obj in calls:  # a range too long for len()
+        with pytest.raises(EhrcollapseError, match=f"^{10 ** 30} counts held at once"):
+            count(obj, range(10 ** 30))
 
 
 def test_asymptotic_deficit_shrinks():
