@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, reduce, total_ordering
 from itertools import accumulate, chain, cycle
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
@@ -172,6 +172,7 @@ def _align(x: "QuadNumber", y: "QuadNumber") -> tuple[Triple, Triple, int]:
     return x._over(d), y._over(d), d
 
 
+@total_ordering
 class QuadNumber:
     """(A + B*sqrt(d)) / C with integers A, B, C and d, kept in canonical form.
 
@@ -181,7 +182,8 @@ class QuadNumber:
     d < 10**18 but need not be past that bound.  The constructor takes
     rational a, b with value a + b*sqrt(d) and normalizes them; results of
     operations keep the radicand of their operands and are never split again.
-    Equality and hashing go by value, whichever radicand a value carries.
+    Equality and hashing go by value, whichever radicand a value carries; the
+    order is __lt__ alone, and functools.total_ordering derives <=, > and >=.
     """
 
     __slots__ = ("triple", "d")
@@ -347,15 +349,6 @@ class QuadNumber:
     def __lt__(self, other: QuadLike) -> bool:
         return (self - other).sign() < 0
 
-    def __le__(self, other: QuadLike) -> bool:
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other: QuadLike) -> bool:
-        return (self - other).sign() > 0
-
-    def __ge__(self, other: QuadLike) -> bool:
-        return (self - other).sign() >= 0
-
     def __abs__(self) -> "QuadNumber":
         return -self if self.sign() < 0 else self
 
@@ -431,11 +424,12 @@ def quad_sqrt(n: RationalLike) -> QuadNumber:
     return QuadNumber(0, Fraction(1, den), num * den)
 
 
-def to_integers(values: Sequence[RationalLike]) -> tuple[list[int], int]:
+def to_integers(values: Sequence[RationalLike]) -> tuple[Sequence[int], int]:
     """The values times the lcm of their denominators, and that lcm; a value
-    that is not an int or a Fraction, such as a float, raises TypeError."""
+    that is not an int or a Fraction, such as a float, raises TypeError.  Ints
+    alone come back uncopied, with scale 1: no caller changes what it gets."""
     if {int}.issuperset(map(type, values)):
-        return list(values), 1
+        return values, 1
     try:
         scale = lcm(*(v.denominator for v in values))
     except AttributeError:

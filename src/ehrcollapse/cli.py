@@ -214,30 +214,22 @@ def _cmd_fit(args, parser, emit) -> int:
     return 0
 
 
-def _period_object(pair):
-    """The rational parameters or the admissible pair of --u/--v legs."""
-    polytopes = _package.polytopes
-    if pair.kind == "rational":
-        u, v = pair.u.as_fraction(), pair.v.as_fraction()
-        return polytopes.RationalTriangleParams.from_fractions(u, v)
-    if pair.kind == "admissible":
-        _, alpha, beta = pair.translate
-        return polytopes.AdmissiblePair(alpha, beta)
-    raise ValueError("period needs rational legs, or legs with integer u + v and 1/u + 1/v")
-
-
 def _cmd_period(args, parser, emit) -> int:
-    polytopes, quasipoly = _package.polytopes, _package.quasipoly
+    polytopes = _package.polytopes
     obj = _triangle_object(args, parser)
-    if isinstance(obj, polytopes.TrianglePair):
-        obj = _period_object(obj)
+    qp, period = _package.quasipoly.minimal_period(obj)  # refuses legs with no two-shift identity
+    if isinstance(obj, polytopes.TrianglePair):  # the record names the legs' parameters
+        if obj.kind == "rational":
+            obj = polytopes.RationalTriangleParams.from_fractions(obj.u.as_fraction(),
+                                                                  obj.v.as_fraction())
+        else:
+            obj = polytopes.AdmissiblePair(*obj.translate[1:])
     if isinstance(obj, polytopes.AdmissiblePair):
         record = {"alpha": obj.alpha, "beta": obj.beta, "guaranteed_period": obj.alpha}
         reference = obj.alpha
     else:
         record = {"params": obj.to_json_dict(), "denominator": obj.denominator}
         reference = obj.denominator
-    qp, period = quasipoly.minimal_period(obj)
     record.update({
         "minimal_period": period,
         "collapse": period < reference,
@@ -328,15 +320,15 @@ def _cmd_search(args, parser, emit) -> int:
 
 
 def _cmd_fib(args, parser, emit) -> int:
-    sequences = _package.sequences
-    keys = ["k", "n", "value"]
-    columns = [itertools.repeat(args.k), args.n, (sequences.k_fib(args.k, n) for n in args.n)]
+    if args.triangle and args.n.start < 2:
+        parser.error("--triangle needs n >= 2")
+    pairs = zip(args.n, _package.sequences.fib_pairs(args.k, args.n.start))  # one walk
     if args.triangle:
-        if args.n.start < 2:
-            parser.error("--triangle needs n >= 2")
-        keys.append("params")
-        columns.append(sequences.fib_triangle(args.k, n).to_json_dict() for n in args.n)
-    emit(keys, zip(*columns))
+        params = _package.criteria.reciprocal_params  # fib_triangle's legs F_n/F_{n-1}
+        emit(("k", "n", "value", "params"),
+             ((args.k, n, f, params(prev, f).to_json_dict()) for n, (prev, f) in pairs))
+    else:
+        emit(("k", "n", "value"), ((args.k, n, f) for n, (_, f) in pairs))
     return 0
 
 

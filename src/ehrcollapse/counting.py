@@ -51,20 +51,25 @@ def _dilations(ts: Iterable[int]) -> tuple[Sequence[int], bool]:
     A range of step 1 passes as it is; any other ts becomes a list of
     exact_int(t), so a float, a bool or a Fraction raises TypeError.  A batch
     of more than MAX_CERTIFICATE_COUNTS t raises EhrcollapseError before any
-    count.
+    count, and a range of any step before it is listed.
     """
     is_run = isinstance(ts, range) and ts.step == 1
     if not is_run:
+        if isinstance(ts, range):  # sized before it is listed: ceil((stop - start)/step) t
+            _check_size(-((ts.start - ts.stop) // ts.step))
         ts = [exact_int(t) for t in ts]
         is_run = len(ts) < 2 or ts == list(range(ts[0], ts[0] + len(ts)))
     if ts and (ts[0] if is_run else min(ts)) < 0:
         raise ValueError("dilation factors must be >= 0")
     # len() of a range fails past 2^63 t
-    size = ts.stop - ts.start if isinstance(ts, range) else len(ts)
+    _check_size(ts.stop - ts.start if isinstance(ts, range) else len(ts))
+    return ts, is_run
+
+
+def _check_size(size: int) -> None:
     if size > MAX_CERTIFICATE_COUNTS:
         raise EhrcollapseError(
             f"{size} counts held at once are more than the limit of {MAX_CERTIFICATE_COUNTS}")
-    return ts, is_run
 
 
 def _floor_sum(n: int, cf: Expansion, b: Triple, d: int) -> int:

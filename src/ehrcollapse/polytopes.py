@@ -142,8 +142,19 @@ def is_admissible(alpha: int, beta: int) -> bool:
     return alpha >= 1 and beta >= 1 and alpha * beta >= 5
 
 
+class _LegData:
+    """Leg data u, v of a triangle; triangle() is their TrianglePair, built once."""
+
+    def triangle(self) -> TrianglePair:
+        return self._triangle
+
+    @cached_property
+    def _triangle(self) -> TrianglePair:
+        return TrianglePair(self.u, self.v)
+
+
 @dataclass(frozen=True)
-class AdmissiblePair:
+class AdmissiblePair(_LegData):
     """Pair of positive integers (alpha, beta) with u+v = alpha, 1/u+1/v = beta.
 
     The legs solve x^2*beta - alpha*beta*x + alpha = 0, so
@@ -169,16 +180,9 @@ class AdmissiblePair:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", u.conjugate())
 
-    def triangle(self) -> TrianglePair:
-        return self._triangle
-
-    @cached_property
-    def _triangle(self) -> TrianglePair:
-        return TrianglePair(self.u, self.v)
-
 
 @dataclass(frozen=True)
-class RationalTriangleParams:
+class RationalTriangleParams(_LegData):
     """Lowest-term data (p,q,r,s) for the rational triangle with u = q/p, v = s/r."""
 
     p: int
@@ -213,13 +217,6 @@ class RationalTriangleParams:
     def denominator(self) -> int:
         """lcm of the leg denominators of the triangle's vertices: lcm(q, s)."""
         return lcm(self.q, self.s)
-
-    def triangle(self) -> TrianglePair:
-        return self._triangle
-
-    @cached_property
-    def _triangle(self) -> TrianglePair:
-        return TrianglePair(QuadNumber.from_value(self.u), QuadNumber.from_value(self.v))
 
     def to_json_dict(self) -> dict[str, int]:
         return {"p": self.p, "q": self.q, "r": self.r, "s": self.s}

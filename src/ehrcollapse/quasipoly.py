@@ -12,7 +12,8 @@ sequence whose (k+1)-th difference is zero, i.e. a polynomial of degree <= k.
 The window (Stanley, EC1 section 4.4): the counts obey the translate
 identity I(t) = I(t-n) + I(t-m) - I(t-n-m) + c for t >= n+m of
 TrianglePair.translate, with (n, m, c) = (min(q, s), max(q, s), p*r) for
-rational legs u = q/p, v = s/r and (1, alpha, beta) for an admissible pair.
+rational legs u = q/p, v = s/r and (1, alpha, beta) for an admissible pair,
+in either leg order; the certificates refuse a triangle with no such identity.
 Differenced once, it makes C(z) = (1-z)(1-z^n)(1-z^m) annihilate I from
 t = deg C on.  Delta_d^3 I is a sum of forward shifts of I, so it obeys the
 same recurrence from t = w = deg C = n + m + 1 on: it vanishes for all
@@ -48,12 +49,12 @@ from fractions import Fraction
 from itertools import islice
 from math import lcm
 from operator import sub
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from . import counting
 from .arith import (EhrcollapseError, RationalLike, RationalTable, fraction_rows, fraction_view,
                     horner, to_integers)
-from .polytopes import AdmissiblePair, RationalTriangleParams
+from .polytopes import AdmissiblePair
 
 
 class InsufficientSamplesError(EhrcollapseError):
@@ -145,13 +146,15 @@ def fit_quasipolynomial(
     return Quasipolynomial._of(period, degree, zip(*acc), weight * scale)
 
 
-def _certify(obj: Union[RationalTriangleParams, AdmissiblePair]) -> tuple[list[int], int]:
+def _certify(obj: counting.TriangleLike) -> tuple[list[int], int]:
     """The counts read by the certificates, and the certified minimal period."""
-    if not isinstance(obj, (RationalTriangleParams, AdmissiblePair)):
-        raise TypeError(f"unsupported type {type(obj).__name__}")
-    n, m, _ = obj.triangle().translate
+    pair = counting._as_pair(obj)
+    n, m, _ = pair.translate or (0, 0, 0)
+    if not m:  # no identity, or a strip
+        raise EhrcollapseError(
+            "period needs rational legs, or legs with integer u + v and 1/u + 1/v")
     guaranteed, width = lcm(n, m), n + m + 1
-    values = counting.count_triangle_many(obj, range(width + 3 * guaranteed))
+    values = counting.count_triangle_many(pair, range(width + 3 * guaranteed))
 
     def vanishes(d: int) -> bool:  # Delta_d^3 I on [0, width)
         v = values
@@ -167,27 +170,25 @@ def _certify(obj: Union[RationalTriangleParams, AdmissiblePair]) -> tuple[list[i
     return values, period
 
 
-def certified_period(obj: Union[RationalTriangleParams, AdmissiblePair]) -> int:
+def certified_period(obj: counting.TriangleLike) -> int:
     """Certify the guaranteed period, then descend to the least period.
 
-    The counts obey the translate identity (n, m, step) of
-    TrianglePair.translate, so they satisfy a recurrence of degree w = n + m + 1
-    and are a quasipolynomial of degree 2 and guaranteed period P = lcm(n, m):
-    lcm(q, s) for rational parameters and alpha for an admissible pair.  The
-    counts on t in [0, w + 3P) are one run of count_triangle_many, which
-    raises EhrcollapseError when they break the identity; Delta_P^3 I must
-    vanish at t in [0, w) (FitFailureError otherwise).  P then loses one
-    prime at a time while Delta_d^3 I = 0 at t in [0, w) still holds.
-    Raises TypeError for objects other than rational parameters and
-    admissible pairs, and EhrcollapseError, before counting, when w + 3P is
-    more than counting.MAX_CERTIFICATE_COUNTS.
+    obj is any triangle (counting.TriangleLike) whose TrianglePair.translate
+    is a two-shift identity (n, m, step): rational legs, or legs with integer
+    u + v and 1/u + 1/v.  Its counts satisfy a recurrence of degree
+    w = n + m + 1 and are a quasipolynomial of degree 2 and guaranteed period
+    P = lcm(n, m).  The counts on t in [0, w + 3P) are one run of
+    count_triangle_many, which raises EhrcollapseError when they break the
+    identity; Delta_P^3 I must vanish at t in [0, w) (FitFailureError
+    otherwise).  P then loses one prime at a time while Delta_d^3 I = 0 at
+    t in [0, w) still holds.  Raises EhrcollapseError for other triangles
+    and, before counting, when w + 3P is more than
+    counting.MAX_CERTIFICATE_COUNTS; TypeError for a non-triangle.
     """
     return _certify(obj)[1]
 
 
-def minimal_period(
-    obj: Union[RationalTriangleParams, AdmissiblePair]
-) -> tuple[Quasipolynomial, int]:
+def minimal_period(obj: counting.TriangleLike) -> tuple[Quasipolynomial, int]:
     """The certified period d of certified_period and the degree-2
     quasipolynomial at d, built from the same counts.  Returns
     (quasipolynomial at period d, d)."""

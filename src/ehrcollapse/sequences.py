@@ -9,26 +9,37 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd
+from typing import Iterator
 
 from .arith import QuadNumber, exact_int
+from .criteria import reciprocal_params
 from .polytopes import AxisSimplex, RationalTriangleParams
+
+
+def fib_pairs(k: int, start: int = 0) -> Iterator[tuple[int, int]]:
+    """(F_{n-1}(k), F_n(k)) for n = start, start + 1, ..., one step of the
+    recurrence per pair, with F_{-1} = 1 so that F_1 = k*F_0 + F_{-1}."""
+    k, start = exact_int(k), exact_int(start)
+    if k < 1 or start < 0:
+        raise ValueError("need k >= 1 and n >= 0")
+    prev, cur = 1, 0
+    for _ in range(start):
+        prev, cur = cur, k * cur + prev
+    while True:
+        yield prev, cur
+        prev, cur = cur, k * cur + prev
 
 
 def k_fib(k: int, n: int) -> int:
     """F_n(k) with F_0 = 0, F_1 = 1, F_n = k*F_{n-1} + F_{n-2}."""
-    k, n = exact_int(k), exact_int(n)
-    if k < 1 or n < 0:
-        raise ValueError("need k >= 1 and n >= 0")
-    prev, cur = 0, 1
-    for _ in range(n):
-        prev, cur = cur, k * cur + prev
-    return prev
+    return next(fib_pairs(k, n))[1]
 
 
 def fib_identity_residual(k: int, n: int) -> int:
     """F_n^2 - k*F_{n-1}*F_n - F_{n-1}^2 + (-1)^n; zero for all k, n >= 1."""
-    f_prev, f_n = k_fib(k, n - 1), k_fib(k, n)
+    _, (f_prev, f_n) = islice(fib_pairs(k, n - 1), 2)
     return f_n * f_n - k * f_prev * f_n - f_prev * f_prev + (-1) ** n
 
 
@@ -40,7 +51,7 @@ def fib_gcds(k: int, n: int) -> tuple[int, int]:
     blanket coprimality sometimes quoted for all n only holds in the odd-index
     form, which is also the only form the quasiperiod arguments need.
     """
-    f_prev, f_n = k_fib(k, n - 1), k_fib(k, n)
+    _, (f_prev, f_n) = islice(fib_pairs(k, n - 1), 2)
     return (gcd(f_n, f_prev), gcd(f_n, k))
 
 
@@ -48,8 +59,7 @@ def fib_triangle(k: int, n: int) -> RationalTriangleParams:
     """Reciprocal-leg triangle with u = F_n(k)/F_{n-1}(k); needs n >= 2."""
     if n < 2:
         raise ValueError("need n >= 2 so that F_{n-1} >= 1")
-    f_prev, f_n = k_fib(k, n - 1), k_fib(k, n)
-    return RationalTriangleParams(f_prev, f_n, f_n, f_prev)
+    return reciprocal_params(*next(fib_pairs(k, n)))
 
 
 def a_sequence(n: int) -> int:

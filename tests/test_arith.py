@@ -249,6 +249,19 @@ def test_order_is_consistent_with_difference_sign(data, d):
     assert (x < y) or (x == y) or (x > y)
 
 
+@given(quads(), st.one_of(st.integers(-60, 60), fractions), st.booleans())
+@example(QuadNumber(3), 3, True)
+@example(QuadNumber(Fraction(1, 2)), Fraction(1, 2), False)
+def test_order_against_ints_and_fractions_on_both_sides(x, y, rational):
+    # <=, > and >= come from __lt__ and equality (total_ordering), and an int
+    # or a Fraction on the left reaches them reflected
+    if rational:
+        x = QuadNumber(x.a)
+    sign = (x - y).sign()
+    assert [x < y, x <= y, x > y, x >= y] == [sign < 0, sign <= 0, sign > 0, sign >= 0]
+    assert [y < x, y <= x, y > x, y >= x] == [sign > 0, sign >= 0, sign < 0, sign <= 0]
+
+
 @given(quads())
 @settings(max_examples=60)
 def test_sign_matches_scaled_isqrt(x):

@@ -301,6 +301,21 @@ def test_fib_writes_a_value_past_the_default_int_digit_limit():
     assert value == sequences.k_fib(3, 8289) and len(str(value)) == 4301
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 30), st.integers(1, 40), st.booleans())
+def test_fib_rows_of_one_walk_match_each_n_alone(k, start, rows, triangle):
+    start = max(start, 2) if triangle else start
+    ns = range(start, start + rows)
+    code, out, err = _run_in_process(["fib", "--k", str(k), "--n", f"{ns[0]}..{ns[-1]}",
+                                      *(["--triangle"] if triangle else [])])
+    assert (code, err) == (0, "")
+    want = [{"k": k, "n": n, "value": sequences.k_fib(k, n)} for n in ns]
+    if triangle:
+        for record, n in zip(want, ns):
+            record["params"] = sequences.fib_triangle(k, n).to_json_dict()
+    assert [json.loads(line) for line in out.splitlines()] == want
+
+
 def test_tetra_subcommand():
     records = json_lines(run_cli("tetra", "--n", "1", "--t", "0..3"))
     assert [r["count"] for r in records] == [1, 4, 10, 20]

@@ -328,6 +328,29 @@ def test_the_dilation_gate_holds_a_batch_of_the_limit_and_refuses_one_more(monke
             count(obj, range(10 ** 30))
 
 
+def test_a_stepped_range_is_sized_before_it_is_listed(monkeypatch):
+    simplex = AxisSimplex(tuple(QuadNumber(Fraction(leg)) for leg in ("1/2", "10/3", "3/5")))
+    calls = ((counting.count_triangle_many, GOLDEN), (counting.count_axis_simplex_many, simplex))
+    want = [[count(obj, [t])[0] for t in range(0, 10, 2)] for count, obj in calls]
+    limit = counting.MAX_CERTIFICATE_COUNTS
+    monkeypatch.setattr(counting, "MAX_CERTIFICATE_COUNTS", 5)
+    assert [count(obj, range(0, 10, 2)) for count, obj in calls] == want
+
+    def no_list(t):
+        raise AssertionError("listed a range past the limit")
+
+    monkeypatch.setattr(counting, "exact_int", no_list)
+    for count, obj in calls:
+        with pytest.raises(EhrcollapseError,
+                           match="^6 counts held at once are more than the limit of 5$"):
+            count(obj, range(0, 12, 2))
+    monkeypatch.setattr(counting, "MAX_CERTIFICATE_COUNTS", limit)
+    for count, obj in calls:  # 10^30 / 7 t, rounded up, past 2^63
+        with pytest.raises(EhrcollapseError,
+                           match=f"^{-(-10 ** 30 // 7)} counts held at once"):
+            count(obj, range(10 ** 30, 0, -7))
+
+
 def test_asymptotic_deficit_shrinks():
     coarse = counting.asymptotic_deficit(SQRT2_PAIR, 100)
     fine = counting.asymptotic_deficit(SQRT2_PAIR, 10_000)

@@ -196,9 +196,35 @@ def test_certificate_checks_the_run_independently(monkeypatch, obj, broken):
     TrianglePair(quad_sqrt(2), quad_sqrt(3)),  # no identity
 ])
 def test_period_certificates_refuse_triangle_pairs(obj):
+    # a pair with a two-shift identity certifies as its parameters or its
+    # admissible pair, in either leg order; a strip or no identity is refused
+    reference = {
+        TrianglePair(Fraction(3, 2), Fraction(2, 3)): RationalTriangleParams(2, 3, 3, 2),
+        AdmissiblePair(3, 3).triangle(): AdmissiblePair(3, 3),
+    }.get(obj)
+    for pair in (obj, obj.swapped()):
+        if reference is not None:
+            assert certified_period(pair) == certified_period(reference)
+            assert minimal_period(pair) == minimal_period(reference)
+            continue
+        for certify in (certified_period, minimal_period):
+            with pytest.raises(EhrcollapseError, match=r"^period needs rational legs, or legs"
+                               r" with integer u \+ v and 1/u \+ 1/v$"):
+                certify(pair)
     for certify in (certified_period, minimal_period):
         with pytest.raises(TypeError):
-            certify(obj)
+            certify(object())
+
+
+def test_pairs_certify_as_their_parameters_and_admissible_pairs():
+    objs = [*iter_lowest_term_params(4),
+            *(AdmissiblePair(a, b) for a in range(1, 7) for b in range(1, 7) if a * b >= 5)]
+    assert len(objs) == 121 + 28
+    for obj in objs:
+        pair = obj.triangle()
+        want = minimal_period(obj)
+        assert minimal_period(TrianglePair(pair.u, pair.v)) == want, obj
+        assert minimal_period(pair.swapped()) == want, obj
 
 
 def _assert_matches_the_divisor_scan(obj):
