@@ -280,15 +280,42 @@ def _cmd_check(args, parser, emit) -> int:
 _SEARCH_KEYS = ("params", "denominator", "minimal_period", "criterion_predicted", "collapse")
 
 
-def _search_row(check, certified_period, params) -> tuple:
-    """The values of one search record, in the order of _SEARCH_KEYS; check is
-    the collapse criterion."""
-    report = check(params)
-    period = certified_period(params)
-    denom = params.denominator
-    if denom % period != 0:
-        raise AssertionError(f"minimal period {period} does not divide {denom}")
-    return (params.to_json_dict(), denom, period, report.holds, period < denom)
+def _twin_order(pqrs, bounds) -> int:
+    """Where the leg-swapped twin (r, s, p, q) of the tuple pqrs comes in the
+    lexicographic walk iter_lowest_term_tuples(*bounds): -1 before pqrs,
+    1 after it, 0 when the twin is pqrs itself or lies outside the box.  The
+    twin is the same triangle reflected across the diagonal, so it has the
+    same counts and the same minimal period."""
+    p, q, r, s = pqrs
+    max_p, max_q, max_r, max_s = bounds
+    if r > max_p or s > max_q or p > max_r or q > max_s:
+        return 0
+    return ((r, s) > (p, q)) - ((r, s) < (p, q))
+
+
+def _search_rows(tuples, bounds, periods, check):
+    """The values of each search record, in the order of _SEARCH_KEYS.
+
+    tuples is the walk iter_lowest_term_tuples(*bounds); periods yields the
+    certified period of each of its tuples whose twin does not come earlier,
+    in walk order; check is the collapse criterion.  A tuple whose twin
+    comes later stores its period until the twin takes it."""
+    params_of = _package.polytopes.RationalTriangleParams
+    waiting = {}  # (p, q, r, s) -> the period its twin (r, s, p, q) will take
+    for pqrs in tuples:
+        order = _twin_order(pqrs, bounds)
+        if order < 0:
+            p, q, r, s = pqrs
+            period = waiting.pop((r, s, p, q))
+        else:
+            period = next(periods)
+            if order > 0:
+                waiting[pqrs] = period
+        params = params_of(*pqrs)
+        denom = params.denominator
+        if denom % period != 0:
+            raise AssertionError(f"minimal period {period} does not divide {denom}")
+        yield (params.to_json_dict(), denom, period, check(params).holds, period < denom)
 
 
 def _cmd_search(args, parser, emit) -> int:
@@ -300,20 +327,26 @@ def _cmd_search(args, parser, emit) -> int:
     )
     if any(b is None for b in bounds):
         parser.error("give --bound or all of --max-p/--max-q/--max-r/--max-s")
-    tuples = _package.polytopes.iter_lowest_term_params(*bounds)
-    # the row's modules load here, before any pool forks, for its workers to inherit
-    row = functools.partial(_search_row, _package.criteria.check_collapse_criterion,
-                            _package.quasipoly.certified_period)
-    if args.jobs > 1:
+    polytopes = _package.polytopes
+    walk = polytopes.iter_lowest_term_tuples
+    needed = (polytopes.RationalTriangleParams(*t)
+              for t in walk(*bounds) if _twin_order(t, bounds) >= 0)
+    # quasipoly loads here, before any pool forks, for its workers to inherit
+    certify = _package.quasipoly.certified_period
+    check = _package.criteria.check_collapse_criterion
+
+    def write(periods) -> int:
+        for values in _search_rows(walk(*bounds), bounds, periods, check):
+            emit(_SEARCH_KEYS, [values])
+        return 0
+
+    jobs = min(args.jobs, os.cpu_count() or 1)  # the output is the same for any jobs
+    if jobs > 1:
         import multiprocessing  # here, so that no other command pays for it at start-up
 
-        with multiprocessing.Pool(args.jobs) as pool:
-            for values in pool.imap(row, tuples, chunksize=32):
-                emit(_SEARCH_KEYS, [values])
-    else:
-        for params in tuples:
-            emit(_SEARCH_KEYS, [row(params)])
-    return 0
+        with multiprocessing.Pool(jobs) as pool:
+            return write(pool.imap(certify, needed, chunksize=32))
+    return write(map(certify, needed))
 
 
 # -- fib / tetra ----------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import starmap
 from math import gcd, lcm
 from typing import Callable, Optional, Union
 
@@ -340,23 +341,26 @@ def iter_admissible_pairs(product_max: int):
                 yield AdmissiblePair(alpha, beta)
 
 
-def iter_lowest_term_params(
+def iter_lowest_term_tuples(
     max_p: int,
     max_q: Optional[int] = None,
     max_r: Optional[int] = None,
     max_s: Optional[int] = None,
 ):
     """All lowest-term (p, q, r, s) with p <= max_p, q <= max_q, r <= max_r and
-    s <= max_s, lexicographic; a bound left out is max_p."""
+    s <= max_s, as tuples of ints, lexicographic; a bound left out is max_p."""
     max_q, max_r, max_s = (max_p if b is None else b for b in (max_q, max_r, max_s))
+    rs = [(r, s) for r in range(1, max_r + 1) for s in range(1, max_s + 1) if gcd(r, s) == 1]
     for p in range(1, max_p + 1):
         for q in range(1, max_q + 1):
-            if gcd(p, q) != 1:
-                continue
-            for r in range(1, max_r + 1):
-                for s in range(1, max_s + 1):
-                    if gcd(r, s) == 1:
-                        yield RationalTriangleParams(p, q, r, s)
+            if gcd(p, q) == 1:
+                for r, s in rs:
+                    yield p, q, r, s
+
+
+def iter_lowest_term_params(*bounds):
+    """The RationalTriangleParams of iter_lowest_term_tuples(*bounds), in its order."""
+    return starmap(RationalTriangleParams, iter_lowest_term_tuples(*bounds))
 
 
 def scales_to_admissible(alpha_sum: Fraction, beta_sum: Fraction) -> bool:

@@ -2,10 +2,12 @@
 
 import ast
 import contextlib
+import functools
 import hashlib
 import importlib.util
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -20,9 +22,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ehrcollapse import cli, counting, sequences
+from ehrcollapse import cli, counting, quasipoly, sequences
 from ehrcollapse.arith import parse_quad
-from ehrcollapse.polytopes import TrianglePair, is_admissible, iter_lowest_term_params
+from ehrcollapse.polytopes import (
+    RationalTriangleParams,
+    TrianglePair,
+    is_admissible,
+    iter_lowest_term_params,
+)
 
 BASE = [sys.executable, "-m", "ehrcollapse"]
 
@@ -279,6 +286,112 @@ def test_search_csv_header():
     lines = run_cli("search", "--bound", "1", "--format", "csv").stdout.splitlines()
     assert lines[0] == "p,q,r,s,denominator,minimal_period,criterion_predicted,collapse"
     assert lines[1] == "1,1,1,1,1,1,true,false"
+
+
+# boxes (max p, max q, max r, max s): one square, and two that are not with
+# their mirrors, where only some tuples have their leg-swapped twin in the box
+REUSE_BOXES = ((5, 5, 5, 5), (3, 8, 7, 5), (7, 5, 3, 8), (8, 4, 2, 7), (2, 7, 8, 4))
+
+
+def _box_argv(box):
+    return ["search", "--max-p", str(box[0]), "--max-q", str(box[1]),
+            "--max-r", str(box[2]), "--max-s", str(box[3])]
+
+
+@functools.cache
+def _own_period(p, q, r, s, certify=quasipoly.certified_period):
+    """The certified period of the one tuple, with no twin to lend it."""
+    return certify(RationalTriangleParams(p, q, r, s))
+
+
+def _periods_not_its_own(stdout, box):
+    """The tuples of a search record whose period is not their own certificate."""
+    records = [json.loads(line) for line in stdout.splitlines()]
+    tuples = [tuple(r["params"].values()) for r in records]
+    assert tuples == [(p, q, r, s) for p in range(1, box[0] + 1) for q in range(1, box[1] + 1)
+                      for r in range(1, box[2] + 1) for s in range(1, box[3] + 1)
+                      if gcd(p, q) == gcd(r, s) == 1]
+    return [t for t, r in zip(tuples, records) if r["minimal_period"] != _own_period(*t)]
+
+
+def _certified_search(monkeypatch, argv, certify=quasipoly.certified_period):
+    """search run in process with every certificate through certify; returns
+    its stdout and the number of certificates."""
+    calls = []
+    monkeypatch.setattr(quasipoly, "certified_period",
+                        lambda params: calls.append(params) or certify(params))
+    code, out, err = _run_in_process(argv)
+    assert (code, err) == (0, "")
+    return out, len(calls)
+
+
+@pytest.mark.parametrize("box", REUSE_BOXES)
+def test_search_reuses_a_period_only_from_its_twin(monkeypatch, box):
+    serial, _ = _certified_search(monkeypatch, _box_argv(box))
+    assert _periods_not_its_own(serial, box) == []
+    pooled = run_cli(*_box_argv(box), "--jobs", "2").stdout
+    assert pooled == serial
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["search", "--bound", "5"], 190),
+    (["search", "--bound", "8"], 946),
+    (_box_argv((3, 8, 7, 5)), 402),
+])
+def test_search_certifies_each_triangle_once(monkeypatch, argv, calls):
+    """361, 1849 and 468 tuples: a tuple whose twin came earlier is not certified."""
+    assert _certified_search(monkeypatch, argv)[1] == calls
+
+
+def test_a_wrong_stored_period_fails_the_reuse_check(monkeypatch):
+    """(1, 2, 2, 1) is certified and stores its period 1 for its twin
+    (2, 1, 1, 2).  One too large, 2 still divides the denominator 2, and
+    both records, the twin's taken from the store, differ from their own
+    certificate.  (1, 1, 2, 1) stores 1 for denominator 1; one too large
+    fails the divisibility check."""
+    def off_by_one_at(wrong):
+        certify = quasipoly.certified_period
+        return lambda params: certify(params) + (params.to_json_dict() == wrong)
+
+    box = (2, 2, 2, 2)
+    assert cli._twin_order((1, 2, 2, 1), box) == 1
+    stdout, _ = _certified_search(monkeypatch, _box_argv(box),
+                                  off_by_one_at({"p": 1, "q": 2, "r": 2, "s": 1}))
+    assert _periods_not_its_own(stdout, box) == [(1, 2, 2, 1), (2, 1, 1, 2)]
+    monkeypatch.undo()
+    with pytest.raises(AssertionError, match="minimal period 2 does not divide 1"):
+        _certified_search(monkeypatch, _box_argv(box),
+                          off_by_one_at({"p": 1, "q": 1, "r": 2, "s": 1}))
+
+
+def test_search_starts_no_more_workers_than_cpus(monkeypatch):
+    """A pool of any size gives the same output; the stand-in pool records its
+    size and runs the certificates in process, so no worker starts."""
+    import multiprocessing
+
+    sizes = []
+
+    class Pool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(multiprocessing, "Pool", Pool)
+    serial = _run_in_process(["search", "--bound", "3"])
+    for jobs, cpus, started in (("5000", 3, [3]), ("2", 3, [2]), ("5000", 1, []),
+                                ("5000", None, [])):
+        sizes.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert _run_in_process(["search", "--bound", "3", "--jobs", jobs]) == serial
+        assert sizes == started
 
 
 # -- fib / tetra ---------------------------------------------------------------------
