@@ -169,7 +169,13 @@ def _cmd_count(args, parser, emit) -> int:
     ]
     if sum(shapes) != 1:
         parser.error("give exactly one polytope")
+    if args.closed_form and args.alpha is None:  # no other polytope has the closed form
+        parser.error("--closed-form needs --alpha/--beta")
+    if args.interior and not shapes[-1]:  # the last shape is the triangle
+        parser.error("--interior needs --params, --alpha/--beta or --u/--v")
     if args.vertices is not None:
+        if args.t is not None:
+            parser.error("--vertices counts once and takes no --t")
         tri = polytopes.RationalTriangle2D(tuple(args.vertices))
         emit(("count",), [(counting.count_rational_triangle2d(tri),)])
         return 0
@@ -188,8 +194,6 @@ def _cmd_count(args, parser, emit) -> int:
         columns.append(counting.count_rational_triangle2d(image(args.mw_image, t)) for t in args.t)
     else:
         obj = _triangle_object(args, parser)
-        if args.closed_form and not isinstance(obj, polytopes.AdmissiblePair):
-            parser.error("--closed-form needs --alpha/--beta")
         columns.append(counting.count_triangle_many(obj, args.t))
         if args.interior:
             keys.append("interior")
@@ -397,6 +401,9 @@ def _cmd_tetra(args, parser, emit) -> int:
 def _cmd_guess_rec(args, parser, emit) -> int:
     precursive = _package.precursive
     if args.values is not None:
+        unread = (args.t_max, args.params, args.alpha, args.beta, args.u, args.v)
+        if any(x is not None for x in unread):
+            parser.error("--values takes no --t-max, --params, --alpha/--beta or --u/--v")
         values: list = [parse_fraction(x) for x in args.values.split(",")]
     else:
         obj = _triangle_object(args, parser)
@@ -418,11 +425,11 @@ def _cmd_verify(args, parser, emit) -> int:
 
     results = verify.run_suite(args.suite)
     failed = 0
-    for res in results:
-        record = {"suite": res.suite, "check": res.name, "pass": res.passed}
-        if not res.passed:
+    for suite, check, counterexample in results:
+        record = {"suite": suite, "check": check, "pass": counterexample is None}
+        if counterexample is not None:
             failed += 1
-            record["counterexample"] = res.detail
+            record["counterexample"] = counterexample
         emit(record.keys(), [tuple(record.values())])
     emit(("checks", "failed"), [(len(results), failed)])
     return 1 if failed else 0

@@ -11,6 +11,7 @@ quantities use integer square roots, never floating point.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
@@ -45,25 +46,25 @@ def _as_pair(obj: TriangleLike) -> TrianglePair:
     raise TypeError(f"expected a triangle-like object, got {type(obj).__name__}")
 
 
-def _dilations(ts: Iterable[int]) -> tuple[Sequence[int], bool]:
-    """ts as dilation factors, and whether each t is one more than the last.
-
-    A range of step 1 passes as it is; any other ts becomes a list of
-    exact_int(t), so a float, a bool or a Fraction raises TypeError.  A batch
-    of more than MAX_CERTIFICATE_COUNTS t raises EhrcollapseError before any
-    count, and a range of any step before it is listed.
+def _dilations(ts: Iterable[int]) -> Sequence[int]:
+    """ts as dilation factors: a range of step 1 as it is, any other ts listed
+    through exact_int (a float, a bool or a Fraction raises TypeError), and a
+    list of two or more consecutive ascending t as the equal range, so every
+    run longer than one t is a range (a list of one t, the batch of each per-t
+    caller, is not compared).  More than MAX_CERTIFICATE_COUNTS t raise
+    EhrcollapseError before any count, and a range before it is listed.
     """
-    is_run = isinstance(ts, range) and ts.step == 1
-    if not is_run:
-        if isinstance(ts, range):  # sized before it is listed: ceil((stop - start)/step) t
-            _check_size(-((ts.start - ts.stop) // ts.step))
+    if isinstance(ts, range):  # sized before it is listed: ceil((stop - start)/step) t
+        _check_size(-((ts.start - ts.stop) // ts.step))
+    if not isinstance(ts, range) or ts.step != 1:
         ts = [exact_int(t) for t in ts]
-        is_run = len(ts) < 2 or ts == list(range(ts[0], ts[0] + len(ts)))
-    if ts and (ts[0] if is_run else min(ts)) < 0:
+        _check_size(len(ts))
+        run = range(ts[0], ts[0] + len(ts)) if len(ts) > 1 else None
+        if run and all(map(operator.eq, ts, run)):
+            ts = run
+    if ts and (ts[0] if isinstance(ts, range) else min(ts)) < 0:
         raise ValueError("dilation factors must be >= 0")
-    # len() of a range fails past 2^63 t
-    _check_size(ts.stop - ts.start if isinstance(ts, range) else len(ts))
-    return ts, is_run
+    return ts
 
 
 def _check_size(size: int) -> None:
@@ -144,26 +145,26 @@ def count_triangle(obj: TriangleLike, t: int) -> int:
 def count_triangle_many(obj: TriangleLike, ts: Iterable[int]) -> list[int]:
     """Batch version of count_triangle; one exact count per t.
 
-    When ts is a contiguous ascending run a, a + 1, ... longer than 2n + m,
-    for legs with a translate identity (n, m, step) (TrianglePair.translate,
-    not built for runs of one or two t), its first n + m counts are floor
-    sums, the identity gives the rest, and floor sums of its last n counts
-    must match them (EhrcollapseError otherwise).  The identity is linear
-    with non-negative coefficients, so an error at any one t reaches the
-    count at t + a*n, the last one of its residue class mod n.  n is the
-    smaller shift: one closing floor sum for an admissible pair, min(q, s)
-    for rational legs; a strip (m = 0) takes runs of STRIP_CHUNK t per call.
-    Every other ts is one floor sum per t.  The counts are held all at once,
-    so more than MAX_CERTIFICATE_COUNTS t raise EhrcollapseError before any.
+    When ts is a run a, a + 1, ... (_dilations gives every run as a range)
+    longer than 2n + m, for legs with a translate identity (n, m, step)
+    (TrianglePair.translate, not built for runs of one or two t), its first
+    n + m counts are floor sums, the identity gives the rest, and floor sums
+    of its last n counts must match them (EhrcollapseError otherwise).  The
+    identity is linear with non-negative coefficients, so an error at any one
+    t reaches the count at t + a*n, the last one of its residue class mod n.
+    n is the smaller shift: one closing floor sum for an admissible pair,
+    min(q, s) for rational legs; a strip (m = 0) takes runs of STRIP_CHUNK t
+    per call.  Every other ts is one floor sum per t.  Only the counts are
+    held: more than MAX_CERTIFICATE_COUNTS t raise EhrcollapseError before any.
     """
     pair = _as_pair(obj)
-    ts, is_run = _dilations(ts)
-    d, identity = pair.slopes[1], is_run and len(ts) > 2 and pair.translate
+    ts = _dilations(ts)
+    d, identity = pair.slopes[1], isinstance(ts, range) and len(ts) > 2 and pair.translate
     if not identity or len(ts) <= 2 * identity[0] + identity[1]:
-        return _count_below(pair, [(t, 0, 1) for t in ts], d)
+        return _count_below(pair, ((t, 0, 1) for t in ts), d)
     n, m, step = identity
     seeds = n + m
-    counts = _count_below(pair, [(t, 0, 1) for t in ts[:seeds]], d)
+    counts = _count_below(pair, ((t, 0, 1) for t in ts[:seeds]), d)
     if m:
         for i in range(seeds, len(ts)):
             counts.append(counts[i - n] + counts[i - m] - counts[i - seeds] + step)
@@ -171,7 +172,7 @@ def count_triangle_many(obj: TriangleLike, ts: Iterable[int]) -> list[int]:
         for lo in range(ts[n], ts[-1] + 1, STRIP_CHUNK):
             for strip in step(range(lo, min(lo + STRIP_CHUNK, ts[-1] + 1))):
                 counts.append(counts[-n] + strip)
-    if _count_below(pair, [(t, 0, 1) for t in ts[-n:]], d) != counts[-n:]:
+    if _count_below(pair, ((t, 0, 1) for t in ts[-n:]), d) != counts[-n:]:
         raise EhrcollapseError(f"the counts of {pair} break its translate identity")
     return counts
 
@@ -183,7 +184,7 @@ def count_triangle_interior(obj: TriangleLike, t: int) -> int:
     holds ceil((t - u*x)/v) - 1 = -floor(theta*x - t/v) - 1 points.
     """
     pair = _as_pair(obj)
-    (t,), _ = _dilations((t,))
+    (t,) = _dilations((t,))
     ((s0, s1, c), (u0, u1, uc), (v0, v1, _)), d = pair.slopes
     x_top = -floor_surd(-t * u0, -t * u1, uc, d) - 1
     if x_top <= 0:
@@ -216,9 +217,9 @@ def count_axis_simplex_many(simplex: AxisSimplex, ts: Iterable[int]) -> list[int
     member of the last chains, and each level reads its counts back as prefix
     sums along its chains, r at its own k.  A simplex of one leg counts k + 1.
     """
-    ts, _ = _dilations(ts)
+    ts = _dilations(ts)
     steps, c, d = simplex.walk
-    rems, levels = [(t * c, 0) for t in ts], []
+    rems, levels = ((t * c, 0) for t in ts), []
     for l0, l1, lc, s0, s1 in steps:
         chains, reads = {}, []
         for a, b in rems:
@@ -241,7 +242,7 @@ def count_axis_simplex_many(simplex: AxisSimplex, ts: Iterable[int]) -> list[int
 
 def count_interval(interval: Interval, t: int) -> int:
     """Number of integers in [t*lo, t*hi]: floor(t*hi) - ceil(t*lo) + 1."""
-    (t,), _ = _dilations((t,))
+    (t,) = _dilations((t,))
     ((l0, l1, lc), (h0, h1, hc)), d = interval.triples
     return floor_surd(t * h0, t * h1, hc, d) + floor_surd(-t * l0, -t * l1, lc, d) + 1
 

@@ -9,7 +9,6 @@ are deterministic: random sampling uses a fixed seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd
@@ -31,17 +30,6 @@ from .polytopes import (
 )
 
 SEED = 20260815
-
-
-@dataclass
-class CheckResult:
-    suite: str
-    name: str
-    detail: Optional[dict] = None  # the first counterexample
-
-    @property
-    def passed(self) -> bool:
-        return self.detail is None
 
 
 def _random_quad(rng: random.Random) -> QuadNumber:
@@ -474,14 +462,15 @@ _SUITE_CHECKS: dict[str, list[tuple[str, Callable[[], Iterator[dict]]]]] = {
 SUITES = list(_SUITE_CHECKS) + ["all"]
 
 
-def run_suite(name: str) -> list[CheckResult]:
-    """Run one suite (or 'all') and return the outcome of every check: its
-    first counterexample, or None when it yields none."""
+def run_suite(name: str) -> list[tuple[str, str, Optional[dict]]]:
+    """Run one suite (or 'all') and return a row (suite, check, outcome) for
+    every check: the outcome is its first counterexample, or None when it
+    yields none."""
     if name == "all":
         names = list(_SUITE_CHECKS)
     elif name in _SUITE_CHECKS:
         names = [name]
     else:
         raise EhrcollapseError(f"unknown suite {name!r}; choose from {SUITES}")
-    return [CheckResult(suite, check_name, next(check(), None))
+    return [(suite, check_name, next(check(), None))
             for suite in names for check_name, check in _SUITE_CHECKS[suite]]

@@ -1136,6 +1136,27 @@ def test_help_and_an_argv_without_a_command_parse_as_before(argv):
      "ehrcollapse search: error: give --bound or all of --max-p/--max-q/--max-r/--max-s"),
     (["guess-rec", "--alpha", "3", "--beta", "3", "--max-order", "0", "--max-degree", "0"],
      "ehrcollapse guess-rec: error: counting input needs --t-max"),
+    (["count", "--params", "2,3,3,2", "--t", "0..2", "--closed-form"],
+     "ehrcollapse count: error: --closed-form needs --alpha/--beta"),
+    (["count", "--legs", "1/2", "2", "--t", "0..2", "--interior"],
+     "ehrcollapse count: error: --interior needs --params, --alpha/--beta or --u/--v"),
+    (["count", "--interval", "0,1,2", "3,1,2", "--t", "0..2", "--closed-form"],
+     "ehrcollapse count: error: --closed-form needs --alpha/--beta"),
+    (["count", "--vertices", "0,0", "1,0", "0,1", "--interior"],
+     "ehrcollapse count: error: --interior needs --params, --alpha/--beta or --u/--v"),
+    (["count", "--vertices", "0,0", "1,0", "0,1", "--closed-form"],
+     "ehrcollapse count: error: --closed-form needs --alpha/--beta"),
+    (["count", "--mw-image", "2", "--t", "0..2", "--interior"],
+     "ehrcollapse count: error: --interior needs --params, --alpha/--beta or --u/--v"),
+    (["count", "--mw-image", "2", "--t", "0..2", "--closed-form"],
+     "ehrcollapse count: error: --closed-form needs --alpha/--beta"),
+    (["count", "--vertices", "0,0", "1,0", "0,1", "--t", "5"],
+     "ehrcollapse count: error: --vertices counts once and takes no --t"),
+    (["guess-rec", "--values", "1,2,3", "--t-max", "5", "--max-order", "0", "--max-degree", "0"],
+     "ehrcollapse guess-rec: error: --values takes no --t-max, --params, --alpha/--beta or --u/--v"),
+    (["guess-rec", "--values", "1,2,3", "--alpha", "3", "--beta", "3", "--max-order", "0",
+      "--max-degree", "0"],
+     "ehrcollapse guess-rec: error: --values takes no --t-max, --params, --alpha/--beta or --u/--v"),
 ])
 def test_a_command_reports_its_own_errors_under_its_own_usage(argv, usage):
     code, out, err = _run_in_process(argv)

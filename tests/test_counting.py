@@ -1,6 +1,7 @@
 """Lattice-point counters vs independent oracles and frozen known values."""
 
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 import oracles
 from ehrcollapse import counting
-from ehrcollapse.arith import EhrcollapseError, QuadNumber, RadicandMismatchError, quad_sqrt
+from ehrcollapse.arith import (EhrcollapseError, QuadNumber, RadicandMismatchError, parse_quad,
+                              quad_sqrt)
 from ehrcollapse.polytopes import (
     AdmissiblePair,
     AxisSimplex,
@@ -349,6 +351,20 @@ def test_a_stepped_range_is_sized_before_it_is_listed(monkeypatch):
         with pytest.raises(EhrcollapseError,
                            match=f"^{-(-10 ** 30 // 7)} counts held at once"):
             count(obj, range(10 ** 30, 0, -7))
+
+
+def test_a_batch_of_per_t_floor_sums_holds_only_its_counts():
+    # the rational leg has r = 9 floors per t, more than a strip takes: no identity
+    pair = TrianglePair(parse_quad("0,1,1000000007"), Fraction(1, 9))
+    assert pair.translate is None
+    tracemalloc.start()
+    try:
+        counts = counting.count_triangle_many(pair, range(20000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 20000 counts take about 0.8 MB; a list of every t beside them would pass 1.5 MB
+    assert len(counts) == 20000 and peak < 1.5e6
 
 
 def test_asymptotic_deficit_shrinks():

@@ -147,6 +147,32 @@ def test_translate_runs_of_irrational_triangles_match_per_t_counts(data, pair, a
     assert counting.count_triangle_many(pair.swapped(), run) == per_t
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data(), translate_pairs(), starts)
+def test_a_list_of_consecutive_t_is_counted_as_its_range(data, pair, a):
+    """A list a, a + 1, ... makes the floor-sum calls of the equal range: n + m
+    seeds, then n closing sums; a list with a gap, or out of order, is one
+    call of a floor sum per t."""
+    n, m, _ = pair.translate
+    run = range(a, a + data.draw(st.integers(2 * n + m + 1, 4 * n + 2 * m + 12)))
+    gap = data.draw(st.integers(1, len(run) - 1))
+    calls, count_below = [], counting._count_below
+
+    def recorded(pair, ts, d):
+        ts = list(ts)
+        calls.append(len(ts))
+        return count_below(pair, ts, d)
+
+    gapped = [t + (t >= a + gap) for t in run]
+    want, want_gapped = ([counting.count_triangle(pair, t) for t in ts] for ts in (run, gapped))
+    with patch.object(counting, "_count_below", recorded):
+        assert counting.count_triangle_many(pair, run) == want
+        assert counting.count_triangle_many(pair, list(run)) == want
+        assert counting.count_triangle_many(pair, gapped) == want_gapped
+        assert counting.count_triangle_many(pair, list(run)[::-1]) == want[::-1]
+    assert calls == [n + m, n, n + m, n, len(run), len(run)]
+
+
 class StepOffAt(int):
     """A constant identity step that is off by error at its k-th use alone."""
 
