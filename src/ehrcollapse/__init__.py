@@ -13,12 +13,10 @@ _EXPORTS = {  # submodule -> the public names it defines
                 " count_axis_simplex_many count_interval count_rational_triangle2d"
                 " count_triangle count_triangle_interior count_triangle_many",
     "criteria": "CriterionReport check_collapse_criterion check_pseudo_integral_criterion"
-                " check_reciprocal_criterion classify_admissible reciprocal_params"
-                " solve_beta_equation",
-    "linalg": "",
+                " check_reciprocal_criterion classify_admissible solve_beta_equation",
     "polytopes": "AdmissiblePair AxisSimplex Interval NotIrrationalError RationalTriangle2D"
                  " RationalTriangleParams TrianglePair mcallister_woods_image"
-                 " mcallister_woods_pair scales_to_admissible",
+                 " mcallister_woods_pair reciprocal_params scales_to_admissible",
     "precursive": "InsufficientDataError Recurrence guess_recurrence verify_recurrence",
     "quasipoly": "FitFailureError InsufficientSamplesError Quasipolynomial ReciprocityReport"
                  " certified_period fit_quasipolynomial minimal_period reciprocity_report"

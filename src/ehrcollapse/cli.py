@@ -136,14 +136,13 @@ def _triangle_object(args, parser):
     ]
     if sum(chosen) != 1:
         parser.error("give exactly one of --params, --alpha/--beta, --u/--v")
+    for flag, other in (("alpha", "beta"), ("beta", "alpha"), ("u", "v"), ("v", "u")):
+        if getattr(args, flag) is not None and getattr(args, other) is None:
+            parser.error(f"--{flag} requires --{other}")
     if args.params is not None:
         return args.params
     if args.alpha is not None:
-        if args.beta is None:
-            parser.error("--alpha requires --beta")
         return _package.polytopes.AdmissiblePair(args.alpha, args.beta)
-    if args.u is None or args.v is None:
-        parser.error("--u requires --v")
     return _package.polytopes.TrianglePair(args.u, args.v)
 
 
@@ -165,11 +164,11 @@ def _cmd_count(args, parser, emit) -> int:
         args.interval is not None,
         args.vertices is not None,
         args.mw_image is not None,
-        args.params is not None or args.alpha is not None or args.u is not None,
+        (args.params, args.alpha, args.beta, args.u, args.v) != (None,) * 5,
     ]
     if sum(shapes) != 1:
         parser.error("give exactly one polytope")
-    if args.closed_form and args.alpha is None:  # no other polytope has the closed form
+    if args.closed_form and (args.alpha, args.beta) == (None, None):  # no other has the form
         parser.error("--closed-form needs --alpha/--beta")
     if args.interior and not shapes[-1]:  # the last shape is the triangle
         parser.error("--interior needs --params, --alpha/--beta or --u/--v")
@@ -246,33 +245,39 @@ def _cmd_period(args, parser, emit) -> int:
 # -- check -------------------------------------------------------------------
 
 
+# each criterion and the flags it reads, all of them needed but beta-equation's --bound
+_CRITERIA = {"collapse": "params", "pseudo-integral": "params", "reciprocal": "p q",
+             "classify": "alpha beta", "beta-equation": "bound"}
+
+
 def _cmd_check(args, parser, emit) -> int:
     criteria = _package.criteria
-    kind = args.criterion
+    kind, reads = args.criterion, _CRITERIA[args.criterion].split()
+    if kind != "beta-equation" and any(getattr(args, flag) is None for flag in reads):
+        parser.error(f"--criterion {kind} needs " + " and ".join(f"--{flag}" for flag in reads))
+    unread = [f"--{flag}" for flag in dict.fromkeys(" ".join(_CRITERIA.values()).split())
+              if flag not in reads and getattr(args, flag) is not None]
+    if unread:
+        parser.error(f"--criterion {kind} takes no {', '.join(unread)}")
     if kind in ("collapse", "pseudo-integral"):
-        if args.params is None:
-            parser.error(f"--criterion {kind} needs --params")
         fn = (criteria.check_collapse_criterion if kind == "collapse"
               else criteria.check_pseudo_integral_criterion)
         record = fn(args.params).to_json_dict()
         record["params"] = args.params.to_json_dict()
     elif kind == "reciprocal":
-        if args.p is None or args.q is None:
-            parser.error("--criterion reciprocal needs --p and --q")
         record = criteria.check_reciprocal_criterion(args.p, args.q).to_json_dict()
-        record["params"] = criteria.reciprocal_params(args.p, args.q).to_json_dict()
+        record["params"] = _package.polytopes.reciprocal_params(args.p, args.q).to_json_dict()
     elif kind == "classify":
-        if args.alpha is None or args.beta is None:
-            parser.error("--criterion classify needs --alpha and --beta")
         record = {
             "alpha": args.alpha,
             "beta": args.beta,
             "classification": criteria.classify_admissible(args.alpha, args.beta),
         }
     else:  # beta-equation
+        bound = 100 if args.bound is None else args.bound
         record = {
-            "bound": args.bound,
-            "solutions": [list(sol) for sol in criteria.solve_beta_equation(args.bound)],
+            "bound": bound,
+            "solutions": [list(sol) for sol in criteria.solve_beta_equation(bound)],
         }
     emit(record.keys(), [tuple(record.values())])
     return 0
@@ -361,7 +366,7 @@ def _cmd_fib(args, parser, emit) -> int:
         parser.error("--triangle needs n >= 2")
     pairs = zip(args.n, _package.sequences.fib_pairs(args.k, args.n.start))  # one walk
     if args.triangle:
-        params = _package.criteria.reciprocal_params  # fib_triangle's legs F_n/F_{n-1}
+        params = _package.polytopes.reciprocal_params  # fib_triangle's legs F_n/F_{n-1}
         emit(("k", "n", "value", "params"),
              ((args.k, n, f, params(prev, f).to_json_dict()) for n, (prev, f) in pairs))
     else:
@@ -480,15 +485,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_period.set_defaults(fn=_cmd_period)
 
     p_check = subs.add_parser("check", help="divisibility criteria and classification")
-    p_check.add_argument("--criterion", required=True,
-                         choices=("collapse", "pseudo-integral", "reciprocal",
-                                  "classify", "beta-equation"))
+    p_check.add_argument("--criterion", required=True, choices=_CRITERIA)
     p_check.add_argument("--params", type=_parse_params)
     p_check.add_argument("--p", type=int)
     p_check.add_argument("--q", type=int)
     p_check.add_argument("--alpha", type=int)
     p_check.add_argument("--beta", type=int)
-    p_check.add_argument("--bound", type=_positive_int, default=100)
+    p_check.add_argument("--bound", type=_positive_int)
     common(p_check)
     p_check.set_defaults(fn=_cmd_check)
 

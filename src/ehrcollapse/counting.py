@@ -215,8 +215,11 @@ def count_axis_simplex_many(simplex: AxisSimplex, ts: Iterable[int]) -> list[int
     different bottoms are disjoint, so each is kept once, as {bottom: top j},
     for every r and t that reach it.  The final triangle counts once below every
     member of the last chains, and each level reads its counts back as prefix
-    sums along its chains, r at its own k.  A simplex of one leg counts k + 1.
+    sums along its chains, r at its own k.  A simplex of one leg counts k + 1,
+    and one of two legs is its final triangle, counted by count_triangle_many.
     """
+    if simplex.dim == 2:
+        return count_triangle_many(simplex.final_triangle, ts)
     ts = _dilations(ts)
     steps, c, d = simplex.walk
     rems, levels = ((t * c, 0) for t in ts), []

@@ -78,11 +78,6 @@ def check_pseudo_integral_criterion(params: RationalTriangleParams) -> Criterion
     return _report("pseudo-integral", conds, 1, PSEUDO_INTEGRAL_PREDICTED)
 
 
-def reciprocal_params(p: int, q: int) -> RationalTriangleParams:
-    """The triangle with reciprocal legs u = q/p, v = p/q."""
-    return RationalTriangleParams(p, q, q, p)
-
-
 def check_reciprocal_criterion(p: int, q: int) -> CriterionReport:
     """For the reciprocal-leg triangle, q is a quasiperiod if and only if
     p divides q^2 + 1 with gcd((q^2 + 1)/p, p) = 1."""

@@ -308,6 +308,11 @@ class RationalTriangle2D:
         object.__setattr__(self, "vertices", verts)
 
 
+def reciprocal_params(p: int, q: int) -> RationalTriangleParams:
+    """The triangle with reciprocal legs u = q/p, v = p/q."""
+    return RationalTriangleParams(p, q, q, p)
+
+
 def mcallister_woods_pair(p: int) -> RationalTriangleParams:
     """The rational triangle with u = p, v = (p-1)/p; denominator p, period 1."""
     if p < 2:

@@ -31,22 +31,22 @@ that period, once, with fit_quasipolynomial.
 
 fit_quasipolynomial takes the values at t = 0, 1, 2, ..., so residue class z
 lies on the equispaced nodes z, z + P, z + 2P, ...  It scales the values to
-integers once and fits every class at once, level by level on the whole list:
-degree + 1 passes of stride-P differences give each class's Newton forward
-differences at its first node, and the next pass must vanish everywhere,
-which is the same as every further value matching its class's polynomial;
-any mismatch returns None rather than a best-effort answer.  The nested
-Newton form then runs across the classes as list passes, giving integer
-numerators over the one denominator k! P^k times the scale, for k = degree.
-A Quasipolynomial keeps that integer table, reduced by one gcd, and builds
-Fractions only when coeffs is read.
+integers once and fits every class at once, level by level: degree + 1
+levels of stride-P differences, each a stream that holds P values at a time,
+give each class's Newton forward differences at its first node, and the next
+level must vanish everywhere, which is the same as every further value
+matching its class's polynomial; any mismatch returns None rather than a
+best-effort answer.  The nested Newton form then runs across the classes as
+list passes, giving integer numerators over the one denominator k! P^k times
+the scale, for k = degree.  A Quasipolynomial keeps that integer table,
+reduced by one gcd, and builds Fractions only when coeffs is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, tee
 from math import lcm
 from operator import sub
 from typing import Iterable, Optional, Sequence
@@ -127,11 +127,12 @@ def fit_quasipolynomial(
             f"residues {short}..{period - 1} have fewer than {degree + 1} samples"
         )
     diffs, scale = to_integers(values)
-    leads = [diffs[:period]]  # leads[m][z]: Delta_period^m values at t = z
-    for _ in range(degree):
-        diffs = list(map(sub, islice(diffs, period, None), diffs))
-        leads.append(diffs[:period])
-    if any(map(sub, islice(diffs, period, None), diffs)):
+    leads = []  # leads[m][z]: Delta_period^m values at t = z
+    for _ in range(degree + 1):
+        ahead, diffs = tee(diffs)
+        leads.append(list(islice(ahead, period)))
+        diffs = map(sub, ahead, diffs)
+    if any(diffs):
         return None  # Delta_period^(degree+1) is not zero on some residue class
     # nested Newton form of every class at once, times k! period^k for
     # k = degree: acc <- acc * (t - z - m*period) + leads[m] * weight, weight

@@ -14,8 +14,7 @@ from math import gcd
 from typing import Iterator
 
 from .arith import QuadNumber, exact_int
-from .criteria import reciprocal_params
-from .polytopes import AxisSimplex, RationalTriangleParams
+from .polytopes import AxisSimplex, RationalTriangleParams, reciprocal_params
 
 
 def fib_pairs(k: int, start: int = 0) -> Iterator[tuple[int, int]]:

@@ -26,6 +26,7 @@ from .polytopes import (
     iter_lowest_term_params,
     mcallister_woods_image,
     mcallister_woods_pair,
+    reciprocal_params,
     scales_to_admissible,
 )
 
@@ -287,7 +288,7 @@ def _check_reciprocal_iff() -> Iterator[dict]:
             if gcd(p, q) != 1:
                 continue
             report = criteria.check_reciprocal_criterion(p, q)
-            period = quasipoly.certified_period(criteria.reciprocal_params(p, q))
+            period = quasipoly.certified_period(reciprocal_params(p, q))
             if report.holds != (q % period == 0):
                 yield {"p": p, "q": q, "criterion": report.holds, "period": period}
 

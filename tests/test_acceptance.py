@@ -19,6 +19,7 @@ from ehrcollapse.polytopes import (
     iter_lowest_term_params,
     mcallister_woods_image,
     mcallister_woods_pair,
+    reciprocal_params,
     scales_to_admissible,
 )
 
@@ -87,7 +88,7 @@ def test_c05_reciprocal_criterion_iff_to_twelve():
                 if gcd(p, q) != 1:
                     continue
                 holds = criteria.check_reciprocal_criterion(p, q).holds
-                _, period = quasipoly.minimal_period(criteria.reciprocal_params(p, q))
+                _, period = quasipoly.minimal_period(reciprocal_params(p, q))
                 assert holds == (q % period == 0), (p, q)
 
 

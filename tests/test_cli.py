@@ -576,11 +576,13 @@ _COUNT_MODULES = {"arith", "cli", "counting", "polytopes"}
     (["count", "--alpha", "3", "--beta", "3", "--t", "5", "--format", "csv"],
      _COUNT_MODULES | {"csv"}),
     (["guess-rec", "--values", "1,1,2,3,5,8,13,21,34,55,89,144",
-      "--max-order", "2", "--max-degree", "0"], {"arith", "cli", "linalg", "precursive"}),
+      "--max-order", "2", "--max-degree", "0"], {"arith", "cli", "precursive"}),
     (["guess-rec", "--alpha", "3", "--beta", "3", "--t-max", "30", "--max-order", "2",
-      "--max-degree", "0"], _COUNT_MODULES | {"linalg", "precursive"}),
+      "--max-degree", "0"], _COUNT_MODULES | {"precursive"}),
     (["period", "--alpha", "3", "--beta", "3"], _COUNT_MODULES | {"quasipoly"}),
-], ids=["count", "count-csv", "guess-rec", "guess-rec-counts", "period"])
+    (["fib", "--k", "2", "--n", "2..5", "--triangle"], {"arith", "cli", "polytopes", "sequences"}),
+    (["tetra", "--n", "2", "--t", "0..3"], _COUNT_MODULES | {"sequences"}),
+], ids=["count", "count-csv", "guess-rec", "guess-rec-counts", "period", "fib", "tetra"])
 def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
     script = ("import json, sys; from ehrcollapse import cli; code = cli.main(sys.argv[1:]);"
               " print(json.dumps(sorted(sys.modules)), file=sys.stderr); sys.exit(code)")
@@ -1157,6 +1159,16 @@ def test_help_and_an_argv_without_a_command_parse_as_before(argv):
     (["guess-rec", "--values", "1,2,3", "--alpha", "3", "--beta", "3", "--max-order", "0",
       "--max-degree", "0"],
      "ehrcollapse guess-rec: error: --values takes no --t-max, --params, --alpha/--beta or --u/--v"),
+    (["period", "--beta", "3"], "ehrcollapse period: error: --beta requires --alpha"),
+    (["fit", "--v", "3", "--period", "2"], "ehrcollapse fit: error: --v requires --u"),
+    (["count", "--beta", "3", "--t", "1"], "ehrcollapse count: error: --beta requires --alpha"),
+    (["count", "--beta", "3", "--t", "1", "--closed-form"],
+     "ehrcollapse count: error: --beta requires --alpha"),
+    (["check", "--criterion", "collapse", "--params", "2,3,3,2", "--p", "3", "--alpha", "4",
+      "--bound", "7"],
+     "ehrcollapse check: error: --criterion collapse takes no --p, --alpha, --bound"),
+    (["check", "--criterion", "reciprocal", "--p", "2", "--q", "5", "--bound", "3"],
+     "ehrcollapse check: error: --criterion reciprocal takes no --bound"),
 ])
 def test_a_command_reports_its_own_errors_under_its_own_usage(argv, usage):
     code, out, err = _run_in_process(argv)

@@ -12,13 +12,13 @@ from ehrcollapse.criteria import (
     check_pseudo_integral_criterion,
     check_reciprocal_criterion,
     classify_admissible,
-    reciprocal_params,
     solve_beta_equation,
 )
 from ehrcollapse.polytopes import (
     RationalTriangleParams,
     iter_admissible_pairs,
     iter_lowest_term_params,
+    reciprocal_params,
 )
 
 

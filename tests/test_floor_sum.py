@@ -13,7 +13,7 @@ from math import floor, gcd, isqrt
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -225,6 +225,60 @@ def test_a_strip_run_longer_than_one_chunk_matches_per_t_counts():
     assert pair.translate[1] == 0
     per_t = counting.count_triangle_many(pair, run[::-1])[::-1]  # a descending list is no run
     assert counting.count_triangle_many(pair, run) == per_t
+
+
+@st.composite
+def two_leg_pairs(draw):
+    """The legs u, v of a triangle of translate_pairs, or of one with no
+    translate identity: an irrational leg beside another of its field or
+    beside a rational leg of denominator above MAX_STRIP_FLOORS."""
+    if draw(st.booleans()):
+        return draw(translate_pairs())
+    d = draw(st.sampled_from((2, 3, 5, 7, 10 ** 9 + 7)))
+    irrational = quad_leg(d).filter(lambda x: not x.is_rational)
+    r = draw(st.integers(MAX_STRIP_FLOORS + 1, 12))
+    rational = st.integers(1, 3 * r).map(lambda s: QuadNumber(Fraction(s, r)))
+    pair = TrianglePair(draw(irrational), draw(st.one_of(irrational, rational)))
+    assume(pair.translate is None)
+    return pair
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), two_leg_pairs(), starts)
+def test_a_two_leg_simplex_counts_as_its_triangle(data, pair, a):
+    """The simplex of legs 1/u and 1/v, given in either order, counts what the
+    triangle of its legs counts, over runs and shuffled lists, and what the
+    point oracle counts at t <= 30."""
+    legs = (1 / pair.u, 1 / pair.v)
+    small, big = sorted(legs)
+    triangle = TrianglePair(1 / small, 1 / big)
+    run = range(a, a + data.draw(st.integers(0, 60)))
+    shuffled = data.draw(st.permutations(run))
+    for simplex in (AxisSimplex(legs), AxisSimplex(legs[::-1])):
+        for ts in (run, shuffled):
+            assert (counting.count_axis_simplex_many(simplex, ts)
+                    == counting.count_triangle_many(triangle, ts))
+    want = oracles.count_simplex_quad_range([_triple(pair.u), _triple(pair.v)], pair.slopes[1], 30)
+    assert counting.count_axis_simplex_many(AxisSimplex(legs), range(31)) == want
+
+
+@pytest.mark.parametrize("legs", ["2 3", "1,1,2 3/7", "3/7 1,1,2", "3/2,-1/2,5 3/2,1/2,5"])
+def test_a_two_leg_simplex_run_makes_the_identity_calls(legs):
+    """A run of a simplex of two legs is a run of its triangle: n + m seeds
+    and n closing floor sums, whatever the legs' order."""
+    simplex = AxisSimplex(tuple(map(parse_quad, legs.split())))
+    n, m, _ = simplex.final_triangle.translate
+    calls, count_below = [], counting._count_below
+
+    def recorded(pair, ts, d):
+        ts = list(ts)
+        calls.append(len(ts))
+        return count_below(pair, ts, d)
+
+    want = counting.count_triangle_many(simplex.final_triangle, [*range(2000)][::-1])[::-1]
+    with patch.object(counting, "_count_below", recorded):
+        assert counting.count_axis_simplex_many(simplex, range(2000)) == want
+    assert calls == [n + m, n]
 
 
 def test_pairs_that_counted_a_translate_run_still_pickle():

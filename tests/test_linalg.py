@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ehrcollapse.linalg import nullspace_vector
-from ehrcollapse.precursive import P, _independent
+from ehrcollapse.precursive import P, _independent, nullspace_vector
 
 
 def _primitive_positive(vec):

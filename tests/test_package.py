@@ -16,19 +16,18 @@ PUBLIC = [
     "closed_form_admissible", "count_axis_simplex", "count_axis_simplex_many", "count_interval",
     "count_rational_triangle2d", "count_triangle", "count_triangle_interior",
     "count_triangle_many", "counting", "criteria", "fib_triangle", "fit_quasipolynomial",
-    "guess_recurrence", "k_fib", "limit_tetrahedron", "linalg", "mcallister_woods_image",
+    "guess_recurrence", "k_fib", "limit_tetrahedron", "mcallister_woods_image",
     "mcallister_woods_pair", "minimal_period", "parse_quad", "polytopes", "precursive",
     "quad_sqrt", "quasipoly", "reciprocal_params", "reciprocity_report", "scales_to_admissible",
     "sequences", "series_numerator", "solve_beta_equation", "tetra_family", "tetra_polynomial",
     "verify_recurrence",
 ]
-SUBMODULES = {"arith", "counting", "criteria", "linalg", "polytopes", "precursive", "quasipoly",
-              "sequences"}
+SUBMODULES = {"arith", "counting", "criteria", "polytopes", "precursive", "quasipoly", "sequences"}
 
 
 def test_all_lists_the_public_names():
     assert ehrcollapse.__all__ == PUBLIC
-    assert len(PUBLIC) == 58 and SUBMODULES <= set(PUBLIC)
+    assert len(PUBLIC) == 57 and SUBMODULES <= set(PUBLIC)
 
 
 def test_star_import_binds_each_name_to_its_submodule_object():

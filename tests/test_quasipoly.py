@@ -1,6 +1,7 @@
 """Quasipolynomial fitting, minimal periods, series numerators, reciprocity."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import oracles
@@ -67,6 +68,18 @@ def test_fit_verifies_on_leftover_samples():
     values = _triangle_values(8)
     values[8] += 1
     assert fit_quasipolynomial(values, 1, 2) is None
+
+
+def test_a_fit_holds_one_difference_level_at_a_time():
+    counts = counting.count_triangle_many(AdmissiblePair(3, 3), range(300000))
+    tracemalloc.start()
+    try:
+        fit = fit_quasipolynomial(counts, 3, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one level listed in full would take 2.4 MB of pointers, besides its ints
+    assert fit == fit_quasipolynomial(counts[:9], 3, 2) and peak < 1e6
 
 
 def test_fit_at_a_multiple_of_the_true_period():
