@@ -8,7 +8,6 @@ no floating point; ``float()`` rounds the exact value correctly.
 
 from __future__ import annotations
 
-from dataclasses import field
 from fractions import Fraction
 from functools import cached_property, reduce, total_ordering
 from itertools import accumulate, chain, cycle
@@ -150,6 +149,11 @@ _alloc = object.__new__
 _set = object.__setattr__
 
 
+def _immutable(self, *_) -> None:
+    """__setattr__ and __delattr__ of a class whose instances never change."""
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 def _store(x: "QuadNumber", a: int, b: int, c: int, d: int) -> "QuadNumber":
     if b == 0 or d == 0:
         b = d = 0
@@ -202,11 +206,7 @@ class QuadNumber:
                 big_a, big_b = big_a + big_b, 0
         _store(self, big_a, big_b, c, d)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("QuadNumber is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("QuadNumber is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def __reduce__(self):
         return _new, (*self.triple, self.d)
@@ -494,6 +494,8 @@ def fraction_view():
     """A dataclass field that reads the numerators over the denominator of its
     instance as rows of Fractions, built when first read and kept; neither
     equality nor hashing nor repr reads it."""
+    from dataclasses import field  # here, so that only the tables load dataclasses
+
     return field(default=cached_property(_fractions), init=False, compare=False, repr=False)
 
 
@@ -503,6 +505,34 @@ def exact_int(x: object) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise TypeError(f"expected int, got {type(x).__name__}")
     return x
+
+
+class Frozen:
+    """The shared body of a value class that names its fields in FIELDS: as a
+    frozen dataclass's, its instances compare, hash and print by their fields,
+    refuse assignment and keep a cached_property in their __dict__.  A class
+    that checks its input stores its fields with vars(self).update in its own
+    __init__; any other gets one that takes them in order or by name."""
+
+    FIELDS: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # the methods read the fields as one tuple display, compiled once per
+        # class, which makes them as fast as the ones a dataclass generates
+        names = "".join(f"{name}, " for name in cls.FIELDS)
+        values = "(" + "".join(f"self.{name}, " for name in cls.FIELDS) + ")"
+        cls.__eq__ = eval(f"lambda self, other: {values} == {values.replace('self.', 'other.')}"
+                          " if other.__class__ is self.__class__ else NotImplemented")
+        cls.__hash__ = eval(f"lambda self: hash({values})")
+        if cls.__init__ is object.__init__:
+            cls.__init__ = eval(f"lambda self, {names}:"
+                                f" vars(self).update(zip(self.FIELDS, ({names})))")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.FIELDS)
+        return f"{type(self).__qualname__}({fields})"
+
+    __setattr__ = __delattr__ = _immutable
 
 
 class RationalTable:

@@ -36,6 +36,19 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-[\d.]")
 
 
+def _option_type(parse):
+    """parse as the type of an option: the reason of a ValueError it raises,
+    such as an EhrcollapseError, becomes the option's error text."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
+@_option_type
 def _parse_range(text: str) -> range:
     """'7' -> range(7, 8); '0..9' -> range(0, 10)."""
     if ".." in text:
@@ -48,6 +61,7 @@ def _parse_range(text: str) -> range:
     return range(value, value + 1)
 
 
+@_option_type
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -55,6 +69,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@_option_type
 def _parse_params(text: str):
     parts = [int(x) for x in text.split(",")]
     if len(parts) != 4:
@@ -62,6 +77,10 @@ def _parse_params(text: str):
     return _package.polytopes.RationalTriangleParams(*parts)
 
 
+_parse_quad = _option_type(parse_quad)
+
+
+@_option_type
 def _parse_vertex(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -150,8 +169,8 @@ def _add_triangle_flags(sub) -> None:
     sub.add_argument("--params", type=_parse_params, help="rational data p,q,r,s")
     sub.add_argument("--alpha", type=int, help="admissible leg sum")
     sub.add_argument("--beta", type=int, help="admissible reciprocal-leg sum")
-    sub.add_argument("--u", type=parse_quad, help="leg coefficient u ('n', 'n/m', or 'a,b,d')")
-    sub.add_argument("--v", type=parse_quad, help="leg coefficient v")
+    sub.add_argument("--u", type=_parse_quad, help="leg coefficient u ('n', 'n/m', or 'a,b,d')")
+    sub.add_argument("--v", type=_parse_quad, help="leg coefficient v")
 
 
 # -- count -------------------------------------------------------------------
@@ -443,96 +462,102 @@ def _cmd_verify(args, parser, emit) -> int:
 # -- parser wiring ----------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="ehrcollapse",
-        description="Exact counting and period analysis for right simplices",
-    )
+def _count_arguments(sub) -> None:
+    _add_triangle_flags(sub)
+    sub.add_argument("--legs", type=_parse_quad, nargs="+", help="axis simplex legs")
+    sub.add_argument("--interval", type=_parse_quad, nargs=2, metavar=("LO", "HI"))
+    sub.add_argument("--vertices", type=_parse_vertex, nargs=3, metavar="X,Y",
+                     help="explicit rational triangle (counts once, no --t)")
+    sub.add_argument("--mw-image", type=int, metavar="P",
+                     help="unimodular image triangle for parameter P")
+    sub.add_argument("--t", type=_parse_range, help="dilation t or range a..b")
+    sub.add_argument("--interior", action="store_true",
+                     help="also count interior points (strict inequalities)")
+    sub.add_argument("--closed-form", action="store_true",
+                     help="also evaluate the admissible closed form")
+
+
+def _fit_arguments(sub) -> None:
+    _add_triangle_flags(sub)
+    sub.add_argument("--period", type=int, required=True)
+    sub.add_argument("--degree", type=int, default=2)
+    sub.add_argument("--t-max", type=int, help="sample t = 0..t_max")
+
+
+def _check_arguments(sub) -> None:
+    sub.add_argument("--criterion", required=True, choices=_CRITERIA)
+    sub.add_argument("--params", type=_parse_params)
+    for flag in ("--p", "--q", "--alpha", "--beta"):
+        sub.add_argument(flag, type=int)
+    sub.add_argument("--bound", type=_positive_int)
+
+
+def _search_arguments(sub) -> None:
+    sub.add_argument("--bound", type=_positive_int, help="common bound for p,q,r,s")
+    for flag in ("--max-p", "--max-q", "--max-r", "--max-s"):
+        sub.add_argument(flag, type=_positive_int)
+    sub.add_argument("--jobs", type=_positive_int, default=1)
+
+
+def _fib_arguments(sub) -> None:
+    sub.add_argument("--k", type=int, required=True)
+    sub.add_argument("--n", type=_parse_range, required=True)
+    sub.add_argument("--triangle", action="store_true")
+
+
+def _tetra_arguments(sub) -> None:
+    sub.add_argument("--n", type=int)
+    sub.add_argument("--limit", action="store_true")
+    sub.add_argument("--t", type=_parse_range)
+
+
+def _guess_rec_arguments(sub) -> None:
+    _add_triangle_flags(sub)
+    sub.add_argument("--values", help="comma-separated sequence values")
+    sub.add_argument("--t-max", type=int)
+    sub.add_argument("--max-order", type=int, required=True)
+    sub.add_argument("--max-degree", type=int, required=True)
+
+
+# each command: its help line, the function that adds its own arguments, its
+# handler, and whether it writes CSV as well as JSON lines
+_COMMANDS = {
+    "count": ("exact lattice-point counts of dilates", _count_arguments, _cmd_count, True),
+    "fit": ("fit a quasipolynomial at a chosen period", _fit_arguments, _cmd_fit, False),
+    "period": ("minimal verified period", _add_triangle_flags, _cmd_period, False),
+    "check": ("divisibility criteria and classification", _check_arguments, _cmd_check, False),
+    "search": ("sweep rational tuples for collapse", _search_arguments, _cmd_search, True),
+    "fib": ("k-Fibonacci values and triangles", _fib_arguments, _cmd_fib, True),
+    "tetra": ("the tetrahedra family and its limit", _tetra_arguments, _cmd_tetra, True),
+    "guess-rec": ("guess a polynomial-coefficient recurrence", _guess_rec_arguments,
+                  _cmd_guess_rec, False),
+    "verify": ("run named self-check suites",
+               lambda sub: sub.add_argument("--suite", required=True, help="a suite name, or all"),
+               _cmd_verify, False),
+}
+
+
+def _add_command(sub: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """sub, the parser of command name, with that command's arguments and handler."""
+    _, add_arguments, fn, fmt = _COMMANDS[name]
+    add_arguments(sub)
+    sub.add_argument("--output", metavar="FILE", help="write records to FILE ('-': stdout)")
+    if fmt:
+        sub.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+    sub.set_defaults(fn=fn)
+    return sub
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """A new parser of every command, or, given a command's name, of that command
+    alone: the subparser of the full parser, with the same prog and help."""
+    if command is not None:
+        return _add_command(_Parser(prog=f"ehrcollapse {command}"), command)
+    parser = _Parser(prog="ehrcollapse",
+                     description="Exact counting and period analysis for right simplices")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    def common(sub, fmt=False):
-        sub.add_argument("--output", metavar="FILE", help="write records to FILE ('-': stdout)")
-        if fmt:
-            sub.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-
-    p_count = subs.add_parser("count", help="exact lattice-point counts of dilates")
-    _add_triangle_flags(p_count)
-    p_count.add_argument("--legs", type=parse_quad, nargs="+", help="axis simplex legs")
-    p_count.add_argument("--interval", type=parse_quad, nargs=2, metavar=("LO", "HI"))
-    p_count.add_argument("--vertices", type=_parse_vertex, nargs=3, metavar="X,Y",
-                         help="explicit rational triangle (counts once, no --t)")
-    p_count.add_argument("--mw-image", type=int, metavar="P",
-                         help="unimodular image triangle for parameter P")
-    p_count.add_argument("--t", type=_parse_range, help="dilation t or range a..b")
-    p_count.add_argument("--interior", action="store_true",
-                         help="also count interior points (strict inequalities)")
-    p_count.add_argument("--closed-form", action="store_true",
-                         help="also evaluate the admissible closed form")
-    common(p_count, fmt=True)
-    p_count.set_defaults(fn=_cmd_count)
-
-    p_fit = subs.add_parser("fit", help="fit a quasipolynomial at a chosen period")
-    _add_triangle_flags(p_fit)
-    p_fit.add_argument("--period", type=int, required=True)
-    p_fit.add_argument("--degree", type=int, default=2)
-    p_fit.add_argument("--t-max", type=int, help="sample t = 0..t_max")
-    common(p_fit)
-    p_fit.set_defaults(fn=_cmd_fit)
-
-    p_period = subs.add_parser("period", help="minimal verified period")
-    _add_triangle_flags(p_period)
-    common(p_period)
-    p_period.set_defaults(fn=_cmd_period)
-
-    p_check = subs.add_parser("check", help="divisibility criteria and classification")
-    p_check.add_argument("--criterion", required=True, choices=_CRITERIA)
-    p_check.add_argument("--params", type=_parse_params)
-    p_check.add_argument("--p", type=int)
-    p_check.add_argument("--q", type=int)
-    p_check.add_argument("--alpha", type=int)
-    p_check.add_argument("--beta", type=int)
-    p_check.add_argument("--bound", type=_positive_int)
-    common(p_check)
-    p_check.set_defaults(fn=_cmd_check)
-
-    p_search = subs.add_parser("search", help="sweep rational tuples for collapse")
-    p_search.add_argument("--bound", type=_positive_int, help="common bound for p,q,r,s")
-    p_search.add_argument("--max-p", type=_positive_int)
-    p_search.add_argument("--max-q", type=_positive_int)
-    p_search.add_argument("--max-r", type=_positive_int)
-    p_search.add_argument("--max-s", type=_positive_int)
-    p_search.add_argument("--jobs", type=_positive_int, default=1)
-    common(p_search, fmt=True)
-    p_search.set_defaults(fn=_cmd_search)
-
-    p_fib = subs.add_parser("fib", help="k-Fibonacci values and triangles")
-    p_fib.add_argument("--k", type=int, required=True)
-    p_fib.add_argument("--n", type=_parse_range, required=True)
-    p_fib.add_argument("--triangle", action="store_true")
-    common(p_fib, fmt=True)
-    p_fib.set_defaults(fn=_cmd_fib)
-
-    p_tetra = subs.add_parser("tetra", help="the tetrahedra family and its limit")
-    p_tetra.add_argument("--n", type=int)
-    p_tetra.add_argument("--limit", action="store_true")
-    p_tetra.add_argument("--t", type=_parse_range)
-    common(p_tetra, fmt=True)
-    p_tetra.set_defaults(fn=_cmd_tetra)
-
-    p_guess = subs.add_parser("guess-rec", help="guess a polynomial-coefficient recurrence")
-    _add_triangle_flags(p_guess)
-    p_guess.add_argument("--values", help="comma-separated sequence values")
-    p_guess.add_argument("--t-max", type=int)
-    p_guess.add_argument("--max-order", type=int, required=True)
-    p_guess.add_argument("--max-degree", type=int, required=True)
-    common(p_guess)
-    p_guess.set_defaults(fn=_cmd_guess_rec)
-
-    p_verify = subs.add_parser("verify", help="run named self-check suites")
-    p_verify.add_argument("--suite", required=True, help="a suite name, or all")
-    common(p_verify)
-    p_verify.set_defaults(fn=_cmd_verify)
-
+    for name, (help_line, *_) in _COMMANDS.items():
+        _add_command(subs.add_parser(name, help=help_line), name)
     return parser
 
 
@@ -544,20 +569,23 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return parser, commands.choices
 
 
+_command_parser = functools.cache(build_parser)  # each command's parser alone, built once
+
+
 def _parse(argv: list[str]) -> tuple[argparse.Namespace, argparse.ArgumentParser]:
     """The namespace that parser.parse_args(argv) gives, and the subparser of
-    its command.  An argv that starts with a command goes straight to that
-    command's parser, in one parse; the tokens it leaves are reported by the
-    top-level parser, as parse_args reports them."""
+    its command.  An argv that starts with a command goes straight to the
+    parser of that command alone; only help, a missing or unknown command and
+    the tokens a command leaves build the full parser, to report them."""
+    if argv and argv[0] in _COMMANDS:
+        sub = _command_parser(argv[0])
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args, sub
+        _parsers()[0].error(f"unrecognized arguments: {' '.join(extra)}")
     parser, subparsers = _parsers()
-    sub = subparsers.get(argv[0]) if argv else None
-    if sub is None:
-        args = parser.parse_args(argv)
-        return args, subparsers[args.command]
-    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args, sub
+    args = parser.parse_args(argv)
+    return args, subparsers[args.command]
 
 
 def main(argv: Optional[Iterable[str]] = None) -> int:

@@ -8,10 +8,9 @@ divisor they predict, leaving empirical confirmation to the callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Optional
 
+from .arith import Frozen
 from .polytopes import RationalTriangleParams, is_admissible
 
 COLLAPSE_PREDICTED = "collapse-predicted"
@@ -19,12 +18,8 @@ PSEUDO_INTEGRAL_PREDICTED = "pseudo-integral-predicted"
 NO_PREDICTION = "no-prediction"
 
 
-@dataclass(frozen=True)
-class CriterionReport:
-    criterion: str
-    conditions: tuple[tuple[str, bool], ...]
-    predicted_period_divisor: Optional[int]
-    verdict: str
+class CriterionReport(Frozen):
+    FIELDS = ("criterion", "conditions", "predicted_period_divisor", "verdict")
 
     @property
     def holds(self) -> bool:

@@ -14,15 +14,15 @@ u*x + v*y <= t.  Families covered here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import starmap
 from math import gcd, lcm
 from typing import Callable, Optional, Union
 
-from .arith import (EhrcollapseError, Expansion, QuadNumber, RadicandMismatchError, Triple,
-                    exact_int, floor_surd_run, fraction_rows, reduced_triple, shared_triples)
+from .arith import (EhrcollapseError, Expansion, Frozen, QuadNumber, RadicandMismatchError,
+                    Triple, exact_int, floor_surd_run, fraction_rows, reduced_triple,
+                    shared_triples)
 
 # rows up to which a strip of one floor per row costs less than a floor sum
 MAX_STRIP_FLOORS = 8
@@ -32,20 +32,16 @@ class NotIrrationalError(EhrcollapseError):
     """Raised when (alpha, beta) fails to produce an irrational leg ratio."""
 
 
-@dataclass(frozen=True)
-class TrianglePair:
+class TrianglePair(Frozen):
     """Legs of T_{u,v}: the dilate by t counts u*x + v*y <= t over x, y >= 0."""
 
-    u: QuadNumber
-    v: QuadNumber
+    FIELDS = ("u", "v")
 
-    def __post_init__(self) -> None:
-        u = QuadNumber.from_value(self.u)
-        v = QuadNumber.from_value(self.v)
+    def __init__(self, u: QuadNumber, v: QuadNumber) -> None:
+        u, v = QuadNumber.from_value(u), QuadNumber.from_value(v)
         if u.sign() <= 0 or v.sign() <= 0:
             raise ValueError("both legs must be positive")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        vars(self).update(u=u, v=v)
 
     @property
     def kind(self) -> str:
@@ -143,7 +139,7 @@ def is_admissible(alpha: int, beta: int) -> bool:
     return alpha >= 1 and beta >= 1 and alpha * beta >= 5
 
 
-class _LegData:
+class _LegData(Frozen):
     """Leg data u, v of a triangle; triangle() is their TrianglePair, built once."""
 
     def triangle(self) -> TrianglePair:
@@ -154,7 +150,6 @@ class _LegData:
         return TrianglePair(self.u, self.v)
 
 
-@dataclass(frozen=True)
 class AdmissiblePair(_LegData):
     """Pair of positive integers (alpha, beta) with u+v = alpha, 1/u+1/v = beta.
 
@@ -164,40 +159,32 @@ class AdmissiblePair(_LegData):
     not a perfect square, that is when alpha*beta >= 5 (is_admissible).
     """
 
-    alpha: int
-    beta: int
-    u: QuadNumber = field(init=False)
-    v: QuadNumber = field(init=False)
+    FIELDS = ("alpha", "beta", "u", "v")
 
-    def __post_init__(self) -> None:
-        if not is_admissible(exact_int(self.alpha), exact_int(self.beta)):
-            if self.alpha < 1 or self.beta < 1:
+    def __init__(self, alpha: int, beta: int) -> None:
+        if not is_admissible(exact_int(alpha), exact_int(beta)):
+            if alpha < 1 or beta < 1:
                 raise ValueError("alpha and beta must be positive integers")
             raise NotIrrationalError(
-                f"(alpha, beta) = ({self.alpha}, {self.beta}) gives a rational leg ratio"
+                f"(alpha, beta) = ({alpha}, {beta}) gives a rational leg ratio"
             )
-        m = self.alpha * self.beta
-        u = QuadNumber(Fraction(self.alpha, 2), Fraction(1, 2 * self.beta), m * (m - 4))
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", u.conjugate())
+        m = alpha * beta
+        u = QuadNumber(Fraction(alpha, 2), Fraction(1, 2 * beta), m * (m - 4))
+        vars(self).update(alpha=alpha, beta=beta, u=u, v=u.conjugate())
 
 
-@dataclass(frozen=True)
 class RationalTriangleParams(_LegData):
     """Lowest-term data (p,q,r,s) for the rational triangle with u = q/p, v = s/r."""
 
-    p: int
-    q: int
-    r: int
-    s: int
+    FIELDS = ("p", "q", "r", "s")
 
-    def __post_init__(self) -> None:
-        for name in ("p", "q", "r", "s"):
-            val = getattr(self, name)
+    def __init__(self, p: int, q: int, r: int, s: int) -> None:
+        for name, val in zip(self.FIELDS, (p, q, r, s)):
             if exact_int(val) < 1:
                 raise ValueError(f"{name} must be a positive integer, got {val!r}")
-        if gcd(self.p, self.q) != 1 or gcd(self.r, self.s) != 1:
+        if gcd(p, q) != 1 or gcd(r, s) != 1:
             raise ValueError("q/p and s/r must be in lowest terms")
+        vars(self).update(p=p, q=q, r=r, s=s)
 
     @classmethod
     def from_fractions(cls, u: Fraction, v: Fraction) -> "RationalTriangleParams":
@@ -223,21 +210,20 @@ class RationalTriangleParams(_LegData):
         return {"p": self.p, "q": self.q, "r": self.r, "s": self.s}
 
 
-@dataclass(frozen=True)
-class AxisSimplex:
+class AxisSimplex(Frozen):
     """Simplex conv(0, L_1*e_1, ..., L_n*e_n); dilate by t counts
     sum(x_i / L_i) <= t over integer x_i >= 0."""
 
-    legs: tuple[QuadNumber, ...]
+    FIELDS = ("legs",)
 
-    def __post_init__(self) -> None:
-        legs = tuple(QuadNumber.from_value(leg) for leg in self.legs)
+    def __init__(self, legs: tuple[QuadNumber, ...]) -> None:
+        legs = tuple(QuadNumber.from_value(leg) for leg in legs)
         if not legs:
             raise ValueError("at least one leg required")
         if any(leg.sign() <= 0 for leg in legs):
             raise ValueError("all legs must be positive")
         shared_triples(legs)  # RadicandMismatchError unless one field holds every leg
-        object.__setattr__(self, "legs", legs)
+        vars(self).update(legs=legs)
 
     @property
     def dim(self) -> int:
@@ -268,20 +254,16 @@ class AxisSimplex:
         return {"legs": [leg.to_json_dict() for leg in self.legs]}
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Frozen):
     """Closed segment [lo, hi]; its dilate by t counts integers in [t*lo, t*hi]."""
 
-    lo: QuadNumber
-    hi: QuadNumber
+    FIELDS = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        lo = QuadNumber.from_value(self.lo)
-        hi = QuadNumber.from_value(self.hi)
+    def __init__(self, lo: QuadNumber, hi: QuadNumber) -> None:
+        lo, hi = QuadNumber.from_value(lo), QuadNumber.from_value(hi)
         if (hi - lo).sign() <= 0:
             raise ValueError("need lo < hi")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        vars(self).update(lo=lo, hi=hi)
 
     @cached_property
     def triples(self) -> tuple[list[Triple], int]:
@@ -293,19 +275,18 @@ class Interval:
 Vertex = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class RationalTriangle2D:
+class RationalTriangle2D(Frozen):
     """Arbitrary non-degenerate triangle in the plane with rational vertices."""
 
-    vertices: tuple[Vertex, Vertex, Vertex]
+    FIELDS = ("vertices",)
 
-    def __post_init__(self) -> None:
-        verts = fraction_rows(self.vertices, 3, 2)
+    def __init__(self, vertices: tuple[Vertex, Vertex, Vertex]) -> None:
+        verts = fraction_rows(vertices, 3, 2)
         (x0, y0), (x1, y1), (x2, y2) = verts
         area2 = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
         if area2 == 0:
             raise ValueError("degenerate triangle")
-        object.__setattr__(self, "vertices", verts)
+        vars(self).update(vertices=verts)
 
 
 def reciprocal_params(p: int, q: int) -> RationalTriangleParams:

@@ -105,8 +105,8 @@ def _rational(x: int) -> Optional[tuple[int, int]]:
 def _seed(basis: list[tuple], ncols: int) -> Optional[list[int]]:
     """The dependency w, w_k = 1, of the column k that reduced to 0 by factors
     g: c_k = sum_l g_l*b_l, and undoing each b_m = inv_m*(c_m - sum_l f_ml*b_l)
-    from the last down gives w mod P.  Lifted to a primitive integer vector,
-    first nonzero entry positive, padded to ncols; None if it does not lift."""
+    from the last down gives w mod P.  Lifted to its _canonical integer
+    vector, padded to ncols; None if it does not lift."""
     *entries, (_, _, _, a) = basis
     w = [1]
     for _, _, inv, f in reversed(entries):
@@ -117,14 +117,19 @@ def _seed(basis: list[tuple], ncols: int) -> Optional[list[int]]:
     if None in fracs:
         return None
     scale = lcm(*(d for _, d in fracs))
-    vec = [n * (scale // d) for n, d in fracs]
-    g = gcd(*vec) * (1 if next(v for v in vec if v) > 0 else -1)
-    return [v // g for v in vec] + [0] * (ncols - len(vec))
+    return _canonical([n * (scale // d) for n, d in fracs]) + [0] * (ncols - len(fracs))
 
 
 def _primitive(row: list[int]) -> list[int]:
     g = gcd(*row)
     return row if g == 1 else [v // g for v in row]
+
+
+def _canonical(vec: list[int]) -> list[int]:
+    """The one form of a nonzero candidate vector: divided by the gcd of its
+    entries, with its first nonzero entry positive."""
+    vec = _primitive(vec)
+    return vec if next(v for v in vec if v) > 0 else [-v for v in vec]
 
 
 def nullspace_vector(rows: Iterable[Sequence[int]], ncols: int) -> Optional[list[int]]:
@@ -170,9 +175,7 @@ def nullspace_vector(rows: Iterable[Sequence[int]], ncols: int) -> Optional[list
     vec[free] = scale
     for col, prow in pivots.items():
         vec[col] = -prow[free] * (scale // prow[col])
-    vec = _primitive(vec)
-    if next(v for v in vec if v) < 0:
-        vec = [-v for v in vec]
+    vec = _canonical(vec)
     if any(sum(a * v for a, v in zip(row, vec)) for row in rows):
         return None
     return vec

@@ -52,8 +52,8 @@ from operator import sub
 from typing import Iterable, Optional, Sequence
 
 from . import counting
-from .arith import (EhrcollapseError, RationalLike, RationalTable, fraction_rows, fraction_view,
-                    horner, to_integers)
+from .arith import (EhrcollapseError, Frozen, RationalLike, RationalTable, fraction_rows,
+                    fraction_view, horner, to_integers)
 from .polytopes import AdmissiblePair
 
 
@@ -198,14 +198,11 @@ def minimal_period(obj: counting.TriangleLike) -> tuple[Quasipolynomial, int]:
     return fit_quasipolynomial(values[: 3 * period], period, 2), period
 
 
-@dataclass(frozen=True)
-class SeriesNumerator:
+class SeriesNumerator(Frozen):
     """Numerator 1 + a1*z + a2*z^2 of sum_t I(t) z^t times (1-z)^3, for a
     polynomial counting function of degree <= 2 with I(0) = 1."""
 
-    a0: Fraction
-    a1: Fraction
-    a2: Fraction
+    FIELDS = ("a0", "a1", "a2")
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.a0, self.a1, self.a2)
@@ -217,15 +214,11 @@ def series_numerator(i1: RationalLike, i2: RationalLike) -> SeriesNumerator:
     return SeriesNumerator(Fraction(1), i1 - 3, 3 - 3 * i1 + i2)
 
 
-@dataclass(frozen=True)
-class ReciprocityReport:
-    """Comparison of the fitted quasipolynomial at -t with the open count at t."""
+class ReciprocityReport(Frozen):
+    """Comparison of the fitted quasipolynomial at -t with the open count at t;
+    correction is value_at_neg_t - interior_count."""
 
-    t: int
-    value_at_neg_t: Fraction
-    interior_count: int
-    correction: Fraction  # value_at_neg_t - interior_count
-    alpha_divides_t: bool
+    FIELDS = ("t", "value_at_neg_t", "interior_count", "correction", "alpha_divides_t")
 
 
 def reciprocity_report(

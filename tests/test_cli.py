@@ -582,7 +582,9 @@ _COUNT_MODULES = {"arith", "cli", "counting", "polytopes"}
     (["period", "--alpha", "3", "--beta", "3"], _COUNT_MODULES | {"quasipoly"}),
     (["fib", "--k", "2", "--n", "2..5", "--triangle"], {"arith", "cli", "polytopes", "sequences"}),
     (["tetra", "--n", "2", "--t", "0..3"], _COUNT_MODULES | {"sequences"}),
-], ids=["count", "count-csv", "guess-rec", "guess-rec-counts", "period", "fib", "tetra"])
+    (["check", "--criterion", "collapse", "--params", "2,3,3,2"],
+     {"arith", "cli", "criteria", "polytopes"}),
+], ids=["count", "count-csv", "guess-rec", "guess-rec-counts", "period", "fib", "tetra", "check"])
 def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
     script = ("import json, sys; from ehrcollapse import cli; code = cli.main(sys.argv[1:]);"
               " print(json.dumps(sorted(sys.modules)), file=sys.stderr); sys.exit(code)")
@@ -591,6 +593,8 @@ def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
     modules = json.loads(proc.stderr)
     names = {m.removeprefix("ehrcollapse.") for m in modules if m.startswith("ehrcollapse.")}
     assert names | ({"csv"} & set(modules)) == loaded
+    if argv[0] in ("count", "check", "fib", "tetra"):  # only the tables are dataclasses
+        assert {"dataclasses", "inspect"}.isdisjoint(modules)
 
 
 def _unread_imports(path):
@@ -1095,13 +1099,13 @@ def test_argv_fuzz_exits_0_1_or_2_without_a_traceback(argv):
 
 
 def _parse_or_exit(parse, argv):
-    """parse(argv), or the exit code and stderr of the SystemExit it raises."""
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+    """parse(argv), or the exit code, stderr and stdout of the SystemExit it raises."""
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
         try:
             return parse(argv)
         except SystemExit as exc:
-            return exc.code, err.getvalue()
+            return exc.code, err.getvalue(), out.getvalue()
 
 
 @settings(max_examples=500, deadline=None)
@@ -1113,11 +1117,14 @@ def test_one_parse_gives_what_the_full_parse_gives(argv, tail):
     one = _parse_or_exit(cli._parse, argv)
     if isinstance(full, tuple):
         assert one == full, argv
-    else:
-        assert one == (full, subparsers[argv[0]]), argv
+    else:  # the command's parser built alone is the full parser's subparser in all but identity
+        args, sub = one
+        want = subparsers[argv[0]]
+        assert (args, sub.prog, sub.format_help()) == (full, want.prog, want.format_help()), argv
 
 
-@pytest.mark.parametrize("argv", [[], ["nope"], ["-h"], ["--version"], ["count", "-h"]])
+@pytest.mark.parametrize("argv", [[], ["nope"], ["-h"], ["--version"],
+                                  *([command, "-h"] for command in sorted(SUBCOMMANDS))])
 def test_help_and_an_argv_without_a_command_parse_as_before(argv):
     parser, _ = cli._parsers()
     assert _parse_or_exit(cli._parse, argv) == _parse_or_exit(parser.parse_args, argv)
@@ -1169,6 +1176,24 @@ def test_help_and_an_argv_without_a_command_parse_as_before(argv):
      "ehrcollapse check: error: --criterion collapse takes no --p, --alpha, --bound"),
     (["check", "--criterion", "reciprocal", "--p", "2", "--q", "5", "--bound", "3"],
      "ehrcollapse check: error: --criterion reciprocal takes no --bound"),
+    (["count", "--alpha", "3", "--beta", "3", "--t", "5..3"],
+     "ehrcollapse count: error: argument --t: empty range '5..3'"),
+    (["count", "--params", "2,3,3", "--t", "1"],
+     "ehrcollapse count: error: argument --params: expected p,q,r,s but got '2,3,3'"),
+    (["count", "--params", "2,4,3,2", "--t", "1"],
+     "ehrcollapse count: error: argument --params: q/p and s/r must be in lowest terms"),
+    (["check", "--criterion", "collapse", "--params", "0,1,1,1"],
+     "ehrcollapse check: error: argument --params: p must be a positive integer, got 0"),
+    (["search", "--bound", "0"],
+     "ehrcollapse search: error: argument --bound: expected an integer >= 1 but got '0'"),
+    (["fib", "--k", "2", "--n", "1..x"],
+     "ehrcollapse fib: error: argument --n: invalid literal for int() with base 10: 'x'"),
+    (["count", "--u", "1,2", "--v", "1", "--t", "1"],
+     "ehrcollapse count: error: argument --u: expected 'a' or 'a,b,d', got '1,2'"),
+    (["count", "--legs", "1", "0,1,-2", "--t", "1"],
+     "ehrcollapse count: error: argument --legs: radicand must be a nonnegative int, got -2"),
+    (["count", "--vertices", "0,0", "1,0", "1/0,1"],
+     "ehrcollapse count: error: argument --vertices: zero denominator in '1/0'"),
 ])
 def test_a_command_reports_its_own_errors_under_its_own_usage(argv, usage):
     code, out, err = _run_in_process(argv)

@@ -1,5 +1,6 @@
 """Parameter objects: validation, classification, exact identities."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ehrcollapse.arith import QuadNumber, quad_sqrt
-from ehrcollapse.criteria import check_collapse_criterion
+from ehrcollapse.criteria import CriterionReport, check_collapse_criterion
 from ehrcollapse.polytopes import (
     AdmissiblePair,
     AxisSimplex,
@@ -24,6 +25,7 @@ from ehrcollapse.polytopes import (
     mcallister_woods_pair,
     scales_to_admissible,
 )
+from ehrcollapse.quasipoly import ReciprocityReport, SeriesNumerator
 
 
 # -- AdmissiblePair ---------------------------------------------------------------
@@ -240,3 +242,78 @@ def test_kind_matches_the_ratio_test(first, second, r1, r2, conjugate):
     for legs in ((u, v), (v, u), (u, QuadNumber(r2)), (QuadNumber(r1), v)):
         if all(leg > 0 for leg in legs):
             assert TrianglePair(*legs).kind == oracles.classify_legs_by_ratio(*legs)
+
+
+# -- value classes ------------------------------------------------------------------
+
+
+_Q = "QuadNumber(Fraction({}, {}), Fraction({}, {}), {})"
+_CONDITIONS = (("s divides p", True), ("p divides r*q + 1", False))
+VALUE_CLASSES = [
+    (TrianglePair, dict(u=Fraction(1, 2), v=quad_sqrt(2)), dict(u=Fraction(1, 2), v=quad_sqrt(3)),
+     f"TrianglePair(u={_Q.format(1, 2, 0, 1, 0)}, v={_Q.format(0, 1, 1, 1, 2)})"),
+    (AdmissiblePair, dict(alpha=4, beta=3), dict(alpha=3, beta=4),
+     f"AdmissiblePair(alpha=4, beta=3, u={_Q.format(2, 1, 2, 3, 6)}, v={_Q.format(2, 1, -2, 3, 6)})"),
+    (RationalTriangleParams, dict(p=7, q=13, r=11, s=9), dict(p=7, q=13, r=9, s=11),
+     "RationalTriangleParams(p=7, q=13, r=11, s=9)"),
+    (AxisSimplex, dict(legs=(Fraction(1, 2), 3)), dict(legs=(3, Fraction(1, 2))),
+     f"AxisSimplex(legs=({_Q.format(1, 2, 0, 1, 0)}, {_Q.format(3, 1, 0, 1, 0)}))"),
+    (Interval, dict(lo=Fraction(1, 3), hi=quad_sqrt(2)), dict(lo=Fraction(1, 2), hi=quad_sqrt(2)),
+     f"Interval(lo={_Q.format(1, 3, 0, 1, 0)}, hi={_Q.format(0, 1, 1, 1, 2)})"),
+    (RationalTriangle2D, dict(vertices=((0, 0), (1, 0), (0, "1/2"))),
+     dict(vertices=((0, 0), (0, "1/2"), (1, 0))),
+     "RationalTriangle2D(vertices=((Fraction(0, 1), Fraction(0, 1)), (Fraction(1, 1),"
+     " Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 2))))"),
+    (CriterionReport, dict(criterion="collapse", conditions=_CONDITIONS,
+                           predicted_period_divisor=None, verdict="no-prediction"),
+     dict(criterion="collapse", conditions=_CONDITIONS[:1], predicted_period_divisor=None,
+          verdict="no-prediction"),
+     "CriterionReport(criterion='collapse', conditions=(('s divides p', True),"
+     " ('p divides r*q + 1', False)), predicted_period_divisor=None, verdict='no-prediction')"),
+    (SeriesNumerator, dict(a0=Fraction(1), a1=Fraction(-2), a2=Fraction(1, 2)),
+     dict(a0=Fraction(1), a1=Fraction(-2), a2=Fraction(3, 2)),
+     "SeriesNumerator(a0=Fraction(1, 1), a1=Fraction(-2, 1), a2=Fraction(1, 2))"),
+    (ReciprocityReport, dict(t=3, value_at_neg_t=Fraction(7, 2), interior_count=2,
+                             correction=Fraction(3, 2), alpha_divides_t=True),
+     dict(t=3, value_at_neg_t=Fraction(7, 2), interior_count=2, correction=Fraction(3, 2),
+          alpha_divides_t=False),
+     "ReciprocityReport(t=3, value_at_neg_t=Fraction(7, 2), interior_count=2,"
+     " correction=Fraction(3, 2), alpha_divides_t=True)"),
+]
+
+
+def _fill_caches(obj):
+    """The triangle of obj, if it has one, with its slopes, expansion and translate
+    read, as a pooled search ships it between processes."""
+    pair = obj if isinstance(obj, TrianglePair) else getattr(obj, "triangle", lambda: None)()
+    if pair is not None:
+        pair.slopes, pair.expansion.grow(), pair.translate
+    return pair
+
+
+@pytest.mark.parametrize("cls, fields, other, text", VALUE_CLASSES,
+                         ids=[row[0].__name__ for row in VALUE_CLASSES])
+def test_value_classes_compare_hash_print_freeze_and_pickle_by_their_fields(cls, fields, other,
+                                                                          text):
+    obj = cls(**fields)
+    assert repr(obj) == text
+    same, different = cls(**fields), cls(**other)
+    assert obj == same and hash(obj) == hash(same) and not obj != same
+    assert obj != different and hash(obj) != hash(different)
+    assert obj != type(cls.__name__, (cls,), {})(**fields)  # equal only within one class
+    name = next(iter(fields))
+    with pytest.raises(AttributeError):
+        setattr(obj, name, getattr(different, name))
+    with pytest.raises(AttributeError):
+        delattr(obj, name)
+    assert repr(obj) == text
+    pair = _fill_caches(obj)
+    back = pickle.loads(pickle.dumps(obj))
+    assert type(back) is cls and back == obj and repr(back) == text
+    if pair is not None:
+        copy = back if isinstance(back, TrianglePair) else vars(back)["_triangle"]
+        assert {"slopes", "expansion", "translate"} <= vars(copy).keys()
+        assert copy.slopes == pair.slopes and copy.expansion.steps == pair.expansion.steps
+        step, again = pair.translate[2], copy.translate[2]
+        assert copy.translate[:2] == pair.translate[:2]
+        assert again(range(1, 9)) == step(range(1, 9)) if callable(step) else again == step
