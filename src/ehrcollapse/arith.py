@@ -9,7 +9,7 @@ no floating point; ``float()`` rounds the exact value correctly.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, reduce, total_ordering
+from functools import reduce, total_ordering
 from itertools import accumulate, chain, cycle
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
@@ -485,20 +485,6 @@ def integer_table(rows: Iterable[Iterable[RationalLike]], den: int = 1) -> tuple
     return rows, den // g
 
 
-def _fractions(table) -> tuple[tuple[Fraction, ...], ...]:
-    den = table.denominator
-    return tuple(tuple(Fraction(c, den) for c in row) for row in table.numerators)
-
-
-def fraction_view():
-    """A dataclass field that reads the numerators over the denominator of its
-    instance as rows of Fractions, built when first read and kept; neither
-    equality nor hashing nor repr reads it."""
-    from dataclasses import field  # here, so that only the tables load dataclasses
-
-    return field(default=cached_property(_fractions), init=False, compare=False, repr=False)
-
-
 def exact_int(x: object) -> int:
     """x when it is an int and not a bool, such as a JSON integer read back;
     anything else, a float or text among them, raises TypeError."""
@@ -508,17 +494,18 @@ def exact_int(x: object) -> int:
 
 
 class Frozen:
-    """The shared body of a value class that names its fields in FIELDS: as a
-    frozen dataclass's, its instances compare, hash and print by their fields,
-    refuse assignment and keep a cached_property in their __dict__.  A class
-    that checks its input stores its fields with vars(self).update in its own
-    __init__; any other gets one that takes them in order or by name."""
+    """The shared body of a value class that names its fields in FIELDS: its
+    instances compare (within one class), hash and print by their fields,
+    refuse assignment and keep a cached_property in their __dict__, which
+    pickling keeps too.  A class that checks its input stores its fields with
+    vars(self).update in its own __init__; any other gets one that takes them
+    in order or by name."""
 
     FIELDS: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
         # the methods read the fields as one tuple display, compiled once per
-        # class, which makes them as fast as the ones a dataclass generates
+        # class, so that they cost no loop over FIELDS per call
         names = "".join(f"{name}, " for name in cls.FIELDS)
         values = "(" + "".join(f"self.{name}, " for name in cls.FIELDS) + ")"
         cls.__eq__ = eval(f"lambda self, other: {values} == {values.replace('self.', 'other.')}"
@@ -535,15 +522,21 @@ class Frozen:
     __setattr__ = __delattr__ = _immutable
 
 
-class RationalTable:
-    """The shared body of a frozen dataclass that holds a table of rationals in
-    the one form of integer_table, as numerators over a denominator, which
-    equality and hashing read.  KEYS names its field that sizes the table and
-    its fraction_view field; with "degree", these are the keys of the JSON
-    form, which writes each entry as 'n/d'.  A subclass declares its fields
+class RationalTable(Frozen):
+    """The shared body of a value class that holds a table of rationals in the
+    one form of integer_table, as numerators over a denominator.  KEYS names
+    its field that sizes the table and its view, the cached_property over
+    _fractions; with "degree", these are the keys of the JSON form, which
+    writes each entry as 'n/d'.  A subclass names its four fields in FIELDS
     and checks the shape of the rows it is given."""
 
     KEYS: tuple[str, str]
+
+    def _fractions(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The table as rows of Fractions, which equality, hashing and repr
+        never read."""
+        den = self.denominator
+        return tuple(tuple(Fraction(c, den) for c in row) for row in self.numerators)
 
     def _fill(self, size: int, degree: int, rows: Iterable[Iterable[RationalLike]],
               den: int = 1) -> None:
@@ -570,6 +563,14 @@ class RationalTable:
         return cls(exact_int(obj[size]), exact_int(obj["degree"]), obj[view])
 
 
+def parse_int(text: str) -> int:
+    """int(text), with the text argparse gives an int option that is not one."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
+
+
 def parse_fraction(text: Union[int, str]) -> Fraction:
     """Fraction(text), with a zero denominator reported as a ValueError."""
     try:
@@ -584,5 +585,5 @@ def parse_quad(text: str) -> QuadNumber:
     if len(parts) == 1:
         return QuadNumber(parse_fraction(parts[0]))
     if len(parts) == 3:
-        return QuadNumber(parse_fraction(parts[0]), parse_fraction(parts[1]), int(parts[2]))
+        return QuadNumber(parse_fraction(parts[0]), parse_fraction(parts[1]), parse_int(parts[2]))
     raise ValueError(f"expected 'a' or 'a,b,d', got {text!r}")

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .arith import fraction_text, parse_fraction, parse_quad
+from .arith import fraction_text, parse_fraction, parse_int, parse_quad
 
 # Commands read the modules they run as attributes of the package, which loads
 # each one when it is first read, so that a start loads only what it runs.  An
@@ -53,17 +53,17 @@ def _parse_range(text: str) -> range:
     """'7' -> range(7, 8); '0..9' -> range(0, 10)."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        lo_i, hi_i = int(lo), int(hi)
+        lo_i, hi_i = parse_int(lo), parse_int(hi)
         if hi_i < lo_i:
             raise ValueError(f"empty range {text!r}")
         return range(lo_i, hi_i + 1)
-    value = int(text)
+    value = parse_int(text)
     return range(value, value + 1)
 
 
 @_option_type
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = parse_int(text)
     if value < 1:
         raise ValueError(f"expected an integer >= 1 but got {text!r}")
     return value
@@ -71,7 +71,7 @@ def _positive_int(text: str) -> int:
 
 @_option_type
 def _parse_params(text: str):
-    parts = [int(x) for x in text.split(",")]
+    parts = [parse_int(x) for x in text.split(",")]
     if len(parts) != 4:
         raise ValueError(f"expected p,q,r,s but got {text!r}")
     return _package.polytopes.RationalTriangleParams(*parts)

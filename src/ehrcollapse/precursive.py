@@ -9,13 +9,11 @@ verify moves on instead of ever returning an unverified answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .arith import (EhrcollapseError, RationalLike, RationalTable, fraction_rows, fraction_view,
-                    to_integers)
+from .arith import EhrcollapseError, RationalLike, RationalTable, fraction_rows, to_integers
 
 P = (1 << 61) - 1  # the prime of the rank test
 
@@ -24,7 +22,6 @@ class InsufficientDataError(EhrcollapseError):
     """Raised when too few values are given for the requested search bounds."""
 
 
-@dataclass(frozen=True, init=False)
 class Recurrence(RationalTable):
     """The recurrence sum_j p_j(n+j) * f(n+j) = 0, j = 0..order, where p_j is
     polys[j][0] + polys[j][1]*n + ... + polys[j][degree]*n^degree.
@@ -35,13 +32,10 @@ class Recurrence(RationalTable):
     arith.fraction_rows (a float raises TypeError).
     """
 
+    FIELDS = ("order", "degree", "numerators", "denominator")
     KEYS = ("order", "polys")
 
-    order: int
-    degree: int
-    polys: tuple[tuple[Fraction, ...], ...] = fraction_view()
-    numerators: tuple[tuple[int, ...], ...]
-    denominator: int
+    polys = cached_property(RationalTable._fractions)
 
     def __init__(self, order: int, degree: int, polys: Iterable[Iterable]) -> None:
         self._fill(order, degree, fraction_rows(polys, order + 1, degree + 1))

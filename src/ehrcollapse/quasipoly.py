@@ -44,16 +44,16 @@ reduced by one gcd, and builds Fractions only when coeffs is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice, tee
 from math import lcm
 from operator import sub
 from typing import Iterable, Optional, Sequence
 
 from . import counting
-from .arith import (EhrcollapseError, Frozen, RationalLike, RationalTable, fraction_rows,
-                    fraction_view, horner, to_integers)
+from .arith import (EhrcollapseError, Frozen, RationalLike, RationalTable, fraction_rows, horner,
+                    to_integers)
 from .polytopes import AdmissiblePair
 
 
@@ -65,7 +65,6 @@ class FitFailureError(EhrcollapseError):
     """Raised when a fit that is guaranteed to exist does not verify."""
 
 
-@dataclass(frozen=True, init=False)
 class Quasipolynomial(RationalTable):
     """The quasipolynomial that is coeffs[z][0] + coeffs[z][1]*t + ... +
     coeffs[z][degree]*t^degree on t = z mod period.
@@ -76,13 +75,10 @@ class Quasipolynomial(RationalTable):
     arith.fraction_rows (a float raises TypeError).
     """
 
+    FIELDS = ("period", "degree", "numerators", "denominator")
     KEYS = ("period", "coeffs")
 
-    period: int
-    degree: int
-    coeffs: tuple[tuple[Fraction, ...], ...] = fraction_view()
-    numerators: tuple[tuple[int, ...], ...]
-    denominator: int
+    coeffs = cached_property(RationalTable._fractions)
 
     def __init__(self, period: int, degree: int, coeffs: Iterable[Iterable]) -> None:
         if period < 1:

@@ -580,11 +580,16 @@ _COUNT_MODULES = {"arith", "cli", "counting", "polytopes"}
     (["guess-rec", "--alpha", "3", "--beta", "3", "--t-max", "30", "--max-order", "2",
       "--max-degree", "0"], _COUNT_MODULES | {"precursive"}),
     (["period", "--alpha", "3", "--beta", "3"], _COUNT_MODULES | {"quasipoly"}),
+    (["fit", "--alpha", "3", "--beta", "3", "--period", "3", "--t-max", "30"],
+     _COUNT_MODULES | {"quasipoly"}),
+    (["search", "--max-p", "2", "--max-q", "3", "--max-r", "2", "--max-s", "3"],
+     _COUNT_MODULES | {"criteria", "quasipoly"}),
     (["fib", "--k", "2", "--n", "2..5", "--triangle"], {"arith", "cli", "polytopes", "sequences"}),
     (["tetra", "--n", "2", "--t", "0..3"], _COUNT_MODULES | {"sequences"}),
     (["check", "--criterion", "collapse", "--params", "2,3,3,2"],
      {"arith", "cli", "criteria", "polytopes"}),
-], ids=["count", "count-csv", "guess-rec", "guess-rec-counts", "period", "fib", "tetra", "check"])
+], ids=["count", "count-csv", "guess-rec", "guess-rec-counts", "period", "fit", "search", "fib",
+        "tetra", "check"])
 def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
     script = ("import json, sys; from ehrcollapse import cli; code = cli.main(sys.argv[1:]);"
               " print(json.dumps(sorted(sys.modules)), file=sys.stderr); sys.exit(code)")
@@ -593,8 +598,7 @@ def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
     modules = json.loads(proc.stderr)
     names = {m.removeprefix("ehrcollapse.") for m in modules if m.startswith("ehrcollapse.")}
     assert names | ({"csv"} & set(modules)) == loaded
-    if argv[0] in ("count", "check", "fib", "tetra"):  # only the tables are dataclasses
-        assert {"dataclasses", "inspect"}.isdisjoint(modules)
+    assert {"dataclasses", "inspect", "ast", "dis", "tokenize"}.isdisjoint(modules)
 
 
 def _unread_imports(path):
@@ -1187,13 +1191,19 @@ def test_help_and_an_argv_without_a_command_parse_as_before(argv):
     (["search", "--bound", "0"],
      "ehrcollapse search: error: argument --bound: expected an integer >= 1 but got '0'"),
     (["fib", "--k", "2", "--n", "1..x"],
-     "ehrcollapse fib: error: argument --n: invalid literal for int() with base 10: 'x'"),
+     "ehrcollapse fib: error: argument --n: invalid int value: 'x'"),
     (["count", "--u", "1,2", "--v", "1", "--t", "1"],
      "ehrcollapse count: error: argument --u: expected 'a' or 'a,b,d', got '1,2'"),
     (["count", "--legs", "1", "0,1,-2", "--t", "1"],
      "ehrcollapse count: error: argument --legs: radicand must be a nonnegative int, got -2"),
     (["count", "--vertices", "0,0", "1,0", "1/0,1"],
      "ehrcollapse count: error: argument --vertices: zero denominator in '1/0'"),
+    (["search", "--bound", "x"],
+     "ehrcollapse search: error: argument --bound: invalid int value: 'x'"),
+    (["check", "--criterion", "collapse", "--params", "1,x,3,4"],
+     "ehrcollapse check: error: argument --params: invalid int value: 'x'"),
+    (["count", "--u", "0,1,x", "--v", "1", "--t", "1"],
+     "ehrcollapse count: error: argument --u: invalid int value: 'x'"),
 ])
 def test_a_command_reports_its_own_errors_under_its_own_usage(argv, usage):
     code, out, err = _run_in_process(argv)

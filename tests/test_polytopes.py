@@ -25,7 +25,8 @@ from ehrcollapse.polytopes import (
     mcallister_woods_pair,
     scales_to_admissible,
 )
-from ehrcollapse.quasipoly import ReciprocityReport, SeriesNumerator
+from ehrcollapse.precursive import Recurrence
+from ehrcollapse.quasipoly import Quasipolynomial, ReciprocityReport, SeriesNumerator
 
 
 # -- AdmissiblePair ---------------------------------------------------------------
@@ -279,12 +280,20 @@ VALUE_CLASSES = [
           alpha_divides_t=False),
      "ReciprocityReport(t=3, value_at_neg_t=Fraction(7, 2), interior_count=2,"
      " correction=Fraction(3, 2), alpha_divides_t=True)"),
+    (Quasipolynomial, dict(period=2, degree=1, coeffs=((1, Fraction(1, 2)), ("3/4", -2))),
+     dict(period=2, degree=1, coeffs=((1, Fraction(1, 2)), ("3/4", -3))),
+     "Quasipolynomial(period=2, degree=1, numerators=((4, 2), (3, -8)), denominator=4)"),
+    (Recurrence, dict(order=1, degree=1, polys=((Fraction(2, 3), 0), (-1, "1/6"))),
+     dict(order=1, degree=1, polys=((Fraction(2, 3), 0), (-1, "1/7"))),
+     "Recurrence(order=1, degree=1, numerators=((4, 0), (-6, 1)), denominator=6)"),
 ]
 
 
 def _fill_caches(obj):
     """The triangle of obj, if it has one, with its slopes, expansion and translate
-    read, as a pooled search ships it between processes."""
+    read, as a pooled search ships it between processes; a table's view is read."""
+    if hasattr(obj, "KEYS"):
+        getattr(obj, obj.KEYS[1])
     pair = obj if isinstance(obj, TrianglePair) else getattr(obj, "triangle", lambda: None)()
     if pair is not None:
         pair.slopes, pair.expansion.grow(), pair.translate
@@ -310,6 +319,9 @@ def test_value_classes_compare_hash_print_freeze_and_pickle_by_their_fields(cls,
     pair = _fill_caches(obj)
     back = pickle.loads(pickle.dumps(obj))
     assert type(back) is cls and back == obj and repr(back) == text
+    if hasattr(cls, "KEYS"):  # a table keeps its view as it was read
+        view = cls.KEYS[1]
+        assert vars(back)[view] == vars(obj)[view] == getattr(cls(**fields), view)
     if pair is not None:
         copy = back if isinstance(back, TrianglePair) else vars(back)["_triangle"]
         assert {"slopes", "expansion", "translate"} <= vars(copy).keys()
