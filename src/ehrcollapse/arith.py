@@ -477,10 +477,11 @@ def integer_table(rows: Iterable[Iterable[RationalLike]], den: int = 1) -> tuple
     the gcd of the denominator and every entry, so that two tables of equal
     rationals have equal forms.  Every row has the width of the first."""
     rows = tuple(map(tuple, rows))
-    flat, scale = to_integers([*chain.from_iterable(rows)])
+    entries = [*chain.from_iterable(rows)]
+    flat, scale = to_integers(entries)
     den *= scale
     g = gcd(den, *flat) * (-1 if den < 0 else 1)
-    if flat and (g != 1 or scale != 1):
+    if flat and (g != 1 or flat is not entries):  # Fraction(n, 1) entries become ints too
         rows = tuple(zip(*[iter([c // g for c in flat])] * len(rows[0])))
     return rows, den // g
 

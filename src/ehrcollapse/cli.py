@@ -88,6 +88,13 @@ def _parse_vertex(text: str) -> tuple[Fraction, Fraction]:
     return (parse_fraction(parts[0]), parse_fraction(parts[1]))
 
 
+@functools.cache  # the keys of a record are one of a few fixed tuples
+def _line_template(keys: tuple[str, ...]) -> str:
+    """The JSON line of a record of these keys, each value a %s slot."""
+    fields = (json.dumps(key).replace("%", "%%") + ": %s" for key in keys)
+    return "{" + ", ".join(fields) + "}\n"
+
+
 class _Emitter:
     """Writes runs of records, each run its keys and a tuple of values per record,
     as JSON lines or CSV (header from the first record written).  Without a
@@ -134,13 +141,11 @@ class _Emitter:
                                           for name in (val if isinstance(val, dict) else (key,))])
                 self.writer.writerow(self._cells(row))
             return
-        rows, template = iter(rows), None  # rows are taken a chunk at a time
+        rows = iter(rows)  # rows are taken a chunk at a time
         while chunk := list(itertools.islice(rows, self.CHUNK_LINES)):
             if {int}.issuperset(map(type, itertools.chain.from_iterable(chunk))):
-                if template is None:  # the record's JSON line, each value a %s slot
-                    fields = (json.dumps(key).replace("%", "%%") + ": %s" for key in keys)
-                    template = "{" + ", ".join(fields) + "}\n"
                 # an exact int (never a bool) fills its slot with its repr, as json.dumps does
+                template = _line_template(tuple(keys))
                 text = "".join([template % row for row in chunk])
             else:
                 text = "".join([json.dumps(dict(zip(keys, row))) + "\n" for row in chunk])
@@ -569,20 +574,60 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return parser, commands.choices
 
 
-_command_parser = functools.cache(build_parser)  # each command's parser alone, built once
+@functools.cache
+def _command_parser(command: str) -> tuple[argparse.ArgumentParser, dict, dict, set]:
+    """The parser of command alone, built once, and its table for _read_flat: the
+    options that store one value or a constant, by option string; the namespace
+    of no options, as the parser fills it; the dests it requires."""
+    sub = build_parser(command)
+    actions = [a for a in sub._actions if argparse.SUPPRESS not in (a.dest, a.default)]
+    flat = {flag: a for a in actions for flag in a.option_strings if a.nargs in (None, 0)
+            and isinstance(a, (argparse._StoreAction, argparse._StoreConstAction))}
+    unset = {"command": command}  # the parser types a text default that it keeps
+    unset.update((a.dest, a.type(a.default) if isinstance(a.default, str) and a.type
+                  else a.default) for a in actions)
+    unset.update((dest, x) for dest, x in sub._defaults.items() if dest not in unset)
+    return sub, flat, unset, {a.dest for a in sub._actions if a.required}
+
+
+def _read_flat(argv: list[str], flat, unset, required) -> Optional[argparse.Namespace]:
+    """The namespace that the command's parser gives argv when argv is only options
+    in flat, each that takes a value followed by one that does not start with '-';
+    None for any other argv or one the parser refuses, which it then reports."""
+    values, tokens = {}, iter(argv)
+    for token in tokens:
+        action = flat.get(token)
+        if action is None:
+            return None
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        text = next(tokens, "-")  # a missing value reads as an option would
+        if text.startswith("-"):
+            return None
+        try:
+            value = values[action.dest] = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+    return argparse.Namespace(**{**unset, **values}) if values.keys() >= required else None
 
 
 def _parse(argv: list[str]) -> tuple[argparse.Namespace, argparse.ArgumentParser]:
     """The namespace that parser.parse_args(argv) gives, and the subparser of
     its command.  An argv that starts with a command goes straight to the
-    parser of that command alone; only help, a missing or unknown command and
-    the tokens a command leaves build the full parser, to report them."""
+    parser of that command alone, which reads a flat argv by its table and
+    any other by argparse; only help, a missing or unknown command and the
+    tokens a command leaves build the full parser, to report them."""
     if argv and argv[0] in _COMMANDS:
-        sub = _command_parser(argv[0])
-        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extra:
-            return args, sub
-        _parsers()[0].error(f"unrecognized arguments: {' '.join(extra)}")
+        sub, *table = _command_parser(argv[0])
+        args = _read_flat(argv[1:], *table)
+        if args is None:
+            args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if extra:
+                _parsers()[0].error(f"unrecognized arguments: {' '.join(extra)}")
+        return args, sub
     parser, subparsers = _parsers()
     args = parser.parse_args(argv)
     return args, subparsers[args.command]

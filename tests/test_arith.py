@@ -515,6 +515,17 @@ def test_tables_keep_their_repr_and_fields():
         1, 1, ((Fraction(2, 3), 0), (-1, Fraction(1, 6))), ((4, 0), (-6, 1)), 6)
 
 
+@pytest.mark.parametrize("cls, shape, rows", [(Recurrence, (2, 0), [[1], [1], [-1]]),
+                                              (Quasipolynomial, (2, 1), [[1, 3], [-2, 5]])])
+def test_a_table_of_integers_holds_int_numerators(cls, shape, rows):
+    """Built from ints, or read back from their 'n/1' text, a table holds the
+    int numerators of the table that _of builds, not Fraction(n, 1)."""
+    built = cls(*shape, rows)
+    for table in (built, cls.from_json_dict(built.to_json_dict())):
+        assert all(type(c) is int for row in table.numerators for c in row)
+        assert repr(table) == repr(cls._of(*shape, rows, 1))
+
+
 # numerators past 2**64 of either sign, and integers, which are written n/1
 exact_entries = (st.integers(-2 ** 200, 2 ** 200)
                  | st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 80)))

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: schemas, determinism, exit codes."""
 
+import argparse
 import ast
 import contextlib
 import functools
@@ -1069,14 +1070,32 @@ SUBCOMMANDS = {
 }
 
 
+def _abbreviation(command, flag):
+    """The shortest prefix of flag that argparse reads as flag alone and that
+    is not flag itself, or None."""
+    flags = cli._parsers()[1][command]._option_string_actions
+    return next((flag[:n] for n in range(3, len(flag))
+                 if [f for f in flags if f.startswith(flag[:n])] == [flag]), None)
+
+
 @st.composite
-def argvs(draw):
+def argvs(draw, spelled=False):
+    """A subcommand and its options.  When spelled, an option may also be
+    written --flag=value, by an abbreviation or twice (the second time with
+    another drawn value): the forms that only argparse reads."""
     command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
     needed, extra = SUBCOMMANDS[command]
     options = draw(st.sampled_from(needed)) + draw(st.lists(st.sampled_from(extra), max_size=2))
     argv = [command]
     for flag, values in draw(st.permutations(options)):
-        argv += [flag, *draw(values)]
+        given = draw(values)
+        form = draw(st.sampled_from(["plain"] * 3 + ["=", "short", "twice"])) if spelled else "plain"
+        if form == "=" and len(given) == 1:
+            argv.append(f"{flag}={given[0]}")
+            continue
+        if form == "twice":
+            argv += [flag, *draw(values)]
+        argv += [_abbreviation(command, flag) or flag if form == "short" else flag, *given]
     return argv
 
 
@@ -1113,7 +1132,8 @@ def _parse_or_exit(parse, argv):
 
 
 @settings(max_examples=500, deadline=None)
-@given(argvs(), st.sampled_from([[], ["extra"], ["--t", "1", "x"]]))
+@given(argvs(spelled=True), st.sampled_from([[], ["extra"], ["--t", "1", "x"], ["--"], ["-h"],
+                                             ["--t", "-5"]]))
 def test_one_parse_gives_what_the_full_parse_gives(argv, tail):
     parser, subparsers = cli._parsers()
     argv = argv + tail
@@ -1125,6 +1145,38 @@ def test_one_parse_gives_what_the_full_parse_gives(argv, tail):
         args, sub = one
         want = subparsers[argv[0]]
         assert (args, sub.prog, sub.format_help()) == (full, want.prog, want.format_help()), argv
+
+
+# one flat argv of each command shape that the benchmark runs, and store_true flags
+FLAT_ARGVS = [
+    ["count", "--params", "7,23,11,19", "--t", "700001"],
+    ["count", "--alpha", "14", "--beta", "3", "--t", "1234567"],
+    ["count", "--u", "1/2,3/4,7", "--v", "7/4", "--t", "0..300"],
+    ["count", "--alpha", "3", "--beta", "3", "--t", "0..5", "--interior", "--closed-form"],
+    ["period", "--alpha", "3", "--beta", "5"],
+    ["guess-rec", "--alpha", "3", "--beta", "3", "--t-max", "60", "--max-order", "9",
+     "--max-degree", "1"],
+    ["guess-rec", "--values", "1,1,2,3,5,8,13,21,34,55,89,144", "--max-order", "2",
+     "--max-degree", "0"],
+    ["search", "--max-p", "3", "--max-q", "8", "--max-r", "7", "--max-s", "5"],
+    ["search", "--bound", "2", "--format", "csv", "--jobs", "1"],
+    ["fib", "--k", "2", "--n", "2..9", "--triangle"],
+]
+
+
+@pytest.mark.parametrize("argv", FLAT_ARGVS)
+def test_a_flat_argv_is_read_without_argparse(argv, monkeypatch):
+    parser, subparsers = cli._parsers()
+    want = parser.parse_args(argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse read a flat argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    args, sub = cli._parse(argv)
+    assert args == want and list(vars(args)) == list(vars(want))
+    assert (sub.prog, sub.format_help()) == (subparsers[argv[0]].prog,
+                                             subparsers[argv[0]].format_help())
 
 
 @pytest.mark.parametrize("argv", [[], ["nope"], ["-h"], ["--version"],
