@@ -326,31 +326,6 @@ def _twin_order(pqrs, bounds) -> int:
     return ((r, s) > (p, q)) - ((r, s) < (p, q))
 
 
-def _search_rows(tuples, bounds, periods, check):
-    """The values of each search record, in the order of _SEARCH_KEYS.
-
-    tuples is the walk iter_lowest_term_tuples(*bounds); periods yields the
-    certified period of each of its tuples whose twin does not come earlier,
-    in walk order; check is the collapse criterion.  A tuple whose twin
-    comes later stores its period until the twin takes it."""
-    params_of = _package.polytopes.RationalTriangleParams
-    waiting = {}  # (p, q, r, s) -> the period its twin (r, s, p, q) will take
-    for pqrs in tuples:
-        order = _twin_order(pqrs, bounds)
-        if order < 0:
-            p, q, r, s = pqrs
-            period = waiting.pop((r, s, p, q))
-        else:
-            period = next(periods)
-            if order > 0:
-                waiting[pqrs] = period
-        params = params_of(*pqrs)
-        denom = params.denominator
-        if denom % period != 0:
-            raise AssertionError(f"minimal period {period} does not divide {denom}")
-        yield (params.to_json_dict(), denom, period, check(params).holds, period < denom)
-
-
 def _cmd_search(args, parser, emit) -> int:
     bounds = (
         args.max_p or args.bound,
@@ -361,25 +336,26 @@ def _cmd_search(args, parser, emit) -> int:
     if any(b is None for b in bounds):
         parser.error("give --bound or all of --max-p/--max-q/--max-r/--max-s")
     polytopes = _package.polytopes
-    walk = polytopes.iter_lowest_term_tuples
-    needed = (polytopes.RationalTriangleParams(*t)
-              for t in walk(*bounds) if _twin_order(t, bounds) >= 0)
-    # quasipoly loads here, before any pool forks, for its workers to inherit
+    params_of = polytopes.RationalTriangleParams
     certify = _package.quasipoly.certified_period
     check = _package.criteria.check_collapse_criterion
-
-    def write(periods) -> int:
-        for values in _search_rows(walk(*bounds), bounds, periods, check):
-            emit(_SEARCH_KEYS, [values])
-        return 0
-
-    jobs = min(args.jobs, os.cpu_count() or 1)  # the output is the same for any jobs
-    if jobs > 1:
-        import multiprocessing  # here, so that no other command pays for it at start-up
-
-        with multiprocessing.Pool(jobs) as pool:
-            return write(pool.imap(certify, needed, chunksize=32))
-    return write(map(certify, needed))
+    waiting = {}  # (p, q, r, s) -> the period its later twin (r, s, p, q) will take
+    for pqrs in polytopes.iter_lowest_term_tuples(*bounds):
+        params = params_of(*pqrs)
+        order = _twin_order(pqrs, bounds)
+        if order < 0:
+            p, q, r, s = pqrs
+            period = waiting.pop((r, s, p, q))
+        else:
+            period = certify(params)
+            if order > 0:
+                waiting[pqrs] = period
+        denom = params.denominator
+        if denom % period != 0:
+            raise AssertionError(f"minimal period {period} does not divide {denom}")
+        emit(_SEARCH_KEYS, [(params.to_json_dict(), denom, period, check(params).holds,
+                             period < denom)])
+    return 0
 
 
 # -- fib / tetra ----------------------------------------------------------------
@@ -501,7 +477,6 @@ def _search_arguments(sub) -> None:
     sub.add_argument("--bound", type=_positive_int, help="common bound for p,q,r,s")
     for flag in ("--max-p", "--max-q", "--max-r", "--max-s"):
         sub.add_argument(flag, type=_positive_int)
-    sub.add_argument("--jobs", type=_positive_int, default=1)
 
 
 def _fib_arguments(sub) -> None:

@@ -8,7 +8,6 @@ import hashlib
 import importlib.util
 import io
 import json
-import os
 import subprocess
 import sys
 import time
@@ -264,11 +263,8 @@ def test_search_bound_one():
     }]
 
 
-def test_search_deterministic_across_jobs():
-    single = run_cli("search", "--bound", "2", "--jobs", "1").stdout
-    multi = run_cli("search", "--bound", "2", "--jobs", "2").stdout
-    assert single == multi
-    records = [json.loads(line) for line in single.splitlines()]
+def test_search_bound_two_finds_a_collapse():
+    records = json_lines(run_cli("search", "--bound", "2"))
     collapse = {(r["params"]["p"], r["params"]["q"], r["params"]["r"],
                  r["params"]["s"]): r["collapse"] for r in records}
     assert collapse[(1, 2, 2, 1)] is True
@@ -328,10 +324,8 @@ def _certified_search(monkeypatch, argv, certify=quasipoly.certified_period):
 
 @pytest.mark.parametrize("box", REUSE_BOXES)
 def test_search_reuses_a_period_only_from_its_twin(monkeypatch, box):
-    serial, _ = _certified_search(monkeypatch, _box_argv(box))
-    assert _periods_not_its_own(serial, box) == []
-    pooled = run_cli(*_box_argv(box), "--jobs", "2").stdout
-    assert pooled == serial
+    stdout, _ = _certified_search(monkeypatch, _box_argv(box))
+    assert _periods_not_its_own(stdout, box) == []
 
 
 @pytest.mark.parametrize("argv, calls", [
@@ -365,34 +359,10 @@ def test_a_wrong_stored_period_fails_the_reuse_check(monkeypatch):
                           off_by_one_at({"p": 1, "q": 1, "r": 2, "s": 1}))
 
 
-def test_search_starts_no_more_workers_than_cpus(monkeypatch):
-    """A pool of any size gives the same output; the stand-in pool records its
-    size and runs the certificates in process, so no worker starts."""
-    import multiprocessing
-
-    sizes = []
-
-    class Pool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(multiprocessing, "Pool", Pool)
-    serial = _run_in_process(["search", "--bound", "3"])
-    for jobs, cpus, started in (("5000", 3, [3]), ("2", 3, [2]), ("5000", 1, []),
-                                ("5000", None, [])):
-        sizes.clear()
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert _run_in_process(["search", "--bound", "3", "--jobs", jobs]) == serial
-        assert sizes == started
+def test_search_has_no_jobs_option():
+    proc = run_cli("search", "--bound", "2", "--jobs", "2", check=False)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith("ehrcollapse: error: unrecognized arguments: --jobs 2\n")
 
 
 # -- fib / tetra ---------------------------------------------------------------------
@@ -542,8 +512,8 @@ def test_bad_numbers_exit_2_with_one_line(argv):
     ("count", "--u", "1/0", "--v", "1", "--t", "1"),
     ("count", "--legs", "1", "0,1/0,2", "--t", "1"),
     ("count", "--interval", "0", "1/0", "--t", "1"),
-    ("search", "--jobs", "0", "--bound", "2"),
-    ("search", "--jobs", "-1", "--bound", "2"),
+    ("search", "--jobs", "1", "--bound", "2"),
+    ("search", "--bound", "2", "--jobs"),
     ("search", "--bound", "-2"),
     ("search", "--bound", "0"),
     ("search", "--max-p", "0", "--max-q", "1", "--max-r", "1", "--max-s", "1"),
@@ -1028,8 +998,7 @@ _FLAG = st.just([])
 
 # Per subcommand: the option sets of which a valid call needs one, and options
 # that may be added to it.  Every value that sets an amount of work is small,
-# so that each call runs in milliseconds; --jobs stays at most 1, so that no process pool starts; verify
-# meets only suite names it rejects.
+# so that each call runs in milliseconds; verify meets only suite names it rejects.
 SUBCOMMANDS = {
     "count": (
         [shape + [("--t", _RANGE)] for shape in _TRIANGLES]
@@ -1056,7 +1025,7 @@ SUBCOMMANDS = {
         _COMMON[:1] + [("--alpha", _HUGE_INT), ("--p", _HUGE_INT), ("--params", _PARAMS)]),
     "search": ([[("--bound", _values(("1", "2"), ("0", "-1", "x", "2.5")))],
                 [(f"--max-{c}", _values(("1", "2"), ("0", "1.5"))) for c in "pqrs"]],
-               _COMMON + [("--jobs", _values(("1",), ("0", "-1", "1.5"))), ("--max-q", _INT)]),
+               _COMMON + [("--max-q", _INT)]),
     "fib": ([[("--k", _HUGE_INT), ("--n", _RANGE)]], _COMMON + [("--triangle", _FLAG)]),
     "tetra": ([[("--n", _INT)], [("--limit", _FLAG)]], _COMMON + [("--t", _RANGE), ("--n", _INT)]),
     "guess-rec": (
@@ -1159,7 +1128,7 @@ FLAT_ARGVS = [
     ["guess-rec", "--values", "1,1,2,3,5,8,13,21,34,55,89,144", "--max-order", "2",
      "--max-degree", "0"],
     ["search", "--max-p", "3", "--max-q", "8", "--max-r", "7", "--max-s", "5"],
-    ["search", "--bound", "2", "--format", "csv", "--jobs", "1"],
+    ["search", "--bound", "2", "--format", "csv"],
     ["fib", "--k", "2", "--n", "2..9", "--triangle"],
 ]
 
