@@ -573,11 +573,14 @@ def parse_int(text: str) -> int:
 
 
 def parse_fraction(text: Union[int, str]) -> Fraction:
-    """Fraction(text), with a zero denominator reported as a ValueError."""
+    """Fraction(text), with the wording of parse_int for text that is not one and
+    a zero denominator reported as a ValueError."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise ValueError(f"invalid fraction value: {text!r}") from None
 
 
 def parse_quad(text: str) -> QuadNumber:

@@ -88,6 +88,11 @@ def _parse_vertex(text: str) -> tuple[Fraction, Fraction]:
     return (parse_fraction(parts[0]), parse_fraction(parts[1]))
 
 
+@_option_type
+def _parse_values(text: str) -> list[Fraction]:
+    return [parse_fraction(x) for x in text.split(",")]
+
+
 @functools.cache  # the keys of a record are one of a few fixed tuples
 def _line_template(keys: tuple[str, ...]) -> str:
     """The JSON line of a record of these keys, each value a %s slot."""
@@ -409,7 +414,7 @@ def _cmd_guess_rec(args, parser, emit) -> int:
         unread = (args.t_max, args.params, args.alpha, args.beta, args.u, args.v)
         if any(x is not None for x in unread):
             parser.error("--values takes no --t-max, --params, --alpha/--beta or --u/--v")
-        values: list = [parse_fraction(x) for x in args.values.split(",")]
+        values: list = args.values
     else:
         obj = _triangle_object(args, parser)
         if args.t_max is None:
@@ -493,7 +498,7 @@ def _tetra_arguments(sub) -> None:
 
 def _guess_rec_arguments(sub) -> None:
     _add_triangle_flags(sub)
-    sub.add_argument("--values", help="comma-separated sequence values")
+    sub.add_argument("--values", type=_parse_values, help="comma-separated sequence values")
     sub.add_argument("--t-max", type=int)
     sub.add_argument("--max-order", type=int, required=True)
     sub.add_argument("--max-degree", type=int, required=True)

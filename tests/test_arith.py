@@ -25,9 +25,11 @@ from ehrcollapse.arith import (
 )
 from ehrcollapse.polytopes import (
     AdmissiblePair,
+    AxisSimplex,
     Interval,
     RationalTriangle2D,
     RationalTriangleParams,
+    TrianglePair,
     scales_to_admissible,
 )
 from ehrcollapse.precursive import Recurrence, guess_recurrence, verify_recurrence
@@ -163,7 +165,8 @@ def test_field_laws_share_radicand(data, d):
     assert (x + y) + z == x + (y + z)
     assert (x + y) * z == x * z + y * z
     assert x * y == y * x
-    assert x - x == 0
+    assert x - x == 0 and not x - x
+    assert 1 - x == -(x - 1)  # __rsub__
     if x != 0:
         assert x * (1 / x) == 1
 
@@ -190,6 +193,7 @@ def test_pow_matches_repeated_multiplication(x, n):
 
 
 def test_zero_to_a_negative_power_is_division_by_zero():
+    assert not QuadNumber(0)
     for n in (-1, -4):
         with pytest.raises(ZeroDivisionError, match="^division by zero$"):
             QuadNumber(0) ** n
@@ -288,6 +292,7 @@ def test_parse_quad_forms():
     assert parse_quad("7") == 7
     assert parse_quad("5/3") == Fraction(5, 3)
     assert parse_quad("3/2,1/2,5") == QuadNumber(Fraction(3, 2), Fraction(1, 2), 5)
+    assert str(QuadNumber(Fraction(3, 2))) == "3/2"
     with pytest.raises(ValueError):
         parse_quad("1,2")
 
@@ -408,6 +413,10 @@ FLOAT_CALLS = {
     "tetra_polynomial": lambda: sequences.tetra_polynomial(2.5),
     "AdmissiblePair": lambda: AdmissiblePair(3.0, 3.0),
     "RationalTriangleParams": lambda: RationalTriangleParams(2.0, 3, 3, 2),
+    "TrianglePair": lambda: TrianglePair(1, 0.5),
+    "AxisSimplex": lambda: AxisSimplex((1, 0.5)),
+    "Interval": lambda: Interval(0, 0.5),
+    "QuadNumber arithmetic": lambda: quad_sqrt(2) + 0.5,
 }
 
 
@@ -460,6 +469,7 @@ REFUSALS = {
                        "expected a triangle-like object, got object"),
     "QuadNumber.as_fraction": (lambda: QuadNumber(0, 1, 2).as_fraction(), ValueError,
                                r"0\+1\*sqrt\(2\) is irrational"),
+    "QuadNumber.__pow__": (lambda: quad_sqrt(2) ** 0.5, TypeError, "exponent must be an int"),
 }
 
 

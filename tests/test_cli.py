@@ -8,6 +8,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -22,7 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ehrcollapse import cli, counting, quasipoly, sequences
+from ehrcollapse import cli, counting, precursive, quasipoly, sequences
 from ehrcollapse.arith import parse_quad
 from ehrcollapse.polytopes import (
     RationalTriangleParams,
@@ -144,10 +145,11 @@ def test_period_reports_collapse():
 
 
 def test_period_on_quadratic_legs_is_usage_error():
-    proc = run_cli("period", "--u", "1", "--v", "1,1,2", check=False)
-    assert proc.returncode == 2
-    assert proc.stderr == ("error: period needs rational legs, or legs with integer u + v"
-                           " and 1/u + 1/v\n")
+    for legs in (("--u", "1", "--v", "1,1,2"), ("--u", "1/2,3/4,7", "--v", "7/4")):
+        proc = run_cli("period", *legs, check=False)
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: period needs rational legs, or legs with integer u + v"
+                               " and 1/u + 1/v\n")
 
 
 @pytest.mark.parametrize("legs, same", [
@@ -155,6 +157,8 @@ def test_period_on_quadratic_legs_is_usage_error():
     (("--u", "5", "--v", "7/4"), ("--params", "1,5,4,7")),
     (("--u", "3/2,1/2,5", "--v", "3/2,-1/2,5"), ("--alpha", "3", "--beta", "3")),
     (("--u", "7/2,-1/10,1085", "--v", "7/2,1/10,1085"), ("--alpha", "7", "--beta", "5")),
+    (("--u", "2/3", "--v", "3/2"), ("--params", "3,2,2,3")),
+    (("--u", "3/2,-1/2,5", "--v", "3/2,1/2,5"), ("--alpha", "3", "--beta", "3")),
 ])
 def test_period_on_rational_or_admissible_legs_prints_what_the_other_forms_print(legs, same):
     assert run_cli("period", *legs).stdout == run_cli("period", *same).stdout
@@ -207,11 +211,13 @@ def test_fit_with_short_residues_fails_without_walking_them(period):
 
 
 def test_guess_rec_that_needs_too_many_counts_is_refused_before_counting():
-    code, lines = _answers_at_once("guess-rec", "--alpha", "3", "--beta", "3",
-                                   "--t-max", "100000000", "--max-order", "0",
-                                   "--max-degree", "0")
-    assert code == 2
-    assert lines == ["error: 100000001 counts held at once are more than the limit of 10000000"]
+    for t_max in (10 ** 8, 10 ** 9):
+        code, lines = _answers_at_once("guess-rec", "--alpha", "3", "--beta", "3",
+                                       "--t-max", str(t_max), "--max-order", "0",
+                                       "--max-degree", "0")
+        assert code == 2
+        assert lines == [f"error: {t_max + 1} counts held at once are more than the limit"
+                         " of 10000000"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -498,7 +504,6 @@ def test_byte_identical_reruns():
 @pytest.mark.parametrize("argv", [
     ("count", "--mw-image", "0", "--t", "1"),
     ("count", "--mw-image", "-3", "--t", "1"),
-    ("guess-rec", "--values", "1/0", "--max-order", "1", "--max-degree", "0"),
 ])
 def test_bad_numbers_exit_2_with_one_line(argv):
     proc = run_cli(*argv, check=False)
@@ -737,10 +742,54 @@ PINNED_STDOUT = {
     "count over three chunks": "df87a8b97ce288beff3c57b5052ad36959b8c194a6ff43d7634d0d4a21c4fe80",
     # recorded before the swapped divisibility triple was built by _divisibility_triple
     "check on small params": "5ebcbe687dd4949bd9ecc463f589bb05b4d8d773eb53951c87c55c5e42dc08be",
+    # recorded as sha256sum checks of the CI workflow, each of one command
+    "search --max-p 3 --max-q 8 --max-r 7 --max-s 5":
+        "f4239e72c6e10bbd06c505611324d2742658578453533ae5d3e3e413e3773010",
+    "search --max-p 7 --max-q 5 --max-r 3 --max-s 8":
+        "c678622b1c5bbd9226a3330bed4106d2f73781b6ee3702547a7daad2449c50bc",
+    "search --bound 6": "8afeb020264a2a7c22612434a3f8af3e356518c17a6b88c5641d9889e0b40adb",
+    "search --bound 8": "8493e98c32ef0e8b2579c890404c26ec8c091913f35f0700f85536fbc2a83e9c",
+    "fit --params 55,89,89,55 --period 4895":
+        "a87e13f79d88e940c03bd09b6a297ea7c56af34dd4bbcc19c1ab178cb8f1e86f",
+    "guess-rec --alpha 3 --beta 3 --t-max 200000":
+        "0dbfc909911c65ef76825cd78dec25b2781faba425d289cccbf79972f3111e5f",
+    "tetra --limit --t 0..2000": "5c51fa1bd15ccf7e8c2ebf192f1f109cf1913239f7ae01bfd91b4cbb839206d0",
+    "tetra --n 2 --t 0..2000": "7941c7e7a5eed39e4460dfc23d0f8ecf1247bb46df06d230e153fe1f3718a94d",
+    "count --legs 1/2 10/3 3/5 --t 0..2000":
+        "da9700e89d50509f7ee556a37ec6c0f81e78572f1f91359f04b3069cf83a068c",
+    "count --interval 0,1,2 3,1,2 --t 0..100000":
+        "12c5bae275c8882df97ad6a28aa7eae4d7d2f20cfa95f9de1698b81964c005fb",
+    "count --interval 1/3,1,5 7/3,1,5 --t 0..100000":
+        "e5fb7baf55204ca650ef3b363e05bff91885bdaec8eb88549e33eb403eceeb5c",
+    "count --u 1/2,3/4,7 --v 7/4 --t 0..100000":
+        "9fcb4cdd0cbefebd158ecdf414abb2ecdcab67c6200c61471620325f8e25568b",
+    "count --u 1,1,2 --v 1 --t 0..100000":
+        "fdf66e6386e1d6de7654ab1f93a279c629b14f487bb59269a3752cd34b9dc4b8",
+    "count --u 0,1,1000000007 --v 5/8 --t 0..100000":
+        "607b0afbaaac19420b78ef69d196a2bb710a527eb25b691903bec5fa01c39813",
+    "count --legs 1,1,2 3/7 --t 0..100000":
+        "a6fb20d51d7192274deb8c639a52480df0b84180a090fbed23947e62836a3c5d",
+    # recorded where the CI workflow checked a line of the stdout alone: its
+    # "minimal_period": 987 (= F_16), and its "recurrence": null at 100001 values
+    "period --params 610,987,987,610":
+        "5e4e28efa7bd20771fc327dc7efcda5b3fa4f9e3dc61f57fd72b6c06f4efc077",
+    "guess-rec --alpha 3 --beta 3 --t-max 100000 --max-order 0":
+        "d938e0aafce865181454d803b3554393783e01186a318cda7847daa6858bbebd",
+    # recorded where the CI workflow compared two stdouts: a two-leg simplex is
+    # counted as its triangle, and each spelling of an option is read as its flat form
+    **dict.fromkeys(["count --legs 2 3 --t 0..2000", "count --u 1/2 --v 1/3 --t 0..2000"],
+                    "6274410878645dabd4fa77c9f5db93e3292972d059d75745a2013a003bca5c72"),
+    **dict.fromkeys(["count --alpha 3 --beta 3 --t 0..2000", "count --alpha=3 --beta=3 --t=0..2000",
+                     "count --alp 3 --be 3 --t 0..2000"],
+                    "a922f28924d324e35ab78b749ecd78b53d8e7112930e2de55304b80c153fddfd"),
+    **dict.fromkeys(["guess-rec --values -1,2,...,2048", "guess-rec --val=-1,2,...,2048 --max-o 1"],
+                    "2a644adc4259e23af63b39a600756555b2b1c07da0494b7158776bf0b9cc5f7e"),
 }
 
+# the commands of each run, and the seconds that each may take in process, from the
+# `timeout` that bounded it in the CI workflow (None: no budget)
 RUN_ARGVS = {
-    "count --format csv ranges": [
+    "count --format csv ranges": ([
         ["count", "--params", "2,3,3,2", "--t", "0..60", "--format", "csv"],
         ["count", "--u", "1/2,3/4,7", "--v", "7/4", "--t", "0..60", "--format", "csv"],
         ["count", "--legs", "1/2", "10/3", "3/5", "--t", "0..20", "--format", "csv"],
@@ -748,24 +797,78 @@ RUN_ARGVS = {
         ["count", "--mw-image", "3", "--t", "1..20", "--format", "csv"],
         ["count", "--alpha", "3", "--beta", "3", "--t", "0..40", "--interior", "--closed-form",
          "--format", "csv"],
-    ],
-    "count --interior": [["count", "--alpha", "3", "--beta", "3", "--t", "0..300", "--interior"]],
-    "tetra --t": [["tetra", "--n", "2", "--t", "0..200"], ["tetra", "--limit", "--t", "0..30"],
-                  ["tetra", "--n", "3", "--t", "0..30", "--format", "csv"]],
-    "fib --n": [["fib", "--k", "2", "--n", "2..30", "--triangle"], ["fib", "--k", "1", "--n", "0..40"],
-                ["fib", "--k", "2", "--n", "2..30", "--triangle", "--format", "csv"]],
+    ], None),
+    "count --interior": ([["count", "--alpha", "3", "--beta", "3", "--t", "0..300", "--interior"]],
+                         None),
+    "tetra --t": ([["tetra", "--n", "2", "--t", "0..200"], ["tetra", "--limit", "--t", "0..30"],
+                   ["tetra", "--n", "3", "--t", "0..30", "--format", "csv"]], None),
+    "fib --n": ([["fib", "--k", "2", "--n", "2..30", "--triangle"],
+                 ["fib", "--k", "1", "--n", "0..40"],
+                 ["fib", "--k", "2", "--n", "2..30", "--triangle", "--format", "csv"]], None),
     # 10 001 lines: more than two chunks of 4096
-    "count over three chunks": [["count", "--params", "7,13,11,9", "--t", "0..10000"]],
+    "count over three chunks": ([["count", "--params", "7,13,11,9", "--t", "0..10000"]], None),
+    "search --max-p 3 --max-q 8 --max-r 7 --max-s 5": (
+        [["search", "--max-p", "3", "--max-q", "8", "--max-r", "7", "--max-s", "5"]], None),
+    "search --max-p 7 --max-q 5 --max-r 3 --max-s 8": (
+        [["search", "--max-p", "7", "--max-q", "5", "--max-r", "3", "--max-s", "8"]], None),
+    "search --bound 6": ([["search", "--bound", "6"]], None),
+    "search --bound 8": ([["search", "--bound", "8"]], None),
+    "period --params 610,987,987,610": ([["period", "--params", "610,987,987,610"]], 60),
+    "fit --params 55,89,89,55 --period 4895": (
+        [["fit", "--params", "55,89,89,55", "--period", "4895"]], 60),
+    "guess-rec --alpha 3 --beta 3 --t-max 200000": (
+        [["guess-rec", "--alpha", "3", "--beta", "3", "--t-max", "200000", "--max-order", "9",
+          "--max-degree", "1"]], 10),
+    "guess-rec --alpha 3 --beta 3 --t-max 100000 --max-order 0": (
+        [["guess-rec", "--alpha", "3", "--beta", "3", "--t-max", "100000", "--max-order", "0",
+          "--max-degree", "0"]], 10),
+    "tetra --limit --t 0..2000": ([["tetra", "--limit", "--t", "0..2000"]], 10),
+    "tetra --n 2 --t 0..2000": ([["tetra", "--n", "2", "--t", "0..2000"]], 10),
+    "count --legs 1/2 10/3 3/5 --t 0..2000": (
+        [["count", "--legs", "1/2", "10/3", "3/5", "--t", "0..2000"]], 10),
+    "count --interval 0,1,2 3,1,2 --t 0..100000": (
+        [["count", "--interval", "0,1,2", "3,1,2", "--t", "0..100000"]], 10),
+    "count --interval 1/3,1,5 7/3,1,5 --t 0..100000": (
+        [["count", "--interval", "1/3,1,5", "7/3,1,5", "--t", "0..100000"]], 10),
+    "count --u 1/2,3/4,7 --v 7/4 --t 0..100000": (
+        [["count", "--u", "1/2,3/4,7", "--v", "7/4", "--t", "0..100000"]], 10),
+    "count --u 1,1,2 --v 1 --t 0..100000": (
+        [["count", "--u", "1,1,2", "--v", "1", "--t", "0..100000"]], 10),
+    "count --u 0,1,1000000007 --v 5/8 --t 0..100000": (
+        [["count", "--u", "0,1,1000000007", "--v", "5/8", "--t", "0..100000"]], 10),
+    "count --legs 1,1,2 3/7 --t 0..100000": (
+        [["count", "--legs", "1,1,2", "3/7", "--t", "0..100000"]], 10),
+    "count --legs 2 3 --t 0..2000": ([["count", "--legs", "2", "3", "--t", "0..2000"]], None),
+    "count --u 1/2 --v 1/3 --t 0..2000": (
+        [["count", "--u", "1/2", "--v", "1/3", "--t", "0..2000"]], None),
+    "count --alpha 3 --beta 3 --t 0..2000": (
+        [["count", "--alpha", "3", "--beta", "3", "--t", "0..2000"]], None),
+    "count --alpha=3 --beta=3 --t=0..2000": (
+        [["count", "--alpha=3", "--beta=3", "--t=0..2000"]], None),
+    "count --alp 3 --be 3 --t 0..2000": ([["count", "--alp", "3", "--be", "3", "--t", "0..2000"]],
+                                         None),
+    "guess-rec --values -1,2,...,2048": (
+        [["guess-rec", "--values", "-1,2,-4,8,-16,32,-64,128,-256,512,-1024,2048",
+          "--max-order", "1", "--max-degree", "0"]], None),
+    "guess-rec --val=-1,2,...,2048 --max-o 1": (
+        [["guess-rec", "--val=-1,2,-4,8,-16,32,-64,128,-256,512,-1024,2048", "--max-o", "1",
+          "--max-d=0"]], None),
 }
 
 
-def _stdout_digest(argvs):
-    digest = hashlib.sha256()
+def _check_stdout(argvs, digest, budget=None):
+    """Runs each argv in process, which must exit 0 without stderr, each within
+    budget seconds if a budget is given, and checks that their stdouts, in order,
+    hash to digest."""
+    sha = hashlib.sha256()
     for argv in argvs:
+        start = time.perf_counter()
         code, out, err = _run_in_process(argv)
+        seconds = time.perf_counter() - start
         assert (code, err) == (0, ""), (argv, err)
-        digest.update(out.encode())
-    return digest.hexdigest()
+        assert budget is None or seconds < budget, f"{argv} took {seconds:.3g} s of {budget} s"
+        sha.update(out.encode())
+    assert sha.hexdigest() == digest, f"sha256 of {argvs} is {sha.hexdigest()}, not {digest}"
 
 
 def _fib_period_argvs():
@@ -824,44 +927,91 @@ def test_stdout_matches_the_pinned_digests():
     pairs = [(a, b) for a in range(1, 15) for b in range(1, 41) if is_admissible(a, b)]
     assert len(pairs) == 552
     periods = (["period", "--alpha", str(a), "--beta", str(b)] for a, b in pairs)
-    assert _stdout_digest(periods) == PINNED_STDOUT["period on admissible pairs"]
-    assert _stdout_digest([["search", "--bound", "5"]]) == PINNED_STDOUT["search --bound 5"]
+    _check_stdout(periods, PINNED_STDOUT["period on admissible pairs"])
+    _check_stdout([["search", "--bound", "5"]], PINNED_STDOUT["search --bound 5"])
     fib_periods = list(_fib_period_argvs())
     assert len(fib_periods) == 22
-    assert _stdout_digest(fib_periods) == PINNED_STDOUT["period on fib triangles"]
+    _check_stdout(fib_periods, PINNED_STDOUT["period on fib triangles"])
     fits = list(_fit_argvs())
     assert len(fits) == 39
-    assert _stdout_digest(fits) == PINNED_STDOUT["fit"]
+    _check_stdout(fits, PINNED_STDOUT["fit"])
     dense = _benchmark_argvs("quadratic", "dense", (1, 2, 3))  # the dense and bigd slots
     assert len(dense) == 312
-    assert _stdout_digest(dense) == PINNED_STDOUT["count items of quadratic seeds 1-3"]
+    _check_stdout(dense, PINNED_STDOUT["count items of quadratic seeds 1-3"])
     pairs = ((3, 3), (2, 4), (1, 5), (5, 1), (2, 3), (3, 2), (4, 7), (7, 4), (5, 5), (13, 17))
     closed = (["count", "--alpha", str(a), "--beta", str(b), "--t", "0..300", "--closed-form"]
               for a, b in pairs)
-    assert _stdout_digest(closed) == PINNED_STDOUT["count --closed-form"]
+    _check_stdout(closed, PINNED_STDOUT["count --closed-form"])
     guesses = _benchmark_argvs("recurrence", "guess-admissible", (1, 2, 3))
     assert len(guesses) == 29
-    assert _stdout_digest(guesses) == PINNED_STDOUT["guess-admissible items of recurrence seeds 1-3"]
+    _check_stdout(guesses, PINNED_STDOUT["guess-admissible items of recurrence seeds 1-3"])
     values = _benchmark_argvs("recurrence", "guess-values", (1, 2, 3))
     assert len(values) == 176
-    assert _stdout_digest(values) == PINNED_STDOUT["guess-values items of recurrence seeds 1-3"]
+    _check_stdout(values, PINNED_STDOUT["guess-values items of recurrence seeds 1-3"])
     sqrt2 = [["count", "--u", "1", "--v", "0,1,2", "--t", "0..200"],
              ["count", "--u", "0,1,2", "--v", "1", "--t", "0..200"]]
-    assert _stdout_digest(sqrt2) == PINNED_STDOUT["count u = 1, v = sqrt(2) and its swap"]
-    assert _stdout_digest([["verify", "--suite", "all"]]) == PINNED_STDOUT["verify --suite all"]
+    _check_stdout(sqrt2, PINNED_STDOUT["count u = 1, v = sqrt(2) and its swap"])
+    _check_stdout([["verify", "--suite", "all"]], PINNED_STDOUT["verify --suite all"])
     checks = list(_check_argvs())
     assert len(checks) == 813
-    assert _stdout_digest(checks) == PINNED_STDOUT["check on small params"]
+    _check_stdout(checks, PINNED_STDOUT["check on small params"])
 
 
 @pytest.mark.parametrize("name", RUN_ARGVS)
 def test_runs_match_the_pinned_digests_in_stdout_and_output_files(name, tmp_path):
-    assert _stdout_digest(RUN_ARGVS[name]) == PINNED_STDOUT[name]
+    argvs, budget = RUN_ARGVS[name]
+    _check_stdout(argvs, PINNED_STDOUT[name], budget)
+    if budget is not None:  # a long run: its --output file is not written twice more
+        return
     target = tmp_path / "run.out"
-    for argv in RUN_ARGVS[name]:
+    for argv in argvs:
         _, out, _ = _run_in_process(argv)
         assert _run_in_process(argv + ["--output", str(target)]) == (0, "", "")
         assert target.read_bytes() == out.encode()
+
+
+def test_the_runner_fails_on_a_wrong_digest_and_on_a_budget_below_the_run_time():
+    argvs = [["fib", "--k", "1", "--n", "3"]]
+    digest = hashlib.sha256(b'{"k": 1, "n": 3, "value": 2}\n').hexdigest()
+    _check_stdout(argvs, digest, budget=10)
+    with pytest.raises(AssertionError, match="^sha256 of "):
+        _check_stdout(argvs, "0" * 64, budget=10)
+    with pytest.raises(AssertionError, match=r" took \S+ s of 0 s\n"):
+        _check_stdout(argvs, digest, budget=0)
+
+
+def _records(argv):
+    code, out, err = _run_in_process(argv)
+    assert (code, err) == (0, ""), err
+    return [json.loads(line) for line in out.splitlines()]
+
+
+def test_period_and_guess_rec_records_read_back_exactly():
+    for triangle in (["--params", "2,3,3,2"], ["--alpha", "14", "--beta", "3"]):
+        (record,) = _records(["period", *triangle])
+        qp = quasipoly.Quasipolynomial.from_json_dict(record["quasipolynomial"])
+        counts = _records(["count", *triangle, "--t", "0..100"])
+        assert len(counts) == 101 and all(qp.evaluate(r["t"]) == r["count"] for r in counts)
+    (record,) = _records(["guess-rec", "--alpha", "3", "--beta", "3", "--t-max", "60",
+                          "--max-order", "9", "--max-degree", "0"])
+    rec = precursive.Recurrence.from_json_dict(record["recurrence"])
+    counts = _records(["count", "--alpha", "3", "--beta", "3", "--t", "0..200"])
+    assert len(counts) == 201 and precursive.verify_recurrence(rec, [r["count"] for r in counts])
+
+
+@pytest.mark.parametrize("triangle", [["--u", "1/2,3/4,7", "--v", "7/4"], ["--params", "7,13,11,9"]])
+def test_the_last_line_of_a_long_run_is_the_count_at_its_t(triangle):
+    _, run, _ = _run_in_process(["count", *triangle, "--t", "0..100000"])
+    assert _run_in_process(["count", *triangle, "--t", "100000"]) == (
+        0, run.splitlines(keepends=True)[-1], "")
+
+
+def test_no_digest_is_checked_both_by_the_workflow_and_by_the_tests():
+    root = Path(__file__).resolve().parents[1]
+    digests = re.compile(r"\b[0-9a-f]{64}\b")
+    ci = set(digests.findall((root / ".github" / "workflows" / "tests.yml").read_text()))
+    tests = {d for path in (root / "tests").glob("*.py") for d in digests.findall(path.read_text())}
+    assert ci and tests and ci.isdisjoint(tests), ci & tests
 
 
 # -- the run writer ------------------------------------------------------------------------
@@ -1225,6 +1375,16 @@ def test_help_and_an_argv_without_a_command_parse_as_before(argv):
      "ehrcollapse check: error: argument --params: invalid int value: 'x'"),
     (["count", "--u", "0,1,x", "--v", "1", "--t", "1"],
      "ehrcollapse count: error: argument --u: invalid int value: 'x'"),
+    (["count", "--u", "x", "--v", "1", "--t", "1"],
+     "ehrcollapse count: error: argument --u: invalid fraction value: 'x'"),
+    (["guess-rec", "--values", "1,x", "--max-order", "0", "--max-degree", "0"],
+     "ehrcollapse guess-rec: error: argument --values: invalid fraction value: 'x'"),
+    (["guess-rec", "--values", "", "--max-order", "0", "--max-degree", "0"],
+     "ehrcollapse guess-rec: error: argument --values: invalid fraction value: ''"),
+    (["guess-rec", "--values", "1/0", "--max-order", "1", "--max-degree", "0"],
+     "ehrcollapse guess-rec: error: argument --values: zero denominator in '1/0'"),
+    (["count", "--vertices", "0,0,1", "1,0", "0,1"],
+     "ehrcollapse count: error: argument --vertices: expected x,y but got '0,0,1'"),
 ])
 def test_a_command_reports_its_own_errors_under_its_own_usage(argv, usage):
     code, out, err = _run_in_process(argv)
