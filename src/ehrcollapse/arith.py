@@ -574,8 +574,13 @@ def parse_int(text: str) -> int:
 
 def parse_fraction(text: Union[int, str]) -> Fraction:
     """Fraction(text), with the wording of parse_int for text that is not one and
-    a zero denominator reported as a ValueError."""
+    a zero denominator reported as a ValueError; ASCII '-'?digits('/'digits)?
+    is read faster by int()."""
     try:
+        if type(text) is str and text.isascii():
+            num, slash, den = text.partition("/")
+            if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+                return Fraction(int(num), int(den or 1))
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None

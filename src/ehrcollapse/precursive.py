@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Sequence
 from .arith import EhrcollapseError, RationalLike, RationalTable, fraction_rows, to_integers
 
 P = (1 << 61) - 1  # the prime of the rank test
+RUN = 4096  # windows that _holds sums together
 
 
 class InsufficientDataError(EhrcollapseError):
@@ -56,33 +57,41 @@ def verify_recurrence(rec: Recurrence, values: Sequence[RationalLike]) -> bool:
 
 
 def _holds(table: Sequence[Sequence[int]], ints: Sequence[int]) -> bool:
-    """verify_recurrence on integer coefficient rows and integer values."""
-    for n in range(len(ints) - len(table) + 1):
-        acc = 0
+    """verify_recurrence on integer coefficient rows and integer values, in runs
+    of RUN windows n: row j's terms m^i * f(m), m = n + j, are built one i at a
+    time, and each nonzero c of m^i adds c times them to the run's sums."""
+    windows = len(ints) - len(table) + 1
+    for start in range(0, windows, RUN):
+        stop = min(start + RUN, windows)
+        sums = [0] * (stop - start)
         for j, row in enumerate(table):
-            m, p = n + j, 0
-            for c in reversed(row):
-                p = p * m + c
-            acc += p * ints[m]
-        if acc:
+            terms = ints[start + j:stop + j]
+            for i, c in enumerate(row):
+                if i:
+                    terms = [m * x for m, x in zip(range(start + j, stop + j), terms)]
+                if c:
+                    sums = [s + c * x for s, x in zip(sums, terms)]
+        if any(sums):
             return False
     return True
 
 
 def _independent(basis: list[tuple], col: list[int]) -> bool:
-    """Reduce col mod P by an echelon basis of columns, each 1 at its own pivot
-    and 0 at the pivots before it, and append it with its pivot's inverse and
-    the factors it was reduced by, one per entry; False when it reduces to 0,
-    appended as pivot None, inverse 0 and its factors, for _seed."""
+    """Reduce col by an echelon basis of columns mod P, each 0 at the pivots
+    before its own, and append its residues with its pivot's inverse and the
+    factors it was reduced by, one per entry; False when it reduces to 0,
+    appended as pivot None and inverse 0, for _seed.  A step adds under P^2
+    to an entry, so col is reduced mod P once, at the end."""
     factors = []
-    for pivot, b, _, _ in basis:
-        f = col[pivot]
+    for pivot, b, inv, _ in basis:
+        f = col[pivot] % P
         factors.append(f)
         if f:
-            col = [(x - f * y) % P for x, y in zip(col, b)]
+            e = f * inv % P
+            col = [x - e * y for x, y in zip(col, b)]
+    col = [x % P for x in col]
     lead = next((n for n, x in enumerate(col) if x), None)
-    inv = 0 if lead is None else pow(col[lead], -1, P)
-    basis.append((lead, [x * inv % P for x in col], inv, factors))
+    basis.append((lead, col, 0 if lead is None else pow(col[lead], -1, P), factors))
     return lead is not None
 
 
@@ -192,14 +201,16 @@ def guess_recurrence(
     """Smallest verified recurrence within the bounds, or None.
 
     Cells (order, degree) are scanned in lexicographic order, and a cell's
-    candidate is returned only if it holds at every window.  A homogeneous
+    candidate is returned only if it holds at every window, which _holds
+    checks one coefficient at a time over runs of windows.  A homogeneous
     recurrence does not change when every value is multiplied by the lcm of
     their denominators, so all of this runs on integers.  Requires
     len(values) - 1 >= 2*(max_order+1)*(max_degree+1) + max_order so the fit
     stays overdetermined at the largest cell.
 
-    Each degree keeps one echelon basis mod the prime P of its columns, each
-    order appending its own, on rows every cell fits on: the first and last
+    Each degree keeps one echelon basis of its columns as residues mod the
+    prime P, unscaled and each reduced mod P once (_independent), each order
+    appending its own, on rows every cell fits on: the first and last
     2*(max_order+1)*(max_degree+1) of the largest order's, so that a recurrence
     holding only on a prefix still shows its break.  While all columns are
     independent mod P the cell has full column rank, since a nonzero minor mod

@@ -274,6 +274,32 @@ def nullspace_vector_rref(rows: Sequence[Sequence], ncols: int) -> "list[Fractio
     return vec
 
 
+def independent_scaled(basis: list, col: list, p: int) -> bool:
+    """The column rank test mod p that reduces at every step: reduce col, of
+    residues mod p, by an echelon basis of columns, each 1 at its own pivot and
+    0 at the pivots before it, and append it scaled to 1 at its pivot, with the
+    pivot's inverse and the factors it was reduced by, one per entry; False
+    when it reduces to 0, appended as pivot None, inverse 0 and its factors."""
+    factors = []
+    for pivot, b, _, _ in basis:
+        f = col[pivot]
+        factors.append(f)
+        if f:
+            col = [(x - f * y) % p for x, y in zip(col, b)]
+    lead = next((n for n, x in enumerate(col) if x), None)
+    inv = 0 if lead is None else pow(col[lead], -1, p)
+    basis.append((lead, [x * inv % p for x in col], inv, factors))
+    return lead is not None
+
+
+def recurrence_holds(table: Sequence[Sequence[int]], values: Sequence) -> bool:
+    """Whether sum_j p_j(n+j) * f(n+j) = 0, p_j(m) = sum_i table[j][i] * m^i,
+    at every window n of the values, one window at a time in Fractions."""
+    return all(sum(sum(Fraction(c) * (n + j) ** i for i, c in enumerate(row)) * values[n + j]
+                   for j, row in enumerate(table)) == 0
+               for n in range(len(values) - len(table) + 1))
+
+
 def guess_recurrence_unfiltered(values: Sequence, max_order: int, max_degree: int):
     """The recurrence guesser with no rank filter: at every cell (order, degree)
     in lexicographic order, the Fraction RREF nullspace of the first half of
@@ -296,9 +322,7 @@ def guess_recurrence_unfiltered(values: Sequence, max_order: int, max_degree: in
             g = gcd(*ints) * (1 if next(v for v in ints if v) > 0 else -1)
             polys = tuple(tuple(v // g for v in ints[j * (degree + 1):(j + 1) * (degree + 1)])
                           for j in range(order + 1))
-            if all(sum(sum(c * (n + j) ** i for i, c in enumerate(poly)) * vals[n + j]
-                       for j, poly in enumerate(polys)) == 0
-                   for n in range(len(vals) - order)):
+            if recurrence_holds(polys, vals):
                 return order, degree, polys
     return None
 

@@ -20,6 +20,7 @@ from ehrcollapse.arith import (
     _squarefree_split,
     floor_surd,
     floor_surd_run,
+    parse_fraction,
     parse_quad,
     quad_sqrt,
 )
@@ -295,6 +296,48 @@ def test_parse_quad_forms():
     assert str(QuadNumber(Fraction(3, 2))) == "3/2"
     with pytest.raises(ValueError):
         parse_quad("1,2")
+
+
+def _fraction_or_error(text):
+    """Fraction(text), or the error text parse_fraction gives when it raises."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        return f"zero denominator in {text!r}"
+    except ValueError:
+        return f"invalid fraction value: {text!r}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.from_regex(r"-?[0-9]{1,25}(/[0-9]{1,25})?", fullmatch=True),
+    st.text("0123456789-+/_.eE \u0663\u00b2", max_size=8),
+    st.text(max_size=4),
+))
+@example("+5")
+@example(" 5")
+@example("5 ")
+@example("1.5")
+@example("1e3")
+@example("1_0")
+@example("--5")
+@example("-")
+@example("/5")
+@example("5/")
+@example("1/0")
+@example("-3/00")
+@example("-0/7")
+@example("007/014")
+@example("\u0663")
+@example("\u0663/4")
+@example("1" * 5000)
+def test_parse_fraction_reads_what_fraction_reads(text):
+    want = _fraction_or_error(text)
+    try:
+        got = parse_fraction(text)
+    except ValueError as exc:
+        got = str(exc)
+    assert got == want and type(got) is type(want)
 
 
 @given(quads())

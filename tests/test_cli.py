@@ -775,6 +775,12 @@ PINNED_STDOUT = {
         "5e4e28efa7bd20771fc327dc7efcda5b3fa4f9e3dc61f57fd72b6c06f4efc077",
     "guess-rec --alpha 3 --beta 3 --t-max 100000 --max-order 0":
         "d938e0aafce865181454d803b3554393783e01186a318cda7847daa6858bbebd",
+    # recorded before the rank test kept its basis entries unscaled: the README's
+    # large-bound commands, the cells where the rank test does the most work
+    "guess-rec --params 7,13,11,9 --t-max 5000 --max-order 40 --max-degree 0":
+        "467b6ae9174cabfaac4d19358356f45043b5318b5b1b2d18059cd38961fc35b7",
+    "guess-rec --alpha 14 --beta 3 --t-max 3000 --max-order 20 --max-degree 2":
+        "7d0537272c5f14d30eb4a5065d869bca20a9443ede26c7ce2c4ca363da44bb93",
     # recorded where the CI workflow compared two stdouts: a two-leg simplex is
     # counted as its triangle, and each spelling of an option is read as its flat form
     **dict.fromkeys(["count --legs 2 3 --t 0..2000", "count --u 1/2 --v 1/3 --t 0..2000"],
@@ -822,6 +828,12 @@ RUN_ARGVS = {
     "guess-rec --alpha 3 --beta 3 --t-max 100000 --max-order 0": (
         [["guess-rec", "--alpha", "3", "--beta", "3", "--t-max", "100000", "--max-order", "0",
           "--max-degree", "0"]], 10),
+    "guess-rec --params 7,13,11,9 --t-max 5000 --max-order 40 --max-degree 0": (
+        [["guess-rec", "--params", "7,13,11,9", "--t-max", "5000", "--max-order", "40",
+          "--max-degree", "0"]], 10),
+    "guess-rec --alpha 14 --beta 3 --t-max 3000 --max-order 20 --max-degree 2": (
+        [["guess-rec", "--alpha", "14", "--beta", "3", "--t-max", "3000", "--max-order", "20",
+          "--max-degree", "2"]], 10),
     "tetra --limit --t 0..2000": ([["tetra", "--limit", "--t", "0..2000"]], 10),
     "tetra --n 2 --t 0..2000": ([["tetra", "--n", "2", "--t", "0..2000"]], 10),
     "count --legs 1/2 10/3 3/5 --t 0..2000": (

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ehrcollapse.precursive import P, _independent, nullspace_vector
+from ehrcollapse.precursive import P, _independent, _seed, nullspace_vector
 
 
 def _primitive_positive(vec):
@@ -106,3 +106,45 @@ def test_columns_independent_mod_p_leave_no_rational_nullspace(system, rnd):
     # a zero column, or more columns than rows, always leaves a dependent one
     if len(rows) < ncols or any(not any(row[c] for row in rows) for c in order):
         assert not independent
+
+
+@st.composite
+def residue_columns(draw):
+    """Columns of residues mod P, all of one length: random (small, near P or
+    anywhere below it), repeats, zeros and combinations mod P of earlier ones."""
+    nrows = draw(st.integers(1, 8))
+    entries = st.one_of(st.integers(0, 9), st.integers(P - 9, P - 1), st.integers(0, P - 1))
+    cols = []
+    for _ in range(draw(st.integers(1, 9))):
+        kind = draw(st.sampled_from(("fresh", "combination", "repeat", "zero")))
+        if kind == "fresh" or not cols:
+            cols.append([draw(entries) for _ in range(nrows)])
+        elif kind == "combination":
+            picked = draw(st.lists(st.sampled_from(cols), min_size=1, max_size=4))
+            coeffs = [draw(entries) for _ in picked]
+            cols.append([sum(c * col[n] for c, col in zip(coeffs, picked)) % P
+                         for n in range(nrows)])
+        elif kind == "repeat":
+            cols.append(list(draw(st.sampled_from(cols))))
+        else:
+            cols.append([0] * nrows)
+    return cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_columns())
+def test_rank_test_matches_the_oracle_that_reduces_at_every_step(cols):
+    # the one decision no verification rechecks is a skipped cell, so the
+    # unscaled basis must say independent exactly when the scaled one does, and
+    # leave _seed the same pivots, inverses and factors
+    basis, scaled = [], []
+    for col in cols:
+        independent = _independent(basis, list(col))
+        assert independent == oracles.independent_scaled(scaled, list(col), P)
+        (pivot, entry, inv, factors), (pivot_s, entry_s, inv_s, factors_s) = basis[-1], scaled[-1]
+        assert (pivot, inv, factors) == (pivot_s, inv_s, factors_s)
+        assert all(0 <= x < P for x in entry)
+        assert [x * inv % P for x in entry] == entry_s
+        if not independent:
+            assert _seed(basis, len(cols)) == _seed(scaled, len(cols))
+            break

@@ -1,6 +1,7 @@
 """Recurrence guessing: exact fits, verification, and deterministic absence."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -86,6 +87,67 @@ def test_verify_shifted_coefficient_convention():
     # its own index, so p_1(m) = -m
     rec = Recurrence(1, 1, ((Fraction(3), Fraction(1)), (Fraction(0), Fraction(-1))))
     assert verify_recurrence(rec, TRIANGLE_NUMBERS)
+
+
+@st.composite
+def tables_on_values(draw):
+    """An integer table of order <= 3 and degree <= 2, and integer values: ones
+    that follow it (its last row is a constant 1 or -1) with perhaps one bumped
+    window that they then follow again, or random ones."""
+    k, d = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    table = [[draw(st.integers(-3, 3)) for _ in range(d + 1)] for _ in range(k)]
+    table.append([draw(st.sampled_from((1, -1)))] + [0] * d)
+    n_values = k + draw(st.integers(0, 30))
+    if draw(st.booleans()):
+        return table, draw(st.lists(st.integers(-3, 3), min_size=n_values, max_size=n_values))
+    bumped = draw(st.integers(-1, n_values)) + k  # the value the bumped window ends at
+    values = draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k))
+    while len(values) < n_values:
+        n = len(values) - k
+        acc = sum(sum(c * (n + j) ** i for i, c in enumerate(row)) * values[n + j]
+                  for j, row in enumerate(table[:-1]))
+        values.append(-acc * table[-1][0] + (len(values) == bumped))
+    return table, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_on_values(), st.integers(1, 7))
+def test_holds_matches_the_window_oracle_at_any_run_length(case, run):
+    table, values = case
+    with mock.patch.object(precursive, "RUN", run):
+        assert precursive._holds(table, values) == oracles.recurrence_holds(table, values)
+
+
+def _fibonacci_broken_at(length, window):
+    """F(n+2) = F(n+1) + F(n) at every window n but one."""
+    f = [1, 1]
+    while len(f) < length:
+        f.append(f[-1] + f[-2] + (len(f) == window + 2))
+    return f
+
+
+@pytest.mark.parametrize("run", range(1, 8))
+def test_holds_reads_the_last_window_of_each_run(run):
+    table = [[1], [1], [-1]]
+    for length in (2 * run + 2, 3 * run + 3):
+        windows = length - 2
+        assert precursive._holds(table, _fibonacci_broken_at(length, -1))
+        for window in (run - 1, 2 * run - 1, windows - 1):
+            values = _fibonacci_broken_at(length, window)
+            assert not oracles.recurrence_holds(table, values)
+            with mock.patch.object(precursive, "RUN", run):
+                assert not precursive._holds(table, values), (run, length, window)
+
+
+def test_holds_keeps_one_run_of_window_sums():
+    counts = counting.count_triangle_many(AdmissiblePair(3, 3), range(200001))
+    tracemalloc.start()
+    try:
+        assert precursive._holds([[-1], [3], [-3], [1]], counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 # -- guess ------------------------------------------------------------------------
