@@ -96,14 +96,40 @@ def floor_surd(a: int, b: int, c: int, d: int) -> int:
 
 
 def floor_surd_run(a: int, b: int, c: int, d: int, ms: range) -> list[int]:
-    """[floor_surd(m*a, m*b, c, d) for m in ms], m >= 0, in one list pass by
-    the rule of floor_surd: with e = b*b*d, floor(m*b*sqrt(d)) = isqrt(m*m*e)
-    when b >= 0, and -isqrt(m*m*e) - 1 when b < 0 < m (m*b*sqrt(d) is then
-    irrational), or 0 at m = 0."""
-    e = b * b * d
-    if b >= 0:
-        return [(m * a + isqrt(m * m * e)) // c for m in ms]
-    return [(m * a - isqrt(m * m * e) - (m > 0)) // c for m in ms]
+    """[floor_surd(m*a, m*b, c, d) for m in ms], ms ascending from m >= 0: b = 0 by
+    m*a//c, and a step-k range as every k-th floor of a contiguous run.  With
+    w = (a + b*sqrt(d))/c irrational, floor((n+1)*w) - floor(n*w) = floor(w) + x_n,
+    x_0 = 0, and x_1 x_2 ... is the characteristic Sturmian word of frac(w) =
+    [0; a_1, a_2, ...], whose prefixes include each standard word s_k =
+    s_{k-1}^{a_k} s_{k-2}, k >= 1, s_-1 = 1, s_0 = 0 (Lothaire, *Algebraic
+    Combinatorics on Words*, 2002, ch. 2).  A loop cuts the run's letters from
+    the s_k, building no word longer than the run, and one accumulate sums them."""
+    if b == 0 or not ms:
+        return [m * a // c for m in ms]
+    lo, i, j, f = ms[0], max(ms[0] - 1, 0), ms[-1] - 1, floor_surd(a, b, c, d)  # cut [i, j)
+    cf, q, e, words = Expansion((a, b, c), d), [1, 1], [0, 0], [[f + 1], [f]]  # s_k at k + 1
+    cf.grow()
+    while len(q) < 3 or q[-1] < j:  # s_k opens with e[k + 1] copies of s_{k-1}; K >= 1
+        cf.grow()
+        e.append(cf.steps[-1][0] - (len(q) == 2))
+        q.append(e[-1] * q[-1] + q[-2])
+        if q[-1] <= j - i:
+            words.append(words[-1] * e[-1] + words[-2])
+    letters, todo = [f] if lo == 0 <= j else [], [(len(q) - 2, i, j, 1)] if j > i else []
+    while todo:  # (k, i, j, copies): the next piece, copies of s_k[i:j]
+        k, i, j, copies = todo.pop()
+        if j - i == q[k + 1]:  # whole words inside the cut, so they were built
+            letters += words[k + 1] * copies
+        else:  # split at the copies of s_{k-1} that i and j - 1 are in
+            p, n = q[k], e[k + 1]
+            bi, bj = min(i // p, n), min((j - 1) // p, n)
+            if bi < bj:
+                todo.append((k - 1 - (bj == n), 0, j - bj * p, 1))
+                if bj - bi > 1:
+                    todo.append((k - 1, 0, p, bj - bi - 1))
+            todo.append((k - 1 - (bi == n), i - bi * p, min(j - bi * p, p), 1))
+    run = list(accumulate(letters, initial=floor_surd(lo * a, lo * b, c, d)))
+    return run[::ms.step] if ms.step > 1 else run
 
 
 def reduced_triple(a: int, b: int, c: int) -> Triple:

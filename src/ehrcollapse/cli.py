@@ -148,10 +148,9 @@ class _Emitter:
             return
         rows = iter(rows)  # rows are taken a chunk at a time
         while chunk := list(itertools.islice(rows, self.CHUNK_LINES)):
-            if {int}.issuperset(map(type, itertools.chain.from_iterable(chunk))):
+            if {int}.issuperset(map(type, cells := tuple(itertools.chain.from_iterable(chunk)))):
                 # an exact int (never a bool) fills its slot with its repr, as json.dumps does
-                template = _line_template(tuple(keys))
-                text = "".join([template % row for row in chunk])
+                text = _line_template(tuple(keys)) * len(chunk) % cells
             else:
                 text = "".join([json.dumps(dict(zip(keys, row))) + "\n" for row in chunk])
             self.stream.write(text)
@@ -215,7 +214,7 @@ def _cmd_count(args, parser, emit) -> int:
         columns.append(counting.count_axis_simplex_many(simplex, args.t))
     elif args.interval is not None:
         iv = polytopes.Interval(args.interval[0], args.interval[1])
-        columns.append(counting.count_interval(iv, t) for t in args.t)
+        columns.append(counting._interval_counts(iv, args.t))
     elif args.mw_image is not None:
         keys, columns = ["p", "t", "count"], [itertools.repeat(args.mw_image), args.t]
         image = polytopes.mcallister_woods_image

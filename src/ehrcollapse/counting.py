@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import gcd
 from typing import Iterable, Iterator, Sequence, Union
 
 from .arith import (EhrcollapseError, Expansion, QuadNumber, Triple, exact_int, floor_surd,
-                    to_integers)
+                    floor_surd_run, to_integers)
 from .polytopes import (
     AdmissiblePair,
     AxisSimplex,
@@ -31,7 +31,7 @@ from .polytopes import (
 TriangleLike = Union[TrianglePair, AdmissiblePair, RationalTriangleParams]
 Point = tuple[int, int]
 
-# t per call of a strip (TrianglePair.translate), which holds r floors per t
+# t per chunk of a strip run (r floors per t) and of an interval run (two floors per t)
 STRIP_CHUNK = 4096
 # The most dilations of one batch (_dilations), so the most counts held at once:
 # by a period certificate, a fit, a recurrence guess or a count range
@@ -148,14 +148,14 @@ def count_triangle_many(obj: TriangleLike, ts: Iterable[int]) -> list[int]:
     When ts is a run a, a + 1, ... (_dilations gives every run as a range)
     longer than 2n + m, for legs with a translate identity (n, m, step)
     (TrianglePair.translate, not built for runs of one or two t), its first
-    n + m counts are floor sums, the identity gives the rest, and floor sums
-    of its last n counts must match them (EhrcollapseError otherwise).  The
-    identity is linear with non-negative coefficients, so an error at any one
-    t reaches the count at t + a*n, the last one of its residue class mod n.
-    n is the smaller shift: one closing floor sum for an admissible pair,
-    min(q, s) for rational legs; a strip (m = 0) takes runs of STRIP_CHUNK t
-    per call.  Every other ts is one floor sum per t.  Only the counts are
-    held: more than MAX_CERTIFICATE_COUNTS t raise EhrcollapseError before any.
+    n + m counts are floor sums and the identity gives the rest; a strip
+    (m = 0, n = s) gives all by rows from the counts at t = m/r, r*a - s <= m
+    < r*a, a Beatty run per STRIP_CHUNK t.  Floor sums of the last n counts must
+    match (EhrcollapseError otherwise): the identities add with non-negative
+    coefficients, so an error at one t (or m) reaches the last count of its
+    class mod n (of r*t mod s).  n is 1 for an admissible pair, min(q, s) for
+    rational legs.  Every other ts is one floor sum per t.  Only the counts
+    are held: more than MAX_CERTIFICATE_COUNTS t raise EhrcollapseError first.
     """
     pair = _as_pair(obj)
     ts = _dilations(ts)
@@ -163,15 +163,12 @@ def count_triangle_many(obj: TriangleLike, ts: Iterable[int]) -> list[int]:
     if not identity or len(ts) <= 2 * identity[0] + identity[1]:
         return _count_below(pair, ((t, 0, 1) for t in ts), d)
     n, m, step = identity
-    seeds = n + m
-    counts = _count_below(pair, ((t, 0, 1) for t in ts[:seeds]), d)
     if m:
-        for i in range(seeds, len(ts)):
-            counts.append(counts[i - n] + counts[i - m] - counts[i - seeds] + step)
+        counts = _count_below(pair, ((t, 0, 1) for t in ts[:n + m]), d)
+        for i in range(n + m, len(ts)):
+            counts.append(counts[i - n] + counts[i - m] - counts[i - n - m] + step)
     else:
-        for lo in range(ts[n], ts[-1] + 1, STRIP_CHUNK):
-            for strip in step(range(lo, min(lo + STRIP_CHUNK, ts[-1] + 1))):
-                counts.append(counts[-n] + strip)
+        counts = step(ts, STRIP_CHUNK, lambda points: _count_below(pair, points, d))
     if _count_below(pair, ((t, 0, 1) for t in ts[-n:]), d) != counts[-n:]:
         raise EhrcollapseError(f"the counts of {pair} break its translate identity")
     return counts
@@ -248,6 +245,15 @@ def count_interval(interval: Interval, t: int) -> int:
     (t,) = _dilations((t,))
     ((l0, l1, lc), (h0, h1, hc)), d = interval.triples
     return floor_surd(t * h0, t * h1, hc, d) + floor_surd(-t * l0, -t * l1, lc, d) + 1
+
+
+def _interval_counts(interval: Interval, ts: range) -> Iterator[int]:
+    """count_interval at each t of a range of step 1, two floor_surd_run per STRIP_CHUNK t."""
+    _dilations(ts[:1])  # t >= 0
+    ((l0, l1, lc), (h0, h1, hc)), d = interval.triples
+    for run in (ts[k:k + STRIP_CHUNK] for k in range(0, len(ts), STRIP_CHUNK)):
+        tops, bottoms = floor_surd_run(h0, h1, hc, d, run), floor_surd_run(-l0, -l1, lc, d, run)
+        yield from map(operator.add, map(operator.add, tops, bottoms), repeat(1))
 
 
 def _edge(p: Point, q: Point, sign: int, m: int) -> tuple[int, int, int, Expansion]:

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import starmap
+from itertools import accumulate, starmap
 from math import gcd, lcm
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .arith import (EhrcollapseError, Expansion, Frozen, QuadNumber, RadicandMismatchError,
                     Triple, exact_int, floor_surd_run, fraction_rows, reduced_triple,
@@ -78,20 +78,20 @@ class TrianglePair(Frozen):
         return Expansion(theta, d)
 
     @cached_property
-    def translate(self) -> Optional[tuple[int, int, Union[int, Callable[[range], list[int]]]]]:
+    def translate(self) -> Optional[tuple[int, int, Union[int, Callable[..., list[int]]]]]:
         """(n, m, step) with L(t) = L(t - n) + L(t - m) - L(t - n - m) + step
         for t >= n + m and n <= m, L(t) the count of the t-th dilate, or
-        (n, 0, strip) with L(t) = L(t - n) + strip(t) for t >= n, or None.
+        (n, 0, strip), strip counting a run of t by rows, or None.
         Rational legs u = q/p, v = s/r: x >= p and y >= r are translates of
         the (t - q)-th and (t - s)-th dilates and the box x < p, y < r is
         full: (min(q, s), max(q, s), p*r).  Irrational legs with integer
         alpha = u + v and beta = 1/u + 1/v (admissible): x, y >= 1 is a
         translate of the (t - alpha)-th dilate and the axes hold beta*t
         points; differenced once, (1, alpha, beta).  Other irrational legs
-        have none.  One rational leg v = s/r, r <= MAX_STRIP_FLOORS: y >= r
-        is a translate of the (t - s)-th, n = s, and row y < r holds
-        floor((r*t - s*y)/(r*u)) + 1 points (swap if u = s/r); strip maps a
-        run of t >= s to the list of their strip(t), one list pass per row."""
+        have none.  One rational leg v = s/r, r <= MAX_STRIP_FLOORS: row y holds
+        floor((r*t - s*y)/(r*u)) + 1 points (swap if u = s/r), so the count C(m)
+        at t = m/r is C(m - s) + floor(m/(r*u)) + 1, n = s, and strip(ts, chunk,
+        below) is [C(r*t) for t in ts] by Beatty runs (_strips; Lothaire ch. 2)."""
         u, v = self.u, self.v
         if u.is_rational and v.is_rational:
             (q, _, p), (s, _, r) = u.triple, v.triple
@@ -111,7 +111,7 @@ class TrianglePair(Frozen):
         leg, (i0, i1, ic) = (v, inv_u) if v.is_rational else (u, inv_v)
         s, _, r = leg.triple
         # a partial of a module function keeps the pair picklable
-        return None if r > MAX_STRIP_FLOORS else (s, 0, partial(_strips, r, s, i0, i1, r * ic, d))
+        return None if r > MAX_STRIP_FLOORS else (s, 0, partial(_strips, r, s, -i0, -i1, r * ic, d))
 
     def to_json_dict(self) -> dict:
         return {
@@ -121,12 +121,21 @@ class TrianglePair(Frozen):
         }
 
 
-def _strips(r: int, s: int, i0: int, i1: int, rc: int, d: int, ts: range) -> list[int]:
-    """Sum of floor(m*(i0 + i1*sqrt(d))/rc) + 1 over m = r*t - s*y, y < r, for each t
-    of a non-empty run ts with ts[0] >= s; row y is one floor_surd_run of step r."""
-    lo, hi = r * ts[0], r * ts[-1] + 1
-    rows = [floor_surd_run(i0, i1, rc, d, range(lo - s * y, hi - s * y, r)) for y in range(r)]
-    return [sum(column, r) for column in zip(*rows)]
+def _strips(r: int, s: int, a: int, b: int, c: int, d: int, ts: range, chunk: int,
+            below: Callable[[Iterable[Triple]], list[int]]) -> list[int]:
+    """[C(r*t) for t in ts] for C(m) = C(m - s) + floor(m/(r*u)) + 1, 0 at m < 0, and below
+    the counts at points (m, 0, r): per chunk t, -C is one floor_surd_run of -1/(r*u) =
+    (a + b*sqrt(d))/c, since floor(x) + 1 = -floor(-x) at irrational x, summed mod s."""
+    lo, top, counts = r * ts[0], r * ts[-1] + 1, []
+    tail = [0] * max(s - lo, 0) + [-x for x in below((m, 0, r) for m in range(max(lo - s, 0), lo))]
+    for start in range(lo, top, r * chunk):
+        rows = tail + floor_surd_run(a, b, c, d, range(start, min(start + r * chunk, top)))
+        rows[s] -= start == 0  # floor(0) + 1 = 1, where -floor(-0) = 0
+        for k in range(s):
+            rows[k::s] = accumulate(rows[k::s])
+        tail = rows[-s:]
+        counts += map(int.__neg__, rows[s::r])
+    return counts
 
 
 def is_admissible(alpha: int, beta: int) -> bool:
@@ -182,7 +191,7 @@ class RationalTriangleParams(_LegData):
         for name, val in zip(self.FIELDS, (p, q, r, s)):
             if exact_int(val) < 1:
                 raise ValueError(f"{name} must be a positive integer, got {val!r}")
-        if gcd(p, q) != 1 or gcd(r, s) != 1:
+        if gcd(p, q) != 1 or (r, s) != (q, p) and gcd(r, s) != 1:  # reciprocal: one gcd
             raise ValueError("q/p and s/r must be in lowest terms")
         vars(self).update(p=p, q=q, r=r, s=s)
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import oracles
 from ehrcollapse import arith, counting, sequences
 from ehrcollapse.arith import (
+    Expansion,
     QuadNumber,
     RadicandMismatchError,
     _squarefree_split,
@@ -406,6 +407,42 @@ def test_a_floor_run_is_floor_surd_at_each_m(a, b, c, d, start, length, step):
     ms = range(start, start + length * step, step)
     assert floor_surd_run(a, b, c, d, ms) == [floor_surd(m * a, m * b, c, d) for m in ms]
     assert floor_surd_run(a, 0, c, d, ms) == [m * a // c for m in ms]
+
+
+# (3 + 4*sqrt(13))/28 = [0; 1, 1, 1, 1, 1, 4, 1, 806, ...]; 1/(8*sqrt(10**9 + 7)) has a_1 = 252982
+SLOPES_WITH_A_LARGE_PARTIAL_QUOTIENT = [(3, 4, 28, 13), (0, 1, 8 * (10 ** 9 + 7), 10 ** 9 + 7)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(SLOPES_WITH_A_LARGE_PARTIAL_QUOTIENT),
+                 st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 3, 10 ** 3).filter(bool),
+                           st.integers(1, 10 ** 4), st.sampled_from((2, 13, 10 ** 9 + 7)))),
+       st.sampled_from((1, -1)), st.sampled_from((1, -1)),
+       st.one_of(st.integers(0, 3), st.integers(0, 10 ** 6), st.integers(0, 10 ** 40)),
+       st.integers(0, 2000), st.integers(1, 5))
+def test_a_long_floor_run_far_out_is_floor_surd_at_each_m(slope, sign_a, sign_b, start, length,
+                                                          step):
+    """Runs of up to 2000 m from offsets up to 10^40, on slopes with either
+    sign of each part, among them partial quotients of 806 and 252982."""
+    a, b, c, d = slope
+    a, b = sign_a * a, sign_b * b
+    ms = range(start, start + length * step, step)
+    assert floor_surd_run(a, b, c, d, ms) == [floor_surd(m * a, m * b, c, d) for m in ms]
+
+
+def test_a_floor_run_near_10_to_the_1000_walks_its_2600_words_in_a_loop():
+    """sqrt(2) = [1; 2, 2, ...]: q_k passes 10^1000 after about 2600 words, more
+    than the recursion limit, and the run still reads each one."""
+    ms = range(10 ** 1000, 10 ** 1000 + 60)
+    assert floor_surd_run(0, 1, 1, 2, ms) == [floor_surd(0, m, 1, 2) for m in ms]
+
+
+def test_the_slopes_with_a_large_partial_quotient_have_one():
+    for (a, b, c, d), k, big in zip(SLOPES_WITH_A_LARGE_PARTIAL_QUOTIENT, (8, 1), (806, 252982)):
+        cf = Expansion((a, b, c), d)
+        for _ in range(k + 1):
+            cf.grow()
+        assert cf.steps[k][0] == big
 
 
 def test_to_integers_scales_by_the_lcm_of_the_denominators():

@@ -769,6 +769,14 @@ PINNED_STDOUT = {
         "607b0afbaaac19420b78ef69d196a2bb710a527eb25b691903bec5fa01c39813",
     "count --legs 1,1,2 3/7 --t 0..100000":
         "a6fb20d51d7192274deb8c639a52480df0b84180a090fbed23947e62836a3c5d",
+    # recorded before a strip run was counted by one Beatty run of its rows: strip runs
+    # that start away from 0, and one whose 1/u has a negative surd
+    "count --u 1/2,3/4,7 --v 7/4 --t 1000000..1100000":
+        "71f0e3418494640263bf6ed7709227825b3606e823994a8dad0b14e261b35364",
+    "count --u 3,3/4,7 --v 7/4 --t 0..50000":
+        "f7009ce1868d5f775923c32187eea4314dcf85df1d61d2b0eeb7d07c51e76ae3",
+    "count --u 1/2,3/4,7 --v 7/4 --t 10^300..10^300+59":
+        "6aae600a640f0f8dc975c615bc04ad5f32979089b987d3454e5589079e1ba862",
     # recorded where the CI workflow checked a line of the stdout alone: its
     # "minimal_period": 987 (= F_16), and its "recurrence": null at 100001 values
     "period --params 610,987,987,610":
@@ -850,6 +858,12 @@ RUN_ARGVS = {
         [["count", "--u", "0,1,1000000007", "--v", "5/8", "--t", "0..100000"]], 10),
     "count --legs 1,1,2 3/7 --t 0..100000": (
         [["count", "--legs", "1,1,2", "3/7", "--t", "0..100000"]], 10),
+    "count --u 1/2,3/4,7 --v 7/4 --t 1000000..1100000": (
+        [["count", "--u", "1/2,3/4,7", "--v", "7/4", "--t", "1000000..1100000"]], 10),
+    "count --u 3,3/4,7 --v 7/4 --t 0..50000": (
+        [["count", "--u", "3,3/4,7", "--v", "7/4", "--t", "0..50000"]], 10),
+    "count --u 1/2,3/4,7 --v 7/4 --t 10^300..10^300+59": (
+        [["count", "--u", "1/2,3/4,7", "--v", "7/4", "--t", f"{10 ** 300}..{10 ** 300 + 59}"]], 10),
     "count --legs 2 3 --t 0..2000": ([["count", "--legs", "2", "3", "--t", "0..2000"]], None),
     "count --u 1/2 --v 1/3 --t 0..2000": (
         [["count", "--u", "1/2", "--v", "1/3", "--t", "0..2000"]], None),

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ehrcollapse import counting
+from ehrcollapse import counting, polytopes
 from ehrcollapse.arith import EhrcollapseError, Expansion, QuadNumber, parse_quad
 from ehrcollapse.polytopes import (
     MAX_STRIP_FLOORS,
@@ -147,13 +147,20 @@ def test_translate_runs_of_irrational_triangles_match_per_t_counts(data, pair, a
     assert counting.count_triangle_many(pair.swapped(), run) == per_t
 
 
+def _rows(pair):
+    """r of the rational leg s/r of a strip pair."""
+    return (pair.v if pair.v.is_rational else pair.u).triple[2]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data(), translate_pairs(), starts)
 def test_a_list_of_consecutive_t_is_counted_as_its_range(data, pair, a):
     """A list a, a + 1, ... makes the floor-sum calls of the equal range: n + m
-    seeds, then n closing sums; a list with a gap, or out of order, is one
+    seeds (for a strip, the counts at the min(n, r*a) points t = m/r just below
+    t = a), then n closing sums; a list with a gap, or out of order, is one
     call of a floor sum per t."""
     n, m, _ = pair.translate
+    seeds = n + m if m else min(n, _rows(pair) * a)
     run = range(a, a + data.draw(st.integers(2 * n + m + 1, 4 * n + 2 * m + 12)))
     gap = data.draw(st.integers(1, len(run) - 1))
     calls, count_below = [], counting._count_below
@@ -170,7 +177,7 @@ def test_a_list_of_consecutive_t_is_counted_as_its_range(data, pair, a):
         assert counting.count_triangle_many(pair, list(run)) == want
         assert counting.count_triangle_many(pair, gapped) == want_gapped
         assert counting.count_triangle_many(pair, list(run)[::-1]) == want[::-1]
-    assert calls == [n + m, n, n + m, n, len(run), len(run)]
+    assert calls == [seeds, n, seeds, n, len(run), len(run)]
 
 
 class StepOffAt(int):
@@ -187,22 +194,70 @@ class StepOffAt(int):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.data(), translate_pairs(), starts, st.sampled_from((1, -1)))
+@given(st.data(), translate_pairs().filter(lambda pair: pair.translate[1]), starts,
+       st.sampled_from((1, -1)))
 def test_an_off_by_one_inside_a_translate_run_fails_its_tail_check(data, pair, a, error):
     """One wrong step anywhere in the extension reaches the last count of its
     residue class mod n, which the run's closing floor sums recount."""
     n, m, step = pair.translate
     length = data.draw(st.integers(2 * n + m + 1, 4 * n + 2 * m + 12))
     bad = data.draw(st.integers(a + n + m, a + length - 1))
-    if m:  # the run extends t = a + n + m, a + n + m + 1, ... in turn
-        step = StepOffAt(step, bad - a - n - m + 1, error)
-    else:
-        strips = step
-        step = lambda run: [x + (error if t == bad else 0) for t, x in zip(run, strips(run))]
+    # the run extends t = a + n + m, a + n + m + 1, ... in turn
+    step = StepOffAt(step, bad - a - n - m + 1, error)
     broken = TrianglePair(pair.u, pair.v)
     broken.__dict__["translate"] = (n, m, step)
     with pytest.raises(EhrcollapseError, match="translate identity"):
         counting.count_triangle_many(broken, range(a, a + length))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), translate_pairs().filter(lambda pair: pair.translate[1] == 0), starts,
+       st.integers(1, 6), st.sampled_from((1, -1)), st.booleans())
+def test_an_off_by_one_in_a_strip_letter_or_row_sum_fails_its_tail_check(data, pair, a, chunk,
+                                                                         error, in_letter):
+    """One letter of a chunk's Beatty word, or one running sum of its pass over
+    one residue mod s, off by error: the counts C(m) of each residue class it
+    touches are off from there on, in that chunk and, carried, in the next.
+    The closing floor sums recount the last count of every class, so the run
+    fails whenever one of its counts C(r*t) is off, and is right otherwise."""
+    n, _, _ = pair.translate
+    r, run_of, accumulate_of = _rows(pair), polytopes.floor_surd_run, polytopes.accumulate
+    run = range(a, a + data.draw(st.integers(2 * n + 1, 4 * n + 3 * chunk + 12)))
+    target = data.draw(st.integers(0, -(-len(run) // chunk) - 1))  # the chunk at fault
+    residue = data.draw(st.integers(0, n - 1))
+    runs, passes, off = [], [], []  # the m of each chunk, the passes, the m whose C is off
+
+    def faulty_run(a, b, c, d, ms):  # one letter off: each floor after it is off
+        values = run_of(a, b, c, d, ms)
+        runs.append(ms)
+        if in_letter and len(runs) - 1 == target and len(ms) > 1:
+            at = data.draw(st.integers(1, len(ms) - 1))
+            values[at:] = [x + error for x in values[at:]]
+            off.extend(ms[at:])
+        return values
+
+    def faulty_accumulate(column):  # one running sum off: each one after it is off
+        sums = list(accumulate_of(column))
+        passes.append(len(runs) - 1)
+        if not in_letter and passes[-1] == target and passes.count(target) == residue + 1 \
+                and len(sums) > 1:
+            at = data.draw(st.integers(1, len(sums) - 1))
+            sums[at:] = [x + error for x in sums[at:]]
+            off.append(runs[-1][0] + residue + (at - 1) * n)  # entry j: m = start + k + (j - 1)*s
+        return sums
+
+    per_t = [counting.count_triangle(pair, t) for t in run]
+    with patch.object(counting, "STRIP_CHUNK", chunk), \
+            patch.object(polytopes, "floor_surd_run", faulty_run), \
+            patch.object(polytopes, "accumulate", faulty_accumulate):
+        try:
+            counts = counting.count_triangle_many(pair, run)
+        except EhrcollapseError as exc:
+            assert "translate identity" in str(exc)
+            counts = None
+    assert len(runs) == -(-len(run) // chunk) and len(passes) == n * len(runs)
+    reached = any(r * t >= m and (r * t - m) % n == 0 for m in off for t in run)
+    assert counts == (None if reached else per_t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -265,7 +320,8 @@ def test_a_two_leg_simplex_counts_as_its_triangle(data, pair, a):
 @pytest.mark.parametrize("legs", ["2 3", "1,1,2 3/7", "3/7 1,1,2", "3/2,-1/2,5 3/2,1/2,5"])
 def test_a_two_leg_simplex_run_makes_the_identity_calls(legs):
     """A run of a simplex of two legs is a run of its triangle: n + m seeds
-    and n closing floor sums, whatever the legs' order."""
+    (none for a strip from t = 0, whose counts below t = 0 are 0) and n
+    closing floor sums, whatever the legs' order."""
     simplex = AxisSimplex(tuple(map(parse_quad, legs.split())))
     n, m, _ = simplex.final_triangle.translate
     calls, count_below = [], counting._count_below
@@ -278,7 +334,7 @@ def test_a_two_leg_simplex_run_makes_the_identity_calls(legs):
     want = counting.count_triangle_many(simplex.final_triangle, [*range(2000)][::-1])[::-1]
     with patch.object(counting, "_count_below", recorded):
         assert counting.count_axis_simplex_many(simplex, range(2000)) == want
-    assert calls == [n + m, n]
+    assert calls == [n + m if m else 0, n]
 
 
 def test_pairs_that_counted_a_translate_run_still_pickle():

@@ -2,12 +2,14 @@
 
 import pickle
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ehrcollapse import counting
 from ehrcollapse.arith import QuadNumber, quad_sqrt
 from ehrcollapse.criteria import CriterionReport, check_collapse_criterion
 from ehrcollapse.polytopes import (
@@ -328,4 +330,9 @@ def test_value_classes_compare_hash_print_freeze_and_pickle_by_their_fields(cls,
         assert copy.slopes == pair.slopes and copy.expansion.steps == pair.expansion.steps
         step, again = pair.translate[2], copy.translate[2]
         assert copy.translate[:2] == pair.translate[:2]
-        assert again(range(1, 9)) == step(range(1, 9)) if callable(step) else again == step
+        if callable(step):  # a strip: the same counts from either copy, in chunks of 3 t
+            below = partial(counting._count_below, pair, d=pair.slopes[1])
+            want = [counting.count_triangle(pair, t) for t in range(1, 9)]
+            assert again(range(1, 9), 3, below) == step(range(1, 9), 3, below) == want
+        else:
+            assert again == step
