@@ -148,9 +148,11 @@ def count_triangle_many(obj: TriangleLike, ts: Iterable[int]) -> list[int]:
     When ts is a run a, a + 1, ... (_dilations gives every run as a range)
     longer than 2n + m, for legs with a translate identity (n, m, step)
     (TrianglePair.translate, not built for runs of one or two t), its first
-    n + m counts are floor sums and the identity gives the rest; a strip
-    (m = 0, n = s) gives all by rows from the counts at t = m/r, r*a - s <= m
-    < r*a, a Beatty run per STRIP_CHUNK t.  Floor sums of the last n counts must
+    n + m counts are floor sums and the identity gives the rest.  A strip
+    (m = 0, n = s, step (r, a, b, c)) runs here, from floor sums of the counts
+    C(m) at t = m/r, r*a - s <= m < r*a: per STRIP_CHUNK t, -C is one Beatty
+    run of -1/(r*u) = (a + b*sqrt(d))/c (Lothaire ch. 2), as floor(x) + 1 =
+    -floor(-x) at irrational x, summed mod s.  Floor sums of the last n counts must
     match (EhrcollapseError otherwise): the identities add with non-negative
     coefficients, so an error at one t (or m) reaches the last count of its
     class mod n (of r*t mod s).  n is 1 for an admissible pair, min(q, s) for
@@ -167,8 +169,18 @@ def count_triangle_many(obj: TriangleLike, ts: Iterable[int]) -> list[int]:
         counts = _count_below(pair, ((t, 0, 1) for t in ts[:n + m]), d)
         for i in range(n + m, len(ts)):
             counts.append(counts[i - n] + counts[i - m] - counts[i - n - m] + step)
-    else:
-        counts = step(ts, STRIP_CHUNK, lambda points: _count_below(pair, points, d))
+    else:  # a strip: C(m) = C(m - s) + floor(m/(r*u)) + 1, 0 at m < 0, read at m = r*t
+        r, a, b, c = step
+        lo, top, counts = r * ts[0], r * ts[-1] + 1, []
+        seeds = _count_below(pair, ((k, 0, r) for k in range(max(lo - n, 0), lo)), d)
+        tail = [0] * max(n - lo, 0) + [-x for x in seeds]
+        for start in range(lo, top, r * STRIP_CHUNK):
+            rows = tail + floor_surd_run(a, b, c, d, range(start, top)[:r * STRIP_CHUNK])
+            rows[n] -= start == 0  # floor(0) + 1 = 1, where -floor(-0) = 0
+            for k in range(n):
+                rows[k::n] = accumulate(rows[k::n])
+            tail = rows[-n:]
+            counts += map(operator.neg, rows[n::r])
     if _count_below(pair, ((t, 0, 1) for t in ts[-n:]), d) != counts[-n:]:
         raise EhrcollapseError(f"the counts of {pair} break its translate identity")
     return counts

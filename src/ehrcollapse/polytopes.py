@@ -15,16 +15,15 @@ u*x + v*y <= t.  Families covered here:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, partial
-from itertools import accumulate, starmap
+from functools import cached_property
+from itertools import starmap
 from math import gcd, lcm
-from typing import Callable, Iterable, Optional, Union
+from typing import Optional
 
 from .arith import (EhrcollapseError, Expansion, Frozen, QuadNumber, RadicandMismatchError,
-                    Triple, exact_int, floor_surd_run, fraction_rows, reduced_triple,
-                    shared_triples)
+                    Triple, exact_int, fraction_rows, reduced_triple, shared_triples)
 
-# rows up to which a strip of one floor per row costs less than a floor sum
+# the largest r of a strip leg s/r: set when a strip cost r square roots per t, not re-measured
 MAX_STRIP_FLOORS = 8
 
 
@@ -78,10 +77,10 @@ class TrianglePair(Frozen):
         return Expansion(theta, d)
 
     @cached_property
-    def translate(self) -> Optional[tuple[int, int, Union[int, Callable[..., list[int]]]]]:
+    def translate(self) -> Optional[tuple[int, int, int | tuple[int, int, int, int]]]:
         """(n, m, step) with L(t) = L(t - n) + L(t - m) - L(t - n - m) + step
         for t >= n + m and n <= m, L(t) the count of the t-th dilate, or
-        (n, 0, strip), strip counting a run of t by rows, or None.
+        (s, 0, strip), strip the four integers of a run by rows, or None.
         Rational legs u = q/p, v = s/r: x >= p and y >= r are translates of
         the (t - q)-th and (t - s)-th dilates and the box x < p, y < r is
         full: (min(q, s), max(q, s), p*r).  Irrational legs with integer
@@ -90,8 +89,9 @@ class TrianglePair(Frozen):
         points; differenced once, (1, alpha, beta).  Other irrational legs
         have none.  One rational leg v = s/r, r <= MAX_STRIP_FLOORS: row y holds
         floor((r*t - s*y)/(r*u)) + 1 points (swap if u = s/r), so the count C(m)
-        at t = m/r is C(m - s) + floor(m/(r*u)) + 1, n = s, and strip(ts, chunk,
-        below) is [C(r*t) for t in ts] by Beatty runs (_strips; Lothaire ch. 2)."""
+        at t = m/r is C(m - s) + floor(m/(r*u)) + 1: (s, 0, (r, a, b, c)), where
+        (a + b*sqrt(d))/c = -1/(r*u), over the radicand d of slopes, is the slope
+        of the row floors that count_triangle_many sums as Beatty runs."""
         u, v = self.u, self.v
         if u.is_rational and v.is_rational:
             (q, _, p), (s, _, r) = u.triple, v.triple
@@ -107,11 +107,10 @@ class TrianglePair(Frozen):
                 return None
             beta = alpha / (u * v)  # 1/u + 1/v = (u+v)/(u*v)
             return (1, alpha.triple[0], beta.triple[0]) if beta.is_integer() else None
-        (_, inv_u, inv_v), d = self.slopes
+        (_, inv_u, inv_v), _ = self.slopes
         leg, (i0, i1, ic) = (v, inv_u) if v.is_rational else (u, inv_v)
         s, _, r = leg.triple
-        # a partial of a module function keeps the pair picklable
-        return None if r > MAX_STRIP_FLOORS else (s, 0, partial(_strips, r, s, -i0, -i1, r * ic, d))
+        return None if r > MAX_STRIP_FLOORS else (s, 0, (r, -i0, -i1, r * ic))
 
     def to_json_dict(self) -> dict:
         return {
@@ -119,23 +118,6 @@ class TrianglePair(Frozen):
             "v": self.v.to_json_dict(),
             "class": self.kind,
         }
-
-
-def _strips(r: int, s: int, a: int, b: int, c: int, d: int, ts: range, chunk: int,
-            below: Callable[[Iterable[Triple]], list[int]]) -> list[int]:
-    """[C(r*t) for t in ts] for C(m) = C(m - s) + floor(m/(r*u)) + 1, 0 at m < 0, and below
-    the counts at points (m, 0, r): per chunk t, -C is one floor_surd_run of -1/(r*u) =
-    (a + b*sqrt(d))/c, since floor(x) + 1 = -floor(-x) at irrational x, summed mod s."""
-    lo, top, counts = r * ts[0], r * ts[-1] + 1, []
-    tail = [0] * max(s - lo, 0) + [-x for x in below((m, 0, r) for m in range(max(lo - s, 0), lo))]
-    for start in range(lo, top, r * chunk):
-        rows = tail + floor_surd_run(a, b, c, d, range(start, min(start + r * chunk, top)))
-        rows[s] -= start == 0  # floor(0) + 1 = 1, where -floor(-0) = 0
-        for k in range(s):
-            rows[k::s] = accumulate(rows[k::s])
-        tail = rows[-s:]
-        counts += map(int.__neg__, rows[s::r])
-    return counts
 
 
 def is_admissible(alpha: int, beta: int) -> bool:

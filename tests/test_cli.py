@@ -777,6 +777,12 @@ PINNED_STDOUT = {
         "f7009ce1868d5f775923c32187eea4314dcf85df1d61d2b0eeb7d07c51e76ae3",
     "count --u 1/2,3/4,7 --v 7/4 --t 10^300..10^300+59":
         "6aae600a640f0f8dc975c615bc04ad5f32979089b987d3454e5589079e1ba862",
+    # recorded before the strip run was counted in place by count_triangle_many: strips
+    # with a large numerator s = 4099 (4099 seed floor sums and residue passes per chunk),
+    # in each leg order
+    **dict.fromkeys(["count --u 0,1,2 --v 4099/8 --t 1000000..1020000",
+                     "count --u 4099/8 --v 0,1,2 --t 1000000..1020000"],
+                    "0d2400edc715ea95db1093f4b2f94504dae52a9335a857f7a7b9ec40a46bff51"),
     # recorded where the CI workflow checked a line of the stdout alone: its
     # "minimal_period": 987 (= F_16), and its "recurrence": null at 100001 values
     "period --params 610,987,987,610":
@@ -864,6 +870,10 @@ RUN_ARGVS = {
         [["count", "--u", "3,3/4,7", "--v", "7/4", "--t", "0..50000"]], 10),
     "count --u 1/2,3/4,7 --v 7/4 --t 10^300..10^300+59": (
         [["count", "--u", "1/2,3/4,7", "--v", "7/4", "--t", f"{10 ** 300}..{10 ** 300 + 59}"]], 10),
+    "count --u 0,1,2 --v 4099/8 --t 1000000..1020000": (
+        [["count", "--u", "0,1,2", "--v", "4099/8", "--t", "1000000..1020000"]], 10),
+    "count --u 4099/8 --v 0,1,2 --t 1000000..1020000": (
+        [["count", "--u", "4099/8", "--v", "0,1,2", "--t", "1000000..1020000"]], 10),
     "count --legs 2 3 --t 0..2000": ([["count", "--legs", "2", "3", "--t", "0..2000"]], None),
     "count --u 1/2 --v 1/3 --t 0..2000": (
         [["count", "--u", "1/2", "--v", "1/3", "--t", "0..2000"]], None),

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ehrcollapse import counting, polytopes
+from ehrcollapse import counting
 from ehrcollapse.arith import EhrcollapseError, Expansion, QuadNumber, parse_quad
 from ehrcollapse.polytopes import (
     MAX_STRIP_FLOORS,
@@ -221,7 +221,7 @@ def test_an_off_by_one_in_a_strip_letter_or_row_sum_fails_its_tail_check(data, p
     The closing floor sums recount the last count of every class, so the run
     fails whenever one of its counts C(r*t) is off, and is right otherwise."""
     n, _, _ = pair.translate
-    r, run_of, accumulate_of = _rows(pair), polytopes.floor_surd_run, polytopes.accumulate
+    r, run_of, accumulate_of = _rows(pair), counting.floor_surd_run, counting.accumulate
     run = range(a, a + data.draw(st.integers(2 * n + 1, 4 * n + 3 * chunk + 12)))
     target = data.draw(st.integers(0, -(-len(run) // chunk) - 1))  # the chunk at fault
     residue = data.draw(st.integers(0, n - 1))
@@ -248,8 +248,8 @@ def test_an_off_by_one_in_a_strip_letter_or_row_sum_fails_its_tail_check(data, p
 
     per_t = [counting.count_triangle(pair, t) for t in run]
     with patch.object(counting, "STRIP_CHUNK", chunk), \
-            patch.object(polytopes, "floor_surd_run", faulty_run), \
-            patch.object(polytopes, "accumulate", faulty_accumulate):
+            patch.object(counting, "floor_surd_run", faulty_run), \
+            patch.object(counting, "accumulate", faulty_accumulate):
         try:
             counts = counting.count_triangle_many(pair, run)
         except EhrcollapseError as exc:
@@ -354,6 +354,50 @@ def test_rational_legs_of_large_denominator_have_no_strip():
     # whatever r is
     assert TrianglePair(Fraction(1, 2), Fraction(3, 4)).translate == (1, 3, 8)
     assert TrianglePair(Fraction(7, 10 ** 6), Fraction(3, 4)).translate == (3, 7, 4 * 10 ** 6)
+
+
+@st.composite
+def no_identity_pairs(draw):
+    """A quadratic irrational leg beside a rational leg of denominator above
+    MAX_STRIP_FLOORS, or beside an irrational leg that makes no admissible
+    pair, in either order."""
+    d = draw(st.sampled_from((2, 3, 5, 7, 10, 13, 10 ** 9 + 7)))
+    irrational = draw(quad_leg(d).filter(lambda x: not x.is_rational))
+    if draw(st.booleans()):
+        other = QuadNumber(draw(st.fractions(1, 20, max_denominator=10 ** 6).filter(
+            lambda x: x.denominator > MAX_STRIP_FLOORS)))
+    else:
+        other = draw(quad_leg(draw(st.sampled_from((d, 3 if d == 2 else 2))))
+                     .filter(lambda x: not x.is_rational
+                             and (x.d != irrational.d or not (irrational + x).is_integer())))
+    pair = TrianglePair(irrational, other)
+    return pair.swapped() if draw(st.booleans()) else pair
+
+
+@settings(max_examples=100, deadline=None)
+@given(translate_pairs(), no_identity_pairs())
+def test_a_translate_is_integers_that_pickle_and_a_strip_holds_its_slope(with_identity,
+                                                                         without):
+    """translate is None or a tuple of ints, one of them at most a tuple of four
+    ints; it is the same after a pickle and hashes.  A strip's step (r, a, b, c)
+    holds -1/(r*u) = (a + b*sqrt(d))/c for its irrational leg u and the radicand
+    d of its slopes, so a wrong sign or a wrong r shows without a count."""
+    assert without.translate is None
+    for pair in (with_identity, without):
+        identity = pair.translate
+        copy = pickle.loads(pickle.dumps(pair))
+        assert copy.translate == identity and hash(copy.translate) == hash(identity)
+        if identity is None:
+            continue
+        n, m, step = identity
+        ints = (n, m) + (step if m == 0 else (step,))
+        assert all(type(x) is int for x in ints) and len(ints) == (6 if m == 0 else 3)
+        if m == 0:
+            r, a, b, c = step
+            leg, irrational = (pair.v, pair.u) if pair.v.is_rational else (pair.u, pair.v)
+            assert leg == QuadNumber(Fraction(n, r))
+            d = pair.slopes[1]
+            assert QuadNumber(Fraction(a, c), Fraction(b, c), d) == -1 / (irrational * r)
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,14 +2,12 @@
 
 import pickle
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ehrcollapse import counting
 from ehrcollapse.arith import QuadNumber, quad_sqrt
 from ehrcollapse.criteria import CriterionReport, check_collapse_criterion
 from ehrcollapse.polytopes import (
@@ -293,7 +291,7 @@ VALUE_CLASSES = [
 
 def _fill_caches(obj):
     """The triangle of obj, if it has one, with its slopes, expansion and translate
-    read, as a pooled search ships it between processes; a table's view is read."""
+    read, so a pickle holds them as cached; a table's view is read."""
     if hasattr(obj, "KEYS"):
         getattr(obj, obj.KEYS[1])
     pair = obj if isinstance(obj, TrianglePair) else getattr(obj, "triangle", lambda: None)()
@@ -328,11 +326,4 @@ def test_value_classes_compare_hash_print_freeze_and_pickle_by_their_fields(cls,
         copy = back if isinstance(back, TrianglePair) else vars(back)["_triangle"]
         assert {"slopes", "expansion", "translate"} <= vars(copy).keys()
         assert copy.slopes == pair.slopes and copy.expansion.steps == pair.expansion.steps
-        step, again = pair.translate[2], copy.translate[2]
-        assert copy.translate[:2] == pair.translate[:2]
-        if callable(step):  # a strip: the same counts from either copy, in chunks of 3 t
-            below = partial(counting._count_below, pair, d=pair.slopes[1])
-            want = [counting.count_triangle(pair, t) for t in range(1, 9)]
-            assert again(range(1, 9), 3, below) == step(range(1, 9), 3, below) == want
-        else:
-            assert again == step
+        assert copy.translate == pair.translate
