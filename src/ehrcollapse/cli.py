@@ -2,8 +2,10 @@
 
 Subcommands: count, fit, period, check, search, fib, tetra, guess-rec, verify.
 Records go to stdout as JSON lines by default; tabular subcommands also
-support --format csv.  Exit codes: 0 success (also when the reader closes
-stdout early), 1 failed verification, 2 usage.
+support --format csv.  Every JSON line is its keys' line template filled with
+its values, each an exact int's repr or json.dumps of any other value.  Exit
+codes: 0 success (also when the reader closes stdout early), 1 failed
+verification, 2 usage, 74 a failed write of the records (EX_IOERR).
 """
 
 from __future__ import annotations
@@ -95,30 +97,25 @@ def _parse_values(text: str) -> list[Fraction]:
 
 @functools.cache  # the keys of a record are one of a few fixed tuples
 def _line_template(keys: tuple[str, ...]) -> str:
-    """The JSON line of a record of these keys, each value a %s slot."""
+    """The JSON line of a record of these keys, each value a %s slot, in the
+    separators of json.dumps."""
     fields = (json.dumps(key).replace("%", "%%") + ": %s" for key in keys)
     return "{" + ", ".join(fields) + "}\n"
 
 
 class _Emitter:
     """Writes runs of records, each run its keys and a tuple of values per record,
-    as JSON lines or CSV (header from the first record written).  Without a
-    stream, the first run opens the file at path: a command that fails before
-    it writes leaves that file as it was."""
+    as JSON lines, one write per chunk of records, or CSV (header from the first
+    record written).  Without a stream, the file at path opens once the first
+    chunk is built: a command that fails before then leaves that file as it was."""
 
-    CHUNK_LINES = 4096  # JSON lines joined into one write
+    CHUNK_LINES = 4096  # records built before each write
 
     def __init__(self, stream, fmt: str, path: Optional[str] = None):
         self.stream = stream
         self.fmt = fmt
         self.path = path
         self.writer = None
-
-    def open(self) -> None:
-        try:
-            self.stream = open(self.path, "w")
-        except OSError as exc:
-            raise ValueError(f"can't open {self.path!r}: {exc.strerror or exc}") from None
 
     @staticmethod
     def _cells(row) -> list:
@@ -134,26 +131,26 @@ class _Emitter:
         return cells
 
     def emit(self, keys: Iterable[str], rows: Iterable[tuple]) -> None:
-        if self.stream is None:
-            self.open()
-        if self.fmt == "csv":
-            for row in rows:
+        rows = iter(rows)  # rows are taken a chunk at a time
+        while chunk := list(itertools.islice(rows, self.CHUNK_LINES)):
+            if self.stream is None:
+                try:
+                    self.stream = open(self.path, "w")
+                except OSError as exc:
+                    raise ValueError(f"can't open {self.path!r}: {exc.strerror or exc}") from None
+            if self.fmt == "csv":
                 if self.writer is None:
                     import csv  # here, so that only CSV output loads it
 
                     self.writer = csv.writer(self.stream)
-                    self.writer.writerow([name for key, val in zip(keys, row)
+                    self.writer.writerow([name for key, val in zip(keys, chunk[0])
                                           for name in (val if isinstance(val, dict) else (key,))])
-                self.writer.writerow(self._cells(row))
-            return
-        rows = iter(rows)  # rows are taken a chunk at a time
-        while chunk := list(itertools.islice(rows, self.CHUNK_LINES)):
-            if {int}.issuperset(map(type, cells := tuple(itertools.chain.from_iterable(chunk)))):
-                # an exact int (never a bool) fills its slot with its repr, as json.dumps does
-                text = _line_template(tuple(keys)) * len(chunk) % cells
-            else:
-                text = "".join([json.dumps(dict(zip(keys, row))) + "\n" for row in chunk])
-            self.stream.write(text)
+                self.writer.writerows(map(self._cells, chunk))
+                continue
+            cells = tuple(itertools.chain.from_iterable(chunk))
+            if not {int}.issuperset(map(type, cells)):  # an exact int (never a bool) is its repr
+                cells = tuple(cell if type(cell) is int else json.dumps(cell) for cell in cells)
+            self.stream.write(_line_template(tuple(keys)) * len(chunk) % cells)
 
 
 def _triangle_object(args, parser):
@@ -620,18 +617,21 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     fmt = getattr(args, "format", "jsonl")  # subcommands without --format write JSON lines
     emitter = _Emitter(None if to_file else sys.stdout, fmt, args.output)
     try:
-        code = args.fn(args, parser, emitter.emit)
+        try:
+            code = args.fn(args, parser, emitter.emit)
+        finally:
+            if to_file and emitter.stream is not None:
+                emitter.stream.close()  # its last write fails here, if it fails
         sys.stdout.flush()
         return code
     except ValueError as exc:  # EhrcollapseError and bad numbers alike
         parser.exit(2, f"error: {exc}\n")
-    except BrokenPipeError:  # the reader closed stdout: stop as a finished run
-        # stdout's final flush at exit goes to devnull, so nothing reaches stderr
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
-    finally:
-        if to_file and emitter.stream is not None:
-            emitter.stream.close()
+    except OSError as exc:  # the reader closed the pipe, or a write failed (a full disk)
+        if not to_file:  # stdout's final flush at exit goes to devnull, so nothing reaches stderr
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):  # stop as a finished run
+            return 0
+        parser.exit(74, f"error: {args.output if to_file else '<stdout>'}: {exc.strerror or exc}\n")
 
 
 if __name__ == "__main__":

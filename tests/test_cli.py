@@ -8,6 +8,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -688,6 +689,9 @@ def test_output_file_is_closed(tmp_path):
     ["count", "--alpha", "3", "--t", "1"],  # the command's own usage check
     ["count", "--alpha", "3", "--beta", "3", "--t", "x"],  # the parser
     ["tetra", "--n", "1", "--t", "0..10000000"],  # a range past the count limit
+    ["fib", "--k", "0", "--n", "0..5"],  # a record that fails as it is built
+    ["fib", "--k", "0", "--n", "0..5", "--format", "csv"],
+    ["count", "--mw-image", "1", "--t", "1..3"],
 ])
 def test_a_failing_command_leaves_its_output_file_as_it_was(argv, tmp_path):
     target = tmp_path / "keep.jsonl"
@@ -702,6 +706,16 @@ def test_an_output_file_that_cannot_be_opened_is_a_usage_error(tmp_path):
                    "--output", str(tmp_path / "no-such-dir" / "x"), check=False)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("target", ["<stdout>", "/dev/full"])
+def test_a_full_device_is_one_error_line_and_exit_74(target):
+    argv = BASE + ["count", "--alpha", "3", "--beta", "3", "--t", "1..3"]
+    with open("/dev/full", "w") as full:  # stdout, and the --output file unless it is stdout
+        proc = subprocess.run(argv + ["--output", target] * (target != "<stdout>"),
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (74, f"error: {target}: No space left on device\n")
 
 
 def test_output_dash_writes_to_stdout():
@@ -1080,11 +1094,18 @@ json_values = st.recursive(
 json_keys = st.text(st.sampled_from('a%"\\é☃\n'), max_size=4) | st.text(max_size=4)
 
 
+column_values = [st.integers(), st.booleans(), st.none(), st.text(max_size=4), json_values]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(json_keys, min_size=1, max_size=4, unique=True), st.data())
 def test_a_run_is_written_as_json_dumps_of_each_record(names, data):
-    values = data.draw(st.sampled_from([st.integers(), json_values]))
-    rows = data.draw(st.lists(st.tuples(*[values] * len(names)), max_size=12))
+    shape = data.draw(st.sampled_from(["ints", "any", "columns"]))
+    if shape == "columns":  # each column its own kind, as in tetra, search and period records
+        columns = [data.draw(st.sampled_from(column_values)) for _ in names]
+    else:
+        columns = [st.integers() if shape == "ints" else json_values] * len(names)
+    rows = data.draw(st.lists(st.tuples(*columns), max_size=12))
     chunk_lines = data.draw(st.integers(1, 5))
     text, writes = _written(names, rows, chunk_lines)
     assert text == "".join(json.dumps(dict(zip(names, row))) + "\n" for row in rows)
