@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce, total_ordering
-from itertools import accumulate, chain, cycle
+from itertools import accumulate, chain
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
@@ -19,48 +19,12 @@ QuadLike = Union[int, Fraction, "QuadNumber"]
 Triple = tuple[int, int, int]  # (A, B, C) stands for (A + B*sqrt(d)) / C
 IntRows = tuple[tuple[int, ...], ...]
 
-# Radicands are trial-divided by primes below this bound only: the squarefree
-# part of d is as hard to find as a factorization of d.
-_TRIAL_BOUND = 10 ** 6
-
-
 class EhrcollapseError(ValueError):
     """Base of the errors this package raises on input it cannot handle."""
 
 
 class RadicandMismatchError(EhrcollapseError):
     """Raised when combining two irrational numbers from different fields."""
-
-
-def _squarefree_split(d: int) -> tuple[int, int]:
-    """Return (s, m) with d = s*s*m, for d >= 1.
-
-    m keeps no square p*p of a prime p below _TRIAL_BOUND, and m is a perfect
-    square only if m == 1.  Trial division stops at _TRIAL_BOUND or once p
-    passes the cube root of the cofactor, whose prime factors then all exceed
-    that root, so it is 1, q, q*q' or q*q; the square test settles q*q.  For
-    d < 10**18 the root is below _TRIAL_BOUND, so m is squarefree; beyond that
-    m may keep the square of a large prime, which no operation needs to know:
-    floor_surd is exact for any radicand that is not a perfect square.
-    """
-    s = m = 1
-    # 2**ceil(bits(d)/3) lies between the cube root of d and twice that root
-    limit = min(_TRIAL_BOUND, 1 << (d.bit_length() + 2) // 3)
-    for p in chain((2, 3), accumulate(cycle((2, 4)), initial=5)):  # 2, 3, 6k -+ 1
-        if p >= limit:
-            break
-        if d % p == 0:
-            e = 0
-            while d % p == 0:
-                d //= p
-                e += 1
-            s *= p ** (e // 2)
-            m *= p ** (e % 2)
-            limit = min(limit, 1 << (d.bit_length() + 2) // 3)
-    r = isqrt(d)
-    if r * r == d:
-        return s * r, m
-    return s, m * d
 
 
 def _common_d(d1: int, d2: int) -> int:
@@ -190,7 +154,7 @@ def _store(x: "QuadNumber", a: int, b: int, c: int, d: int) -> "QuadNumber":
 
 def _new(a: int, b: int, c: int, d: int) -> "QuadNumber":
     """(a + b*sqrt(d)) / c for c != 0 and d either 0 or the radicand of an
-    existing QuadNumber: reduces the triple and never splits d again."""
+    existing QuadNumber: reduces the triple and never tests d for a square."""
     return _store(_alloc(QuadNumber), a, b, c, d)
 
 
@@ -207,13 +171,13 @@ class QuadNumber:
     """(A + B*sqrt(d)) / C with integers A, B, C and d, kept in canonical form.
 
     Canonical means: C > 0 and gcd(A, B, C) == 1; B == 0 and d == 0 whenever
-    the number is rational; otherwise d > 1 is not a perfect square and has no
-    square factor p*p of a prime p below 10**6, so d is squarefree for
-    d < 10**18 but need not be past that bound.  The constructor takes
-    rational a, b with value a + b*sqrt(d) and normalizes them; results of
-    operations keep the radicand of their operands and are never split again.
-    Equality and hashing go by value, whichever radicand a value carries; the
-    order is __lt__ alone, and functools.total_ordering derives <=, > and >=.
+    the number is rational; otherwise d > 1 is not a perfect square.  The
+    constructor takes rational a, b with value a + b*sqrt(d) and keeps d as
+    given, square factors and all, unless d is a perfect square, which makes
+    the number rational; results of operations keep the radicand of their
+    operands.  Equality and hashing go by value, whichever radicand a value
+    carries (sqrt(12) == 2*sqrt(3)); the order is __lt__ alone, and
+    functools.total_ordering derives <=, > and >=.
     """
 
     __slots__ = ("triple", "d")
@@ -223,13 +187,11 @@ class QuadNumber:
 
     def __init__(self, a: RationalLike, b: RationalLike = 0, d: int = 0) -> None:
         (big_a, big_b), c = to_integers((a, b))
-        if not isinstance(d, int) or d < 0:
+        if exact_int(d) < 0:
             raise ValueError(f"radicand must be a nonnegative int, got {d!r}")
-        if big_b and d:
-            s, d = _squarefree_split(d)
-            big_b *= s
-            if d == 1:
-                big_a, big_b = big_a + big_b, 0
+        r = isqrt(d)
+        if r * r == d:  # sqrt(d) is the integer r: a rational number, stored with d = 0
+            big_a, big_b = big_a + big_b * r, 0
         _store(self, big_a, big_b, c, d)
 
     __setattr__ = __delattr__ = _immutable

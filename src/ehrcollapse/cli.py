@@ -5,7 +5,8 @@ Records go to stdout as JSON lines by default; tabular subcommands also
 support --format csv.  Every JSON line is its keys' line template filled with
 its values, each an exact int's repr or json.dumps of any other value.  Exit
 codes: 0 success (also when the reader closes stdout early), 1 failed
-verification, 2 usage, 74 a failed write of the records (EX_IOERR).
+verification, 2 usage, 74 a failed write of the records (EX_IOERR), 130 an
+interrupt (Ctrl-C), which keeps the records already written.
 """
 
 from __future__ import annotations
@@ -632,6 +633,8 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         if isinstance(exc, BrokenPipeError):  # stop as a finished run
             return 0
         parser.exit(74, f"error: {args.output if to_file else '<stdout>'}: {exc.strerror or exc}\n")
+    except KeyboardInterrupt:  # Ctrl-C: stop quietly, with the shell's code for SIGINT
+        return 130
 
 
 if __name__ == "__main__":

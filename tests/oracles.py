@@ -374,25 +374,6 @@ def classify_legs_by_ratio(u, v) -> str:
     return "other"
 
 
-def squarefree_split_to_sqrt(d: int, bound: int = 10 ** 6) -> tuple[int, int]:
-    """(s, m) with d = s*s*m, trial-dividing by 2, 3 and 6k -+ 1 below
-    min(bound, sqrt of the cofactor) and testing the rest for a square."""
-    s = m = 1
-    p, step = 2, 1
-    while p < bound and p * p <= d:
-        e = 0
-        while d % p == 0:
-            d //= p
-            e += 1
-        s *= p ** (e // 2)
-        m *= p ** (e % 2)
-        p, step = (p + step, 2) if p < 5 else (p + step, 6 - step)
-    r = isqrt(d)
-    if r * r == d:
-        return s * r, m
-    return s, m * d
-
-
 # -- the period certificate that the translate-identity window replaced ---------------
 
 

@@ -12,13 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import oracles
 from ehrcollapse import arith, counting, sequences
 from ehrcollapse.arith import (
     Expansion,
     QuadNumber,
     RadicandMismatchError,
-    _squarefree_split,
     floor_surd,
     floor_surd_run,
     parse_fraction,
@@ -55,50 +53,20 @@ def quads(draw, d=None):
 
 
 def test_normalizes_square_factors():
+    # the triple is reduced, and the radicand is kept as given, square factors and all
     x = QuadNumber(Fraction(0), Fraction(1), 8)
-    assert (x.a, x.b, x.d) == (Fraction(0), Fraction(2), 2)
+    assert (x.triple, x.d) == ((0, 1, 1), 8)
+    assert x == QuadNumber(Fraction(0), Fraction(2), 2) and str(x) == "0+1*sqrt(8)"
 
 
 def test_normalizes_perfect_square_radicand():
     x = QuadNumber(Fraction(1), Fraction(1, 2), 12)
-    assert (x.a, x.b, x.d) == (Fraction(1), Fraction(1), 3)
+    assert (x.a, x.b, x.d) == (Fraction(1), Fraction(1, 2), 12)
     y = QuadNumber(Fraction(1), Fraction(3), 4)
     assert y == 7 and y.d == 0
-    # the cofactor left after trial division is tested for a square as well
     z = QuadNumber(Fraction(1), Fraction(1), 1000003 ** 2)
     assert z == 1000004 and z.d == 0
-
-
-# primes on both sides of the trial bound 10**6, and small ones
-split_primes = st.sampled_from([2, 3, 5, 7, 97, 9973, 999953, 999961, 999979, 999983,
-                                1000003, 1000033, 1000037, 1000039])
-
-
-@settings(max_examples=40, deadline=None)
-@given(split_primes, split_primes, st.integers(1, 2), st.integers(1, 3000))
-def test_squarefree_split_matches_the_scan_to_the_square_root(p, q, e, k):
-    # k*p*q and k*p*p*q: the cofactor left after trial division is 1, q, q*q' or q*q
-    d = k * p ** e * q
-    s, m = _squarefree_split(d)
-    assert (s, m) == oracles.squarefree_split_to_sqrt(d)
-    assert s * s * m == d
-
-
-def test_radicand_is_factored_once(monkeypatch):
-    d = 10 ** 9 + 7
-    calls = []
-
-    def counted(n):
-        calls.append(n)
-        return _squarefree_split(n)
-
-    monkeypatch.setattr(arith, "_squarefree_split", counted)
-    x = QuadNumber(Fraction(1), Fraction(1, 3), d)
-    assert calls == [d]
-    y = x * x + x
-    assert calls == [d]
-    assert (y.d, y.b) == (d, Fraction(1))
-    assert QuadNumber(Fraction(0), Fraction(1), 12) == QuadNumber(Fraction(0), Fraction(2), 3)
+    assert QuadNumber(Fraction(2), Fraction(5), 1) == 7 and QuadNumber(3, 5, 0).triple == (3, 0, 1)
 
 
 def test_zero_b_clears_radicand():
@@ -116,18 +84,18 @@ def test_canonical_form_is_stable(x):
     assert (again.a, again.b, again.d) == (x.a, x.b, x.d)
 
 
-@given(quads())
-def test_equal_values_hash_equal(x):
+@given(st.data(), quads(), st.one_of(st.integers(2, 50), st.just(1000003)))
+def test_equal_values_hash_equal(data, x, s):
     assert hash(QuadNumber(x.a, x.b, x.d)) == hash(x)
     if x.is_rational:
         assert hash(x) == hash(x.a)
     else:
-        # the same value over the radicand p*p*d, p past the trial-division bound
-        p = 1000003
-        a, b, c = x.triple
-        wide = arith._new(a * p, b, c * p, p * p * x.d)
-        assert wide.d == p * p * x.d
+        # the same value over the radicand s*s*d, a small square factor or a prime one
+        wide = QuadNumber(x.a, x.b / s, s * s * x.d)
+        assert wide.d == s * s * x.d
         assert wide == x and hash(wide) == hash(x)
+        y = data.draw(quads(d=x.d))
+        assert (wide < y, y < wide, floor(wide)) == (x < y, y < x, floor(x))
 
 
 def test_hash_with_a_denominator_that_is_a_multiple_of_the_hash_modulus():
@@ -140,8 +108,8 @@ def test_hash_with_a_denominator_that_is_a_multiple_of_the_hash_modulus():
     assert hash(QuadNumber(Fraction(5, m))) == hash(Fraction(5, m))
 
 
-def test_square_factor_past_the_trial_bound_is_kept():
-    p, q = 1000003, 1000033  # primes past the bound: p*p*q is not split
+def test_a_square_factor_of_the_radicand_is_kept():
+    p, q = 1000003, 1000033  # primes: p*p*q is kept as it is
     wide = QuadNumber(Fraction(1), Fraction(1), p * p * q)
     narrow = QuadNumber(Fraction(1), Fraction(p), q)
     assert (wide.d, narrow.d) == (p * p * q, q)
@@ -152,8 +120,11 @@ def test_square_factor_past_the_trial_bound_is_kept():
     assert wide != QuadNumber(Fraction(1), Fraction(p + 1), q)
     with pytest.raises(RadicandMismatchError):
         wide + quad_sqrt(2)
-    # below the bound every square factor is removed
-    assert QuadNumber(Fraction(0), Fraction(1), 999983 ** 2 * 7).d == 7
+    # an operation keeps the radicand of its operands, and sqrt(12) == 2*sqrt(3)
+    x = QuadNumber(Fraction(1), Fraction(1, 3), 10 ** 9 + 7)
+    y = x * x + x
+    assert (y.d, y.b) == (10 ** 9 + 7, Fraction(1))
+    assert QuadNumber(Fraction(0), Fraction(1), 12) == QuadNumber(Fraction(0), Fraction(2), 3)
 
 
 # -- field laws ----------------------------------------------------------------
@@ -472,6 +443,7 @@ def test_the_toolkit_scales_evaluates_and_writes_exactly():
 FLOAT_CALLS = {
     "to_integers": lambda: arith.to_integers([Fraction(1, 3), 0.5]),
     "QuadNumber": lambda: QuadNumber(1, 0.5, 2),
+    "QuadNumber radicand": lambda: QuadNumber(0, 1, 2.0),
     "quad_sqrt": lambda: quad_sqrt(2.0),
     "fit_quasipolynomial": lambda: fit_quasipolynomial([1, 2, 0.5, 4], 1, 1),
     "guess_recurrence": lambda: guess_recurrence([1.0] * 12, 1, 0),
@@ -509,6 +481,7 @@ def test_a_float_is_refused_by_every_exact_entry_point(name):
 BOOL_CALLS = {
     "AdmissiblePair": lambda: AdmissiblePair(True, 5),
     "RationalTriangleParams": lambda: RationalTriangleParams(True, 2, 1, 1),
+    "QuadNumber radicand": lambda: QuadNumber(0, 1, True),
 }
 
 

@@ -10,6 +10,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -718,6 +719,21 @@ def test_a_full_device_is_one_error_line_and_exit_74(target):
     assert (proc.returncode, proc.stderr) == (74, f"error: {target}: No space left on device\n")
 
 
+def test_ctrl_c_exits_130_without_a_traceback():
+    # unbuffered, so that the first record reaches the pipe as soon as it is written
+    argv = [sys.executable, "-u", "-m", "ehrcollapse", "search", "--bound", "30"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            assert proc.stdout.readline().startswith(b'{"params": ')
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert proc.returncode == 130, err
+    assert b"Traceback" not in err, err
+    assert all(line.startswith(b'{"params": ') for line in out.splitlines()[:-1])
+
+
 def test_output_dash_writes_to_stdout():
     argv = ["count", "--params", "2,3,3,2", "--t", "0..6", "--format", "csv"]
     assert run_cli(*argv, "--output", "-").stdout == run_cli(*argv).stdout != ""
@@ -797,6 +813,16 @@ PINNED_STDOUT = {
     **dict.fromkeys(["count --u 0,1,2 --v 4099/8 --t 1000000..1020000",
                      "count --u 4099/8 --v 0,1,2 --t 1000000..1020000"],
                     "0d2400edc715ea95db1093f4b2f94504dae52a9335a857f7a7b9ec40a46bff51"),
+    # recorded before a radicand with a square factor was kept as given: the golden pair
+    # over 45 = 9*5, a strip over 12 = 4*3, a simplex over 8 and 18, and the admissible
+    # pair (4, 3) over its radicand 96 = 16*6, which prints as `period --alpha 4 --beta 3`
+    "count --u 3/2,1/6,45 --v 3/2,-1/6,45 --t 0..20000 --interior":
+        "75a27634c11784031231dd6efdaba1c23d5b30db2c65dcf50f30ec013cfd5dd8",
+    "count --u 1,1/2,12 --v 3/4 --t 0..50000":
+        "1e57682e0782821122ab51e56f0efa539cf48144828e3cfe04e2f71fe53e3c6f",
+    "count --legs 0,1,8 1/2 0,1,18 --t 0..300":
+        "76155638b8424c9b49733149bbb5eded045e822f1dc7d92513575c4369c07889",
+    "period --u 2,1/6,96 --v 2,-1/6,96": "5cae1e913bd26645e73b5fe6308a0f19f71d0d2aab224e980f7a8c134110bcfa",
     # recorded where the CI workflow checked a line of the stdout alone: its
     # "minimal_period": 987 (= F_16), and its "recurrence": null at 100001 values
     "period --params 610,987,987,610":
@@ -888,6 +914,13 @@ RUN_ARGVS = {
         [["count", "--u", "0,1,2", "--v", "4099/8", "--t", "1000000..1020000"]], 10),
     "count --u 4099/8 --v 0,1,2 --t 1000000..1020000": (
         [["count", "--u", "4099/8", "--v", "0,1,2", "--t", "1000000..1020000"]], 10),
+    "count --u 3/2,1/6,45 --v 3/2,-1/6,45 --t 0..20000 --interior": (
+        [["count", "--u", "3/2,1/6,45", "--v", "3/2,-1/6,45", "--t", "0..20000", "--interior"]], 10),
+    "count --u 1,1/2,12 --v 3/4 --t 0..50000": (
+        [["count", "--u", "1,1/2,12", "--v", "3/4", "--t", "0..50000"]], 10),
+    "count --legs 0,1,8 1/2 0,1,18 --t 0..300": (
+        [["count", "--legs", "0,1,8", "1/2", "0,1,18", "--t", "0..300"]], 10),
+    "period --u 2,1/6,96 --v 2,-1/6,96": ([["period", "--u", "2,1/6,96", "--v", "2,-1/6,96"]], 10),
     "count --legs 2 3 --t 0..2000": ([["count", "--legs", "2", "3", "--t", "0..2000"]], None),
     "count --u 1/2 --v 1/3 --t 0..2000": (
         [["count", "--u", "1/2", "--v", "1/3", "--t", "0..2000"]], None),

@@ -254,7 +254,8 @@ VALUE_CLASSES = [
     (TrianglePair, dict(u=Fraction(1, 2), v=quad_sqrt(2)), dict(u=Fraction(1, 2), v=quad_sqrt(3)),
      f"TrianglePair(u={_Q.format(1, 2, 0, 1, 0)}, v={_Q.format(0, 1, 1, 1, 2)})"),
     (AdmissiblePair, dict(alpha=4, beta=3), dict(alpha=3, beta=4),
-     f"AdmissiblePair(alpha=4, beta=3, u={_Q.format(2, 1, 2, 3, 6)}, v={_Q.format(2, 1, -2, 3, 6)})"),
+     # u, v = 2 +- sqrt(96)/6, over the radicand alpha*beta*(alpha*beta - 4) = 96 as it is
+     f"AdmissiblePair(alpha=4, beta=3, u={_Q.format(2, 1, 1, 6, 96)}, v={_Q.format(2, 1, -1, 6, 96)})"),
     (RationalTriangleParams, dict(p=7, q=13, r=11, s=9), dict(p=7, q=13, r=9, s=11),
      "RationalTriangleParams(p=7, q=13, r=11, s=9)"),
     (AxisSimplex, dict(legs=(Fraction(1, 2), 3)), dict(legs=(3, Fraction(1, 2))),
