@@ -779,6 +779,9 @@ PINNED_STDOUT = {
         "c678622b1c5bbd9226a3330bed4106d2f73781b6ee3702547a7daad2449c50bc",
     "search --bound 6": "8afeb020264a2a7c22612434a3f8af3e356518c17a6b88c5641d9889e0b40adb",
     "search --bound 8": "8493e98c32ef0e8b2579c890404c26ec8c091913f35f0700f85536fbc2a83e9c",
+    # recorded before a search record's bools and params dict filled slots of its line
+    # template, each cell had its own json.dumps call
+    "search --bound 12": "f361f048b3fdeaa4b697edab0de925d7a9f5290e092acb161a1e6d6acde511f5",
     "fit --params 55,89,89,55 --period 4895":
         "a87e13f79d88e940c03bd09b6a297ea7c56af34dd4bbcc19c1ab178cb8f1e86f",
     "guess-rec --alpha 3 --beta 3 --t-max 200000":
@@ -873,6 +876,7 @@ RUN_ARGVS = {
         [["search", "--max-p", "7", "--max-q", "5", "--max-r", "3", "--max-s", "8"]], None),
     "search --bound 6": ([["search", "--bound", "6"]], None),
     "search --bound 8": ([["search", "--bound", "8"]], None),
+    "search --bound 12": ([["search", "--bound", "12"]], 10),
     "period --params 610,987,987,610": ([["period", "--params", "610,987,987,610"]], 60),
     "fit --params 55,89,89,55 --period 4895": (
         [["fit", "--params", "55,89,89,55", "--period", "4895"]], 60),
