@@ -8,7 +8,8 @@ Each public name is loaded from its submodule on first use, so that
 import sys
 
 _EXPORTS = {  # submodule -> the public names it defines
-    "arith": "EhrcollapseError QuadNumber RadicandMismatchError parse_quad quad_sqrt",
+    "arith": "EhrcollapseError InternalCheckError QuadNumber RadicandMismatchError parse_quad"
+             " quad_sqrt",
     "counting": "asymptotic_deficit closed_form_admissible count_axis_simplex"
                 " count_axis_simplex_many count_interval count_rational_triangle2d"
                 " count_triangle count_triangle_interior count_triangle_many",

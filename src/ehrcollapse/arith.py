@@ -23,6 +23,10 @@ class EhrcollapseError(ValueError):
     """Base of the errors this package raises on input it cannot handle."""
 
 
+class InternalCheckError(EhrcollapseError):
+    """Raised when a result fails a check that holds for every input: a bug."""
+
+
 class RadicandMismatchError(EhrcollapseError):
     """Raised when combining two irrational numbers from different fields."""
 
@@ -549,7 +553,7 @@ class RationalTable(Frozen):
     @classmethod
     def from_json_dict(cls, obj: dict):
         size, view = cls.KEYS
-        return cls(exact_int(obj[size]), exact_int(obj["degree"]), obj[view])
+        return cls(obj[size], obj["degree"], obj[view])
 
 
 def parse_int(text: str) -> int:

@@ -3,10 +3,13 @@
 Subcommands: count, fit, period, check, search, fib, tetra, guess-rec, verify.
 Records go to stdout as JSON lines by default; tabular subcommands also
 support --format csv.  Every JSON line is its keys' line template filled with
-its values, each an exact int's repr or json.dumps of any other value.  Exit
-codes: 0 success (also when the reader closes stdout early), 1 failed
-verification, 2 usage, 74 a failed write of the records (EX_IOERR), 130 an
-interrupt (Ctrl-C), which keeps the records already written.
+its values: an exact int's repr, a bool's or None's literal, a dict of exact
+ints under str keys as its own keys' template filled, and json.dumps of any
+other value.  Exit codes: 0 success (also when the reader closes stdout early),
+1 failed verification, 2 usage or input refused, 70 an internal check failed, a
+bug (EX_SOFTWARE), 71 out of memory (EX_OSERR), 74 a failed write of the records
+(EX_IOERR), 130 an interrupt (Ctrl-C).  A run that stops keeps the records
+already written.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .arith import fraction_text, parse_fraction, parse_int, parse_quad
+from .arith import InternalCheckError, fraction_text, parse_fraction, parse_int, parse_quad
 
 # Commands read the modules they run as attributes of the package, which loads
 # each one when it is first read, so that a start loads only what it runs.  An
@@ -96,19 +99,41 @@ def _parse_values(text: str) -> list[Fraction]:
     return [parse_fraction(x) for x in text.split(",")]
 
 
-@functools.cache  # the keys of a record are one of a few fixed tuples
-def _line_template(keys: tuple[str, ...]) -> str:
-    """The JSON line of a record of these keys, each value a %s slot, in the
-    separators of json.dumps."""
+@functools.cache  # the keys of a record, or of a dict in one, are one of a few fixed tuples
+def _line_template(keys: tuple, end: str = "\n") -> Optional[str]:
+    """The JSON text of a dict of these keys, each value a %s slot, in the
+    separators of json.dumps, and then end; None unless every key is a str."""
+    if not {str}.issuperset(map(type, keys)):
+        return None
     fields = (json.dumps(key).replace("%", "%%") + ": %s" for key in keys)
-    return "{" + ", ".join(fields) + "}\n"
+    return "{" + ", ".join(fields) + "}" + end
+
+
+def _json_text(cell) -> str:
+    """json.dumps(cell) of a cell that is not an exact int: a bool or None is its
+    literal, a str is json.dumps's own escape of it, and a dict of exact ints
+    under str keys is its keys' template filled."""
+    kind = type(cell)
+    if kind is bool:
+        return "true" if cell else "false"
+    if cell is None:
+        return "null"
+    if kind is str:
+        return json.encoder.encode_basestring_ascii(cell)
+    if kind is dict:
+        values = tuple(cell.values())
+        if {int}.issuperset(map(type, values)) and (template := _line_template(tuple(cell), "")):
+            return template % values
+    return json.dumps(cell)
 
 
 class _Emitter:
     """Writes runs of records, each run its keys and a tuple of values per record,
     as JSON lines, one write per chunk of records, or CSV (header from the first
-    record written).  Without a stream, the file at path opens once the first
-    chunk is built: a command that fails before then leaves that file as it was."""
+    record written).  A JSON chunk is its keys' line template times its length,
+    filled with its cells: an exact int inline, any other by _json_text.  Without
+    a stream, the file at path opens once the first chunk is built: a command
+    that fails before then leaves that file as it was."""
 
     CHUNK_LINES = 4096  # records built before each write
 
@@ -150,7 +175,7 @@ class _Emitter:
                 continue
             cells = tuple(itertools.chain.from_iterable(chunk))
             if not {int}.issuperset(map(type, cells)):  # an exact int (never a bool) is its repr
-                cells = tuple(cell if type(cell) is int else json.dumps(cell) for cell in cells)
+                cells = tuple(cell if type(cell) is int else _json_text(cell) for cell in cells)
             self.stream.write(_line_template(tuple(keys)) * len(chunk) % cells)
 
 
@@ -340,7 +365,7 @@ def _cmd_search(args, parser, emit) -> int:
     polytopes = _package.polytopes
     params_of = polytopes.RationalTriangleParams
     certify = _package.quasipoly.certified_period
-    check = _package.criteria.check_collapse_criterion
+    divisibility = _package.criteria._divisibility
     waiting = {}  # (p, q, r, s) -> the period its later twin (r, s, p, q) will take
     for pqrs in polytopes.iter_lowest_term_tuples(*bounds):
         params = params_of(*pqrs)
@@ -354,8 +379,8 @@ def _cmd_search(args, parser, emit) -> int:
                 waiting[pqrs] = period
         denom = params.denominator
         if denom % period != 0:
-            raise AssertionError(f"minimal period {period} does not divide {denom}")
-        emit(_SEARCH_KEYS, [(params.to_json_dict(), denom, period, check(params).holds,
+            raise InternalCheckError(f"minimal period {period} does not divide {denom}")
+        emit(_SEARCH_KEYS, [(params.to_json_dict(), denom, period, all(divisibility(*pqrs)),
                              period < denom)])
     return 0
 
@@ -625,8 +650,12 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
                 emitter.stream.close()  # its last write fails here, if it fails
         sys.stdout.flush()
         return code
+    except InternalCheckError as exc:  # an EhrcollapseError that no input should raise
+        parser.exit(70, f"error: {exc}: an internal check failed, which is a bug\n")
     except ValueError as exc:  # EhrcollapseError and bad numbers alike
         parser.exit(2, f"error: {exc}\n")
+    except MemoryError:
+        parser.exit(71, "error: out of memory\n")
     except OSError as exc:  # the reader closed the pipe, or a write failed (a full disk)
         if not to_file:  # stdout's final flush at exit goes to devnull, so nothing reaches stderr
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

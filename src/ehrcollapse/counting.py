@@ -17,8 +17,8 @@ from itertools import accumulate, repeat
 from math import gcd
 from typing import Iterable, Iterator, Sequence, Union
 
-from .arith import (EhrcollapseError, Expansion, QuadNumber, Triple, exact_int, floor_surd,
-                    floor_surd_run, to_integers)
+from .arith import (EhrcollapseError, Expansion, InternalCheckError, QuadNumber, Triple,
+                    exact_int, floor_surd, floor_surd_run, to_integers)
 from .polytopes import (
     AdmissiblePair,
     AxisSimplex,
@@ -153,7 +153,7 @@ def count_triangle_many(obj: TriangleLike, ts: Iterable[int]) -> list[int]:
     C(m) at t = m/r, r*a - s <= m < r*a: per STRIP_CHUNK t, -C is one Beatty
     run of -1/(r*u) = (a + b*sqrt(d))/c (Lothaire ch. 2), as floor(x) + 1 =
     -floor(-x) at irrational x, summed mod s.  Floor sums of the last n counts must
-    match (EhrcollapseError otherwise): the identities add with non-negative
+    match (InternalCheckError otherwise): the identities add with non-negative
     coefficients, so an error at one t (or m) reaches the last count of its
     class mod n (of r*t mod s).  n is 1 for an admissible pair, min(q, s) for
     rational legs.  Every other ts is one floor sum per t.  Only the counts
@@ -182,7 +182,7 @@ def count_triangle_many(obj: TriangleLike, ts: Iterable[int]) -> list[int]:
             tail = rows[-n:]
             counts += map(operator.neg, rows[n::r])
     if _count_below(pair, ((t, 0, 1) for t in ts[-n:]), d) != counts[-n:]:
-        raise EhrcollapseError(f"the counts of {pair} break its translate identity")
+        raise InternalCheckError(f"the counts of {pair} break its translate identity")
     return counts
 
 

@@ -43,19 +43,20 @@ def _report(criterion: str, conditions: tuple[tuple[str, bool], ...], divisor: i
                            verdict if holds else NO_PREDICTION)
 
 
+def _divisibility(p: int, q: int, r: int, s: int) -> tuple[bool, bool, bool]:
+    """The conditions on u = q/p, v = s/r, all positive, that predict that q is
+    a quasiperiod: s divides p, p divides r*q + 1, and gcd((r*q + 1)/p, s) = 1."""
+    c2 = (r * q + 1) % p == 0
+    return p % s == 0, c2, c2 and gcd((r * q + 1) // p, s) == 1
+
+
 def _divisibility_triple(p: int, q: int, r: int, s: int,
                          names: str) -> tuple[tuple[str, bool], ...]:
-    # conditions on u = q/p, v = s/r predicting that q is a quasiperiod; names
-    # holds the letters that stand for p, q, r and s in the condition names
+    """_divisibility(p, q, r, s), each condition under its name; names holds the
+    letters that stand for p, q, r and s in the names."""
     n_p, n_q, n_r, n_s = names
-    c1 = s != 0 and p % s == 0
-    c2 = (r * q + 1) % p == 0
-    c3 = c2 and gcd((r * q + 1) // p, s) == 1
-    return (
-        (f"{n_s} divides {n_p}", c1),
-        (f"{n_p} divides {n_r}*{n_q} + 1", c2),
-        (f"gcd(({n_r}*{n_q} + 1)/{n_p}, {n_s}) = 1", c3),
-    )
+    return tuple(zip((f"{n_s} divides {n_p}", f"{n_p} divides {n_r}*{n_q} + 1",
+                      f"gcd(({n_r}*{n_q} + 1)/{n_p}, {n_s}) = 1"), _divisibility(p, q, r, s)))
 
 
 def check_collapse_criterion(params: RationalTriangleParams) -> CriterionReport:

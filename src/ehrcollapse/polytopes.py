@@ -21,7 +21,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .arith import (EhrcollapseError, Expansion, Frozen, QuadNumber, RadicandMismatchError,
-                    Triple, exact_int, fraction_rows, reduced_triple, shared_triples)
+                    Triple, _new, exact_int, fraction_rows, reduced_triple, shared_triples)
 
 # the largest r of a strip leg s/r: set when a strip cost r square roots per t, not re-measured
 MAX_STRIP_FLOORS = 8
@@ -183,6 +183,11 @@ class RationalTriangleParams(_LegData):
         if u <= 0 or v <= 0:
             raise ValueError("legs must be positive")
         return cls(u.denominator, u.numerator, v.denominator, v.numerator)
+
+    @cached_property
+    def _triangle(self) -> TrianglePair:
+        # the positive lowest-term legs q/p and s/r, with no Fraction between
+        return TrianglePair(_new(self.q, 0, self.p, 0), _new(self.s, 0, self.r, 0))
 
     @property
     def u(self) -> Fraction:

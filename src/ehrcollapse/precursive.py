@@ -13,7 +13,8 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .arith import EhrcollapseError, RationalLike, RationalTable, fraction_rows, to_integers
+from .arith import (EhrcollapseError, RationalLike, RationalTable, exact_int, fraction_rows,
+                    to_integers)
 
 P = (1 << 61) - 1  # the prime of the rank test
 RUN = 4096  # windows that _holds sums together
@@ -29,8 +30,9 @@ class Recurrence(RationalTable):
 
     It holds its (order+1) x (degree+1) table, not all zero, as an
     arith.RationalTable; polys is the table as Fractions, built when first
-    read.  The constructor takes ints, Fractions or 'n/d' text through
-    arith.fraction_rows (a float raises TypeError).
+    read.  The constructor takes its order and degree through arith.exact_int
+    and its entries, ints, Fractions or 'n/d' text, through arith.fraction_rows:
+    a float or a bool size, or a float entry, raises TypeError.
     """
 
     FIELDS = ("order", "degree", "numerators", "denominator")
@@ -39,7 +41,7 @@ class Recurrence(RationalTable):
     polys = cached_property(RationalTable._fractions)
 
     def __init__(self, order: int, degree: int, polys: Iterable[Iterable]) -> None:
-        self._fill(order, degree, fraction_rows(polys, order + 1, degree + 1))
+        self._fill(order, degree, fraction_rows(polys, exact_int(order) + 1, exact_int(degree) + 1))
         if not any(map(any, self.numerators)):
             raise ValueError("the zero recurrence is not allowed")
 
@@ -221,7 +223,7 @@ def guess_recurrence(
     vector.  Otherwise this and every later cell of the degree take the exact
     pass, a canonical nullspace vector of the first half of the windows.
     """
-    if max_order < 0 or max_degree < 0:
+    if exact_int(max_order) < 0 or exact_int(max_degree) < 0:
         raise ValueError("bounds must be >= 0")
     n_top = len(values) - 1
     if n_top < 2 * (max_order + 1) * (max_degree + 1) + max_order:

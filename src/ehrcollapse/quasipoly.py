@@ -52,8 +52,8 @@ from operator import sub
 from typing import Iterable, Optional, Sequence
 
 from . import counting
-from .arith import (EhrcollapseError, Frozen, RationalLike, RationalTable, fraction_rows, horner,
-                    to_integers)
+from .arith import (EhrcollapseError, Frozen, InternalCheckError, RationalLike, RationalTable,
+                    exact_int, fraction_rows, horner, to_integers)
 from .polytopes import AdmissiblePair
 
 
@@ -61,7 +61,7 @@ class InsufficientSamplesError(EhrcollapseError):
     """Raised when some residue class has fewer than degree+1 samples."""
 
 
-class FitFailureError(EhrcollapseError):
+class FitFailureError(InternalCheckError):
     """Raised when a fit that is guaranteed to exist does not verify."""
 
 
@@ -71,8 +71,9 @@ class Quasipolynomial(RationalTable):
 
     It holds its period x (degree+1) table as an arith.RationalTable;
     coeffs is the table as Fractions, built when first read.  The
-    constructor takes ints, Fractions or 'n/d' text through
-    arith.fraction_rows (a float raises TypeError).
+    constructor takes its period and degree through arith.exact_int and its
+    entries, ints, Fractions or 'n/d' text, through arith.fraction_rows: a
+    float or a bool size, or a float entry, raises TypeError.
     """
 
     FIELDS = ("period", "degree", "numerators", "denominator")
@@ -81,9 +82,9 @@ class Quasipolynomial(RationalTable):
     coeffs = cached_property(RationalTable._fractions)
 
     def __init__(self, period: int, degree: int, coeffs: Iterable[Iterable]) -> None:
-        if period < 1:
+        if exact_int(period) < 1:
             raise ValueError("period must be >= 1")
-        if degree < 0:
+        if exact_int(degree) < 0:
             raise ValueError("degree must be >= 0")
         self._fill(period, degree, fraction_rows(coeffs, period, degree + 1))
 
@@ -115,7 +116,7 @@ def fit_quasipolynomial(
     than degree+1 values: those are the classes from len(values) -
     degree*period on.
     """
-    if period < 1 or degree < 0:
+    if exact_int(period) < 1 or exact_int(degree) < 0:
         raise ValueError("need period >= 1 and degree >= 0")
     short = max(0, len(values) - degree * period)
     if short < period:
@@ -175,7 +176,7 @@ def certified_period(obj: counting.TriangleLike) -> int:
     u + v and 1/u + 1/v.  Its counts satisfy a recurrence of degree
     w = n + m + 1 and are a quasipolynomial of degree 2 and guaranteed period
     P = lcm(n, m).  The counts on t in [0, w + 3P) are one run of
-    count_triangle_many, which raises EhrcollapseError when they break the
+    count_triangle_many, which raises InternalCheckError when they break the
     identity; Delta_P^3 I must vanish at t in [0, w) (FitFailureError
     otherwise).  P then loses one prime at a time while Delta_d^3 I = 0 at
     t in [0, w) still holds.  Raises EhrcollapseError for other triangles

@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import floor, inf, isqrt, nextafter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ehrcollapse import arith, counting, sequences
@@ -469,6 +469,15 @@ FLOAT_CALLS = {
     "AxisSimplex": lambda: AxisSimplex((1, 0.5)),
     "Interval": lambda: Interval(0, 0.5),
     "QuadNumber arithmetic": lambda: quad_sqrt(2) + 0.5,
+    # a size: each call is taken, or refused as something else, where a size is not checked
+    "fit_quasipolynomial period": lambda: fit_quasipolynomial([1] * 9, 1.0, 2),
+    "fit_quasipolynomial degree": lambda: fit_quasipolynomial([1], 1, 2.0),
+    "Quasipolynomial period": lambda: Quasipolynomial(1.0, 1, [[1, 2]]),
+    "Quasipolynomial degree": lambda: Quasipolynomial(1, 1.0, [[1, 2]]),
+    "Recurrence order": lambda: Recurrence(1.0, 0, [[1], [-1]]),
+    "Recurrence degree": lambda: Recurrence(0, 1.0, [[1, 2]]),
+    "guess_recurrence max_order": lambda: guess_recurrence([1] * 3, 1.0, 0),
+    "guess_recurrence max_degree": lambda: guess_recurrence([1] * 3, 0, 1.0),
 }
 
 
@@ -482,6 +491,14 @@ BOOL_CALLS = {
     "AdmissiblePair": lambda: AdmissiblePair(True, 5),
     "RationalTriangleParams": lambda: RationalTriangleParams(True, 2, 1, 1),
     "QuadNumber radicand": lambda: QuadNumber(0, 1, True),
+    "fit_quasipolynomial period": lambda: fit_quasipolynomial([1] * 9, True, 2),
+    "fit_quasipolynomial degree": lambda: fit_quasipolynomial([1] * 9, 1, True),
+    "Quasipolynomial period": lambda: Quasipolynomial(True, 0, [[1]]),
+    "Quasipolynomial degree": lambda: Quasipolynomial(1, True, [[1, 2]]),
+    "Recurrence order": lambda: Recurrence(True, 0, [[1], [-1]]),
+    "Recurrence degree": lambda: Recurrence(0, True, [[1, 2]]),
+    "guess_recurrence max_order": lambda: guess_recurrence([1] * 30, True, 0),
+    "guess_recurrence max_degree": lambda: guess_recurrence([1] * 30, 0, True),
 }
 
 
@@ -489,6 +506,31 @@ BOOL_CALLS = {
 def test_a_bool_is_refused_by_the_polytope_constructors(name):
     with pytest.raises(TypeError, match="bool"):
         BOOL_CALLS[name]()
+
+
+rationals = st.fractions(max_denominator=10 ** 6) | st.integers(-(2 ** 70), 2 ** 70)
+
+
+@st.composite
+def rational_tables(draw):
+    """A Quasipolynomial or a Recurrence that its constructor accepts, of sizes
+    drawn as ints or bools."""
+    cls = draw(st.sampled_from([Quasipolynomial, Recurrence]))
+    size = draw(st.sampled_from((1, 2, 3, 4, True)))
+    degree = draw(st.sampled_from((0, 1, 2, 3, True)))
+    rows = size + (cls is Recurrence)
+    table = draw(st.lists(st.lists(rationals, min_size=degree + 1, max_size=degree + 1),
+                          min_size=rows, max_size=rows))
+    try:
+        return cls(size, degree, table)
+    except (TypeError, ValueError):  # a bool size, or the zero recurrence
+        assume(False)
+
+
+@given(rational_tables())
+def test_a_table_reads_back_from_its_json(table):
+    text = json.dumps(table.to_json_dict())
+    assert type(table).from_json_dict(json.loads(text)) == table
 
 
 ZERO_DENOMINATOR_READS = {

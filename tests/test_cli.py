@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 import oracles
 from ehrcollapse import cli, counting, precursive, quasipoly, sequences
 from ehrcollapse.arith import parse_quad
+from ehrcollapse.criteria import check_collapse_criterion
 from ehrcollapse.polytopes import (
     RationalTriangleParams,
     TrianglePair,
@@ -351,7 +352,7 @@ def test_a_wrong_stored_period_fails_the_reuse_check(monkeypatch):
     (2, 1, 1, 2).  One too large, 2 still divides the denominator 2, and
     both records, the twin's taken from the store, differ from their own
     certificate.  (1, 1, 2, 1) stores 1 for denominator 1; one too large
-    fails the divisibility check."""
+    fails the divisibility check, an internal check."""
     def off_by_one_at(wrong):
         certify = quasipoly.certified_period
         return lambda params: certify(params) + (params.to_json_dict() == wrong)
@@ -362,9 +363,22 @@ def test_a_wrong_stored_period_fails_the_reuse_check(monkeypatch):
                                   off_by_one_at({"p": 1, "q": 2, "r": 2, "s": 1}))
     assert _periods_not_its_own(stdout, box) == [(1, 2, 2, 1), (2, 1, 1, 2)]
     monkeypatch.undo()
-    with pytest.raises(AssertionError, match="minimal period 2 does not divide 1"):
-        _certified_search(monkeypatch, _box_argv(box),
-                          off_by_one_at({"p": 1, "q": 1, "r": 2, "s": 1}))
+    monkeypatch.setattr(quasipoly, "certified_period",
+                        off_by_one_at({"p": 1, "q": 1, "r": 2, "s": 1}))
+    code, _, err = _run_in_process(_box_argv(box))
+    assert (code, err) == (70, "error: minimal period 2 does not divide 1: an internal check"
+                               " failed, which is a bug\n")
+
+
+@pytest.mark.parametrize("argv", [*map(_box_argv, REUSE_BOXES), ["search", "--bound", "6"]])
+def test_search_predicts_collapse_as_the_collapse_criterion_does(argv):
+    """The boxes of the benchmark's sweep (REUSE_BOXES holds them in both leg
+    orders), and --bound 6."""
+    records = _records(argv)
+    assert len(records) > 100
+    for record in records:
+        params = RationalTriangleParams(**record["params"])
+        assert record["criterion_predicted"] is check_collapse_criterion(params).holds
 
 
 def test_search_has_no_jobs_option():
@@ -479,8 +493,9 @@ def test_every_error_of_the_package_shares_one_value_error_base():
 
     for cls in (ehrcollapse.RadicandMismatchError, ehrcollapse.NotIrrationalError,
                 ehrcollapse.InsufficientDataError, ehrcollapse.InsufficientSamplesError,
-                ehrcollapse.FitFailureError):
+                ehrcollapse.FitFailureError, ehrcollapse.InternalCheckError):
         assert issubclass(cls, ehrcollapse.EhrcollapseError)
+    assert issubclass(ehrcollapse.FitFailureError, ehrcollapse.InternalCheckError)
     assert issubclass(ehrcollapse.EhrcollapseError, ValueError)
     with pytest.raises(ehrcollapse.EhrcollapseError, match="unknown suite"):
         verify.run_suite("nope")
@@ -732,6 +747,48 @@ def test_ctrl_c_exits_130_without_a_traceback():
     assert proc.returncode == 130, err
     assert b"Traceback" not in err, err
     assert all(line.startswith(b'{"params": ') for line in out.splitlines()[:-1])
+
+
+def _translate_off_by_one(pair, translate=TrianglePair.translate.func):
+    n, m, step = translate(pair)
+    return n, m, step + 1
+
+
+def _last_count_off_by_one(obj, ts, count=counting.count_triangle_many):
+    counts = count(obj, ts)
+    return counts[:-1] + [counts[-1] + 1]
+
+
+# each fault: the attribute it patches, what it puts there, a command that meets it,
+# and the start of the error line
+INTERNAL_FAULTS = {
+    "a translate identity that breaks": (
+        (TrianglePair, "translate", property(_translate_off_by_one)),
+        ["period", "--alpha", "3", "--beta", "5"], "error: the counts of TrianglePair("),
+    "a fit that does not verify (FitFailureError)": (
+        (counting, "count_triangle_many", _last_count_off_by_one),
+        ["period", "--params", "2,3,3,2"],
+        "error: no verified degree-2 fit at guaranteed period 6"),
+}
+
+
+@pytest.mark.parametrize("name", INTERNAL_FAULTS)
+def test_an_internal_check_that_fails_is_one_line_and_exit_70(name, monkeypatch):
+    patch, argv, start = INTERNAL_FAULTS[name]
+    monkeypatch.setattr(*patch)
+    code, out, err = _run_in_process(argv)
+    assert (code, out) == (70, "")
+    assert err.startswith(start) and err.endswith(": an internal check failed, which is a bug\n")
+    assert err.count("\n") == 1, err
+
+
+def test_running_out_of_memory_is_one_line_and_exit_71(monkeypatch):
+    def exhausted(obj, ts):
+        raise MemoryError
+
+    monkeypatch.setattr(counting, "count_triangle_many", exhausted)
+    assert _run_in_process(["count", "--params", "2,3,3,2", "--t", "0..9999999"]) == (
+        71, "", "error: out of memory\n")
 
 
 def test_output_dash_writes_to_stdout():
@@ -1131,7 +1188,13 @@ json_values = st.recursive(
 json_keys = st.text(st.sampled_from('a%"\\é☃\n'), max_size=4) | st.text(max_size=4)
 
 
-column_values = [st.integers(), st.booleans(), st.none(), st.text(max_size=4), json_values]
+# the kinds of cell in the records: an int, a bool, None, text, an 'n/d' fraction, a
+# dict of ints such as a search record's params, and any JSON value
+column_values = [st.integers(), st.booleans(), st.none(), st.text(max_size=4),
+                 st.text("-0123456789/", max_size=6),
+                 st.dictionaries(json_keys, st.integers() | st.integers(2 ** 64, 2 ** 200),
+                                 max_size=4),
+                 json_values]
 
 
 @settings(max_examples=300, deadline=None)

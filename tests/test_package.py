@@ -8,9 +8,10 @@ import ehrcollapse
 
 PUBLIC = [
     "AdmissiblePair", "AxisSimplex", "CriterionReport", "EhrcollapseError", "FitFailureError",
-    "InsufficientDataError", "InsufficientSamplesError", "Interval", "NotIrrationalError",
-    "QuadNumber", "Quasipolynomial", "RadicandMismatchError", "RationalTriangle2D",
-    "RationalTriangleParams", "ReciprocityReport", "Recurrence", "TrianglePair", "a_sequence",
+    "InsufficientDataError", "InsufficientSamplesError", "InternalCheckError", "Interval",
+    "NotIrrationalError", "QuadNumber", "Quasipolynomial", "RadicandMismatchError",
+    "RationalTriangle2D", "RationalTriangleParams", "ReciprocityReport", "Recurrence",
+    "TrianglePair", "a_sequence",
     "arith", "asymptotic_deficit", "certified_period", "check_collapse_criterion",
     "check_pseudo_integral_criterion", "check_reciprocal_criterion", "classify_admissible",
     "closed_form_admissible", "count_axis_simplex", "count_axis_simplex_many", "count_interval",
@@ -27,7 +28,7 @@ SUBMODULES = {"arith", "counting", "criteria", "polytopes", "precursive", "quasi
 
 def test_all_lists_the_public_names():
     assert ehrcollapse.__all__ == PUBLIC
-    assert len(PUBLIC) == 57 and SUBMODULES <= set(PUBLIC)
+    assert len(PUBLIC) == 58 and SUBMODULES <= set(PUBLIC)
 
 
 def test_star_import_binds_each_name_to_its_submodule_object():

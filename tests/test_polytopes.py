@@ -2,6 +2,7 @@
 
 import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,25 @@ def test_params_from_fractions_reduces():
 def test_params_triangle():
     params = RationalTriangleParams(2, 3, 5, 4)
     assert params.triangle().kind == "rational"
+
+
+def _lowest_terms(n, d):
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+sizes = st.integers(1, 40) | st.integers(1, 2 ** 80)
+
+
+@given(st.builds(_lowest_terms, sizes, sizes), st.builds(_lowest_terms, sizes, sizes))
+def test_the_params_triangle_is_the_pair_of_its_fractions(pq, rs):
+    (p, q), (r, s) = pq, rs
+    triangle = RationalTriangleParams(p, q, r, s).triangle()
+    pair = TrianglePair(Fraction(q, p), Fraction(s, r))
+    assert triangle == pair
+    assert (triangle.u.triple, triangle.v.triple, triangle.u.d, triangle.v.d) == (
+        (q, 0, p), (s, 0, r), 0, 0)
+    assert triangle.slopes == pair.slopes and triangle.translate == pair.translate
 
 
 # -- simplex, interval, explicit triangle ----------------------------------------------
