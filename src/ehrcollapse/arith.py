@@ -233,11 +233,10 @@ class QuadNumber:
 
     @classmethod
     def from_value(cls, x: QuadLike) -> "QuadNumber":
+        """x itself, or the exact number x as a QuadNumber; else TypeError."""
         if isinstance(x, QuadNumber):
             return x
-        if isinstance(x, (int, Fraction)):
-            return _new(x.numerator, 0, x.denominator, 0)
-        raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+        return _new(_exact_number(x).numerator, 0, x.denominator, 0)
 
     def _over(self, d: int) -> Triple:
         """This number's triple over the radicand d of its field."""
@@ -283,8 +282,8 @@ class QuadNumber:
         return QuadNumber.from_value(other) / self
 
     def __pow__(self, n: int) -> "QuadNumber":
-        if not isinstance(n, int):
-            raise TypeError("exponent must be an int")
+        if not _is_exact(n, int):
+            raise TypeError(f"exponent must be an int, got {type(n).__name__}")
         if n < 0:
             return 1 / self ** -n
         out = _new(1, 0, 1, 0)
@@ -417,31 +416,20 @@ def quad_sqrt(n: RationalLike) -> QuadNumber:
 
 
 def to_integers(values: Sequence[RationalLike]) -> tuple[Sequence[int], int]:
-    """The values times the lcm of their denominators, and that lcm; a value
-    that is not an int or a Fraction, such as a float, raises TypeError.  Ints
-    alone come back uncopied, with scale 1: no caller changes what it gets."""
+    """values, each an exact number, times the lcm of their denominators, and
+    that lcm; ints alone come back uncopied, with scale 1: no caller changes them."""
     if {int}.issuperset(map(type, values)):
         return values, 1
-    try:
-        scale = lcm(*(v.denominator for v in values))
-    except AttributeError:
-        bad = next(v for v in values if not isinstance(v, (int, Fraction)))
-        raise TypeError(f"expected int or Fraction, got {type(bad).__name__}") from None
+    scale = lcm(*((v if isinstance(v, Fraction) else _exact_number(v)).denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
-def _as_fraction(x: Union[int, str]) -> Fraction:
-    if isinstance(x, (int, str)):
-        return parse_fraction(x)
-    raise TypeError(f"expected int, Fraction or 'n/d' text, got {type(x).__name__}")
 
 
 def fraction_rows(rows: Iterable[Iterable], count: int,
                   width: int) -> tuple[tuple[Fraction, ...], ...]:
-    """rows as count rows of width Fractions, each entry an int, a Fraction or
-    'n/d' text; another entry raises TypeError, another shape ValueError."""
-    table = tuple(tuple(c if isinstance(c, Fraction) else _as_fraction(c) for c in row)
-                  for row in rows)
+    """rows as count rows of width Fractions, each entry an exact number or 'n/d'
+    text; another entry raises TypeError, another shape ValueError."""
+    table = tuple(tuple(c if isinstance(c, Fraction) else parse_fraction(c) if isinstance(c, str)
+                        else Fraction(_exact_number(c)) for c in row) for row in rows)
     if len(table) != count or any(len(row) != width for row in table):
         raise ValueError(f"expected {count} rows of {width} numbers")
     return table
@@ -478,11 +466,23 @@ def integer_table(rows: Iterable[Iterable[RationalLike]], den: int = 1) -> tuple
     return rows, den // g
 
 
+def _is_exact(x: object, kinds: Union[type, tuple[type, ...]] = (int, Fraction)) -> bool:
+    """The one rule: an exact number is an int that is not a bool, or a Fraction."""
+    return isinstance(x, kinds) and type(x) is not bool
+
+
 def exact_int(x: object) -> int:
     """x when it is an int and not a bool, such as a JSON integer read back;
-    anything else, a float or text among them, raises TypeError."""
-    if isinstance(x, bool) or not isinstance(x, int):
+    anything else, a float, a Fraction or text among them, raises TypeError."""
+    if type(x) is not int and not _is_exact(x, int):  # a plain int needs no call
         raise TypeError(f"expected int, got {type(x).__name__}")
+    return x
+
+
+def _exact_number(x: object) -> RationalLike:
+    """x when it is an exact number; anything else, such as a float, raises TypeError."""
+    if not _is_exact(x):
+        raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
     return x
 
 
@@ -564,12 +564,12 @@ def parse_int(text: str) -> int:
         raise ValueError(f"invalid int value: {text!r}") from None
 
 
-def parse_fraction(text: Union[int, str]) -> Fraction:
+def parse_fraction(text: str) -> Fraction:
     """Fraction(text), with the wording of parse_int for text that is not one and
     a zero denominator reported as a ValueError; ASCII '-'?digits('/'digits)?
     is read faster by int()."""
     try:
-        if type(text) is str and text.isascii():
+        if text.isascii():
             num, slash, den = text.partition("/")
             if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
                 return Fraction(int(num), int(den or 1))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .arith import Frozen
+from .arith import Frozen, exact_int
 from .polytopes import RationalTriangleParams, is_admissible
 
 COLLAPSE_PREDICTED = "collapse-predicted"
@@ -77,7 +77,7 @@ def check_pseudo_integral_criterion(params: RationalTriangleParams) -> Criterion
 def check_reciprocal_criterion(p: int, q: int) -> CriterionReport:
     """For the reciprocal-leg triangle, q is a quasiperiod if and only if
     p divides q^2 + 1 with gcd((q^2 + 1)/p, p) = 1."""
-    if p < 1 or q < 1 or gcd(p, q) != 1:
+    if exact_int(p) < 1 or exact_int(q) < 1 or gcd(p, q) != 1:
         raise ValueError("need positive coprime p, q")
     c1 = (q * q + 1) % p == 0
     c2 = c1 and gcd((q * q + 1) // p, p) == 1
@@ -97,7 +97,7 @@ def classify_admissible(alpha: int, beta: int) -> str:
     """Classification of (alpha, beta): admissible pairs have period 1 exactly
     when alpha = 1 or beta = 2*alpha/(alpha - 1), i.e. (alpha, beta) is
     (3, 3) or (2, 4); all other admissible pairs are pseudo-rational only."""
-    if not is_admissible(alpha, beta):
+    if not is_admissible(exact_int(alpha), exact_int(beta)):
         return NOT_ADMISSIBLE
     if alpha == 1 or (alpha, beta) in ((3, 3), (2, 4)):
         return PSEUDO_INTEGRAL
@@ -111,4 +111,4 @@ def solve_beta_equation(bound: int = 100) -> list[tuple[int, int]]:
     so the full solution set is [(2, 4), (3, 3)] for any bound >= 3.
     """
     # the solutions with alpha <= bound are the first bound - 1 of them
-    return [(2, 4), (3, 3)][:max(bound - 1, 0)]
+    return [(2, 4), (3, 3)][:max(exact_int(bound) - 1, 0)]

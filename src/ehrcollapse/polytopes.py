@@ -304,9 +304,9 @@ def mcallister_woods_image(p: int, t: int) -> RationalTriangle2D:
     axis triangle (0,0), (p,0), (0,(p-1)/p) to (0,0), (p,0), (1,(p-1)/p), so
     both have equal lattice counts in every dilate.
     """
-    if p < 2:
+    if exact_int(p) < 2:
         raise ValueError("need p >= 2")
-    if t < 1:
+    if exact_int(t) < 1:
         raise ValueError("need t >= 1")
     return RationalTriangle2D((
         (Fraction(0), Fraction(0)),

@@ -31,8 +31,8 @@ class Recurrence(RationalTable):
     It holds its (order+1) x (degree+1) table, not all zero, as an
     arith.RationalTable; polys is the table as Fractions, built when first
     read.  The constructor takes its order and degree through arith.exact_int
-    and its entries, ints, Fractions or 'n/d' text, through arith.fraction_rows:
-    a float or a bool size, or a float entry, raises TypeError.
+    and its entries, exact numbers or 'n/d' text, through arith.fraction_rows:
+    a float or a bool, as a size or as an entry, raises TypeError.
     """
 
     FIELDS = ("order", "degree", "numerators", "denominator")

@@ -72,8 +72,8 @@ class Quasipolynomial(RationalTable):
     It holds its period x (degree+1) table as an arith.RationalTable;
     coeffs is the table as Fractions, built when first read.  The
     constructor takes its period and degree through arith.exact_int and its
-    entries, ints, Fractions or 'n/d' text, through arith.fraction_rows: a
-    float or a bool size, or a float entry, raises TypeError.
+    entries, exact numbers or 'n/d' text, through arith.fraction_rows: a
+    float or a bool, as a size or as an entry, raises TypeError.
     """
 
     FIELDS = ("period", "degree", "numerators", "denominator")
@@ -90,7 +90,7 @@ class Quasipolynomial(RationalTable):
 
     def evaluate(self, t: int) -> Fraction:
         """Exact value at any integer t (negative t uses t mod period >= 0)."""
-        return Fraction(horner(self.numerators[t % self.period], t), self.denominator)
+        return Fraction(horner(self.numerators[exact_int(t) % self.period], t), self.denominator)
 
 
 def _prime_factors(n: int) -> list[int]:

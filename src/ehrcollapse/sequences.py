@@ -63,7 +63,7 @@ def fib_triangle(k: int, n: int) -> RationalTriangleParams:
 
 def a_sequence(n: int) -> int:
     """a_1, a_2, a_3, a_4 = 2, 3, 10, 17 and a_n = 6*a_{n-2} - a_{n-4}."""
-    if n < 1:
+    if exact_int(n) < 1:
         raise ValueError("need n >= 1")
     a, b, c, d = 2, 3, 10, 17  # a_{m-3}, ..., a_m, from m = 4
     for _ in range(n - 4):
@@ -73,7 +73,7 @@ def a_sequence(n: int) -> int:
 
 def tetra_family(n: int) -> AxisSimplex:
     """Tetrahedron with legs (1/2, a_{2n+1}/a_{2n}, 2*a_{2n}/a_{2n+1})."""
-    if n < 1:
+    if exact_int(n) < 1:
         raise ValueError("need n >= 1")
     even, odd = a_sequence(2 * n), a_sequence(2 * n + 1)
     return AxisSimplex((

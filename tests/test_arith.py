@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ehrcollapse import arith, counting, sequences
+from ehrcollapse import arith, counting, criteria, sequences
 from ehrcollapse.arith import (
     Expansion,
     QuadNumber,
@@ -30,6 +30,7 @@ from ehrcollapse.polytopes import (
     RationalTriangle2D,
     RationalTriangleParams,
     TrianglePair,
+    mcallister_woods_image,
     scales_to_admissible,
 )
 from ehrcollapse.precursive import Recurrence, guess_recurrence, verify_recurrence
@@ -478,6 +479,15 @@ FLOAT_CALLS = {
     "Recurrence degree": lambda: Recurrence(0, 1.0, [[1, 2]]),
     "guess_recurrence max_order": lambda: guess_recurrence([1] * 3, 1.0, 0),
     "guess_recurrence max_degree": lambda: guess_recurrence([1] * 3, 0, 1.0),
+    # an int parameter beside a range check
+    "classify_admissible": lambda: criteria.classify_admissible(3.0, 3.0),
+    "check_reciprocal_criterion": lambda: criteria.check_reciprocal_criterion(2.0, 3),
+    "solve_beta_equation": lambda: criteria.solve_beta_equation(3.0),
+    "a_sequence": lambda: sequences.a_sequence(5.0),
+    "tetra_family": lambda: sequences.tetra_family(2.0),
+    "mcallister_woods_image": lambda: mcallister_woods_image(3, 2.0),
+    "Quasipolynomial.evaluate": lambda: Quasipolynomial(1, 0, [[1]]).evaluate(2.5),
+    "QuadNumber.__pow__": lambda: quad_sqrt(2) ** 0.5,
 }
 
 
@@ -487,10 +497,36 @@ def test_a_float_is_refused_by_every_exact_entry_point(name):
         FLOAT_CALLS[name]()
 
 
+# each row is its FLOAT_CALLS row with True in place of the float
 BOOL_CALLS = {
+    "to_integers": lambda: arith.to_integers([Fraction(1, 3), True]),
+    "QuadNumber": lambda: QuadNumber(1, True, 2),
+    "QuadNumber radicand": lambda: QuadNumber(0, 1, True),
+    "quad_sqrt": lambda: quad_sqrt(True),
+    "fit_quasipolynomial": lambda: fit_quasipolynomial([1, 2, True, 4], 1, 1),
+    "guess_recurrence": lambda: guess_recurrence([True] * 12, 1, 0),
+    "verify_recurrence": lambda: verify_recurrence(Recurrence(1, 0, ((1,), (-1,))), [1, True]),
+    "Quasipolynomial": lambda: Quasipolynomial(1, 1, ((Fraction(1), True),)),
+    "Recurrence": lambda: Recurrence(0, 0, ((True,),)),
+    "RationalTriangle2D": lambda: RationalTriangle2D(((0, 0), (1, 0), (0, True))),
+    "RationalTriangleParams.from_fractions": lambda: RationalTriangleParams.from_fractions(True, 1),
+    "scales_to_admissible": lambda: scales_to_admissible(True, 8),
+    "series_numerator": lambda: series_numerator(True, 2),
+    "count_triangle": lambda: counting.count_triangle(RationalTriangleParams(2, 3, 3, 2), True),
+    "count_triangle_many": lambda: counting.count_triangle_many(AdmissiblePair(3, 3), [0, True]),
+    "count_triangle_interior": lambda: counting.count_triangle_interior(AdmissiblePair(3, 3), True),
+    "count_axis_simplex_many": lambda: counting.count_axis_simplex_many(
+        sequences.limit_tetrahedron(), [True]),
+    "count_interval": lambda: counting.count_interval(Interval(QuadNumber(0), quad_sqrt(2)), True),
+    "closed_form_admissible": lambda: counting.closed_form_admissible(AdmissiblePair(3, 3), True),
+    "k_fib": lambda: sequences.k_fib(True, 4),
+    "tetra_polynomial": lambda: sequences.tetra_polynomial(True),
     "AdmissiblePair": lambda: AdmissiblePair(True, 5),
     "RationalTriangleParams": lambda: RationalTriangleParams(True, 2, 1, 1),
-    "QuadNumber radicand": lambda: QuadNumber(0, 1, True),
+    "TrianglePair": lambda: TrianglePair(1, True),
+    "AxisSimplex": lambda: AxisSimplex((1, True)),
+    "Interval": lambda: Interval(0, True),
+    "QuadNumber arithmetic": lambda: quad_sqrt(2) + True,
     "fit_quasipolynomial period": lambda: fit_quasipolynomial([1] * 9, True, 2),
     "fit_quasipolynomial degree": lambda: fit_quasipolynomial([1] * 9, 1, True),
     "Quasipolynomial period": lambda: Quasipolynomial(True, 0, [[1]]),
@@ -499,7 +535,19 @@ BOOL_CALLS = {
     "Recurrence degree": lambda: Recurrence(0, True, [[1, 2]]),
     "guess_recurrence max_order": lambda: guess_recurrence([1] * 30, True, 0),
     "guess_recurrence max_degree": lambda: guess_recurrence([1] * 30, 0, True),
+    "classify_admissible": lambda: criteria.classify_admissible(True, 5),
+    "check_reciprocal_criterion": lambda: criteria.check_reciprocal_criterion(True, 2),
+    "solve_beta_equation": lambda: criteria.solve_beta_equation(True),
+    "a_sequence": lambda: sequences.a_sequence(True),
+    "tetra_family": lambda: sequences.tetra_family(True),
+    "mcallister_woods_image": lambda: mcallister_woods_image(3, True),
+    "Quasipolynomial.evaluate": lambda: Quasipolynomial(1, 0, [[1]]).evaluate(True),
+    "QuadNumber.__pow__": lambda: quad_sqrt(2) ** True,
 }
+
+
+def test_the_bool_and_float_tables_name_the_same_entry_points():
+    assert BOOL_CALLS.keys() == FLOAT_CALLS.keys()
 
 
 @pytest.mark.parametrize("name", BOOL_CALLS)

@@ -883,6 +883,10 @@ PINNED_STDOUT = {
     "count --legs 0,1,8 1/2 0,1,18 --t 0..300":
         "76155638b8424c9b49733149bbb5eded045e822f1dc7d92513575c4369c07889",
     "period --u 2,1/6,96 --v 2,-1/6,96": "5cae1e913bd26645e73b5fe6308a0f19f71d0d2aab224e980f7a8c134110bcfa",
+    # recorded before arith wrote its rule for an exact number once: one RationalTriangle2D
+    # per t, each through fraction_rows and to_integers
+    "count --mw-image 7 --t 1..10000":
+        "5f57d90afd398db5afa32d167e5458728448ca4ea8a057362a8110ccea59b39e",
     # recorded where the CI workflow checked a line of the stdout alone: its
     # "minimal_period": 987 (= F_16), and its "recurrence": null at 100001 values
     "period --params 610,987,987,610":
@@ -982,6 +986,7 @@ RUN_ARGVS = {
     "count --legs 0,1,8 1/2 0,1,18 --t 0..300": (
         [["count", "--legs", "0,1,8", "1/2", "0,1,18", "--t", "0..300"]], 10),
     "period --u 2,1/6,96 --v 2,-1/6,96": ([["period", "--u", "2,1/6,96", "--v", "2,-1/6,96"]], 10),
+    "count --mw-image 7 --t 1..10000": ([["count", "--mw-image", "7", "--t", "1..10000"]], 10),
     "count --legs 2 3 --t 0..2000": ([["count", "--legs", "2", "3", "--t", "0..2000"]], None),
     "count --u 1/2 --v 1/3 --t 0..2000": (
         [["count", "--u", "1/2", "--v", "1/3", "--t", "0..2000"]], None),
