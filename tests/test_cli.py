@@ -839,6 +839,12 @@ PINNED_STDOUT = {
     # recorded before a search record's bools and params dict filled slots of its line
     # template, each cell had its own json.dumps call
     "search --bound 12": "f361f048b3fdeaa4b697edab0de925d7a9f5290e092acb161a1e6d6acde511f5",
+    # recorded before a period waited in the store under its twin's tuple: the sweep's
+    # third box and its mirror, where some twins lie outside the box
+    "search --max-p 8 --max-q 4 --max-r 2 --max-s 7":
+        "a3a520b473d521e8b38df7abd8dfd154768cac1c56e8758fbaf67402ec5fdbd4",
+    "search --max-p 2 --max-q 7 --max-r 8 --max-s 4":
+        "51c01d12e6917b656c59ed96d7f2cc95f5a2bc22ef907b391759c3ae233d0399",
     "fit --params 55,89,89,55 --period 4895":
         "a87e13f79d88e940c03bd09b6a297ea7c56af34dd4bbcc19c1ab178cb8f1e86f",
     "guess-rec --alpha 3 --beta 3 --t-max 200000":
@@ -938,6 +944,10 @@ RUN_ARGVS = {
     "search --bound 6": ([["search", "--bound", "6"]], None),
     "search --bound 8": ([["search", "--bound", "8"]], None),
     "search --bound 12": ([["search", "--bound", "12"]], 10),
+    "search --max-p 8 --max-q 4 --max-r 2 --max-s 7": (
+        [["search", "--max-p", "8", "--max-q", "4", "--max-r", "2", "--max-s", "7"]], None),
+    "search --max-p 2 --max-q 7 --max-r 8 --max-s 4": (
+        [["search", "--max-p", "2", "--max-q", "7", "--max-r", "8", "--max-s", "4"]], None),
     "period --params 610,987,987,610": ([["period", "--params", "610,987,987,610"]], 60),
     "fit --params 55,89,89,55 --period 4895": (
         [["fit", "--params", "55,89,89,55", "--period", "4895"]], 60),
