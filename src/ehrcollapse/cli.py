@@ -340,19 +340,6 @@ def _cmd_check(args, parser, emit) -> int:
 _SEARCH_KEYS = ("params", "denominator", "minimal_period", "criterion_predicted", "collapse")
 
 
-def _twin_order(pqrs, bounds) -> int:
-    """Where the leg-swapped twin (r, s, p, q) of the tuple pqrs comes in the
-    lexicographic walk iter_lowest_term_tuples(*bounds): -1 before pqrs,
-    1 after it, 0 when the twin is pqrs itself or lies outside the box.  The
-    twin is the same triangle reflected across the diagonal, so it has the
-    same counts and the same minimal period."""
-    p, q, r, s = pqrs
-    max_p, max_q, max_r, max_s = bounds
-    if r > max_p or s > max_q or p > max_r or q > max_s:
-        return 0
-    return ((r, s) > (p, q)) - ((r, s) < (p, q))
-
-
 def _cmd_search(args, parser, emit) -> int:
     bounds = (
         args.max_p or args.bound,
@@ -362,25 +349,29 @@ def _cmd_search(args, parser, emit) -> int:
     )
     if any(b is None for b in bounds):
         parser.error("give --bound or all of --max-p/--max-q/--max-r/--max-s")
+    max_p, max_q, max_r, max_s = bounds
     polytopes = _package.polytopes
     params_of = polytopes.RationalTriangleParams
+    fields = params_of.FIELDS  # the JSON keys of the params cell, as in to_json_dict
     certify = _package.quasipoly.certified_period
     divisibility = _package.criteria._divisibility
-    waiting = {}  # (p, q, r, s) -> the period its later twin (r, s, p, q) will take
+    # The leg-swapped twin (r, s, p, q) is the same triangle reflected across the
+    # diagonal, with the same counts: a certified tuple files its (period,
+    # denominator) under its twin when the twin comes later in the lexicographic
+    # walk and lies in the box, and only a tuple that finds nothing filed is certified.
+    waiting = {}
     for pqrs in polytopes.iter_lowest_term_tuples(*bounds):
-        params = params_of(*pqrs)
-        order = _twin_order(pqrs, bounds)
-        if order < 0:
+        found = waiting.pop(pqrs, None)
+        if found is None:
+            params = params_of(*pqrs)
+            found = certify(params), params.denominator
             p, q, r, s = pqrs
-            period = waiting.pop((r, s, p, q))
-        else:
-            period = certify(params)
-            if order > 0:
-                waiting[pqrs] = period
-        denom = params.denominator
+            if (r, s) > (p, q) and r <= max_p and s <= max_q and p <= max_r and q <= max_s:
+                waiting[r, s, p, q] = found
+        period, denom = found
         if denom % period != 0:
             raise InternalCheckError(f"minimal period {period} does not divide {denom}")
-        emit(_SEARCH_KEYS, [(params.to_json_dict(), denom, period, all(divisibility(*pqrs)),
+        emit(_SEARCH_KEYS, [(dict(zip(fields, pqrs)), denom, period, all(divisibility(*pqrs)),
                              period < denom)])
     return 0
 

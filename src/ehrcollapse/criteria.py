@@ -76,15 +76,12 @@ def check_pseudo_integral_criterion(params: RationalTriangleParams) -> Criterion
 
 def check_reciprocal_criterion(p: int, q: int) -> CriterionReport:
     """For the reciprocal-leg triangle, q is a quasiperiod if and only if
-    p divides q^2 + 1 with gcd((q^2 + 1)/p, p) = 1."""
+    p divides q^2 + 1 with gcd((q^2 + 1)/p, p) = 1: the collapse conditions
+    on (p, q, q, p), of which the first, p divides p, always holds."""
     if exact_int(p) < 1 or exact_int(q) < 1 or gcd(p, q) != 1:
         raise ValueError("need positive coprime p, q")
-    c1 = (q * q + 1) % p == 0
-    c2 = c1 and gcd((q * q + 1) // p, p) == 1
-    conds = (
-        ("p divides q^2 + 1", c1),
-        ("gcd((q^2 + 1)/p, p) = 1", c2),
-    )
+    _, c1, c2 = _divisibility(p, q, q, p)
+    conds = (("p divides q^2 + 1", c1), ("gcd((q^2 + 1)/p, p) = 1", c2))
     return _report("reciprocal", conds, q, COLLAPSE_PREDICTED)
 
 

@@ -203,7 +203,8 @@ class RationalTriangleParams(_LegData):
         return lcm(self.q, self.s)
 
     def to_json_dict(self) -> dict[str, int]:
-        return {"p": self.p, "q": self.q, "r": self.r, "s": self.s}
+        """FIELDS names the JSON keys, as it does in search's params cell."""
+        return dict(zip(self.FIELDS, (self.p, self.q, self.r, self.s)))
 
 
 class AxisSimplex(Frozen):
@@ -292,7 +293,7 @@ def reciprocal_params(p: int, q: int) -> RationalTriangleParams:
 
 def mcallister_woods_pair(p: int) -> RationalTriangleParams:
     """The rational triangle with u = p, v = (p-1)/p; denominator p, period 1."""
-    if p < 2:
+    if exact_int(p) < 2:
         raise ValueError("need p >= 2")
     return RationalTriangleParams(p, 1, p - 1, p)
 
@@ -317,7 +318,7 @@ def mcallister_woods_image(p: int, t: int) -> RationalTriangle2D:
 
 def iter_admissible_pairs(product_max: int):
     """All admissible pairs with alpha*beta <= product_max, ordered by (alpha, beta)."""
-    for alpha in range(1, product_max + 1):
+    for alpha in range(1, exact_int(product_max) + 1):
         for beta in range(1, product_max // alpha + 1):
             if is_admissible(alpha, beta):
                 yield AdmissiblePair(alpha, beta)
@@ -331,7 +332,8 @@ def iter_lowest_term_tuples(
 ):
     """All lowest-term (p, q, r, s) with p <= max_p, q <= max_q, r <= max_r and
     s <= max_s, as tuples of ints, lexicographic; a bound left out is max_p."""
-    max_q, max_r, max_s = (max_p if b is None else b for b in (max_q, max_r, max_s))
+    max_p, max_q, max_r, max_s = (exact_int(max_p if b is None else b)
+                                  for b in (max_p, max_q, max_r, max_s))
     rs = [(r, s) for r in range(1, max_r + 1) for s in range(1, max_s + 1) if gcd(r, s) == 1]
     for p in range(1, max_p + 1):
         for q in range(1, max_q + 1):

@@ -9,7 +9,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from math import gcd
 from typing import Iterator
 
@@ -38,7 +37,9 @@ def k_fib(k: int, n: int) -> int:
 
 def fib_identity_residual(k: int, n: int) -> int:
     """F_n^2 - k*F_{n-1}*F_n - F_{n-1}^2 + (-1)^n; zero for all k, n >= 1."""
-    _, (f_prev, f_n) = islice(fib_pairs(k, n - 1), 2)
+    if exact_int(n) < 1:
+        raise ValueError("need n >= 1")
+    f_prev, f_n = next(fib_pairs(k, n))
     return f_n * f_n - k * f_prev * f_n - f_prev * f_prev + (-1) ** n
 
 
@@ -50,13 +51,15 @@ def fib_gcds(k: int, n: int) -> tuple[int, int]:
     blanket coprimality sometimes quoted for all n only holds in the odd-index
     form, which is also the only form the quasiperiod arguments need.
     """
-    _, (f_prev, f_n) = islice(fib_pairs(k, n - 1), 2)
+    if exact_int(n) < 1:
+        raise ValueError("need n >= 1")
+    f_prev, f_n = next(fib_pairs(k, n))
     return (gcd(f_n, f_prev), gcd(f_n, k))
 
 
 def fib_triangle(k: int, n: int) -> RationalTriangleParams:
     """Reciprocal-leg triangle with u = F_n(k)/F_{n-1}(k); needs n >= 2."""
-    if n < 2:
+    if exact_int(n) < 2:
         raise ValueError("need n >= 2 so that F_{n-1} >= 1")
     return reciprocal_params(*next(fib_pairs(k, n)))
 

@@ -30,7 +30,10 @@ from ehrcollapse.polytopes import (
     RationalTriangle2D,
     RationalTriangleParams,
     TrianglePair,
+    iter_admissible_pairs,
+    iter_lowest_term_tuples,
     mcallister_woods_image,
+    mcallister_woods_pair,
     scales_to_admissible,
 )
 from ehrcollapse.precursive import Recurrence, guess_recurrence, verify_recurrence
@@ -488,6 +491,12 @@ FLOAT_CALLS = {
     "mcallister_woods_image": lambda: mcallister_woods_image(3, 2.0),
     "Quasipolynomial.evaluate": lambda: Quasipolynomial(1, 0, [[1]]).evaluate(2.5),
     "QuadNumber.__pow__": lambda: quad_sqrt(2) ** 0.5,
+    "fib_gcds": lambda: sequences.fib_gcds(2, 5.0),
+    "fib_identity_residual": lambda: sequences.fib_identity_residual(2, 5.0),
+    "iter_lowest_term_tuples": lambda: next(iter_lowest_term_tuples(3, 3, 3.0)),
+    "iter_admissible_pairs": lambda: list(iter_admissible_pairs(5.5)),
+    "mcallister_woods_pair": lambda: mcallister_woods_pair(3.0),
+    "fib_triangle": lambda: sequences.fib_triangle(2, 3.0),
 }
 
 
@@ -543,6 +552,12 @@ BOOL_CALLS = {
     "mcallister_woods_image": lambda: mcallister_woods_image(3, True),
     "Quasipolynomial.evaluate": lambda: Quasipolynomial(1, 0, [[1]]).evaluate(True),
     "QuadNumber.__pow__": lambda: quad_sqrt(2) ** True,
+    "fib_gcds": lambda: sequences.fib_gcds(2, True),
+    "fib_identity_residual": lambda: sequences.fib_identity_residual(2, True),
+    "iter_lowest_term_tuples": lambda: next(iter_lowest_term_tuples(3, 3, True)),
+    "iter_admissible_pairs": lambda: list(iter_admissible_pairs(True)),
+    "mcallister_woods_pair": lambda: mcallister_woods_pair(True),
+    "fib_triangle": lambda: sequences.fib_triangle(2, True),
 }
 
 

@@ -25,7 +25,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ehrcollapse import cli, counting, precursive, quasipoly, sequences
+from ehrcollapse import cli, counting, polytopes, precursive, quasipoly, sequences
 from ehrcollapse.arith import parse_quad
 from ehrcollapse.criteria import check_collapse_criterion
 from ehrcollapse.polytopes import (
@@ -347,6 +347,22 @@ def test_search_certifies_each_triangle_once(monkeypatch, argv, calls):
     assert _certified_search(monkeypatch, argv)[1] == calls
 
 
+@pytest.mark.parametrize("argv, builds", [(["search", "--bound", "5"], 190),
+                                           (_box_argv((3, 8, 7, 5)), 402)])
+def test_search_builds_params_only_for_a_certificate(monkeypatch, argv, builds):
+    """361 and 468 tuples: a record that takes its twin's period builds no
+    RationalTriangleParams."""
+    built = []
+
+    class Counted(RationalTriangleParams):
+        def __init__(self, *pqrs):
+            built.append(pqrs)
+            super().__init__(*pqrs)
+
+    monkeypatch.setattr(polytopes, "RationalTriangleParams", Counted)
+    assert _certified_search(monkeypatch, argv)[1] == len(built) == builds
+
+
 def test_a_wrong_stored_period_fails_the_reuse_check(monkeypatch):
     """(1, 2, 2, 1) is certified and stores its period 1 for its twin
     (2, 1, 1, 2).  One too large, 2 still divides the denominator 2, and
@@ -357,10 +373,15 @@ def test_a_wrong_stored_period_fails_the_reuse_check(monkeypatch):
         certify = quasipoly.certified_period
         return lambda params: certify(params) + (params.to_json_dict() == wrong)
 
-    box = (2, 2, 2, 2)
-    assert cli._twin_order((1, 2, 2, 1), box) == 1
-    stdout, _ = _certified_search(monkeypatch, _box_argv(box),
-                                  off_by_one_at({"p": 1, "q": 2, "r": 2, "s": 1}))
+    box, certified = (2, 2, 2, 2), []
+    wrong = off_by_one_at({"p": 1, "q": 2, "r": 2, "s": 1})
+
+    def logged(params):
+        certified.append((params.p, params.q, params.r, params.s))
+        return wrong(params)
+
+    stdout, _ = _certified_search(monkeypatch, _box_argv(box), logged)
+    assert (1, 2, 2, 1) in certified and (2, 1, 1, 2) not in certified
     assert _periods_not_its_own(stdout, box) == [(1, 2, 2, 1), (2, 1, 1, 2)]
     monkeypatch.undo()
     monkeypatch.setattr(quasipoly, "certified_period",

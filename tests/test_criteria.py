@@ -75,6 +75,19 @@ def test_reciprocal_requires_coprime():
         check_reciprocal_criterion(2, 4)
 
 
+def test_reciprocal_conditions_are_the_last_two_collapse_conditions():
+    """For legs q/p and p/q, s = p divides p always; the other two collapse
+    conditions are the reciprocal criterion's."""
+    for p in range(1, 61):
+        for q in range(1, 61):
+            if gcd(p, q) == 1:
+                report = check_reciprocal_criterion(p, q)
+                collapse = check_collapse_criterion(reciprocal_params(p, q))
+                assert collapse.conditions[0][1]
+                assert [ok for _, ok in report.conditions] == \
+                    [ok for _, ok in collapse.conditions[1:]], (p, q)
+
+
 def test_reciprocal_iff_small():
     for p in range(1, 7):
         for q in range(1, 7):

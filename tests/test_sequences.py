@@ -49,6 +49,14 @@ def test_fib_gcd_pattern_is_sharp():
     assert k_fib(5, 2) == 5
 
 
+@pytest.mark.parametrize("fn", [fib_gcds, fib_identity_residual])
+def test_fib_gcds_and_residual_need_n_at_least_1(fn):
+    with pytest.raises(ValueError, match=r"^need n >= 1$"):
+        fn(2, 0)
+    with pytest.raises(ValueError, match="need k >= 1"):
+        fn(0, 1)
+
+
 def test_even_index_terms_are_multiples_of_k():
     for k in range(2, 7):
         for n in range(0, 31, 2):
